@@ -36,6 +36,13 @@ is probed by the search module rather than assumed, so its only hypothesis
 is x_1 > 0.  A ``force`` flag evaluates any tag outside its stated
 parameter hypotheses (the counterexample hunter relies on this); the
 structural requirements of the formulas themselves are never bypassed.
+
+Each tag is one entry of a catalog table: how its parameters resolve, its
+stated hypotheses, whether it needs x_1 > 0, and its (lhs, rhs) formula,
+written once over a means record.  :func:`check` evaluates the formula on
+the floats of one configuration; :func:`relative_residuals` evaluates it
+on the arrays of a :class:`ConfigurationBatch`, with the same result row
+by row.
 """
 
 from __future__ import annotations
@@ -43,18 +50,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
+
+import numpy as np
 
 from .errors import DegenerateInput, DomainError
 from .means import (
     DEFAULT_ABS_FLOOR,
     DEFAULT_REL_TOL,
     Configuration,
+    ConfigurationBatch,
     DeltaParams,
     c_constant,
     delta,
+    delta_rows,
     order_triple,
     power_mean,
+    power_mean_rows,
     variance_sigma,
+    variance_sigma_rows,
 )
 from .thresholds import r0_value
 
@@ -116,154 +130,9 @@ class CheckReport:
         }
 
 
-def _require(cond: bool, force: bool, message: str) -> None:
-    if not cond and not force:
-        raise DomainError(message)
-
-
-def _need_positive_min(config: Configuration, force: bool) -> float:
-    x1 = float(config.x[0])
-    if x1 <= 0.0 and not force:
-        raise DomainError("this inequality is stated for x_1 > 0")
-    return x1
-
-
-def _need_param(value, name: str, tag: InequalityId):
-    if value is None:
-        raise DomainError(f"{tag.value} requires parameter {name!r}")
-    return value
-
-
-def _eval_diananda(config, *, triple, alpha, upper: bool, force: bool):
-    r, s, t = order_triple(*_need_param(triple, "triple",
-                                        InequalityId.DIANANDA_UPPER if upper
-                                        else InequalityId.DIANANDA_LOWER))
-    alpha = float(alpha if alpha is not None else 1.0)
-    _require(alpha > 0.0, force, "the exponent alpha must be positive")
-    params = {"triple": [r, s, t], "alpha": alpha}
-    q = config.min_weight
-    d = delta(config, DeltaParams(r, s, t, alpha))
-    if upper:
-        bound = c_constant(r, s, t, (1.0 - q) ** alpha)
-        return d, bound, params
-    bound = c_constant(r, s, t, q**alpha)
-    return bound, d, params
-
-
-def _eval_base(config, *, upper: bool):
-    q = config.min_weight
-    a = power_mean(config, 1.0)
-    g = power_mean(config, 0.0)
-    half = power_mean(config, 0.5)
-    if upper:
-        return half, (1.0 - q) * a + q * g, {}
-    return q * a + (1.0 - q) * g, half, {}
-
-
-def _eval_mix_variance(config, *, r, upper: bool, force: bool):
-    tag = InequalityId.MIX_VARIANCE_UPPER if upper else InequalityId.MIX_VARIANCE_LOWER
-    r = float(_need_param(r, "r", tag))
-    if r == 0.0:
-        raise DomainError("the mean order r must be nonzero")
-    if upper:
-        _require(r >= 2.0, force, "the upper mix bound needs r >= 2")
-    else:
-        _require(1.0 < r <= 2.0, force, "the lower mix bound needs 1 < r <= 2")
-    x1 = _need_positive_min(config, force)
-    q = config.min_weight
-    w = q ** (r - 1.0) if upper else (1.0 - q) ** (r - 1.0)
-    a = power_mean(config, 1.0)
-    g = power_mean(config, 0.0)
-    m = power_mean(config, 1.0 / r)
-    combo = m - w * a - (1.0 - w) * g
-    corr = _safe_div((1.0 / r - w) * variance_sigma(config), 2.0 * x1)
-    params = {"r": r}
-    if upper:
-        return combo, corr, params
-    return corr, combo, params
-
-
-def _eval_cartwright_field(config, *, r, s, upper: bool, force: bool):
-    tag = (InequalityId.CARTWRIGHT_FIELD_UPPER if upper
-           else InequalityId.CARTWRIGHT_FIELD_LOWER)
-    r = float(_need_param(r, "r", tag))
-    s = float(_need_param(s, "s", tag))
-    if not r > s:
-        raise DomainError("the mean-difference bounds need r > s")
-    params = {"r": r, "s": s}
-    diff = power_mean(config, r) - power_mean(config, s)
-    sigma = variance_sigma(config)
-    if upper:
-        x1 = _need_positive_min(config, force)
-        return diff, _safe_div((r - s) * sigma, 2.0 * x1), params
-    _need_positive_min(config, force)
-    xn = float(config.x[-1])
-    return _safe_div((r - s) * sigma, 2.0 * xn), diff, params
-
-
-def _eval_mg_sigma(config, *, r, upper: bool, force: bool):
-    tag = InequalityId.MG_SIGMA_UPPER if upper else InequalityId.MG_SIGMA_LOWER
-    r = float(_need_param(r, "r", tag))
-    if r == 0.0:
-        raise DomainError("the mean order r must be nonzero")
-    params = {"r": r}
-    diff = power_mean(config, r) - power_mean(config, 0.0)
-    sigma = variance_sigma(config)
-    if upper:
-        x1 = _need_positive_min(config, force)
-        return diff, _safe_div(r * sigma, 2.0 * x1), params
-    _need_positive_min(config, force)
-    xn = float(config.x[-1])
-    return _safe_div(r * sigma, 2.0 * xn), diff, params
-
-
-def _eval_half_mean(config, *, r, upper: bool, force: bool):
-    tag = InequalityId.HALF_MEAN_UPPER if upper else InequalityId.HALF_MEAN_LOWER
-    r = float(_need_param(r, "r", tag))
-    if r == 0.0:
-        raise DomainError("the mean order r must be nonzero")
-    if upper:
-        _require(r >= 1.0, force, "the upper half-mean bound needs r >= 1")
-    else:
-        _require(0.5 < r <= 1.0, force, "the lower half-mean bound needs 1/2 < r <= 1")
-    q = config.min_weight
-    w = (1.0 - q) ** (2.0 - 1.0 / r) if upper else q ** (2.0 - 1.0 / r)
-    half = power_mean(config, 0.5)
-    combo = w * power_mean(config, r) + (1.0 - w) * power_mean(config, 0.0)
-    params = {"r": r}
-    if upper:
-        return half, combo, params
-    return combo, half, params
-
-
-def _eval_half_mean_var(config, *, r, upper: bool, force: bool):
-    tag = (InequalityId.HALF_MEAN_VAR_UPPER if upper
-           else InequalityId.HALF_MEAN_VAR_LOWER)
-    r = float(_need_param(r, "r", tag))
-    if r == 0.0:
-        raise DomainError("the mean order r must be nonzero")
-    if upper:
-        _require(
-            r0_value() - _HYPOTHESIS_SLACK <= r <= 1.0 + _HYPOTHESIS_SLACK,
-            force,
-            "the variance-corrected upper half-mean bound needs r0 <= r <= 1",
-        )
-    else:
-        _require(
-            1.0 - _HYPOTHESIS_SLACK <= r <= 2.0 + _HYPOTHESIS_SLACK,
-            force,
-            "the variance-corrected lower half-mean bound needs 1 <= r <= 2",
-        )
-    x1 = _need_positive_min(config, force)
-    q = config.min_weight
-    w = q ** (2.0 - 1.0 / r) if upper else (1.0 - q) ** (2.0 - 1.0 / r)
-    half = power_mean(config, 0.5)
-    combo = half - w * power_mean(config, r) - (1.0 - w) * power_mean(config, 0.0)
-    corr = _safe_div((0.5 - r * w) * variance_sigma(config), 2.0 * x1)
-    params = {"r": r}
-    if upper:
-        return combo, corr, params
-    return corr, combo, params
+# ---------------------------------------------------------------------------
+# Means records: what a tag's formula reads.  The same formula runs on the
+# floats of one configuration and on the (B,) arrays of a batch.
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -274,36 +143,301 @@ def _safe_div(num: float, den: float) -> float:
     return num / den
 
 
-def _evaluate(id: InequalityId, config, *, triple, alpha, r, s, force):
-    if id is InequalityId.DIANANDA_UPPER:
-        return _eval_diananda(config, triple=triple, alpha=alpha, upper=True, force=force)
-    if id is InequalityId.DIANANDA_LOWER:
-        return _eval_diananda(config, triple=triple, alpha=alpha, upper=False, force=force)
-    if id is InequalityId.DIANANDA_BASE_UPPER:
-        return _eval_base(config, upper=True)
-    if id is InequalityId.DIANANDA_BASE_LOWER:
-        return _eval_base(config, upper=False)
-    if id is InequalityId.MIX_VARIANCE_UPPER:
-        return _eval_mix_variance(config, r=r, upper=True, force=force)
-    if id is InequalityId.MIX_VARIANCE_LOWER:
-        return _eval_mix_variance(config, r=r, upper=False, force=force)
-    if id is InequalityId.CARTWRIGHT_FIELD_UPPER:
-        return _eval_cartwright_field(config, r=r, s=s, upper=True, force=force)
-    if id is InequalityId.CARTWRIGHT_FIELD_LOWER:
-        return _eval_cartwright_field(config, r=r, s=s, upper=False, force=force)
-    if id is InequalityId.MG_SIGMA_UPPER:
-        return _eval_mg_sigma(config, r=r, upper=True, force=force)
-    if id is InequalityId.MG_SIGMA_LOWER:
-        return _eval_mg_sigma(config, r=r, upper=False, force=force)
-    if id is InequalityId.HALF_MEAN_UPPER:
-        return _eval_half_mean(config, r=r, upper=True, force=force)
-    if id is InequalityId.HALF_MEAN_LOWER:
-        return _eval_half_mean(config, r=r, upper=False, force=force)
-    if id is InequalityId.HALF_MEAN_VAR_UPPER:
-        return _eval_half_mean_var(config, r=r, upper=True, force=force)
-    if id is InequalityId.HALF_MEAN_VAR_LOWER:
-        return _eval_half_mean_var(config, r=r, upper=False, force=force)
-    raise DomainError(f"unknown inequality tag {id!r}")
+class _Means:
+    """One configuration's quantities as floats; errors raise."""
+
+    __slots__ = ("config", "q")
+
+    def __init__(self, config: Configuration, q: float) -> None:
+        self.config = config
+        self.q = q
+
+    def mean(self, r: float) -> float:
+        return power_mean(self.config, r)
+
+    def sigma(self) -> float:
+        return variance_sigma(self.config)
+
+    def x1(self) -> float:
+        return float(self.config.x[0])
+
+    def xn(self) -> float:
+        return float(self.config.x[-1])
+
+    def delta(self, params: DeltaParams) -> float:
+        return delta(self.config, params)
+
+    def bound(self, r: float, s: float, t: float, xarg: float) -> float:
+        return c_constant(r, s, t, xarg)
+
+    @staticmethod
+    def pow(base: float, exponent: float) -> float:
+        return base**exponent
+
+    div = staticmethod(_safe_div)
+
+
+class _RowMeans:
+    """A batch's quantities as (B,) arrays; a row that would raise is marked bad."""
+
+    def __init__(self, batch: ConfigurationBatch) -> None:
+        self.batch = batch
+        self.q = batch.q_weights.min(axis=1)
+        self.bad = np.zeros(len(self.q), dtype=bool)
+
+    def mean(self, r: float) -> np.ndarray:
+        return power_mean_rows(self.batch, r)
+
+    def sigma(self) -> np.ndarray:
+        return variance_sigma_rows(self.batch)
+
+    def x1(self) -> np.ndarray:
+        return self.batch.x[:, 0]
+
+    def xn(self) -> np.ndarray:
+        return self.batch.x[:, -1]
+
+    def delta(self, params: DeltaParams) -> np.ndarray:
+        d = delta_rows(self.batch, params)
+        self.bad |= np.isnan(d)
+        return d
+
+    def bound(self, r: float, s: float, t: float, xarg: np.ndarray) -> np.ndarray:
+        """:func:`c_constant` row by row; an argument outside (0, 1) marks the row bad."""
+        inside = (xarg > 0.0) & (xarg < 1.0)
+        self.bad |= ~inside
+        xarg = np.where(inside, xarg, 0.5)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            den = 1.0 - self.pow(xarg, 1.0 / s - 1.0 / r)
+            if t == 0.0:
+                return 1.0 / den
+            return (1.0 - self.pow(xarg, 1.0 / t - 1.0 / r)) / den
+
+    @staticmethod
+    def pow(base: np.ndarray, exponent: float) -> np.ndarray:
+        # float ** float row by row: np.power rounds differently
+        return np.array([b**exponent for b in base.tolist()], dtype=float)
+
+    @staticmethod
+    def div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+        """:func:`_safe_div` row by row."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(den == 0.0, np.where(num == 0.0, 0.0, np.copysign(np.inf, num)),
+                            num / den)
+
+
+# ---------------------------------------------------------------------------
+# The catalog: one entry per tag.
+
+
+def _need_param(value, name: str, tag: InequalityId):
+    if value is None:
+        raise DomainError(f"{tag.value} requires parameter {name!r}")
+    return value
+
+
+def _triple_params(tag, triple, alpha, r, s) -> dict:
+    r, s, t = order_triple(*_need_param(triple, "triple", tag))
+    alpha = float(alpha if alpha is not None else 1.0)
+    # not a hypothesis: C((1-q)^alpha) and C(q^alpha) need an argument in (0, 1)
+    if not alpha > 0.0:
+        raise DomainError("the exponent alpha must be positive")
+    return {"triple": [r, s, t], "alpha": alpha}
+
+
+def _no_params(tag, triple, alpha, r, s) -> dict:
+    return {}
+
+
+def _order_params(tag, triple, alpha, r, s) -> dict:
+    r = float(_need_param(r, "r", tag))
+    if r == 0.0:
+        raise DomainError("the mean order r must be nonzero")
+    return {"r": r}
+
+
+def _pair_params(tag, triple, alpha, r, s) -> dict:
+    r = float(_need_param(r, "r", tag))
+    s = float(_need_param(s, "s", tag))
+    if not r > s:
+        raise DomainError("the mean-difference bounds need r > s")
+    return {"r": r, "s": s}
+
+
+def _diananda(upper: bool):
+    def sides(m, p):
+        r, s, t = p["triple"]
+        alpha = p["alpha"]
+        d = m.delta(DeltaParams(r, s, t, alpha))
+        if upper:
+            return d, m.bound(r, s, t, m.pow(1.0 - m.q, alpha))
+        return m.bound(r, s, t, m.pow(m.q, alpha)), d
+
+    return sides
+
+
+def _base(upper: bool):
+    def sides(m, p):
+        q = m.q
+        a = m.mean(1.0)
+        g = m.mean(0.0)
+        half = m.mean(0.5)
+        if upper:
+            return half, (1.0 - q) * a + q * g
+        return q * a + (1.0 - q) * g, half
+
+    return sides
+
+
+def _mix_variance(upper: bool):
+    def sides(m, p):
+        r = p["r"]
+        w = m.pow(m.q, r - 1.0) if upper else m.pow(1.0 - m.q, r - 1.0)
+        a = m.mean(1.0)
+        g = m.mean(0.0)
+        mm = m.mean(1.0 / r)
+        combo = mm - w * a - (1.0 - w) * g
+        corr = m.div((1.0 / r - w) * m.sigma(), 2.0 * m.x1())
+        return (combo, corr) if upper else (corr, combo)
+
+    return sides
+
+
+def _cartwright_field(upper: bool):
+    def sides(m, p):
+        r, s = p["r"], p["s"]
+        diff = m.mean(r) - m.mean(s)
+        sigma = m.sigma()
+        if upper:
+            return diff, m.div((r - s) * sigma, 2.0 * m.x1())
+        return m.div((r - s) * sigma, 2.0 * m.xn()), diff
+
+    return sides
+
+
+def _mg_sigma(upper: bool):
+    def sides(m, p):
+        r = p["r"]
+        diff = m.mean(r) - m.mean(0.0)
+        sigma = m.sigma()
+        if upper:
+            return diff, m.div(r * sigma, 2.0 * m.x1())
+        return m.div(r * sigma, 2.0 * m.xn()), diff
+
+    return sides
+
+
+def _half_mean(upper: bool):
+    def sides(m, p):
+        r = p["r"]
+        w = m.pow(1.0 - m.q, 2.0 - 1.0 / r) if upper else m.pow(m.q, 2.0 - 1.0 / r)
+        half = m.mean(0.5)
+        combo = w * m.mean(r) + (1.0 - w) * m.mean(0.0)
+        return (half, combo) if upper else (combo, half)
+
+    return sides
+
+
+def _half_mean_var(upper: bool):
+    def sides(m, p):
+        r = p["r"]
+        w = m.pow(m.q, 2.0 - 1.0 / r) if upper else m.pow(1.0 - m.q, 2.0 - 1.0 / r)
+        half = m.mean(0.5)
+        combo = half - w * m.mean(r) - (1.0 - w) * m.mean(0.0)
+        corr = m.div((0.5 - r * w) * m.sigma(), 2.0 * m.x1())
+        return (combo, corr) if upper else (corr, combo)
+
+    return sides
+
+
+class _Tag:
+    """A catalog entry: parameters, stated hypotheses, and the two sides.
+
+    ``params`` resolves and checks the parameters the formula itself
+    needs (``force`` never skips these); ``hypothesis`` is the stated
+    parameter range, and ``positive_min`` the x_1 > 0 requirement, both
+    skipped under ``force``; ``sides`` maps a means record and the
+    resolved parameters to (lhs, rhs).
+    """
+
+    def __init__(self, params: Callable[..., dict], sides: Callable,
+                 hypothesis: Callable[[dict], bool] | None = None, message: str = "",
+                 positive_min: bool = False) -> None:
+        self.params = params
+        self.sides = sides
+        self.hypothesis = hypothesis
+        self.message = message
+        self.positive_min = positive_min
+
+    def resolve(self, id, triple, alpha, r, s, force: bool) -> dict:
+        params = self.params(id, triple, alpha, r, s)
+        if not force and self.hypothesis is not None and not self.hypothesis(params):
+            raise DomainError(self.message)
+        return params
+
+
+_I = InequalityId
+_CATALOG: dict[InequalityId, _Tag] = {
+    _I.DIANANDA_UPPER: _Tag(_triple_params, _diananda(True)),
+    _I.DIANANDA_LOWER: _Tag(_triple_params, _diananda(False)),
+    _I.DIANANDA_BASE_UPPER: _Tag(_no_params, _base(True)),
+    _I.DIANANDA_BASE_LOWER: _Tag(_no_params, _base(False)),
+    _I.MIX_VARIANCE_UPPER: _Tag(
+        _order_params, _mix_variance(True), lambda p: p["r"] >= 2.0,
+        "the upper mix bound needs r >= 2", positive_min=True),
+    _I.MIX_VARIANCE_LOWER: _Tag(
+        _order_params, _mix_variance(False), lambda p: 1.0 < p["r"] <= 2.0,
+        "the lower mix bound needs 1 < r <= 2", positive_min=True),
+    _I.CARTWRIGHT_FIELD_LOWER: _Tag(_pair_params, _cartwright_field(False), positive_min=True),
+    _I.CARTWRIGHT_FIELD_UPPER: _Tag(_pair_params, _cartwright_field(True), positive_min=True),
+    _I.MG_SIGMA_LOWER: _Tag(_order_params, _mg_sigma(False), positive_min=True),
+    _I.MG_SIGMA_UPPER: _Tag(_order_params, _mg_sigma(True), positive_min=True),
+    _I.HALF_MEAN_LOWER: _Tag(
+        _order_params, _half_mean(False), lambda p: 0.5 < p["r"] <= 1.0,
+        "the lower half-mean bound needs 1/2 < r <= 1"),
+    _I.HALF_MEAN_UPPER: _Tag(
+        _order_params, _half_mean(True), lambda p: p["r"] >= 1.0,
+        "the upper half-mean bound needs r >= 1"),
+    _I.HALF_MEAN_VAR_UPPER: _Tag(
+        _order_params, _half_mean_var(True),
+        lambda p: r0_value() - _HYPOTHESIS_SLACK <= p["r"] <= 1.0 + _HYPOTHESIS_SLACK,
+        "the variance-corrected upper half-mean bound needs r0 <= r <= 1", positive_min=True),
+    _I.HALF_MEAN_VAR_LOWER: _Tag(
+        _order_params, _half_mean_var(False),
+        lambda p: 1.0 - _HYPOTHESIS_SLACK <= p["r"] <= 2.0 + _HYPOTHESIS_SLACK,
+        "the variance-corrected lower half-mean bound needs 1 <= r <= 2", positive_min=True),
+}
+
+
+def resolve_params(
+    id: InequalityId, *, triple=None, alpha=None, r=None, s=None, force: bool = False
+) -> dict:
+    """The tag's parameters, normalized as reports echo them.
+
+    Raises :class:`DomainError` when a parameter is missing or the
+    formula cannot take it, and, unless ``force``, when the parameters
+    lie outside the tag's stated hypotheses.  No configuration is needed:
+    a search calls this once before it evaluates anything.
+    """
+    id = InequalityId(id)
+    return _CATALOG[id].resolve(id, triple, alpha, r, s, force)
+
+
+def relative_residuals(id: InequalityId, batch: ConfigurationBatch, params: dict) -> np.ndarray:
+    """``check(id, row, force=True).residual_rel`` of every row of a batch.
+
+    ``params`` comes from :func:`resolve_params`.  Rows on which ``check``
+    would raise :class:`DomainError` (a bound argument outside (0, 1)) or
+    report Degenerate (a 0/0 ratio, a NaN residual) score +inf.
+    """
+    m = _RowMeans(batch)
+    lhs, rhs = _CATALOG[InequalityId(id)].sides(m, params)
+    with np.errstate(invalid="ignore", over="ignore"):
+        residual = rhs - lhs
+        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
+        rel = np.where(np.isinf(residual), residual, residual / scale)
+    rel[m.bad | np.isnan(residual)] = np.inf
+    return rel
 
 
 def check(
@@ -330,10 +464,12 @@ def check(
     abs_floor = DEFAULT_ABS_FLOOR if abs_floor is None else abs_floor
     id = InequalityId(id)
     q = config.min_weight
+    tag = _CATALOG[id]
+    params = tag.resolve(id, triple, alpha, r, s, force)
+    if tag.positive_min and not force and config.x[0] <= 0.0:
+        raise DomainError("this inequality is stated for x_1 > 0")
     try:
-        lhs, rhs, params = _evaluate(
-            id, config, triple=triple, alpha=alpha, r=r, s=s, force=force
-        )
+        lhs, rhs = tag.sides(_Means(config, q), params)
     except DegenerateInput:
         nan = float("nan")
         return CheckReport(id, _echo_params(triple=triple, alpha=alpha, r=r, s=s),

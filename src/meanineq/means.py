@@ -18,6 +18,15 @@ All operations are pure functions of immutable inputs and are safe for
 unrestricted concurrent use.  Power sums are evaluated as max-shifted
 log-sums with compensated summation so that exponents up to a few hundred
 in magnitude neither overflow nor lose the leading digits.
+
+:class:`ConfigurationBatch` holds B configurations of one size n as
+``(B, n)`` arrays, and the ``*_rows`` functions are the array forms of
+M_r, sigma and delta over it.  Row i of each is bit-identical to the
+scalar function on the i-th configuration: the array forms repeat the
+scalar operations in the same order, run numpy's whole-vector steps on
+all rows at once (row-wise dots go through the same BLAS dot as
+``np.dot``) and apply the scalar steps (``math.fsum``, ``math.log``,
+``math.exp``, ``math.expm1``) row by row.
 """
 
 from __future__ import annotations
@@ -294,6 +303,109 @@ def c_constant(r: float, s: float, t: float, xarg: float) -> float:
     if t == 0.0:
         return 1.0 / den
     return (1.0 - xarg ** (1.0 / t - 1.0 / r)) / den
+
+
+class ConfigurationBatch:
+    """B configurations of n samples each, as ``(B, n)`` arrays.
+
+    Each row is sorted ascending on construction, weights permuted along,
+    exactly as :class:`Configuration` sorts.  Rows are not validated: the
+    constructors' callers supply valid configurations.
+    """
+
+    def __init__(self, x, q_weights) -> None:
+        x = np.asarray(x, dtype=float)
+        order = np.argsort(x, axis=1, kind="stable")
+        self.x = np.take_along_axis(x, order, axis=1)
+        self.q_weights = np.take_along_axis(np.asarray(q_weights, dtype=float), order, axis=1)
+
+    @classmethod
+    def from_log_coordinates(cls, logx: np.ndarray, logits: np.ndarray) -> "ConfigurationBatch":
+        """Samples ``exp(logx)`` with weights ``softmax(logits)``, row by row."""
+        w = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return cls(np.exp(logx), w / w.sum(axis=1, keepdims=True))
+
+    def row(self, i: int) -> Configuration:
+        return Configuration(self.x[i], self.q_weights[i])
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.dot(a[i], b[i])`` for every row i, through the same BLAS dot."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _map(fn, values: np.ndarray) -> np.ndarray:
+    """A scalar math function applied row by row (numpy's ufuncs round differently)."""
+    return np.array([fn(v) for v in values.tolist()], dtype=float)
+
+
+def _log_fsums(terms: np.ndarray) -> np.ndarray:
+    """``math.log(math.fsum(row))`` of every row, as :func:`_weighted_logsumexp` sums."""
+    return np.array([math.log(math.fsum(t)) for t in terms.tolist()], dtype=float)
+
+
+def log_power_mean_rows(batch: ConfigurationBatch, r: float) -> np.ndarray:
+    """:func:`log_power_mean` of every row."""
+    if not math.isfinite(r):
+        raise DomainError("the order r must be finite; infinite orders are unsupported")
+    x = batch.x
+    q = batch.q_weights
+    zero = x[:, 0] == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logx = np.log(x)
+        if r == 0.0:
+            return np.where(zero, -np.inf, _row_dots(q, logx))
+        a = r * logx
+        amax = a.max(axis=1)
+        finite = np.isfinite(amax)
+        terms = q * np.exp(a - amax[:, None])
+    out = amax.copy()  # an infinite maximum is the result, as in _weighted_logsumexp
+    out[finite] = amax[finite] + _log_fsums(terms[finite])
+    out = out / r
+    if abs(r) < _SMALL_ORDER and not zero.all():
+        # the second-order expansion of log_power_mean, on rows with x_1 > 0
+        with np.errstate(invalid="ignore"):
+            log_g = _row_dots(q, logx)
+            log_var = _row_dots(q, (logx - log_g[:, None]) ** 2)
+        out = np.where(zero, out, log_g + 0.5 * r * log_var)
+    return out
+
+
+def power_mean_rows(batch: ConfigurationBatch, r: float) -> np.ndarray:
+    """:func:`power_mean` of every row."""
+    return _map(math.exp, log_power_mean_rows(batch, r))
+
+
+def variance_sigma_rows(batch: ConfigurationBatch) -> np.ndarray:
+    """:func:`variance_sigma` of every row."""
+    x = batch.x
+    q = batch.q_weights
+    a = _row_dots(q, x)
+    return _row_dots(q, (x - a[:, None]) ** 2)
+
+
+def delta_rows(batch: ConfigurationBatch, params: DeltaParams) -> np.ndarray:
+    """:func:`delta` of every row; NaN where it raises :class:`DegenerateInput`."""
+    lr = log_power_mean_rows(batch, params.r)
+    ls = log_power_mean_rows(batch, params.s)
+    lt = log_power_mean_rows(batch, params.t)
+    alpha = params.alpha
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if alpha == 0.0:
+            num = lr - lt
+            den = lr - ls
+        else:
+            num = _map(math.expm1, alpha * (lt - lr))
+            den = _map(math.expm1, alpha * (ls - lr))
+        out = np.abs(num / den)
+    out[(den == 0.0) | np.isnan(out)] = np.nan
+    for i in np.flatnonzero(lr == -np.inf).tolist():
+        try:
+            out[i] = _delta_with_zero_reference(float(ls[i]), float(lt[i]), alpha)
+        except DegenerateInput:
+            out[i] = np.nan
+    out[batch.x[:, 0] == batch.x[:, -1]] = np.nan
+    return out
 
 
 def order_triple(a: float, b: float, c: float) -> tuple[float, float, float]:

@@ -23,6 +23,18 @@ Three capabilities live here:
 Searches are deterministic functions of (problem, budget): every restart
 derives its own random stream from (seed, n, restart index), so a
 parallel execution order could not change the result.
+
+Both searches score configurations in batches (:func:`relative_residuals`
+and :func:`delta_rows`, bit-identical to ``check`` and ``delta`` row by
+row), and their results equal the sequential definition: restarts one
+after another, one trial at a time.  The restarts of a hunt run in
+lockstep: each batch holds, for every live restart, all trials left in
+its current coordinate sweep.  A restart moves at its first improving
+trial, as the sequential descent does; the trials after it in the batch
+were computed speculatively and are not counted, so verdicts,
+``evals_used`` and best configurations stay those of the sequential
+descent.  A probe evaluates each restart's samples, drawn in order from
+its stream, in one batch; samples past the budget are not counted.
 """
 
 from __future__ import annotations
@@ -33,13 +45,15 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateInput, DomainError
-from .inequalities import CheckStatus, InequalityId, check
+from .errors import DomainError
+from .inequalities import InequalityId, relative_residuals, resolve_params
 from .means import (
     Configuration,
+    ConfigurationBatch,
     DeltaParams,
     c_constant,
     delta,
+    delta_rows,
     order_triple,
     power_mean,
     variance_sigma,
@@ -89,7 +103,8 @@ class SearchReport:
     def to_json_dict(self) -> dict:
         out = {
             "verdict": self.verdict,
-            "best_residual": self.best_residual,
+            # +inf when no configuration could be scored; JSON has no infinity
+            "best_residual": self.best_residual if math.isfinite(self.best_residual) else None,
             "evals_used": self.evals_used,
             "seed": self.seed,
             "best_config": self.best_config.to_json_dict(),
@@ -107,12 +122,36 @@ def _stream(seed: int, n: int, restart: int) -> np.random.Generator:
 
 def _pinned_weights(rng, n: int, q_target: float, max_tries: int = 200):
     """Weights with min exactly q_target: one pinned slot, rest resampled."""
+    ones = np.ones(n - 1)
     for _ in range(max_tries):
-        rest = (1.0 - q_target) * rng.dirichlet(np.ones(n - 1))
-        if rest.min() >= q_target - 1e-12:
+        draw = rng.dirichlet(ones)
+        # min((1 - q) * draw) == (1 - q) * min(draw): rounding is monotone
+        if (1.0 - q_target) * min(draw.tolist()) >= q_target - 1e-12:
+            rest = (1.0 - q_target) * draw
             slot = int(rng.integers(n))
-            return np.insert(rest, slot, q_target)
+            w = np.empty(n)
+            w[:slot] = rest[:slot]
+            w[slot] = q_target
+            w[slot + 1:] = rest[slot:]
+            return w
     return None
+
+
+def _probe_samples(rng, n: int, q_target: float, count: int):
+    """One restart's sample draws, skipping those with relative spread below 10%."""
+    xs, ws = [], []
+    for _ in range(count):
+        w = _pinned_weights(rng, n, q_target)
+        if w is None:
+            break
+        x = np.sort(rng.uniform(0.0, 1.0, n))
+        if rng.random() < 0.5:
+            x[0] = 0.0
+        if x[-1] - x[0] < 0.1 * x[-1] or x[-1] <= 0.0:
+            continue
+        xs.append(x)
+        ws.append(w)
+    return xs, ws
 
 
 def sharpness_probe(
@@ -160,27 +199,22 @@ def sharpness_probe(
         n_budget = max(1, budget.max_evals * n // weight_total)
         per_restart = max(1, n_budget // budget.restarts)
         for k in range(budget.restarts):
-            rng = _stream(budget.seed, n, k)
-            for _ in range(per_restart):
+            if evals >= budget.max_evals:
+                break
+            xs, ws = _probe_samples(_stream(budget.seed, n, k), n, q_target, per_restart)
+            if not xs:
+                continue
+            batch = ConfigurationBatch(np.array(xs), np.array(ws))
+            # Samples past the budget are drawn and evaluated but not counted.
+            for i, d in enumerate(delta_rows(batch, params).tolist()):
                 if evals >= budget.max_evals:
                     break
-                w = _pinned_weights(rng, n, q_target)
-                if w is None:
-                    break
-                x = np.sort(rng.uniform(0.0, 1.0, n))
-                if rng.random() < 0.5:
-                    x[0] = 0.0
-                if x[-1] - x[0] < 0.1 * x[-1] or x[-1] <= 0.0:
-                    continue
-                cfg = Configuration(x, w)
-                try:
-                    d = delta(cfg, params)
-                except DegenerateInput:
+                if math.isnan(d):  # degenerate
                     continue
                 evals += 1
                 better = d > best_delta if upper else d < best_delta
                 if better:
-                    best_cfg, best_delta = cfg, d
+                    best_cfg, best_delta = batch.row(i), d
     gap = abs(bound - best_delta)
     signed = (bound - best_delta) if upper else (best_delta - bound)
     return SearchReport(
@@ -210,21 +244,12 @@ def counterexample_hunt(
     in log coordinates (multiplicative moves keep samples positive and
     weights normalized) with step halving once no move improves.  Returns
     ViolationFound when the best relative residual clears the safety
-    margin; otherwise the most adverse configuration seen.
+    margin; otherwise the most adverse configuration seen.  Parameters are
+    checked once, before any evaluation; a configuration the check cannot
+    score (a bound argument out of range, a degenerate ratio) scores +inf.
     """
     id = InequalityId(id)
-    budget = budget
-
-    def objective(cfg: Configuration) -> float:
-        try:
-            report = check(id, cfg, triple=triple, alpha=alpha, r=r, s=s, force=True)
-        except DomainError:
-            return math.inf  # e.g. a bound argument underflowed out of range
-        if report.status is CheckStatus.DEGENERATE:
-            return math.inf
-        rel = report.residual_rel
-        return rel if not math.isnan(rel) else math.inf
-
+    params = resolve_params(id, triple=triple, alpha=alpha, r=r, s=s, force=True)
     best_cfg: Configuration | None = None
     best_rel = math.inf
     evals = 0
@@ -233,21 +258,21 @@ def counterexample_hunt(
     for n in range(lo_n, hi_n + 1):
         n_budget = max(1, budget.max_evals * n // weight_total)
         per_restart = max(2, n_budget // budget.restarts)
-        for k in range(budget.restarts):
+        # Every restart uses at least one evaluation, so restart k gets at
+        # most this cap; its exact allowance is applied once its
+        # predecessors' counts are known.
+        caps = [min(per_restart, budget.max_evals - evals - k) for k in range(budget.restarts)]
+        caps = [c for c in caps if c > 0]
+        if not caps:
+            break
+        rngs = [_stream(budget.seed, n, k) for k in range(len(caps))]
+        for descent in _descend(id, params, n, rngs, caps):
             if evals >= budget.max_evals:
                 break
-            rng = _stream(budget.seed, n, k)
-            u0 = np.concatenate([
-                rng.uniform(-math.log(50.0), math.log(50.0), n),  # log samples
-                rng.normal(0.0, 1.5, n),                          # weight logits
-            ])
-            allowance = min(per_restart, budget.max_evals - evals)
-            cfg, rel, used = _descend(objective, u0, n, allowance, rng)
+            used, rel, cfg = descent.truncated(min(per_restart, budget.max_evals - evals))
             evals += used
-            if rel < best_rel:
+            if best_cfg is None or rel < best_rel:
                 best_cfg, best_rel = cfg, rel
-    if best_cfg is None:  # pragma: no cover - budget of 0 restarts is rejected
-        raise DomainError("hunt produced no evaluations")
     verdict = "ViolationFound" if best_rel < -VIOLATION_REL_TOL else "NoViolationFound"
     return SearchReport(
         verdict=verdict,
@@ -258,45 +283,95 @@ def counterexample_hunt(
     )
 
 
-def _to_config(u: np.ndarray, n: int) -> Configuration:
-    logx = np.clip(u[:n], -_LOG_CLIP, _LOG_CLIP)
-    logits = np.clip(u[n:], -_LOG_CLIP, _LOG_CLIP)
-    w = np.exp(logits - logits.max())
-    w = w / w.sum()
-    return Configuration(np.exp(logx), w)
+def _evaluate(id, params, u: np.ndarray, n: int):
+    """The batch of configurations at log coordinates ``u`` (one row each) and their scores."""
+    batch = ConfigurationBatch.from_log_coordinates(
+        np.clip(u[:, :n], -_LOG_CLIP, _LOG_CLIP), np.clip(u[:, n:], -_LOG_CLIP, _LOG_CLIP))
+    return batch, relative_residuals(id, batch, params)
 
 
-def _descend(objective, u0, n, allowance, rng, step0=0.6, min_step=1e-7):
-    """Coordinate descent with adaptive step halving in log coordinates."""
-    u = u0.copy()
-    cfg = _to_config(u, n)
-    f = objective(cfg)
-    used = 1
-    best_cfg, best_f = cfg, f
-    step = step0
-    dims = u.size
-    while used < allowance and step > min_step:
-        improved = False
-        for i in rng.permutation(dims):
-            if used >= allowance:
-                break
-            for sign in (1.0, -1.0):
-                if used >= allowance:
-                    break
-                trial = u.copy()
-                trial[i] += sign * step
-                cfg_t = _to_config(trial, n)
-                f_t = objective(cfg_t)
-                used += 1
-                if f_t < f:
-                    u, f = trial, f_t
-                    if f < best_f:
-                        best_cfg, best_f = cfg_t, f
-                    improved = True
-                    break
-        if not improved:
-            step *= 0.5
-    return best_cfg, best_f, used
+class _Descent:
+    """One restart's descent: its evaluation count and its improvements.
+
+    ``improvements`` lists (count, score, batch, row) each time the score
+    fell, the count being the evaluations used up to and including it.
+    """
+
+    def __init__(self, used: int, improvements: list) -> None:
+        self.used = used
+        self.improvements = improvements
+
+    def truncated(self, allowance: int):
+        """(used, best score, best configuration) had the descent stopped at ``allowance``."""
+        count, f, batch, row = next(
+            entry for entry in reversed(self.improvements) if entry[0] <= allowance)
+        return min(self.used, allowance), float(f), batch.row(row)
+
+
+def _descend(id, params, n, rngs, caps, step0=0.6, min_step=1e-7) -> list[_Descent]:
+    """Coordinate descent with adaptive step halving in log coordinates.
+
+    One descent per stream, each with an allowance from ``caps``.  A
+    sequential descent sweeps the coordinates in a fresh random order,
+    tries +step then -step on each, moves at the first trial that improves
+    and goes on to the next coordinate, and halves the step after a sweep
+    without a move.  Here all descents advance in lockstep: one batch
+    evaluates, for every live descent, all trials left in its current
+    sweep from its current point (at most its remaining allowance).  Each
+    takes the first improving trial in sweep order and counts only the
+    trials up to it; the trials after it were computed speculatively, at
+    a point the sequential descent would have left, and are not counted.
+    So counts, moves and results equal the sequential descent's.
+    """
+    dims = 2 * n
+    u = np.array([np.concatenate([rng.uniform(-math.log(50.0), math.log(50.0), n),  # log samples
+                                  rng.normal(0.0, 1.5, n)])                         # weight logits
+                  for rng in rngs])
+    batch, f = _evaluate(id, params, u, n)
+    descents = [_Descent(1, [(1, f[k], batch, k)]) for k in range(len(rngs))]
+    used = np.ones(len(rngs), dtype=int)
+    cap = np.array(caps)
+    step = np.full(len(rngs), step0)
+    pos = np.zeros(len(rngs), dtype=int)            # next trial in the sweep: 2 * coordinate slot + sign
+    moved = np.zeros(len(rngs), dtype=bool)         # whether the current sweep has moved
+    perm = np.zeros((len(rngs), dims), dtype=int)
+    live = used < cap
+    for k in np.flatnonzero(live).tolist():
+        perm[k] = rngs[k].permutation(dims)
+    while live.any():
+        idx = np.flatnonzero(live)
+        count = np.minimum(2 * dims - pos[idx], cap[idx] - used[idx])
+        owner = np.repeat(idx, count)
+        starts = np.cumsum(count) - count
+        rows = np.arange(owner.size)
+        trial = rows - np.repeat(starts - pos[idx], count)
+        coord = perm[owner, trial // 2]
+        points = u[owner]
+        points[rows, coord] += np.where(trial % 2 == 0, step[owner], -step[owner])
+        batch, f_t = _evaluate(id, params, points, n)
+        first = np.minimum.reduceat(np.where(f_t < f[owner], rows, owner.size), starts)
+        hit = first < owner.size
+        used[idx] += np.where(hit, first - starts + 1, count)
+        j = first[hit]
+        k_hit = idx[hit]
+        u[k_hit] = points[j]
+        f[k_hit] = f_t[j]
+        moved[k_hit] = True
+        pos[idx] += count
+        pos[k_hit] = (trial[j] // 2 + 1) * 2
+        for k, row in zip(k_hit.tolist(), j.tolist()):
+            descents[k].improvements.append((int(used[k]), f_t[row], batch, row))
+        swept = idx[pos[idx] >= 2 * dims]
+        step[swept[~moved[swept]]] *= 0.5
+        live[idx] = used[idx] < cap[idx]
+        live[swept] &= step[swept] > min_step
+        for k in swept[live[swept]].tolist():
+            perm[k] = rngs[k].permutation(dims)
+            pos[k] = 0
+            moved[k] = False
+    for k, descent in enumerate(descents):
+        descent.used = int(used[k])
+    return descents
 
 
 class ProbeClaim(str, Enum):
@@ -307,22 +382,15 @@ class ProbeClaim(str, Enum):
     WEIGHT_PARAM_SLOPE = "weight-param-slope"
 
 
-def _upper_ratio_functional(config: Configuration, r: float, a: float) -> float:
+def _ratio_functional(config: Configuration, r: float, a: float, upper: bool) -> float:
+    """The upper (weight base 1 - q, exponent (1 + a) r) or lower (q, (1 - a) r) ratio functional."""
     q = config.min_weight
-    p = (1.0 + a) * r
+    p = (1.0 + a) * r if upper else (1.0 - a) * r
+    base = 1.0 - q if upper else q
     am = power_mean(config, 1.0)
     mr = power_mean(config, r)
     g = power_mean(config, 0.0)
-    return (am**p - (1.0 - q) ** ((r - 1.0) * p / r) * mr**p) / g**p
-
-
-def _lower_ratio_functional(config: Configuration, r: float, a: float) -> float:
-    q = config.min_weight
-    p = (1.0 - a) * r
-    am = power_mean(config, 1.0)
-    mr = power_mean(config, r)
-    g = power_mean(config, 0.0)
-    return (am**p - q ** ((r - 1.0) * p / r) * mr**p) / g**p
+    return (am**p - base ** ((r - 1.0) * p / r) * mr**p) / g**p
 
 
 def _half_mean_gap_functional(config: Configuration, r: float, qp: float) -> float:
@@ -367,7 +435,7 @@ def finite_difference_probe(
         def f(v: float) -> float:
             xs = x.copy()
             xs[0] = v
-            return _upper_ratio_functional(Configuration(xs, q), r, a)
+            return _ratio_functional(Configuration(xs, q), r, a, upper=True)
 
         return _richardson(f, float(x[0]), 1e-6 * float(x[0]))
     if claim is ProbeClaim.LARGEST_SAMPLE_SLOPE:
@@ -379,7 +447,7 @@ def finite_difference_probe(
         def f(v: float) -> float:
             xs = x.copy()
             xs[-1] = v
-            return _lower_ratio_functional(Configuration(xs, q), r, a)
+            return _ratio_functional(Configuration(xs, q), r, a, upper=False)
 
         return _richardson(f, float(x[-1]), 1e-6 * float(x[-1]))
     if claim is ProbeClaim.WEIGHT_PARAM_SLOPE:

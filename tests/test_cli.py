@@ -134,6 +134,16 @@ class TestSearchCommands:
         assert payload["verdict"] == "ViolationFound"
         assert "x" in payload["best_config"] and "q" in payload["best_config"]
 
+    def test_hunt_missing_parameter_fails_before_evaluating(self, capsys, monkeypatch):
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("the hunt evaluated configurations")
+
+        monkeypatch.setattr("meanineq.search.relative_residuals", no_evaluation)
+        code, out, err = invoke(["hunt", "--ineq", "mg-sigma-upper", "--budget", "300"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "meanineq: error: mg-sigma-upper requires parameter 'r'\n"
+
     def test_hunt_no_violation_exit_zero(self, capsys):
         code, out, _ = invoke(
             ["hunt", "--ineq", "diananda-base-upper", "--budget", "2000", "--seed", "1"],

@@ -1,5 +1,7 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from meanineq import (
@@ -15,6 +17,9 @@ from meanineq import (
     r0_value,
     variance_sigma,
 )
+
+from meanineq.inequalities import relative_residuals, resolve_params
+from meanineq.means import ConfigurationBatch
 
 from conftest import pinned_config, sample_config
 
@@ -268,3 +273,90 @@ class TestEqualityWitness:
         rep = check(InequalityId.DIANANDA_UPPER, cfg, triple=BASE_TRIPLE, alpha=1.0)
         assert rep.status is CheckStatus.HOLDS and rep.residual > 1e-3
         assert not equality_witness(InequalityId.DIANANDA_UPPER, cfg)
+
+
+# Two parameter sets per tag: one inside the stated hypotheses and one
+# outside them (evaluated under force), so residuals of both signs occur.
+BATCH_PARAMS = {
+    InequalityId.DIANANDA_UPPER: [dict(triple=(1, 0.5, 0), alpha=1.5),
+                                  dict(triple=(3, 1, 0.2), alpha=0.3)],
+    InequalityId.DIANANDA_LOWER: [dict(triple=(1, 0.3, 0), alpha=0.5),
+                                  dict(triple=(2, 0.7, 0.1), alpha=4.0)],
+    InequalityId.DIANANDA_BASE_UPPER: [{}],
+    InequalityId.DIANANDA_BASE_LOWER: [{}],
+    InequalityId.MIX_VARIANCE_UPPER: [dict(r=3.0), dict(r=0.5)],
+    InequalityId.MIX_VARIANCE_LOWER: [dict(r=1.5), dict(r=-2.0)],
+    InequalityId.CARTWRIGHT_FIELD_LOWER: [dict(r=1.5, s=0.5), dict(r=1.0, s=0.0)],
+    InequalityId.CARTWRIGHT_FIELD_UPPER: [dict(r=1.5, s=-0.5), dict(r=5e-9, s=0.0)],
+    InequalityId.MG_SIGMA_LOWER: [dict(r=3.5), dict(r=-1.0)],
+    InequalityId.MG_SIGMA_UPPER: [dict(r=2.5), dict(r=5e-9)],
+    InequalityId.HALF_MEAN_LOWER: [dict(r=0.7), dict(r=3.0)],
+    InequalityId.HALF_MEAN_UPPER: [dict(r=2.0), dict(r=-0.5)],
+    InequalityId.HALF_MEAN_VAR_UPPER: [dict(r=0.8), dict(r=3.0)],
+    InequalityId.HALF_MEAN_VAR_LOWER: [dict(r=1.5), dict(r=0.3)],
+}
+
+
+def _batch_groups():
+    """210 seeded configurations, 30 for each n = 2..8, as one batch per n.
+
+    Every fifth has a zero sample, every seventh is constant (a 0/0
+    ratio), every eleventh ties its two smallest samples, and every
+    thirteenth has a weight of 1e-200, which pushes the three-mean bound
+    arguments out of (0, 1).
+    """
+    rng = np.random.default_rng(20240811)
+    groups = []
+    for n in range(2, 9):
+        configs = []
+        for i in range(30):
+            x = np.exp(rng.normal(0.0, 2.0, n))
+            q = rng.dirichlet(np.full(n, 0.5))
+            if i % 5 == 0:
+                x[np.argmin(x)] = 0.0
+            if i % 7 == 0:
+                x[:] = x[0]
+            if i % 11 == 0:
+                x[1] = x[0]
+            if i % 13 == 0:
+                q[0] = 1e-200
+            q = np.maximum(q, 1e-300)
+            configs.append(Configuration(x, q / q.sum()))
+        batch = ConfigurationBatch(np.array([c.x for c in configs]),
+                                   np.array([c.q_weights for c in configs]))
+        groups.append((configs, batch))
+    return groups
+
+
+class TestBatchEvaluation:
+    GROUPS = _batch_groups()
+
+    @pytest.mark.parametrize("tag", list(InequalityId))
+    def test_rows_equal_check(self, tag):
+        signs = set()
+        for params in BATCH_PARAMS[tag]:
+            resolved = resolve_params(tag, force=True, **params)
+            for configs, batch in self.GROUPS:
+                rows = relative_residuals(tag, batch, resolved).tolist()
+                for cfg, got in zip(configs, rows):
+                    try:
+                        rep = check(tag, cfg, force=True, **params)
+                    except DomainError:
+                        assert got == math.inf
+                        continue
+                    if rep.status is CheckStatus.DEGENERATE:
+                        assert got == math.inf
+                    else:
+                        assert got == rep.residual_rel, (params, cfg)
+                        signs.add(math.copysign(1.0, got))
+        assert signs == {-1.0, 1.0}
+
+    def test_parameters_checked_once_without_a_configuration(self):
+        with pytest.raises(DomainError, match="'r'"):
+            resolve_params(InequalityId.MG_SIGMA_UPPER, force=True)
+        with pytest.raises(DomainError, match="r >= 2"):
+            resolve_params(InequalityId.MIX_VARIANCE_UPPER, r=1.5)
+        assert resolve_params(InequalityId.MIX_VARIANCE_UPPER, r=1.5, force=True) == {"r": 1.5}
+        with pytest.raises(DomainError, match="alpha must be positive"):
+            resolve_params(InequalityId.DIANANDA_UPPER, triple=BASE_TRIPLE, alpha=0.0,
+                           force=True)

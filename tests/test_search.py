@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from meanineq import (
     sharpness_probe,
 )
 from meanineq.means import DeltaParams
+from meanineq.search import _stream
 
 TRIPLE = (1.0, 0.5, 0.0)
 
@@ -99,6 +101,27 @@ class TestCounterexampleHunt:
         assert report.evals_used <= 3000
         assert report.verdict == "NoViolationFound"
 
+    def test_parameters_fail_before_any_evaluation(self, monkeypatch):
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("the hunt evaluated configurations")
+
+        monkeypatch.setattr("meanineq.search.relative_residuals", no_evaluation)
+        with pytest.raises(DomainError, match="mg-sigma-upper requires parameter 'r'"):
+            counterexample_hunt(InequalityId.MG_SIGMA_UPPER, budget=SearchBudget(max_evals=300))
+        with pytest.raises(DomainError, match="nonzero"):
+            counterexample_hunt(InequalityId.MG_SIGMA_LOWER, r=0.0)
+        with pytest.raises(DomainError, match="alpha must be positive"):
+            counterexample_hunt(InequalityId.DIANANDA_UPPER, triple=TRIPLE, alpha=-1.0)
+
+    def test_unscorable_configurations_give_a_verdict(self):
+        # (1 - q)^alpha underflows to 0 at every configuration the hunt visits
+        report = counterexample_hunt(InequalityId.DIANANDA_UPPER, triple=TRIPLE, alpha=1e6,
+                                     budget=SearchBudget(max_evals=300, seed=0))
+        assert report.verdict == "NoViolationFound"
+        assert report.best_residual == math.inf
+        assert report.evals_used == 280
+        assert report.to_json_dict()["best_residual"] is None
+
     def test_budget_validation(self):
         with pytest.raises(DomainError):
             SearchBudget(max_evals=0)
@@ -108,6 +131,140 @@ class TestCounterexampleHunt:
             SearchBudget(restarts=0)
         with pytest.raises(DomainError):
             SearchBudget(seed=-1)
+
+
+def sequential_hunt(id, budget, **params):
+    """The hunt's definition: one restart after another, one trial at a time."""
+
+    def objective(u, n):
+        logx = np.clip(u[:n], -40.0, 40.0)
+        logits = np.clip(u[n:], -40.0, 40.0)
+        w = np.exp(logits - logits.max())
+        cfg = Configuration(np.exp(logx), w / w.sum())
+        try:
+            rep = check(id, cfg, force=True, **params)
+        except DomainError:
+            return cfg, math.inf
+        if rep.status is CheckStatus.DEGENERATE or math.isnan(rep.residual_rel):
+            return cfg, math.inf
+        return cfg, rep.residual_rel
+
+    best_cfg, best_rel, evals = None, math.inf, 0
+    lo_n, hi_n = budget.n_range
+    weight_total = sum(range(lo_n, hi_n + 1))
+    for n in range(lo_n, hi_n + 1):
+        per_restart = max(2, max(1, budget.max_evals * n // weight_total) // budget.restarts)
+        for k in range(budget.restarts):
+            if evals >= budget.max_evals:
+                break
+            rng = _stream(budget.seed, n, k)
+            u = np.concatenate([rng.uniform(-math.log(50.0), math.log(50.0), n),
+                                rng.normal(0.0, 1.5, n)])
+            allowance = min(per_restart, budget.max_evals - evals)
+            cfg, f = objective(u, n)
+            used, step = 1, 0.6
+            while used < allowance and step > 1e-7:
+                moved = False
+                for i in rng.permutation(2 * n):
+                    if used >= allowance:
+                        break
+                    for sign in (1.0, -1.0):
+                        if used >= allowance:
+                            break
+                        trial = u.copy()
+                        trial[i] += sign * step
+                        cfg_t, f_t = objective(trial, n)
+                        used += 1
+                        if f_t < f:
+                            u, f, cfg, moved = trial, f_t, cfg_t, True
+                            break
+                if not moved:
+                    step *= 0.5
+            evals += used
+            if best_cfg is None or f < best_rel:
+                best_cfg, best_rel = cfg, f
+    return best_cfg, best_rel, evals
+
+
+class TestLockstepHunt:
+    """Lockstep restarts reproduce the sequential descent exactly."""
+
+    @pytest.mark.parametrize("tag, params, max_evals", [
+        (InequalityId.MG_SIGMA_UPPER, dict(r=2.5), 1),
+        (InequalityId.MG_SIGMA_UPPER, dict(r=2.5), 7),
+        (InequalityId.MG_SIGMA_UPPER, dict(r=2.5), 50),
+        (InequalityId.MG_SIGMA_LOWER, dict(r=3.5), 400),
+        (InequalityId.DIANANDA_UPPER, dict(triple=(1, 0.5, 0), alpha=2.0), 300),
+        (InequalityId.HALF_MEAN_VAR_UPPER, dict(r=0.9), 300),
+    ])
+    def test_equals_the_sequential_definition(self, tag, params, max_evals):
+        budget = SearchBudget(max_evals=max_evals, seed=3, n_range=(2, 3), restarts=5)
+        report = counterexample_hunt(tag, budget=budget, **params)
+        cfg, rel, evals = sequential_hunt(tag, budget, **params)
+        assert report.evals_used == evals <= max_evals
+        assert report.best_residual == rel
+        assert report.best_config.to_json_dict() == cfg.to_json_dict()
+
+    def test_descents_stopping_at_min_step(self):
+        # per-restart allowance 400: these descents converge and stop earlier
+        budget = SearchBudget(max_evals=1600, seed=5, n_range=(2, 2), restarts=4)
+        report = counterexample_hunt(InequalityId.DIANANDA_BASE_UPPER, budget=budget)
+        cfg, rel, evals = sequential_hunt(InequalityId.DIANANDA_BASE_UPPER, budget)
+        assert report.evals_used == evals == 367 + 295 + 399 + 284
+        assert report.best_residual == rel
+        assert report.best_config.to_json_dict() == cfg.to_json_dict()
+
+
+# Reports recorded with the sequential implementation (one check() per
+# trial, one restart after another).
+GOLDEN = {
+    "r2.5-violation": (
+        lambda: counterexample_hunt(InequalityId.MG_SIGMA_UPPER, r=2.5,
+                                    budget=SearchBudget(max_evals=3000, seed=1)),
+        {"verdict": "ViolationFound", "best_residual": -0.06684024307692682,
+         "evals_used": 2980,
+         "best_config": {"x": [0.36998908629964256, 14.860312211961379],
+                         "q": [0.9997414366100746, 0.00025856338992528505]}}),
+    "r3.5-violation": (
+        lambda: counterexample_hunt(InequalityId.MG_SIGMA_LOWER, r=3.5,
+                                    budget=SearchBudget(max_evals=3000, seed=1)),
+        {"verdict": "ViolationFound", "best_residual": -0.003911745819721424,
+         "evals_used": 2980,
+         "best_config": {"x": [16.311872799907622, 25.182634420364057],
+                         "q": [0.04823936279666739, 0.9517606372033326]}}),
+    "budget-50": (
+        lambda: counterexample_hunt(InequalityId.MG_SIGMA_UPPER, r=2.5,
+                                    budget=SearchBudget(max_evals=50, seed=0)),
+        {"verdict": "NoViolationFound", "best_residual": 3.156565621513014e-05,
+         "evals_used": 50,
+         "best_config": {"x": [0.02999321997748457, 0.03593004055047384],
+                         "q": [0.5471063725661405, 0.45289362743385947]}}),
+    "min-step": (
+        lambda: counterexample_hunt(InequalityId.MG_SIGMA_UPPER, r=1.5,
+                                    budget=SearchBudget(max_evals=1680, seed=5,
+                                                        n_range=(2, 2), restarts=4)),
+        {"verdict": "NoViolationFound", "best_residual": -5.71361258370526e-15,
+         "evals_used": 1671,
+         "best_config": {"x": [8.068558562943714, 8.154929122734742],
+                         "q": [0.9999999999979927, 2.007172349239209e-12]}}),
+    "probe": (
+        lambda: sharpness_probe(InequalityId.DIANANDA_UPPER, triple=TRIPLE, alpha=1.0,
+                                q_target=0.3, budget=SearchBudget(max_evals=2000, seed=4)),
+        {"verdict": "SupremumGap", "best_residual": -1.7763568394002505e-15,
+         "evals_used": 1954,
+         "best_config": {"x": [0.0, 0.2311549086502307], "q": [0.3, 0.7]}}),
+}
+
+
+class TestGoldenTrajectories:
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_report(self, name):
+        run, want = GOLDEN[name]
+        report = run()
+        assert report.verdict == want["verdict"]
+        assert report.evals_used == want["evals_used"]
+        assert report.best_config.to_json_dict() == want["best_config"]
+        assert report.best_residual == pytest.approx(want["best_residual"], rel=1e-15)
 
 
 class TestFiniteDifferenceProbes:
