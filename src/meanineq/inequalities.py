@@ -203,12 +203,13 @@ class _RowMeans:
         return d
 
     def bound(self, r: float, s: float, t: float, xarg: np.ndarray) -> np.ndarray:
-        """:func:`c_constant` row by row; an argument outside (0, 1) marks the row bad."""
+        """:func:`c_constant` row by row; a row where it raises is marked bad."""
         inside = (xarg > 0.0) & (xarg < 1.0)
         self.bad |= ~inside
         xarg = np.where(inside, xarg, 0.5)
+        den = 1.0 - self.pow(xarg, 1.0 / s - 1.0 / r)
+        self.bad |= den == 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            den = 1.0 - self.pow(xarg, 1.0 / s - 1.0 / r)
             if t == 0.0:
                 return 1.0 / den
             return (1.0 - self.pow(xarg, 1.0 / t - 1.0 / r)) / den

@@ -293,13 +293,16 @@ def c_constant(r: float, s: float, t: float, xarg: float) -> float:
         C_{r,s,t}(x) = (1 - x^{1/t - 1/r}) / (1 - x^{1/s - 1/r}),  t > 0,
         C_{r,s,0}(x) = 1 / (1 - x^{1/s - 1/r}),
 
-    defined for 0 < xarg < 1, where it exceeds 1.
+    defined for 0 < xarg < 1, where it exceeds 1.  Raises
+    :class:`DegenerateInput` when ``xarg ** (1/s - 1/r)`` rounds to 1.
     """
     if not (r > s > t >= 0):
         raise DomainError(f"orders must satisfy r > s > t >= 0 (got {(r, s, t)})")
     if not 0.0 < xarg < 1.0:
         raise DomainError(f"argument must lie strictly between 0 and 1 (got {xarg})")
     den = 1.0 - xarg ** (1.0 / s - 1.0 / r)
+    if den == 0.0:
+        raise DegenerateInput("the constant's denominator vanished: x^(1/s - 1/r) rounds to 1")
     if t == 0.0:
         return 1.0 / den
     return (1.0 - xarg ** (1.0 / t - 1.0 / r)) / den

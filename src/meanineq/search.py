@@ -28,13 +28,14 @@ Both searches score configurations in batches (:func:`relative_residuals`
 and :func:`delta_rows`, bit-identical to ``check`` and ``delta`` row by
 row), and their results equal the sequential definition: restarts one
 after another, one trial at a time.  The restarts of a hunt run in
-lockstep: each batch holds, for every live restart, all trials left in
-its current coordinate sweep.  A restart moves at its first improving
-trial, as the sequential descent does; the trials after it in the batch
-were computed speculatively and are not counted, so verdicts,
-``evals_used`` and best configurations stay those of the sequential
-descent.  A probe evaluates each restart's samples, drawn in order from
-its stream, in one batch; samples past the budget are not counted.
+lockstep, one coordinate per step: each batch holds, for every live
+restart, the +step and -step trials of its next coordinate.  A restart
+moves at its first improving trial, as the sequential descent does; a
+-step trial after an improving +step was computed speculatively and is
+not counted, so verdicts, ``evals_used`` and best configurations stay
+those of the sequential descent.  A probe evaluates each restart's
+samples, drawn in order from its stream, in one batch; samples past the
+budget are not counted.
 """
 
 from __future__ import annotations
@@ -121,13 +122,23 @@ def _stream(seed: int, n: int, restart: int) -> np.random.Generator:
 
 
 def _pinned_weights(rng, n: int, q_target: float, max_tries: int = 200):
-    """Weights with min exactly q_target: one pinned slot, rest resampled."""
-    ones = np.ones(n - 1)
+    """Weights with min exactly q_target: one pinned slot, rest resampled.
+
+    The rest is a flat Dirichlet draw, built as ``rng.dirichlet`` builds
+    it, bit for bit and from the same stream: unit-shape gamma variates are
+    standard exponentials, scaled by the reciprocal of their left-to-right
+    sum.
+    """
     for _ in range(max_tries):
-        draw = rng.dirichlet(ones)
-        # min((1 - q) * draw) == (1 - q) * min(draw): rounding is monotone
-        if (1.0 - q_target) * min(draw.tolist()) >= q_target - 1e-12:
-            rest = (1.0 - q_target) * draw
+        gamma = rng.standard_exponential(n - 1)
+        values = gamma.tolist()
+        acc = 0.0
+        for v in values:
+            acc += v
+        inv = 1.0 / acc
+        # min(c * draw) == c * min(draw) for c > 0: rounding is monotone
+        if (1.0 - q_target) * (min(values) * inv) >= q_target - 1e-12:
+            rest = (1.0 - q_target) * (gamma * inv)
             slot = int(rng.integers(n))
             w = np.empty(n)
             w[:slot] = rest[:slot]
@@ -315,13 +326,13 @@ def _descend(id, params, n, rngs, caps, step0=0.6, min_step=1e-7) -> list[_Desce
     sequential descent sweeps the coordinates in a fresh random order,
     tries +step then -step on each, moves at the first trial that improves
     and goes on to the next coordinate, and halves the step after a sweep
-    without a move.  Here all descents advance in lockstep: one batch
-    evaluates, for every live descent, all trials left in its current
-    sweep from its current point (at most its remaining allowance).  Each
-    takes the first improving trial in sweep order and counts only the
-    trials up to it; the trials after it were computed speculatively, at
-    a point the sequential descent would have left, and are not counted.
-    So counts, moves and results equal the sequential descent's.
+    without a move.  Here all descents advance in lockstep, one coordinate
+    per step: one batch evaluates, for every live descent, the two trials
+    of its next coordinate from its current point.  If +step improves, the
+    descent moves there and counts one trial; the -step trial was computed
+    speculatively and is not counted.  Otherwise it counts both trials (at
+    most its remaining allowance) and moves to -step if that improves.  So
+    counts, moves and results equal the sequential descent's.
     """
     dims = 2 * n
     u = np.array([np.concatenate([rng.uniform(-math.log(50.0), math.log(50.0), n),  # log samples
@@ -332,7 +343,7 @@ def _descend(id, params, n, rngs, caps, step0=0.6, min_step=1e-7) -> list[_Desce
     used = np.ones(len(rngs), dtype=int)
     cap = np.array(caps)
     step = np.full(len(rngs), step0)
-    pos = np.zeros(len(rngs), dtype=int)            # next trial in the sweep: 2 * coordinate slot + sign
+    pos = np.zeros(len(rngs), dtype=int)            # next coordinate slot in the sweep
     moved = np.zeros(len(rngs), dtype=bool)         # whether the current sweep has moved
     perm = np.zeros((len(rngs), dims), dtype=int)
     live = used < cap
@@ -340,28 +351,27 @@ def _descend(id, params, n, rngs, caps, step0=0.6, min_step=1e-7) -> list[_Desce
         perm[k] = rngs[k].permutation(dims)
     while live.any():
         idx = np.flatnonzero(live)
-        count = np.minimum(2 * dims - pos[idx], cap[idx] - used[idx])
-        owner = np.repeat(idx, count)
-        starts = np.cumsum(count) - count
-        rows = np.arange(owner.size)
-        trial = rows - np.repeat(starts - pos[idx], count)
-        coord = perm[owner, trial // 2]
-        points = u[owner]
-        points[rows, coord] += np.where(trial % 2 == 0, step[owner], -step[owner])
-        batch, f_t = _evaluate(id, params, points, n)
-        first = np.minimum.reduceat(np.where(f_t < f[owner], rows, owner.size), starts)
-        hit = first < owner.size
-        used[idx] += np.where(hit, first - starts + 1, count)
-        j = first[hit]
-        k_hit = idx[hit]
-        u[k_hit] = points[j]
+        rows = np.arange(idx.size)
+        coord = perm[idx, pos[idx]]
+        points = np.repeat(u[idx, None], 2, axis=1)   # trial 0: +step, trial 1: -step
+        points[rows, 0, coord] += step[idx]
+        points[rows, 1, coord] -= step[idx]
+        batch, f_t = _evaluate(id, params, points.reshape(-1, dims), n)
+        better = f_t.reshape(-1, 2) < f[idx, None]
+        first = np.where(better[:, 0], 0, np.where(better[:, 1], 1, 2))
+        count = np.minimum(2, cap[idx] - used[idx])
+        hit = first < count
+        used[idx] += np.where(hit, first + 1, count)
+        h = rows[hit]
+        j = 2 * h + first[h]                          # the batch row each hit moves to
+        k_hit = idx[h]
+        u[k_hit] = points[h, first[h]]
         f[k_hit] = f_t[j]
         moved[k_hit] = True
-        pos[idx] += count
-        pos[k_hit] = (trial[j] // 2 + 1) * 2
         for k, row in zip(k_hit.tolist(), j.tolist()):
             descents[k].improvements.append((int(used[k]), f_t[row], batch, row))
-        swept = idx[pos[idx] >= 2 * dims]
+        pos[idx] += 1
+        swept = idx[pos[idx] == dims]
         step[swept[~moved[swept]]] *= 0.5
         live[idx] = used[idx] < cap[idx]
         live[swept] &= step[swept] > min_step

@@ -1,7 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import meanineq
 from meanineq import Configuration
+
+
+def run_fresh(args, **kwargs):
+    """Run ``python *args`` in a fresh interpreter on the meanineq this suite imports."""
+    env = dict(os.environ, PYTHONPATH=str(Path(meanineq.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          **kwargs)
 
 
 def sample_config(rng, n_max=8, zero_prob=0.0, log_spread=1.0):

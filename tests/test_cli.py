@@ -1,24 +1,15 @@
 import csv
 import io
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import meanineq
 from meanineq.cli import RunConfig, run
 
+from conftest import run_fresh
+
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def run_fresh(args, **kwargs):
-    """Run ``python *args`` in a fresh interpreter on the meanineq this suite imports."""
-    env = dict(os.environ, PYTHONPATH=str(Path(meanineq.__file__).resolve().parents[1]))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          **kwargs)
 
 
 def invoke(argv, capsys):
@@ -143,6 +134,15 @@ class TestSearchCommands:
         assert code == 2
         assert out == ""
         assert err == "meanineq: error: mg-sigma-upper requires parameter 'r'\n"
+
+    def test_sharpness_with_a_degenerate_constant_is_a_usage_error(self, capsys):
+        # (1 - q)^(1/s - 1/r) rounds to 1: the constant has no finite value
+        code, out, err = invoke(
+            ["sharpness", "--ineq", "diananda-upper", "--triple", "1,0.999999999999999,0",
+             "--q-target", "0.001", "--budget", "100"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "denominator vanished" in err
 
     def test_hunt_no_violation_exit_zero(self, capsys):
         code, out, _ = invoke(

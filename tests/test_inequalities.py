@@ -360,3 +360,17 @@ class TestBatchEvaluation:
         with pytest.raises(DomainError, match="alpha must be positive"):
             resolve_params(InequalityId.DIANANDA_UPPER, triple=BASE_TRIPLE, alpha=0.0,
                            force=True)
+
+    @pytest.mark.parametrize("tag, cfg, alpha", [
+        # (1 - q)^(1/s - 1/r) rounds to 1 at q = 1e-14
+        (InequalityId.DIANANDA_UPPER, Configuration([1e-8, 1e8], [1 - 1e-14, 1e-14]), None),
+        # q^alpha lies just below 1 and its power rounds to 1
+        (InequalityId.DIANANDA_LOWER, Configuration([1.0, 4.0], [0.5, 0.5]), 1e-15),
+    ])
+    def test_vanishing_constant_denominator_is_degenerate(self, tag, cfg, alpha):
+        triple = (1, 0.999, 0)
+        rep = check(tag, cfg, triple=triple, alpha=alpha)
+        assert rep.status is CheckStatus.DEGENERATE
+        params = resolve_params(tag, triple=triple, alpha=alpha, force=True)
+        batch = ConfigurationBatch(cfg.x[None], cfg.q_weights[None])
+        assert relative_residuals(tag, batch, params).tolist() == [math.inf]

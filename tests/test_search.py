@@ -18,8 +18,9 @@ from meanineq import (
     finite_difference_probe,
     sharpness_probe,
 )
+from meanineq import search
 from meanineq.means import DeltaParams
-from meanineq.search import _stream
+from meanineq.search import _pinned_weights, _stream
 
 TRIPLE = (1.0, 0.5, 0.0)
 
@@ -265,6 +266,61 @@ class TestGoldenTrajectories:
         assert report.evals_used == want["evals_used"]
         assert report.best_config.to_json_dict() == want["best_config"]
         assert report.best_residual == pytest.approx(want["best_residual"], rel=1e-15)
+
+
+def dirichlet_pinned_weights(rng, n, q_target, max_tries=200):
+    """The probe's weight sampler written with ``rng.dirichlet``."""
+    ones = np.ones(n - 1)
+    for _ in range(max_tries):
+        draw = rng.dirichlet(ones)
+        if (1.0 - q_target) * min(draw.tolist()) >= q_target - 1e-12:
+            rest = (1.0 - q_target) * draw
+            slot = int(rng.integers(n))
+            w = np.empty(n)
+            w[:slot] = rest[:slot]
+            w[slot] = q_target
+            w[slot + 1:] = rest[slot:]
+            return w
+    return None
+
+
+class TestPinnedWeights:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_equals_the_dirichlet_sampler(self, n):
+        outcomes = set()
+        for q_target in (0.01, 0.1, 0.5 / n, 1.0 / n):
+            for seed in range(20):
+                ours, ref = _stream(seed, n, 1), _stream(seed, n, 1)
+                for _ in range(3):
+                    got = _pinned_weights(ours, n, q_target)
+                    want = dirichlet_pinned_weights(ref, n, q_target)
+                    assert (got is None and want is None) or np.array_equal(got, want)
+                    outcomes.add(got is None)
+                assert ours.bit_generator.state == ref.bit_generator.state
+        # both the accepting path and the 200-try give-up path ran; at n = 2
+        # every draw is accepted, its one value being 1 up to rounding
+        assert outcomes == ({False} if n == 2 else {True, False})
+
+
+class TestSpeculation:
+    def test_each_step_scores_at_most_two_rows_per_live_restart(self, monkeypatch):
+        steps = []
+        evaluate = search._evaluate
+
+        def recording(id, params, u, n):
+            steps.append(u.copy())
+            return evaluate(id, params, u, n)
+
+        monkeypatch.setattr(search, "_evaluate", recording)
+        run, want = GOLDEN["r2.5-violation"]
+        assert run().evals_used == want["evals_used"]
+        for u in steps:
+            # a restart's trials differ from its point, and so from each
+            # other, in at most 2 of the 2n coordinates; distinct restarts
+            # share none
+            shared = (u[:, None, :] == u[None, :, :]).sum(axis=2) >= u.shape[1] - 2
+            restarts = np.unique(shared.argmax(axis=1)).size
+            assert u.shape[0] <= 2 * restarts
 
 
 class TestFiniteDifferenceProbes:
