@@ -124,11 +124,16 @@ def _ineq_params(options: dict) -> dict:
 
 
 def _budget(options: dict) -> SearchBudget:
+    def get(key: str, default: int) -> int:
+        # an explicit 0 is a value for SearchBudget to reject, not a missing flag
+        value = options.get(key)
+        return default if value is None else int(value)
+
     return SearchBudget(
-        max_evals=int(options.get("budget") or 100_000),
-        seed=int(options.get("seed") or 0),
-        n_range=(int(options.get("n_min") or 2), int(options.get("n_max") or 4)),
-        restarts=int(options.get("restarts") or 20),
+        max_evals=get("budget", 100_000),
+        seed=get("seed", 0),
+        n_range=(get("n_min", 2), get("n_max", 4)),
+        restarts=get("restarts", 20),
     )
 
 

@@ -473,8 +473,7 @@ def check(
         lhs, rhs = tag.sides(_Means(config, q), params)
     except DegenerateInput:
         nan = float("nan")
-        return CheckReport(id, _echo_params(triple=triple, alpha=alpha, r=r, s=s),
-                           nan, nan, nan, nan, CheckStatus.DEGENERATE, q)
+        return CheckReport(id, params, nan, nan, nan, nan, CheckStatus.DEGENERATE, q)
     residual = rhs - lhs
     scale = max(abs(lhs), abs(rhs), 1.0)
     if math.isnan(residual):
@@ -493,19 +492,6 @@ def check(
     else:
         status = CheckStatus.HOLDS
     return CheckReport(id, params, lhs, rhs, residual, residual_rel, status, q)
-
-
-def _echo_params(*, triple, alpha, r, s) -> dict:
-    out: dict = {}
-    if triple is not None:
-        out["triple"] = [float(v) for v in triple]
-    if alpha is not None:
-        out["alpha"] = float(alpha)
-    if r is not None:
-        out["r"] = float(r)
-    if s is not None:
-        out["s"] = float(s)
-    return out
 
 
 def equality_witness(

@@ -19,6 +19,15 @@ unrestricted concurrent use.  Power sums are evaluated as max-shifted
 log-sums with compensated summation so that exponents up to a few hundred
 in magnitude neither overflow nor lose the leading digits.
 
+Each :class:`Configuration` carries a means record: the quantities that
+every catalog formula reads, computed on first use and then kept.  It
+holds ln x, the minimum weight, sigma and ln M_r at the fixed orders
+0, 1/2 and 1 (G, M_{1/2}, A), so it never grows; other orders are
+computed afresh on every call.  :func:`log_power_mean`, :func:`power_mean`,
+:func:`variance_sigma` and :func:`delta` read it.  Sharing is safe: the
+samples and weights are read-only, so a kept value cannot go stale, and
+callers racing to fill an entry compute and store the same float.
+
 :class:`ConfigurationBatch` holds B configurations of one size n as
 ``(B, n)`` arrays, and the ``*_rows`` functions are the array forms of
 M_r, sigma and delta over it.  Row i of each is bit-identical to the
@@ -33,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -95,7 +105,7 @@ class Configuration:
     def n(self) -> int:
         return int(self.x.size)
 
-    @property
+    @cached_property
     def min_weight(self) -> float:
         """The minimum weight, the single quantity the sharp constants depend on."""
         return float(self.q_weights.min())
@@ -109,11 +119,43 @@ class Configuration:
     def is_constant(self) -> bool:
         return bool(self.x[0] == self.x[-1])
 
+    # The rest of the means record (see the module docstring).
+
+    @cached_property
+    def _log_x(self) -> np.ndarray:
+        """ln x_i, read-only; -inf at a zero sample."""
+        with np.errstate(divide="ignore"):
+            logx = np.log(self.x)
+        logx.setflags(write=False)
+        return logx
+
+    @cached_property
+    def _sigma(self) -> float:
+        a = float(np.dot(self.q_weights, self.x))
+        return float(np.dot(self.q_weights, (self.x - a) ** 2))
+
+    @cached_property
+    def _log_geometric_mean(self) -> float:
+        return _log_power_mean(self, 0.0)
+
+    @cached_property
+    def _log_half_mean(self) -> float:
+        return _log_power_mean(self, 0.5)
+
+    @cached_property
+    def _log_arithmetic_mean(self) -> float:
+        return _log_power_mean(self, 1.0)
+
     def scaled(self, c: float) -> "Configuration":
         """The configuration with every sample multiplied by ``c > 0``."""
         if not c > 0:
             raise ConfigError("scale factor must be positive")
         return Configuration(c * self.x, self.q_weights)
+
+    def __reduce__(self):
+        # pickle and copy rebuild through validation: arrays that come back
+        # writable, or a record copied along, could let a kept value go stale
+        return (type(self), (self.x, self.q_weights))
 
     def to_json_dict(self) -> dict:
         return {"x": self.x.tolist(), "q": self.q_weights.tolist()}
@@ -175,7 +217,7 @@ def _weighted_logsumexp(a: np.ndarray, w: np.ndarray) -> float:
     Entries of ``a`` may be -inf (zero samples) or +inf (zero samples at
     negative order); the result is then -inf/+inf accordingly.
     """
-    amax = float(np.max(a))
+    amax = float(a.max())
     if math.isinf(amax):
         return amax
     terms = w * np.exp(a - amax)
@@ -186,17 +228,27 @@ def log_power_mean(config: Configuration, r: float) -> float:
     """ln M_r(x; q); -inf when the mean is 0 (zero samples at r <= 0)."""
     if not math.isfinite(r):
         raise DomainError("the order r must be finite; infinite orders are unsupported")
+    if r == 0.0:
+        return config._log_geometric_mean
+    if r == 0.5:
+        return config._log_half_mean
+    if r == 1.0:
+        return config._log_arithmetic_mean
+    return _log_power_mean(config, r)
+
+
+def _log_power_mean(config: Configuration, r: float) -> float:
+    """:func:`log_power_mean` computed afresh, for a finite order r."""
     x = config.x
     q = config.q_weights
+    logx = config._log_x
     if r == 0.0:
         if x[0] == 0.0:
             return float("-inf")
-        return float(np.dot(q, np.log(x)))
-    with np.errstate(divide="ignore"):
-        logx = np.log(x)
+        return float(np.dot(q, logx))
     if abs(r) < _SMALL_ORDER and x[0] > 0.0:
         # M_r = G * exp(r * var(log x) / 2) + O(r^2); avoids the 1/r blowup.
-        log_g = float(np.dot(q, logx))
+        log_g = config._log_geometric_mean
         log_var = float(np.dot(q, (logx - log_g) ** 2))
         return log_g + 0.5 * r * log_var
     return _weighted_logsumexp(r * logx, q) / r
@@ -225,10 +277,7 @@ def mean_value(config: Configuration, r: float, convention: str = "plain") -> Me
 
 def variance_sigma(config: Configuration) -> float:
     """The weighted variance sum_i q_i (x_i - A)^2; zero iff all samples tie."""
-    x = config.x
-    q = config.q_weights
-    a = float(np.dot(q, x))
-    return float(np.dot(q, (x - a) ** 2))
+    return config._sigma
 
 
 def delta(config: Configuration, params: DeltaParams) -> float:

@@ -135,6 +135,24 @@ class TestSearchCommands:
         assert out == ""
         assert err == "meanineq: error: mg-sigma-upper requires parameter 'r'\n"
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--budget", "max_evals must be at least 1"),
+        ("--restarts", "restarts must be at least 1"),
+        ("--n-min", "n_range must satisfy 2 <= lo <= hi"),
+        ("--n-max", "n_range must satisfy 2 <= lo <= hi"),
+    ])
+    def test_hunt_zero_search_argument_is_a_usage_error(self, flag, message, capsys,
+                                                        monkeypatch):
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("the hunt evaluated configurations")
+
+        monkeypatch.setattr("meanineq.search.relative_residuals", no_evaluation)
+        code, out, err = invoke(["hunt", "--ineq", "mg-sigma-upper", "--r", "6", flag, "0",
+                                 "--seed", "3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"meanineq: error: {message}\n"
+
     def test_sharpness_with_a_degenerate_constant_is_a_usage_error(self, capsys):
         # (1 - q)^(1/s - 1/r) rounds to 1: the constant has no finite value
         code, out, err = invoke(

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from meanineq import (
     variance_sigma,
 )
 
+from meanineq import inequalities, means
 from meanineq.inequalities import relative_residuals, resolve_params
 from meanineq.means import ConfigurationBatch
 
@@ -60,6 +63,17 @@ class TestCheckExamples:
         assert rep.status is CheckStatus.DEGENERATE
         rep = check(InequalityId.DIANANDA_BASE_UPPER, cfg)
         assert rep.status is CheckStatus.EQUALITY
+
+    @pytest.mark.parametrize("tag, params", [
+        (InequalityId.DIANANDA_UPPER, dict(triple=(0, 1, 0.5))),
+        (InequalityId.DIANANDA_LOWER, dict(triple=(2, 0, 1), alpha=3)),
+    ])
+    def test_degenerate_report_echoes_the_resolved_params(self, tag, params):
+        cfg = Configuration([3.0, 3.0], [0.5, 0.5])
+        rep = check(tag, cfg, **params)
+        assert rep.status is CheckStatus.DEGENERATE
+        assert rep.params == resolve_params(tag, **params)
+        assert rep.params == check(tag, Configuration([1.0, 3.0], [0.5, 0.5]), **params).params
 
 
 class TestReportContract:
@@ -374,3 +388,111 @@ class TestBatchEvaluation:
         params = resolve_params(tag, triple=triple, alpha=alpha, force=True)
         batch = ConfigurationBatch(cfg.x[None], cfg.q_weights[None])
         assert relative_residuals(tag, batch, params).tolist() == [math.inf]
+
+
+def _outcome(tag, cfg, params) -> str:
+    """``check`` under force as a string (or its error); equal strings mean equal bits."""
+    try:
+        return repr(check(tag, cfg, force=True, **params))
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+class TestSharedMeansRecord:
+    """Checks on a configuration other tags have used report as on a fresh one."""
+
+    ROUNDS = [
+        {tag: sets[0] for tag, sets in BATCH_PARAMS.items()},
+        {tag: sets[-1] for tag, sets in BATCH_PARAMS.items()},
+        dict({tag: sets[0] for tag, sets in BATCH_PARAMS.items()}, **{
+            # the small-order branch, signed zero orders, negative orders
+            InequalityId.MG_SIGMA_UPPER: dict(r=1e-9),
+            InequalityId.CARTWRIGHT_FIELD_UPPER: dict(r=1.0, s=-0.0),
+            InequalityId.CARTWRIGHT_FIELD_LOWER: dict(r=1.0, s=0.0),
+            InequalityId.DIANANDA_UPPER: dict(triple=(1, 0.5, -0.0)),
+            InequalityId.DIANANDA_LOWER: dict(triple=(1, 0.5, 0.0)),
+            InequalityId.MG_SIGMA_LOWER: dict(r=-2.0),
+            InequalityId.HALF_MEAN_UPPER: dict(r=-1.0),
+        }),
+    ]
+
+    @pytest.mark.parametrize("round", range(len(ROUNDS)))
+    def test_reports_equal_those_of_a_fresh_configuration(self, round):
+        params = self.ROUNDS[round]
+        tags = list(InequalityId)
+        rng = np.random.default_rng(round)
+        for configs, _ in TestBatchEvaluation.GROUPS:
+            for cfg in configs:
+                shared = Configuration(cfg.x, cfg.q_weights)
+                # the second pass finds the record filled by all the other tags
+                for _ in range(2):
+                    for i in rng.permutation(len(tags)).tolist():
+                        tag = tags[i]
+                        fresh = Configuration(cfg.x, cfg.q_weights)
+                        assert _outcome(tag, shared, params[tag]) == \
+                            _outcome(tag, fresh, params[tag]), (tag, cfg)
+
+    def test_shared_orders_and_logs_are_computed_once(self, monkeypatch):
+        orders = []
+        compute = means._log_power_mean
+
+        def recording(config, r):
+            orders.append(r)
+            return compute(config, r)
+
+        class CountingLog:
+            """numpy as the means module sees it, counting np.log calls."""
+
+            calls = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def log(self, *args, **kwargs):
+                CountingLog.calls += 1
+                return np.log(*args, **kwargs)
+
+        monkeypatch.setattr(means, "_log_power_mean", recording)
+        monkeypatch.setattr(means, "np", CountingLog())
+        cfg = Configuration([0.5, 1.0, 2.0, 7.0], [0.1, 0.2, 0.3, 0.4])
+        inside = {  # parameters inside each tag's hypotheses
+            InequalityId.DIANANDA_UPPER: dict(triple=(1, 0.6, 0), alpha=1.2),
+            InequalityId.DIANANDA_LOWER: dict(triple=(1, 0.3, 0), alpha=0.5),
+            InequalityId.DIANANDA_BASE_UPPER: {},
+            InequalityId.DIANANDA_BASE_LOWER: {},
+            InequalityId.MIX_VARIANCE_UPPER: dict(r=3.0),
+            InequalityId.MIX_VARIANCE_LOWER: dict(r=1.5),
+            InequalityId.CARTWRIGHT_FIELD_LOWER: dict(r=1.5, s=0.5),
+            InequalityId.CARTWRIGHT_FIELD_UPPER: dict(r=1.0, s=0.0),
+            InequalityId.MG_SIGMA_LOWER: dict(r=2.0),
+            InequalityId.MG_SIGMA_UPPER: dict(r=1.5),
+            InequalityId.HALF_MEAN_LOWER: dict(r=0.7),
+            InequalityId.HALF_MEAN_UPPER: dict(r=2.0),
+            InequalityId.HALF_MEAN_VAR_UPPER: dict(r=0.8),
+            InequalityId.HALF_MEAN_VAR_LOWER: dict(r=1.5),
+        }
+        for tag in InequalityId:
+            assert check(tag, cfg, **inside[tag]).status is CheckStatus.HOLDS
+        assert sorted(r for r in orders if r in (0.0, 0.5, 1.0)) == [0.0, 0.5, 1.0]
+        assert CountingLog.calls == 1
+
+
+def _catalog_names(lines) -> list[str]:
+    return [m.group(1) for m in map(re.compile(r"\|? ?`?([a-z]+(?:-[a-z]+)+)`? ").match, lines)
+            if m]
+
+
+class TestCatalogDocs:
+    """The hand-kept catalog tables list every tag exactly once."""
+
+    TAGS = sorted(tag.value for tag in InequalityId)
+
+    def test_module_docstring_table(self):
+        lines = inequalities.__doc__.split("====\n", 2)[2].split("\n====")[0].splitlines()
+        assert sorted(_catalog_names(lines)) == self.TAGS
+
+    def test_readme_table(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## The inequality catalog", 1)[1].split("\n## ", 1)[0]
+        rows = [line for line in section.splitlines() if line.startswith("| `")]
+        assert sorted(_catalog_names(rows)) == self.TAGS

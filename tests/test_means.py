@@ -1,5 +1,9 @@
+import copy
 import json
 import math
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -290,3 +294,109 @@ class TestMeanValue:
         cfg = Configuration([0.0, 4.0], [0.5, 0.5])
         with pytest.raises(DomainError):
             mean_value(cfg, 0.0, "log")
+
+
+def _record_configs():
+    """Seeded configurations for n = 2..8, with zero samples, ties and constant rows."""
+    rng = np.random.default_rng(7)
+    configs = []
+    for n in range(2, 9):
+        for i in range(12):
+            x = np.exp(rng.normal(0.0, 2.0, n))
+            if i % 3 == 0:
+                x[np.argmin(x)] = 0.0
+            if i % 4 == 1:
+                x[1] = x[0]
+            if i % 6 == 5:
+                x[:] = x[0]
+            configs.append((x, rng.dirichlet(np.ones(n))))
+    return configs
+
+
+# The fixed orders of the record, their sign twin -0.0, the small-order
+# branch, and negative orders (-inf at a zero sample).
+RECORD_ORDERS = [0.0, -0.0, 0.5, 1.0, 1e-9, -1e-9, -1.0, -2.5, 0.3, 2.0, 7.0]
+RECORD_TRIPLES = [DeltaParams(1.0, 0.5, 0.0, 1.0), DeltaParams(1.0, 0.5, -0.0, 2.0),
+                  DeltaParams(2.0, 1.0, 0.5, 0.0), DeltaParams(0.5, -1.0, 1e-9, 1.5)]
+
+
+def _values(cfg, r):
+    """Everything the means record feeds, as strings: equal strings mean equal bits."""
+    out = [repr(log_power_mean(cfg, r)), repr(power_mean(cfg, r)),
+           repr(variance_sigma(cfg)), repr(cfg.min_weight)]
+    for params in RECORD_TRIPLES:
+        try:
+            out.append(repr(delta(cfg, params)))
+        except DegenerateInput as exc:
+            out.append(f"DegenerateInput: {exc}")
+    return out
+
+
+class TestMeansRecord:
+    def test_a_used_configuration_gives_the_values_of_a_fresh_one(self):
+        rng = np.random.default_rng(11)
+        for x, q in _record_configs():
+            shared = Configuration(x, q)
+            for _ in range(2):
+                for i in rng.permutation(len(RECORD_ORDERS)).tolist():
+                    r = RECORD_ORDERS[i]
+                    assert _values(shared, r) == _values(Configuration(x, q), r), (x, q, r)
+
+    def test_the_record_has_a_fixed_set_of_entries(self):
+        cfg = Configuration([0.5, 1.0, 2.0], [0.2, 0.3, 0.5])
+        for r in np.linspace(-5.0, 5.0, 101).tolist() + RECORD_ORDERS:
+            log_power_mean(cfg, r)
+        variance_sigma(cfg)
+        delta(cfg, DeltaParams(1.0, 0.5, 0.0))
+        assert cfg.min_weight == 0.2
+        assert set(vars(cfg)) == {
+            "x", "q_weights", "min_weight", "_log_x", "_sigma",
+            "_log_geometric_mean", "_log_half_mean", "_log_arithmetic_mean"}
+
+    def test_scaled_has_its_own_record(self):
+        cfg = Configuration([1.0, 4.0, 9.0], [0.2, 0.3, 0.5])
+        before = [_values(cfg, r) for r in RECORD_ORDERS]
+        big = cfg.scaled(3.0)
+        for r in RECORD_ORDERS:
+            assert _values(big, r) == _values(Configuration(3.0 * cfg.x, cfg.q_weights), r)
+        assert power_mean(big, 1.0) == pytest.approx(3.0 * power_mean(cfg, 1.0))
+        assert variance_sigma(big) == pytest.approx(9.0 * variance_sigma(cfg))
+        assert [_values(cfg, r) for r in RECORD_ORDERS] == before
+
+    @pytest.mark.parametrize("clone", [lambda c: pickle.loads(pickle.dumps(c)),
+                                       copy.copy, copy.deepcopy])
+    def test_copies_are_read_only_and_start_a_record_of_their_own(self, clone):
+        cfg = Configuration([0.0, 1.0, 3.0], [0.3, 0.3, 0.4])
+        before = [_values(cfg, r) for r in RECORD_ORDERS]
+        twin = clone(cfg)
+        assert set(vars(twin)) == {"x", "q_weights"}
+        with pytest.raises(ValueError):
+            twin.x[0] = 5.0
+        with pytest.raises(ValueError):
+            twin.q_weights[0] = 0.5
+        assert [_values(twin, r) for r in RECORD_ORDERS] == before
+
+    def test_threads_sharing_configurations_see_the_sequential_values(self):
+        pairs = _record_configs()
+        want = [[_values(Configuration(x, q), r) for r in RECORD_ORDERS] for x, q in pairs]
+        shared = [Configuration(x, q) for x, q in pairs]
+        got = {}
+
+        def work(k: int) -> None:
+            order = np.random.default_rng(k).permutation(len(shared)).tolist()
+            got[k] = {i: [_values(shared[i], r) for r in RECORD_ORDERS] for i in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(got) == list(range(6))
+        for values in got.values():
+            assert [values[i] for i in range(len(shared))] == want
