@@ -180,3 +180,78 @@ class TestIndependentCrossChecks:
             assert aux_eval(AuxFunctionId.BINOMIAL_CHAIN, (r, t)) == pytest.approx(
                 direct, rel=1e-12, abs=1e-12
             )
+
+
+# Reports recorded before the grids moved to broadcast axes; every field is
+# compared exactly, so any change in grid order, filtering or arithmetic shows.
+_GOLDEN_DEFAULT = [
+    {'id': 'core-upper', 'domain': 'r in [1.05, 1.95] x19 with a tied to the solved profile minimum, t in [0, 1] x501', 'worst_point': {'r': 1.6, 'a': 0.13011984185439612, 't': 1.0}, 'worst_value': -2.220446049250313e-16, 'margin': -2.220446049250313e-16, 'verdict': 'AllSatisfy', 'points_checked': 9519},
+    {'id': 'core-lower', 'domain': 'r in [2.05, 5.0] x19 with a tied to the solved profile minimum, t in [0, 1] x501', 'worst_point': {'r': 2.05, 'a': 0.013691514533854802, 't': 0.0}, 'worst_value': 0.0, 'margin': 0.0, 'verdict': 'AllSatisfy', 'points_checked': 9519},
+    {'id': 'shifted-ratio-monotone', 'domain': 'r in [1.1, 4] x12, p in [1.1, 8] x14 (p >= r), s in [0, 1] x21, z in (1, 100] x16 log', 'worst_point': {'r': 1.1, 'p': 1.1, 's': 1.0, 'z': 100.0}, 'worst_value': 0.0009900995001644855, 'margin': 0.0009900995001644855, 'verdict': 'AllSatisfy', 'points_checked': 44352},
+    {'id': 'linear-gap-bound', 'domain': 'r in (1, 2) and (2, 3), 25 each, a = solved gap exponent, t in [0, 1] x401', 'worst_point': {'r': 1.02, 'a': 0.004732945994024407, 't': 0.0}, 'worst_value': 0.0, 'margin': 0.0, 'verdict': 'AllSatisfy', 'points_checked': 20050},
+    {'id': 'binomial-chain', 'domain': 'r in [4, 8] x81, t in [0, 1] x500', 'worst_point': {'r': 4.0, 't': 0.0}, 'worst_value': 0.0, 'margin': 0.0, 'verdict': 'AllSatisfy', 'points_checked': 40500},
+    {'id': 'growth-ratio-monotone', 'domain': 'r in [2, 4] x81, t in (0, 1) x500', 'worst_point': {'r': 2.0, 't': 0.001}, 'worst_value': 0.0009945797432108962, 'margin': 0.0009945797432108962, 'verdict': 'AllSatisfy', 'points_checked': 40500},
+    {'id': 'envelope-hi-weight', 'domain': 'q in (0, 1/2] x200, r in [r0, 1] x50', 'worst_point': {'q': 0.5, 'r': 1.0}, 'worst_value': 0.5, 'margin': 0.0, 'verdict': 'AllSatisfy', 'points_checked': 10000},
+    {'id': 'envelope-lo-weight', 'domain': 'q in (0, 1/2] x200, r in [r0, 1] x50', 'worst_point': {'q': 0.5, 'r': 1.0}, 'worst_value': 0.5, 'margin': 0.0, 'verdict': 'AllSatisfy', 'points_checked': 10000},
+    {'id': 'tangent-slope', 'domain': 'q in (0, 1/3] x200, r in [r0, 1] x50', 'worst_point': {'q': 0.3333333333333333, 'r': 0.6597671758852641}, 'worst_value': -4.2021941482062175e-14, 'margin': 4.2021941482062175e-14, 'verdict': 'AllSatisfy', 'points_checked': 10000},
+    {'id': 'tangent-cubic', 'domain': 'x in [1, 100] x150 log, q in (0, 1/3] x40, r in [r0, 1] x25', 'worst_point': {'x': 1.0, 'q': 0.018042735042735042, 'r': 0.8015308525997374}, 'worst_value': 1.1102230246251565e-16, 'margin': -1.1102230246251565e-16, 'verdict': 'AllSatisfy', 'points_checked': 150000},
+    {'id': 'exponent-margin', 'domain': 'x in [3/4, 1] x200, r in [1, 2] x100', 'worst_point': {'x': 0.75, 'r': 1.0}, 'worst_value': 0.0625, 'margin': 0.0625, 'verdict': 'AllSatisfy', 'points_checked': 20000},
+    {'id': 'three-sample-lower', 'domain': 'y in [1, 100] x60 log, weight simplex at step ~0.006 and r in [1, 2] x40 restricted to admissible pairs', 'worst_point': {'y': 1.0, 'q1': 0.3333333333333333, 'q2': 0.3333333333333333, 'q3': 0.3333333333333334, 'r': 1.0}, 'worst_value': -2.220446049250313e-16, 'margin': -2.220446049250313e-16, 'verdict': 'AllSatisfy', 'points_checked': 27060},
+]
+
+# The dense custom grids of the certify benchmark at seeds 1 and 2, with the
+# tolerance each is checked at and the report it gave.
+_GOLDEN_DENSE = [
+    ("core-upper", {"r": GridAxis(1.1028137277553933, 1.6409824601715195, 20),
+                    "a": GridAxis(0.0, 0.11478841140959022, 10),
+                    "t": GridAxis(0.0, 1.0, 5000, open_lo=True, open_hi=True)}, 1e-9,
+     {'id': 'core-upper', 'domain': 'r in [1.10281, 1.64098] x20, a in [0, 0.114788] x10, t in [0.00019996, 0.9998] x5000', 'worst_point': {'r': 1.6409824601715195, 'a': 0.11478841140959022, 't': 0.9998000399920015}, 'worst_value': 2.369171525629099e-10, 'margin': 2.369171525629099e-10, 'verdict': 'AllSatisfy', 'points_checked': 1000000}),
+    ("tangent-cubic", {"x": GridAxis(1.0, 100.0, 200, log=True),
+                       "q": GridAxis(0.0051035914801663826, 0.3333333333333333, 100),
+                       "r": GridAxis(0.6597671758852641, 1.0, 50)}, 1e-10,
+     {'id': 'tangent-cubic', 'domain': 'x in [1, 100] x200, q in [0.00510359, 0.333333] x100, r in [0.659767, 1] x50', 'worst_point': {'x': 1.0, 'q': 0.015049947293898715, 'r': 0.8125247703857578}, 'worst_value': 1.1102230246251565e-16, 'margin': -1.1102230246251565e-16, 'verdict': 'AllSatisfy', 'points_checked': 1000000}),
+    ("three-sample-lower", {"y": GridAxis(1.0, 100.0, 40, log=True),
+                            "q1": GridAxis(0.2564805288323286, 0.43347285573493444, 50),
+                            "q2": GridAxis(0.2564805288323286, 0.43347285573493444, 50),
+                            "r": GridAxis(1.0, 1.2192119204333889, 10)}, 1e-10,
+     {'id': 'three-sample-lower', 'domain': 'y in [1, 100] x40, q1 in [0.256481, 0.433473] x50, q2 in [0.256481, 0.433473] x50, r in [1, 1.21921] x10', 'worst_point': {'y': 1.0, 'q1': 0.32511020661089, 'q2': 0.32511020661089, 'q3': 0.34977958677822, 'r': 1.0}, 'worst_value': -2.220446049250313e-16, 'margin': -2.220446049250313e-16, 'verdict': 'AllSatisfy', 'points_checked': 55440}),
+    ("core-upper", {"r": GridAxis(1.170289384059105, 1.7521243699776798, 20),
+                    "a": GridAxis(0.0, 0.07575983017507329, 10),
+                    "t": GridAxis(0.0, 1.0, 5000, open_lo=True, open_hi=True)}, 1e-9,
+     {'id': 'core-upper', 'domain': 'r in [1.17029, 1.75212] x20, a in [0, 0.0757598] x10, t in [0.00019996, 0.9998] x5000', 'worst_point': {'r': 1.7521243699776798, 'a': 0.07575983017507329, 't': 0.9998000399920015}, 'worst_value': 1.9595258748950073e-10, 'margin': 1.9595258748950073e-10, 'verdict': 'AllSatisfy', 'points_checked': 1000000}),
+    ("tangent-cubic", {"x": GridAxis(1.0, 100.0, 200, log=True),
+                       "q": GridAxis(0.005846340848007925, 0.3333333333333333, 100),
+                       "r": GridAxis(0.6597671758852641, 1.0, 50)}, 1e-10,
+     {'id': 'tangent-cubic', 'domain': 'x in [1, 100] x200, q in [0.00584634, 0.333333] x100, r in [0.659767, 1] x50', 'worst_point': {'x': 1.0, 'q': 0.03230993620035745, 'r': 0.6597671758852641}, 'worst_value': 1.1102230246251565e-16, 'margin': -1.1102230246251565e-16, 'verdict': 'AllSatisfy', 'points_checked': 1000000}),
+    ("three-sample-lower", {"y": GridAxis(1.0, 100.0, 40, log=True),
+                            "q1": GridAxis(0.22678935703870873, 0.4026594471233721, 50),
+                            "q2": GridAxis(0.22678935703870873, 0.4026594471233721, 50),
+                            "r": GridAxis(1.0, 1.317303593961744, 10)}, 1e-10,
+     {'id': 'three-sample-lower', 'domain': 'y in [1, 100] x40, q1 in [0.226789, 0.402659] x50, q2 in [0.226789, 0.402659] x50, r in [1, 1.3173] x10', 'worst_point': {'y': 1.0, 'q1': 0.330875736884734, 'q2': 0.330875736884734, 'q3': 0.3382485262305321, 'r': 1.0}, 'worst_value': -2.220446049250313e-16, 'margin': -2.220446049250313e-16, 'verdict': 'AllSatisfy', 'points_checked': 40360}),
+]
+
+
+class TestGoldenSignReports:
+    @pytest.mark.parametrize("expected", _GOLDEN_DEFAULT, ids=lambda d: d["id"])
+    def test_default_grid_report(self, expected):
+        assert aux_sign_check(expected["id"]).to_json_dict() == expected
+
+    @pytest.mark.parametrize(
+        "tag, grid, tolerance, expected", _GOLDEN_DENSE,
+        ids=[f"{tag}-seed{1 + i // 3}" for i, (tag, *_) in enumerate(_GOLDEN_DENSE)],
+    )
+    def test_dense_grid_report(self, tag, grid, tolerance, expected):
+        report = aux_sign_check(tag, grid=grid, tolerance=tolerance)
+        assert report.to_json_dict() == expected
+
+    def test_point_cap_messages(self):
+        with pytest.raises(DomainError, match=r"^grid has 20000 points, above the cap 100$"):
+            aux_sign_check(AuxFunctionId.EXPONENT_MARGIN, max_points=100)
+        with pytest.raises(
+            DomainError, match=r"^grid would have 200 points, above the cap 100$"
+        ):
+            aux_sign_check(
+                AuxFunctionId.EXPONENT_MARGIN,
+                grid={"x": GridAxis(0.75, 1.0, 20), "r": GridAxis(1.0, 2.0, 10)},
+                max_points=100,
+            )
