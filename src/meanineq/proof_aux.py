@@ -43,13 +43,18 @@ three-sample-lower         y^E - q2 y/(1-q3) - q1/(1-q3) >= 0 for y >= 1,
 
 Removable 0/0 points (t at 1 for the core/gap/chain functions) are handled
 by explicit limit branches within 1e-8 of the singularity.  All functions
-broadcast over numpy arrays; grid points are independent, so checks may be
-partitioned across workers and merged by taking the pointwise worst.
+broadcast over numpy arrays.  A grid is one 1-D axis per argument, shaped so
+that the axes broadcast against each other (an open mesh); an argument that
+depends on another, such as the core functions' a tied to r, shares that
+argument's axis.  Default and custom grids take the same path: the function
+is evaluated once on the broadcast axes, one broadcast mask marks the
+admissible points, and the worst admissible point is reported.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -58,13 +63,13 @@ import numpy as np
 
 from .errors import DomainError
 from .thresholds import (
+    _SINGULAR_T,
     alpha_threshold_lower,
     alpha_threshold_upper,
     min_a_r,
     r0_value,
 )
 
-_SINGULAR_T = 1e-8
 DEFAULT_SIGN_TOL = 1e-10
 MAX_GRID_POINTS = 1_000_000
 
@@ -86,7 +91,11 @@ class AuxFunctionId(str, Enum):
 
 @dataclass(frozen=True)
 class GridAxis:
-    """One axis of a rectangular check grid."""
+    """One axis of a rectangular check grid.
+
+    The bounds must be finite, and positive on a log axis; ``count`` is a
+    positive integer (interior points, when an end is open).
+    """
 
     lo: float
     hi: float
@@ -95,9 +104,15 @@ class GridAxis:
     open_hi: bool = False
     log: bool = False
 
+    def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise DomainError(f"axis bounds must be finite, got [{self.lo}, {self.hi}]")
+        if not isinstance(self.count, numbers.Integral) or self.count < 1:
+            raise DomainError(f"axis count must be a positive integer, got {self.count!r}")
+        if self.log and not (self.lo > 0.0 and self.hi > 0.0):
+            raise DomainError(f"a log axis needs lo > 0 and hi > 0, got [{self.lo}, {self.hi}]")
+
     def points(self) -> np.ndarray:
-        if self.count < 1:
-            raise DomainError("axis count must be positive")
         n = self.count + int(self.open_lo) + int(self.open_hi)
         if self.log:
             pts = np.geomspace(self.lo, self.hi, n)
@@ -112,7 +127,7 @@ class GridAxis:
         return cls(
             lo=float(payload["lo"]),
             hi=float(payload["hi"]),
-            count=int(payload["count"]),
+            count=payload["count"],
             open_lo=bool(payload.get("open_lo", False)),
             open_hi=bool(payload.get("open_hi", False)),
             log=bool(payload.get("log", False)),
@@ -316,125 +331,56 @@ def _validate_three_sample(y, q1, q2, q3, r):
 
 
 # ---------------------------------------------------------------------------
-# Default grids over the claimed domains.
+# Default grids over the claimed domains, as broadcast axes in argument order.
 
-def _tie_profile_upper():
-    rs = np.linspace(1.05, 1.95, 19)
-    return rs, np.array([min_a_r(r)[1] for r in rs])
-
-
-def _tie_profile_lower():
-    rs = np.linspace(2.05, 5.0, 19)
-    return rs, np.array([min(1.0 - 1.0 / r, min_a_r(r)[1]) for r in rs])
-
-
-def _grid_core(upper: bool):
-    rs, avals = _tie_profile_upper() if upper else _tie_profile_lower()
-    ts = np.linspace(0.0, 1.0, 501)
-    r = np.repeat(rs, ts.size)
-    a = np.repeat(avals, ts.size)
-    t = np.tile(ts, rs.size)
+def _core_axes(upper: bool):
+    # a is tied to r, so it shares r's (R, 1) column.
     lo, hi = (1.05, 1.95) if upper else (2.05, 5.0)
+    rs = np.linspace(lo, hi, 19)
+    if upper:
+        avals = [min_a_r(r)[1] for r in rs]
+    else:
+        avals = [min(1.0 - 1.0 / r, min_a_r(r)[1]) for r in rs]
+    axes = (rs[:, None], np.array(avals)[:, None], np.linspace(0.0, 1.0, 501)[None, :])
     desc = f"r in [{lo}, {hi}] x19 with a tied to the solved profile minimum, t in [0, 1] x501"
-    return np.column_stack([r, a, t]), desc
+    return axes, desc
 
 
-def _grid_shifted():
-    rs = np.linspace(1.1, 4.0, 12)
-    ps = np.linspace(1.1, 8.0, 14)
-    ss = np.linspace(0.0, 1.0, 21)
-    zs = np.geomspace(1.01, 100.0, 16)
-    r, p, s, z = (g.ravel() for g in np.meshgrid(rs, ps, ss, zs, indexing="ij"))
-    keep = p >= r
-    pts = np.column_stack([r[keep], p[keep], s[keep], z[keep]])
-    return pts, "r in [1.1, 4] x12, p in [1.1, 8] x14 (p >= r), s in [0, 1] x21, z in (1, 100] x16 log"
+def _linear_gap_axes():
+    rs = np.concatenate([np.linspace(1.02, 1.98, 25), np.linspace(2.02, 2.98, 25)])
+    avals = [alpha_threshold_upper(r) - 1.0 if r < 2.0 else 1.0 - alpha_threshold_lower(r)
+             for r in rs]
+    axes = (rs[:, None], np.array(avals)[:, None], np.linspace(0.0, 1.0, 401)[None, :])
+    return axes, "r in (1, 2) and (2, 3), 25 each, a = solved gap exponent, t in [0, 1] x401"
 
 
-def _grid_linear_gap():
-    blocks = []
-    for rs, solved in (
-        (np.linspace(1.02, 1.98, 25), lambda r: alpha_threshold_upper(r) - 1.0),
-        (np.linspace(2.02, 2.98, 25), lambda r: 1.0 - alpha_threshold_lower(r)),
-    ):
-        avals = np.array([solved(r) for r in rs])
-        ts = np.linspace(0.0, 1.0, 401)
-        blocks.append(
-            np.column_stack(
-                [np.repeat(rs, ts.size), np.repeat(avals, ts.size), np.tile(ts, rs.size)]
-            )
-        )
-    desc = "r in (1, 2) and (2, 3), 25 each, a = solved gap exponent, t in [0, 1] x401"
-    return np.vstack(blocks), desc
+def _weight_axes(q_hi: float, label: str):
+    return lambda: (np.ix_(np.linspace(1e-4, q_hi, 200), np.linspace(r0_value(), 1.0, 50)),
+                    f"q in (0, {label}] x200, r in [r0, 1] x50")
 
 
-def _grid_chain():
-    rs = np.linspace(4.0, 8.0, 81)
-    ts = np.linspace(0.0, 1.0, 500)
-    r, t = (g.ravel() for g in np.meshgrid(rs, ts, indexing="ij"))
-    return np.column_stack([r, t]), "r in [4, 8] x81, t in [0, 1] x500"
-
-
-def _grid_growth():
-    rs = np.linspace(2.0, 4.0, 81)
-    ts = np.linspace(1e-3, 1.0 - 1e-3, 500)
-    r, t = (g.ravel() for g in np.meshgrid(rs, ts, indexing="ij"))
-    return np.column_stack([r, t]), "r in [2, 4] x81, t in (0, 1) x500"
-
-
-def _grid_weight_fn(q_hi: float, label: str):
-    def build():
-        qs = np.linspace(1e-4, q_hi, 200)
-        rs = np.linspace(r0_value(), 1.0, 50)
-        q, r = (g.ravel() for g in np.meshgrid(qs, rs, indexing="ij"))
-        return np.column_stack([q, r]), f"q in (0, {label}] x200, r in [r0, 1] x50"
-
-    return build
-
-
-def _grid_cubic():
-    xs = np.geomspace(1.0, 100.0, 150)
-    qs = np.linspace(1e-3, 1.0 / 3.0, 40)
-    rs = np.linspace(r0_value(), 1.0, 25)
-    x, q, r = (g.ravel() for g in np.meshgrid(xs, qs, rs, indexing="ij"))
-    return np.column_stack([x, q, r]), "x in [1, 100] x150 log, q in (0, 1/3] x40, r in [r0, 1] x25"
-
-
-def _grid_margin():
-    xs = np.linspace(0.75, 1.0, 200)
-    rs = np.linspace(1.0, 2.0, 100)
-    x, r = (g.ravel() for g in np.meshgrid(xs, rs, indexing="ij"))
-    return np.column_stack([x, r]), "x in [3/4, 1] x200, r in [1, 2] x100"
-
-
-def _simplex_weights(step_count: int) -> np.ndarray:
-    vals = np.linspace(0.005, 0.99, step_count)
-    q1, q2 = (g.ravel() for g in np.meshgrid(vals, vals, indexing="ij"))
-    q3 = 1.0 - q1 - q2
-    keep = q3 >= 0.005 - 1e-12
-    return np.column_stack([q1[keep], q2[keep], q3[keep]])
-
-
-def _grid_three_sample():
+def _three_sample_axes():
     # The admissibility condition confines (weights, r) to a thin sliver
-    # near equal weights with r close to 1, so filter those pairs first
-    # and only then cross with the y axis.
-    weights = _simplex_weights(160)
-    rs = np.linspace(1.0, 2.0, 40)
-    nw, nr = weights.shape[0], rs.size
-    w = np.repeat(weights, nr, axis=0)
-    r = np.tile(rs, nw)
-    denom = _three_sample_denom(w[:, 0], w[:, 1], w[:, 2], r)
-    keep = denom > 1e-9
-    w, r = w[keep], r[keep]
-    ys = np.geomspace(1.0, 100.0, 60)
-    npairs = w.shape[0]
-    y = np.tile(ys, npairs)
-    pts = np.column_stack(
-        [y, np.repeat(w, ys.size, axis=0), np.repeat(r, ys.size)]
-    )
+    # near equal weights with r close to 1, so keep only the admissible
+    # pairs, as (P, 1) columns, and cross them with the y axis.
+    vals = np.linspace(0.005, 0.99, 160)
+    q1, q2 = np.broadcast_arrays(*np.ix_(vals, vals))
+    on_simplex = _last_weight(q1, q2) > 0
+    q1, q2 = q1[on_simplex][:, None], q2[on_simplex][:, None]
+    r = np.linspace(1.0, 2.0, 40)[None, :]
+    keep = _three_sample_admissible(q1, q2, _last_weight(q1, q2), r)
+    pairs = (np.broadcast_to(v, keep.shape)[keep][:, None] for v in (q1, q2, r))
     desc = ("y in [1, 100] x60 log, weight simplex at step ~0.006 and r in [1, 2] x40 "
             "restricted to admissible pairs")
-    return pts, desc
+    return (np.geomspace(1.0, 100.0, 60)[None, :], *pairs), desc
+
+
+def _last_weight(q1, q2):
+    return 1.0 - q1 - q2
+
+
+def _three_sample_admissible(q1, q2, q3, r):
+    return (q3 > 0) & (_three_sample_denom(q1, q2, q3, r) > 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -447,69 +393,82 @@ class _CatalogEntry:
     claim: str  # "ge" or "le"
     bound: float
     validate: Callable
-    default_grid: Callable[[], tuple[np.ndarray, str]]
-    grid_args: tuple[str, ...] | None = None
-    expand: Callable[[np.ndarray], np.ndarray] | None = None
-    admissible: Callable[[np.ndarray], np.ndarray] | None = None
+    # () -> (broadcast axes for the grid arguments, domain description)
+    default_grid: Callable[[], tuple[tuple[np.ndarray, ...], str]]
+    admissible: Callable[..., np.ndarray] | None = None
 
+    @property
+    def grid_names(self) -> tuple[str, ...]:
+        """The arguments a grid spans: all but three-sample's derived q3."""
+        return tuple(name for name in self.args if name != "q3")
 
-def _expand_three_sample(pts: np.ndarray) -> np.ndarray:
-    y, q1, q2, r = pts.T
-    q3 = 1.0 - q1 - q2
-    return np.column_stack([y, q1, q2, q3, r])
+    def complete(self, axes) -> tuple[np.ndarray, ...]:
+        """The function's arguments from a grid's axes, deriving q3 = 1 - q1 - q2."""
+        named = dict(zip(self.grid_names, axes))
+        if "q3" in self.args:
+            named["q3"] = _last_weight(named["q1"], named["q2"])
+        return tuple(named[name] for name in self.args)
 
 
 _CATALOG: dict[AuxFunctionId, _CatalogEntry] = {
     AuxFunctionId.CORE_UPPER: _CatalogEntry(
         _core_upper, ("r", "a", "t"), "ge", 0.0, _validate_core,
-        lambda: _grid_core(upper=True),
+        lambda: _core_axes(upper=True),
     ),
     AuxFunctionId.CORE_LOWER: _CatalogEntry(
         _core_lower, ("r", "a", "t"), "ge", 0.0, _validate_core,
-        lambda: _grid_core(upper=False),
+        lambda: _core_axes(upper=False),
     ),
     AuxFunctionId.SHIFTED_RATIO_MONOTONE: _CatalogEntry(
-        _shifted_ratio_monotone, ("r", "p", "s", "z"), "ge", 0.0,
-        _validate_shifted, _grid_shifted,
-        admissible=lambda pts: pts[:, 1] >= pts[:, 0],
+        _shifted_ratio_monotone, ("r", "p", "s", "z"), "ge", 0.0, _validate_shifted,
+        lambda: (np.ix_(np.linspace(1.1, 4.0, 12), np.linspace(1.1, 8.0, 14),
+                        np.linspace(0.0, 1.0, 21), np.geomspace(1.01, 100.0, 16)),
+                 "r in [1.1, 4] x12, p in [1.1, 8] x14 (p >= r), s in [0, 1] x21, "
+                 "z in (1, 100] x16 log"),
+        admissible=lambda r, p, s, z: p >= r,
     ),
     AuxFunctionId.LINEAR_GAP_BOUND: _CatalogEntry(
         _linear_gap_bound, ("r", "a", "t"), "ge", 0.0, _validate_linear_gap,
-        _grid_linear_gap,
-        admissible=lambda pts: np.abs(pts[:, 0] - 2.0) > 1e-9,
+        _linear_gap_axes,
+        admissible=lambda r, a, t: np.abs(r - 2.0) > 1e-9,
     ),
     AuxFunctionId.BINOMIAL_CHAIN: _CatalogEntry(
-        _binomial_chain, ("r", "t"), "ge", 0.0, _validate_chain, _grid_chain,
+        _binomial_chain, ("r", "t"), "ge", 0.0, _validate_chain,
+        lambda: (np.ix_(np.linspace(4.0, 8.0, 81), np.linspace(0.0, 1.0, 500)),
+                 "r in [4, 8] x81, t in [0, 1] x500"),
     ),
     AuxFunctionId.GROWTH_RATIO_MONOTONE: _CatalogEntry(
         _growth_ratio_monotone, ("r", "t"), "ge", 0.0, _validate_growth,
-        _grid_growth,
+        lambda: (np.ix_(np.linspace(2.0, 4.0, 81), np.linspace(1e-3, 1.0 - 1e-3, 500)),
+                 "r in [2, 4] x81, t in (0, 1) x500"),
     ),
     AuxFunctionId.ENVELOPE_HI_WEIGHT: _CatalogEntry(
         _envelope_hi_weight, ("q", "r"), "le", 0.5, _validate_weight_fn,
-        _grid_weight_fn(0.5, "1/2"),
+        _weight_axes(0.5, "1/2"),
     ),
     AuxFunctionId.ENVELOPE_LO_WEIGHT: _CatalogEntry(
         _envelope_lo_weight, ("q", "r"), "le", 0.5, _validate_weight_fn,
-        _grid_weight_fn(0.5, "1/2"),
+        _weight_axes(0.5, "1/2"),
     ),
     AuxFunctionId.TANGENT_SLOPE: _CatalogEntry(
         _tangent_slope, ("q", "r"), "le", 0.0, _validate_weight_fn,
-        _grid_weight_fn(1.0 / 3.0, "1/3"),
+        _weight_axes(1.0 / 3.0, "1/3"),
     ),
     AuxFunctionId.TANGENT_CUBIC: _CatalogEntry(
-        _tangent_cubic, ("x", "q", "r"), "le", 0.0, _validate_cubic, _grid_cubic,
+        _tangent_cubic, ("x", "q", "r"), "le", 0.0, _validate_cubic,
+        lambda: (np.ix_(np.geomspace(1.0, 100.0, 150), np.linspace(1e-3, 1.0 / 3.0, 40),
+                        np.linspace(r0_value(), 1.0, 25)),
+                 "x in [1, 100] x150 log, q in (0, 1/3] x40, r in [r0, 1] x25"),
     ),
     AuxFunctionId.EXPONENT_MARGIN: _CatalogEntry(
-        _exponent_margin, ("x", "r"), "ge", 0.0, _validate_margin, _grid_margin,
+        _exponent_margin, ("x", "r"), "ge", 0.0, _validate_margin,
+        lambda: (np.ix_(np.linspace(0.75, 1.0, 200), np.linspace(1.0, 2.0, 100)),
+                 "x in [3/4, 1] x200, r in [1, 2] x100"),
     ),
     AuxFunctionId.THREE_SAMPLE_LOWER: _CatalogEntry(
         _three_sample_lower, ("y", "q1", "q2", "q3", "r"), "ge", 0.0,
-        _validate_three_sample, _grid_three_sample,
-        grid_args=("y", "q1", "q2", "r"),
-        expand=_expand_three_sample,
-        admissible=lambda pts: (pts[:, 3] > 0)
-        & (_three_sample_denom(pts[:, 1], pts[:, 2], pts[:, 3], pts[:, 4]) > 1e-9),
+        _validate_three_sample, _three_sample_axes,
+        admissible=lambda y, q1, q2, q3, r: _three_sample_admissible(q1, q2, q3, r),
     ),
 }
 
@@ -542,63 +501,69 @@ def aux_sign_check(
 ) -> SignCheckReport:
     """Sweep one claim over a grid and report the worst point.
 
-    ``grid`` maps axis names to :class:`GridAxis` (or the equivalent JSON
-    dicts); omitted, the tag's default grid over its claimed domain is
-    used.  The verdict is AllSatisfy when the claimed bound holds at every
-    point within ``tolerance`` (absolute).
+    ``grid`` maps each axis name the tag takes, and no other, to a
+    :class:`GridAxis` (or the equivalent JSON dict); omitted, the tag's
+    default grid over its claimed domain is used.  The verdict is
+    AllSatisfy when the claimed bound holds at every point within
+    ``tolerance`` (absolute).
     """
     id = AuxFunctionId(id)
     entry = _CATALOG[id]
     if grid is None:
-        pts, desc = entry.default_grid()
+        axes, desc = entry.default_grid()
     else:
-        pts, desc = _build_custom_grid(entry, grid, max_points)
-    if entry.expand is not None and pts.shape[1] == len(entry.grid_args or ()):
-        pts = entry.expand(pts)
-    if entry.admissible is not None:
-        pts = pts[entry.admissible(pts)]
-    if pts.shape[0] == 0:
+        axes, desc = _custom_axes(entry, grid, max_points)
+    args = entry.complete(axes)
+    shape = np.broadcast_shapes(*(a.shape for a in args))
+    if entry.admissible is None:
+        admissible, count = None, math.prod(shape)
+    else:
+        admissible = np.flatnonzero(np.broadcast_to(entry.admissible(*args), shape))
+        count = admissible.size
+    if count == 0:
         raise DomainError("the grid contains no admissible points")
-    if pts.shape[0] > max_points:
-        raise DomainError(
-            f"grid has {pts.shape[0]} points, above the cap {max_points}"
-        )
-    values = entry.fn(*(pts[:, i] for i in range(pts.shape[1])))
+    if count > max_points:
+        raise DomainError(f"grid has {count} points, above the cap {max_points}")
+    # Inadmissible points are evaluated too, and may overflow or divide by zero.
+    with np.errstate(all="ignore"):
+        values = np.broadcast_to(entry.fn(*args), shape).ravel()
     if entry.claim == "ge":
         margins = values - entry.bound
     else:
         margins = entry.bound - values
-    worst = int(np.argmin(margins))
+    if admissible is None:
+        worst = int(np.argmin(margins))
+    else:
+        worst = int(admissible[np.argmin(margins[admissible])])
     margin = float(margins[worst])
-    verdict = "AllSatisfy" if margin >= -tolerance else "ViolationFound"
-    worst_point = {name: float(pts[worst, i]) for i, name in enumerate(entry.args)}
+    at = np.unravel_index(worst, shape)
     return SignCheckReport(
         id=id,
         domain=desc,
-        worst_point=worst_point,
+        worst_point={
+            name: float(np.broadcast_to(a, shape)[at]) for name, a in zip(entry.args, args)
+        },
         worst_value=float(values[worst]),
         margin=margin,
-        verdict=verdict,
-        points_checked=int(pts.shape[0]),
+        verdict="AllSatisfy" if margin >= -tolerance else "ViolationFound",
+        points_checked=int(count),
     )
 
 
-def _build_custom_grid(entry: _CatalogEntry, grid: dict, max_points: int):
-    names = entry.grid_args or entry.args
-    axes = []
+def _custom_axes(entry: _CatalogEntry, grid: dict, max_points: int):
+    names = entry.grid_names
+    if set(grid) != set(names):
+        raise DomainError(f"grid has axes {tuple(grid)}, but this tag takes {names}")
+    points = []
     for name in names:
-        if name not in grid:
-            raise DomainError(f"grid is missing axis {name!r} (needs {names})")
         axis = grid[name]
         if isinstance(axis, dict):
             axis = GridAxis.from_json_dict(axis)
-        axes.append(axis.points())
-    total = math.prod(len(a) for a in axes)
+        points.append(axis.points())
+    total = math.prod(len(a) for a in points)
     if total > max_points:
         raise DomainError(f"grid would have {total} points, above the cap {max_points}")
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
     desc = ", ".join(
-        f"{name} in [{a[0]:g}, {a[-1]:g}] x{len(a)}" for name, a in zip(names, axes)
+        f"{name} in [{a[0]:g}, {a[-1]:g}] x{len(a)}" for name, a in zip(names, points)
     )
-    return pts, desc
+    return np.ix_(*points), desc

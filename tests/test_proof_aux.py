@@ -147,6 +147,50 @@ class TestCustomGrids:
         with pytest.raises(DomainError):
             aux_sign_check(AuxFunctionId.EXPONENT_MARGIN, grid={"x": GridAxis(0.75, 1.0, 5)})
 
+    def test_axis_not_taken_by_tag_rejected(self):
+        # three-sample derives q3 = 1 - q1 - q2; a q3 axis would be ignored
+        grid = {name: GridAxis(0.3, 0.4, 3) for name in ("q1", "q2", "q3")}
+        grid.update(y=GridAxis(1.0, 10.0, 3), r=GridAxis(1.0, 1.2, 3))
+        with pytest.raises(DomainError, match=r"'q3'.*\('y', 'q1', 'q2', 'r'\)"):
+            aux_sign_check(AuxFunctionId.THREE_SAMPLE_LOWER, grid=grid)
+
+    @pytest.mark.parametrize("lo, hi", [(float("nan"), 1.0), (0.0, float("inf")),
+                                        (float("-inf"), 0.0)])
+    def test_axis_bounds_must_be_finite(self, lo, hi):
+        # A NaN bound used to give a spurious ViolationFound with a NaN margin.
+        with pytest.raises(DomainError, match="finite"):
+            GridAxis(lo, hi, 5)
+        with pytest.raises(DomainError, match="finite"):
+            GridAxis.from_json_dict({"lo": lo, "hi": hi, "count": 5})
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 2.0), (1.0, -2.0)])
+    def test_log_axis_needs_positive_bounds(self, lo, hi):
+        with pytest.raises(DomainError, match="log axis"):
+            GridAxis(lo, hi, 5, log=True)
+
+    @pytest.mark.parametrize("count", [2.7, 0, -3, "5"])
+    def test_axis_count_must_be_a_positive_integer(self, count):
+        # A JSON count of 2.7 used to be truncated to 2 points.
+        with pytest.raises(DomainError, match="count"):
+            GridAxis.from_json_dict({"lo": 0.0, "hi": 1.0, "count": count})
+        assert len(GridAxis(0.0, 1.0, np.int64(3)).points()) == 3
+
+    def test_worst_point_is_admissible(self):
+        # At q2 = 0.05 the weights are inadmissible; at q2 = 1/3 they are
+        # admissible and y^E overflows, so the only admissible margin is +inf.
+        report = aux_sign_check(
+            AuxFunctionId.THREE_SAMPLE_LOWER,
+            grid={
+                "y": GridAxis(1e300, 1e300, 1),
+                "q1": GridAxis(1.0 / 3.0, 1.0 / 3.0, 1),
+                "q2": GridAxis(0.05, 1.0 / 3.0, 2),
+                "r": GridAxis(1.0, 1.0, 1),
+            },
+        )
+        assert report.points_checked == 1
+        assert report.worst_point["q2"] == 1.0 / 3.0
+        assert report.margin == np.inf and report.verdict == "AllSatisfy"
+
 
 class TestIndependentCrossChecks:
     def test_growth_ratio_pairwise_consequence(self, rng):
