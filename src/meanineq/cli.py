@@ -38,7 +38,7 @@ from .search import SearchBudget, counterexample_hunt, sharpness_probe
 from .thresholds import (
     alpha_threshold_lower,
     alpha_threshold_upper,
-    a_r_fn,
+    a_r_values,
     min_a_r,
     solve_r0,
     solve_t1,
@@ -236,7 +236,7 @@ def _exec_sweep(options: dict):
         r = float(options["r"])
         if not 0.0 <= lo <= hi <= 1.0:
             raise MeanIneqError("the profile sweep needs a t-grid inside [0, 1]")
-        rows = [[float(t), a_r_fn(r, float(t))] for t in axis]
+        rows = [[t, a] for t, a in zip(axis.tolist(), a_r_values(r, axis).tolist())]
         return {"columns": ["t", "a_r"], "rows": rows}, EXIT_OK
     if quantity == "alpha-threshold":
         rows = []

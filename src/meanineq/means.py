@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +58,29 @@ DEFAULT_ABS_FLOOR = 1e-12
 _SMALL_ORDER = 1e-8
 
 _WEIGHT_SUM_TOL = 1e-12
+
+
+class _record_entry:
+    """A means-record entry: computed on first access, then kept.
+
+    The value is stored in the instance ``__dict__``, where it shadows this
+    non-data descriptor, so later reads never reach it.  Unlike
+    ``functools.cached_property`` before Python 3.12 it takes no lock:
+    callers racing to fill an entry compute and store the same value.
+    """
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +127,7 @@ class Configuration:
     def n(self) -> int:
         return int(self.x.size)
 
-    @cached_property
+    @_record_entry
     def min_weight(self) -> float:
         """The minimum weight, the single quantity the sharp constants depend on."""
         return float(self.q_weights.min())
@@ -121,7 +143,7 @@ class Configuration:
 
     # The rest of the means record (see the module docstring).
 
-    @cached_property
+    @_record_entry
     def _log_x(self) -> np.ndarray:
         """ln x_i, read-only; -inf at a zero sample."""
         with np.errstate(divide="ignore"):
@@ -129,20 +151,20 @@ class Configuration:
         logx.setflags(write=False)
         return logx
 
-    @cached_property
+    @_record_entry
     def _sigma(self) -> float:
         a = float(np.dot(self.q_weights, self.x))
         return float(np.dot(self.q_weights, (self.x - a) ** 2))
 
-    @cached_property
+    @_record_entry
     def _log_geometric_mean(self) -> float:
         return _log_power_mean(self, 0.0)
 
-    @cached_property
+    @_record_entry
     def _log_half_mean(self) -> float:
         return _log_power_mean(self, 0.5)
 
-    @cached_property
+    @_record_entry
     def _log_arithmetic_mean(self) -> float:
         return _log_power_mean(self, 1.0)
 

@@ -64,9 +64,9 @@ import numpy as np
 from .errors import DomainError
 from .thresholds import (
     _SINGULAR_T,
+    _min_a_r_rows,
     alpha_threshold_lower,
     alpha_threshold_upper,
-    min_a_r,
     r0_value,
 )
 
@@ -337,11 +337,10 @@ def _core_axes(upper: bool):
     # a is tied to r, so it shares r's (R, 1) column.
     lo, hi = (1.05, 1.95) if upper else (2.05, 5.0)
     rs = np.linspace(lo, hi, 19)
-    if upper:
-        avals = [min_a_r(r)[1] for r in rs]
-    else:
-        avals = [min(1.0 - 1.0 / r, min_a_r(r)[1]) for r in rs]
-    axes = (rs[:, None], np.array(avals)[:, None], np.linspace(0.0, 1.0, 501)[None, :])
+    avals = _min_a_r_rows(rs)[1]
+    if not upper:
+        avals = np.minimum(1.0 - 1.0 / rs, avals)
+    axes = (rs[:, None], avals[:, None], np.linspace(0.0, 1.0, 501)[None, :])
     desc = f"r in [{lo}, {hi}] x19 with a tied to the solved profile minimum, t in [0, 1] x501"
     return axes, desc
 

@@ -34,6 +34,19 @@ All solvers use plain bisection on brackets whose sign change is
 guaranteed by monotonicity; the minimizer is a dense grid refined by
 golden-section search and assumes no unimodality.  Everything here is a
 pure function, safe for concurrent use.
+
+The a_r formula is written once, in the unchecked kernel ``_a_r``, which
+broadcasts r against t.  ``a_r_values`` validates its input and calls it;
+``min_a_r`` runs its grid and its golden-section polish on it directly.
+``_min_a_r_rows`` solves many r at once, as the default core-certificate
+grids need: one grid evaluation of shape (R, 2049), then R golden sections
+stepped in lockstep.  It returns ``min_a_r``'s bits, because the kernel
+always runs numpy's array loops, whose result for one element does not
+depend on the array around it.  (A scalar ``math`` form of the kernel
+would round differently from those loops in about one evaluation in
+eight.)  The one exception is numpy's shortcut for ``array ** scalar``,
+which takes sqrt or square for the exponents 1/2 and 2; the single-r
+path meets it only at r in {1.5, 2, 3}, and the tests pin those three.
 """
 
 from __future__ import annotations
@@ -57,6 +70,12 @@ _SINGULAR_T = 1e-8
 
 BISECT_XTOL = 1e-13
 BISECT_MAX_ITER = 200
+
+_GOLDEN_MAX_ITER = 200
+
+# min_a_r's defaults, which _min_a_r_rows always uses.
+_PROFILE_GRID_POINTS = 2049
+_PROFILE_XTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -129,7 +148,7 @@ def golden_section_min(
     hi: float,
     *,
     xtol: float = 1e-10,
-    max_iter: int = 200,
+    max_iter: int = _GOLDEN_MAX_ITER,
 ) -> tuple[float, float]:
     """Golden-section refinement of a minimum inside [lo, hi].
 
@@ -165,23 +184,41 @@ def golden_section_min(
     return best_t, best_f
 
 
+def _check_profile_r(r: float) -> None:
+    if not 1.0 < r < math.inf:
+        raise DomainError(f"the profile needs a finite r > 1 (got {r})")
+
+
+def _a_r_at_one(r: float) -> float:
+    """The t = 1 limit |ln(2^{r-1}/r)| / ((r-1) ln 2)."""
+    return abs((r - 1.0) * _LN2 - math.log(r)) / ((r - 1.0) * _LN2)
+
+
+def _a_r(r, t: np.ndarray, at_one) -> np.ndarray:
+    """a_r(t) without input checks: ``r`` broadcasts against ``t``, and
+    ``at_one`` is ``_a_r_at_one`` of each r.
+
+    Call it inside ``np.errstate(divide="ignore", invalid="ignore")``: the
+    formula is 0/0 at both ends, where the limits replace it.  ``t`` must be
+    an array, never a Python or numpy scalar, so that every power and
+    logarithm runs numpy's array loops and the bits do not depend on the
+    caller.
+    """
+    tr = t**r
+    num = np.abs(np.log((1.0 + t) ** (r - 1.0) * (1.0 - t) / (1.0 - tr)))
+    den = r * np.log1p(t) - np.log1p(tr)
+    vals = np.where(t < _SINGULAR_T, abs(r - 2.0) / r, num / den)
+    return np.where(t > 1.0 - _SINGULAR_T, at_one, vals)
+
+
 def a_r_values(r: float, t: np.ndarray) -> np.ndarray:
     """Vectorized a_r(t) over an array of t in [0, 1], with limit endpoints."""
-    if not r > 1.0:
-        raise DomainError(f"the profile needs r > 1 (got {r})")
+    _check_profile_r(r)
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0) or np.any(t > 1.0):
+    if not np.all((t >= 0.0) & (t <= 1.0)):
         raise DomainError("t must lie in [0, 1]")
-    near0 = t < _SINGULAR_T
-    near1 = t > 1.0 - _SINGULAR_T
     with np.errstate(divide="ignore", invalid="ignore"):
-        num = np.abs(np.log((1.0 + t) ** (r - 1.0) * (1.0 - t) / (1.0 - t**r)))
-        den = r * np.log1p(t) - np.log1p(t**r)
-        vals = num / den
-    vals = np.where(near0, abs(r - 2.0) / r, vals)
-    limit1 = abs((r - 1.0) * _LN2 - math.log(r)) / ((r - 1.0) * _LN2)
-    vals = np.where(near1, limit1, vals)
-    return vals
+        return _a_r(r, t, _a_r_at_one(r))
 
 
 def a_r_fn(r: float, t: float) -> float:
@@ -190,24 +227,91 @@ def a_r_fn(r: float, t: float) -> float:
 
 
 def min_a_r(
-    r: float, *, grid_points: int = 2049, xtol: float = 1e-10
+    r: float, *, grid_points: int = _PROFILE_GRID_POINTS, xtol: float = _PROFILE_XTOL
 ) -> tuple[float, float]:
     """Global minimum of a_r over [0, 1]: a dense grid refined by golden section.
 
     No unimodality is assumed: the grid localizes the global minimum and
     golden section only polishes the best cell.  Returns (t_star, a_star).
     """
+    _check_profile_r(r)
     if grid_points < 3:
         raise DomainError("grid_points must be at least 3")
     ts = np.linspace(0.0, 1.0, grid_points)
-    vals = a_r_values(r, ts)
-    i = int(np.argmin(vals))
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, grid_points - 1)]
-    t_star, a_star = golden_section_min(lambda u: a_r_fn(r, u), lo, hi, xtol=xtol)
+    at_one = _a_r_at_one(r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = _a_r(r, ts, at_one)
+        i = int(np.argmin(vals))
+        lo = ts[max(i - 1, 0)]
+        hi = ts[min(i + 1, grid_points - 1)]
+        t_star, a_star = golden_section_min(
+            lambda u: _a_r(r, np.array([u]), at_one)[0], lo, hi, xtol=xtol
+        )
     if vals[i] < a_star:
-        t_star, a_star = float(ts[i]), float(vals[i])
+        t_star, a_star = ts[i], vals[i]
     return float(t_star), float(a_star)
+
+
+def _min_a_r_rows(rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``min_a_r(r)`` for every r in ``rs`` (each a finite r > 1), bit for bit.
+
+    One grid evaluation of shape (len(rs), 2049), then one golden section
+    per r, all stepped in lockstep.  Returns the arrays (t_star, a_star).
+    """
+    rs = np.asarray(rs, dtype=float)
+    at_one = np.array([_a_r_at_one(r) for r in rs])
+    ts = np.linspace(0.0, 1.0, _PROFILE_GRID_POINTS)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = _a_r(rs[:, None], ts, at_one[:, None])
+        i = np.argmin(vals, axis=1)
+        grid_t, grid_f = ts[i], vals[np.arange(len(rs)), i]
+        t_star, a_star = _golden_section_rows(
+            lambda u: _a_r(rs, u, at_one),
+            ts[np.maximum(i - 1, 0)],
+            ts[np.minimum(i + 1, len(ts) - 1)],
+            xtol=_PROFILE_XTOL,
+        )
+    grid_wins = grid_f < a_star
+    return np.where(grid_wins, grid_t, t_star), np.where(grid_wins, grid_f, a_star)
+
+
+def _golden_section_rows(
+    f: Callable[[np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    *,
+    xtol: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``golden_section_min`` on every bracket [lo[k], hi[k]] in lockstep.
+
+    ``f`` maps one point per lane to its value.  Each lane takes the steps
+    that ``golden_section_min`` takes on its bracket; a lane that has
+    converged still moves, but no longer updates its best point.
+    """
+
+    def keep_best(best_t, best_f, t, ft, active=True):
+        better = active & (ft < best_f)
+        return np.where(better, t, best_t), np.where(better, ft, best_f)
+
+    best_t, best_f = keep_best(lo, f(lo), hi, f(hi))
+    a, b = lo, hi
+    c = b - (b - a) * _INV_PHI
+    d = a + (b - a) * _INV_PHI
+    fc, fd = f(c), f(d)
+    best_t, best_f = keep_best(best_t, best_f, c, fc)
+    best_t, best_f = keep_best(best_t, best_f, d, fd)
+    for _ in range(_GOLDEN_MAX_ITER):
+        active = b - a > xtol
+        if not active.any():
+            break
+        left = fc < fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        t = np.where(left, b - (b - a) * _INV_PHI, a + (b - a) * _INV_PHI)
+        ft = f(t)
+        c, d = np.where(left, t, d), np.where(left, c, t)
+        fc, fd = np.where(left, ft, fd), np.where(left, fc, ft)
+        best_t, best_f = keep_best(best_t, best_f, t, ft, active)
+    return best_t, best_f
 
 
 def _t1_gap(r: float, t: float) -> float:

@@ -102,6 +102,14 @@ class TestThresholdCommand:
         code, _, err = invoke(["threshold", "--which", "t1", "--r", "2.5"], capsys)
         assert code == 2
 
+    def test_non_finite_profile_order_exit_two(self, capsys):
+        for argv in (["threshold", "--which", "min-a", "--r", "inf"],
+                     ["sweep", "--quantity", "a-r-profile", "--r", "inf", "--grid", "0,1,3"]):
+            code, out, err = invoke(argv, capsys)
+            assert code == 2, argv
+            assert out == ""
+            assert "finite" in err
+
 
 class TestSearchCommands:
     def test_sharpness(self, capsys):
