@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MeanIneqError
-from .inequalities import CheckStatus, InequalityId, check
+from .inequalities import _CATALOG, CheckStatus, InequalityId, check
 from .means import Configuration, power_mean
 from .search import SearchBudget, counterexample_hunt, sharpness_probe
 from .thresholds import (
@@ -79,11 +79,13 @@ class RunConfig:
         )
 
 
-def _floats(text: str) -> list[float]:
+def _floats(value) -> list[float]:
+    """Numbers given as a comma-separated string or, in a config file, as a list."""
+    parts = value if isinstance(value, list) else str(value).split(",")
     try:
-        return [float(part) for part in str(text).split(",") if part != ""]
-    except ValueError as exc:
-        raise MeanIneqError(f"could not parse number list {text!r}") from exc
+        return [float(part) for part in parts if part != ""]
+    except (TypeError, ValueError) as exc:
+        raise MeanIneqError(f"could not parse number list {value!r}") from exc
 
 
 def _grid_triplet(text: str) -> tuple[float, float, int]:
@@ -98,8 +100,7 @@ def _configuration(options: dict) -> Configuration:
     q = options.get("q")
     if x is None or q is None:
         raise MeanIneqError("both --x and --q are required")
-    xs = _floats(x) if not isinstance(x, list) else [float(v) for v in x]
-    qs = _floats(q) if not isinstance(q, list) else [float(v) for v in q]
+    xs, qs = _floats(x), _floats(q)
     total = sum(qs)
     if abs(total - 1.0) > 1e-6:
         raise MeanIneqError(
@@ -112,8 +113,7 @@ def _configuration(options: dict) -> Configuration:
 def _ineq_params(options: dict) -> dict:
     out: dict = {}
     if options.get("triple") is not None:
-        trip = options["triple"]
-        trip = _floats(trip) if not isinstance(trip, list) else [float(v) for v in trip]
+        trip = _floats(options["triple"])
         if len(trip) != 3:
             raise MeanIneqError("--triple expects three comma-separated orders")
         out["triple"] = tuple(trip)
@@ -167,27 +167,39 @@ def _exec_check(options: dict):
     return report.to_json_dict(), code
 
 
+def _lookup(table: dict, options: dict, key: str, what: str):
+    """The entry of ``table`` that option ``key`` names."""
+    name = options.get(key)
+    if name is None:
+        raise MeanIneqError(f"--{key} is required")
+    if name not in table:
+        raise MeanIneqError(f"unknown {what} {name!r}")
+    return table[name]
+
+
+def _at_r(report):
+    """A threshold solved at --r: ``report(r)``, once --r is given."""
+    def run(options: dict):
+        if options.get("r") is None:
+            raise MeanIneqError(f"--r is required for --which {options['which']}")
+        return report(float(options["r"]))
+
+    return run
+
+
+# --which: each threshold's report.
+_THRESHOLDS = {
+    "r0": lambda options: solve_r0().to_json_dict(),
+    "t1": _at_r(lambda r: solve_t1(r).to_json_dict()),
+    "t2": _at_r(lambda r: solve_t2(r).to_json_dict()),
+    "alpha-upper": _at_r(lambda r: {"r": r, "value": alpha_threshold_upper(r)}),
+    "alpha-lower": _at_r(lambda r: {"r": r, "value": alpha_threshold_lower(r)}),
+    "min-a": _at_r(lambda r: dict(zip(("r", "t_star", "a_star"), (r, *min_a_r(r))))),
+}
+
+
 def _exec_threshold(options: dict):
-    which = options.get("which")
-    if which is None:
-        raise MeanIneqError("--which is required")
-    if which == "r0":
-        return solve_r0().to_json_dict(), EXIT_OK
-    if options.get("r") is None:
-        raise MeanIneqError(f"--r is required for --which {which}")
-    r = float(options["r"])
-    if which == "t1":
-        return solve_t1(r).to_json_dict(), EXIT_OK
-    if which == "t2":
-        return solve_t2(r).to_json_dict(), EXIT_OK
-    if which == "alpha-upper":
-        return {"r": r, "value": alpha_threshold_upper(r)}, EXIT_OK
-    if which == "alpha-lower":
-        return {"r": r, "value": alpha_threshold_lower(r)}, EXIT_OK
-    if which == "min-a":
-        t_star, a_star = min_a_r(r)
-        return {"r": r, "t_star": t_star, "a_star": a_star}, EXIT_OK
-    raise MeanIneqError(f"unknown threshold {which!r}")
+    return _lookup(_THRESHOLDS, options, "which", "threshold")(options), EXIT_OK
 
 
 def _exec_sharpness(options: dict):
@@ -220,56 +232,60 @@ def _exec_hunt(options: dict):
     return report.to_json_dict(), code
 
 
+def _sweep_profile(options: dict, lo: float, hi: float, axis: np.ndarray) -> dict:
+    if options.get("r") is None:
+        raise MeanIneqError("--r is required for the profile sweep")
+    r = float(options["r"])
+    if not 0.0 <= lo <= hi <= 1.0:
+        raise MeanIneqError("the profile sweep needs a t-grid inside [0, 1]")
+    rows = [[t, a] for t, a in zip(axis.tolist(), a_r_values(r, axis).tolist())]
+    return {"columns": ["t", "a_r"], "rows": rows}
+
+
+def _sweep_alpha_threshold(options: dict, lo: float, hi: float, axis: np.ndarray) -> dict:
+    rows = []
+    for r in axis.tolist():
+        if 1.0 < r < 2.0:
+            rows.append([r, alpha_threshold_upper(r)])
+        elif r > 2.0:
+            rows.append([r, alpha_threshold_lower(r)])
+        else:
+            raise MeanIneqError(
+                f"alpha threshold undefined at r = {r}; grid must avoid r <= 1 and r = 2"
+            )
+    return {"columns": ["r", "alpha"], "rows": rows}
+
+
+def _sweep_residual_boundary(options: dict, lo: float, hi: float, axis: np.ndarray) -> dict:
+    tag = InequalityId(options.get("ineq") or "diananda-base-upper")
+    if tag not in (InequalityId.DIANANDA_BASE_UPPER, InequalityId.DIANANDA_BASE_LOWER):
+        raise MeanIneqError("the boundary sweep applies to the parameter-free base inequalities")
+    if not 0.0 < lo <= hi <= 0.5:
+        raise MeanIneqError("the boundary sweep needs a q-grid inside (0, 1/2]")
+    rows = []
+    for q in axis.tolist():
+        low = check(tag, Configuration([0.0, 1.0], [q, 1.0 - q]))
+        high = check(tag, Configuration([0.0, 1.0], [1.0 - q, q]))
+        rows.append([q, low.residual, high.residual])
+    return {"columns": ["q", "residual_min_on_zero", "residual_min_on_unit"], "rows": rows}
+
+
+# --quantity: each sweep's table over the grid (lo, hi, points).
+_SWEEPS = {
+    "a-r-profile": _sweep_profile,
+    "alpha-threshold": _sweep_alpha_threshold,
+    "residual-boundary": _sweep_residual_boundary,
+}
+
+
 def _exec_sweep(options: dict):
-    quantity = options.get("quantity")
-    if quantity is None:
-        raise MeanIneqError("--quantity is required")
+    sweep = _lookup(_SWEEPS, options, "quantity", "sweep quantity")
     if options.get("grid") is None:
         raise MeanIneqError("--grid lo,hi,count is required")
     lo, hi, count = _grid_triplet(options["grid"])
     if count < 1:
         raise MeanIneqError("grid count must be positive")
-    axis = np.linspace(lo, hi, count)
-    if quantity == "a-r-profile":
-        if options.get("r") is None:
-            raise MeanIneqError("--r is required for the profile sweep")
-        r = float(options["r"])
-        if not 0.0 <= lo <= hi <= 1.0:
-            raise MeanIneqError("the profile sweep needs a t-grid inside [0, 1]")
-        rows = [[t, a] for t, a in zip(axis.tolist(), a_r_values(r, axis).tolist())]
-        return {"columns": ["t", "a_r"], "rows": rows}, EXIT_OK
-    if quantity == "alpha-threshold":
-        rows = []
-        for r in axis:
-            r = float(r)
-            if 1.0 < r < 2.0:
-                rows.append([r, alpha_threshold_upper(r)])
-            elif r > 2.0:
-                rows.append([r, alpha_threshold_lower(r)])
-            else:
-                raise MeanIneqError(
-                    f"alpha threshold undefined at r = {r}; grid must avoid r <= 1 and r = 2"
-                )
-        return {"columns": ["r", "alpha"], "rows": rows}, EXIT_OK
-    if quantity == "residual-boundary":
-        tag = InequalityId(options.get("ineq") or "diananda-base-upper")
-        if tag not in (InequalityId.DIANANDA_BASE_UPPER, InequalityId.DIANANDA_BASE_LOWER):
-            raise MeanIneqError(
-                "the boundary sweep applies to the parameter-free base inequalities"
-            )
-        if not 0.0 < lo <= hi <= 0.5:
-            raise MeanIneqError("the boundary sweep needs a q-grid inside (0, 1/2]")
-        rows = []
-        for q in axis:
-            q = float(q)
-            low = check(tag, Configuration([0.0, 1.0], [q, 1.0 - q]))
-            high = check(tag, Configuration([0.0, 1.0], [1.0 - q, q]))
-            rows.append([q, low.residual, high.residual])
-        return {
-            "columns": ["q", "residual_min_on_zero", "residual_min_on_unit"],
-            "rows": rows,
-        }, EXIT_OK
-    raise MeanIneqError(f"unknown sweep quantity {quantity!r}")
+    return sweep(options, lo, hi, np.linspace(lo, hi, count)), EXIT_OK
 
 
 _EXECUTORS = {
@@ -281,7 +297,8 @@ _EXECUTORS = {
     "sweep": _exec_sweep,
 }
 
-_INEQ_NAMES = ", ".join(tag.value for tag in InequalityId)
+_INEQ_HELP = "inequality tag, with its stated hypotheses: " + "; ".join(
+    f"{id.value} ({tag.hypotheses})" for id, tag in _CATALOG.items())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     config_common.add_argument("--q", help="comma-separated weights (sum within 1e-6 of 1)")
 
     ineq_common = argparse.ArgumentParser(add_help=False)
-    ineq_common.add_argument("--ineq", help=f"inequality tag: one of {_INEQ_NAMES}")
+    ineq_common.add_argument("--ineq", help=_INEQ_HELP)
     ineq_common.add_argument("--triple", help="three comma-separated mean orders")
     ineq_common.add_argument("--alpha", type=float, help="comparison exponent")
     ineq_common.add_argument("--r", type=float, help="mean order parameter")
@@ -329,8 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threshold", parents=[common],
                        help="solve a sharp parameter threshold")
-    p.add_argument("--which", choices=("r0", "t1", "t2", "alpha-upper",
-                                       "alpha-lower", "min-a"))
+    p.add_argument("--which", choices=tuple(_THRESHOLDS))
     p.add_argument("--r", type=float, help="mean order where applicable")
 
     sub.add_parser("sharpness", parents=[common, ineq_common, search_common],
@@ -343,8 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[common],
                        help="emit a plot-ready table for one quantity")
-    p.add_argument("--quantity", choices=("a-r-profile", "alpha-threshold",
-                                          "residual-boundary"))
+    p.add_argument("--quantity", choices=tuple(_SWEEPS))
     p.add_argument("--r", type=float, help="mean order for the profile sweep")
     p.add_argument("--grid", help="axis as lo,hi,count")
     p.add_argument("--ineq", help="base inequality for the boundary sweep")

@@ -2,34 +2,10 @@
 
 Every tag is an inequality of the form ``lhs <= rhs`` between expressions
 in the weighted power means of one configuration, oriented so that the
-claim holds exactly when ``residual = rhs - lhs >= 0``:
+claim holds exactly when ``residual = rhs - lhs >= 0`` (r0 is the root of
+(3r + 1) 3^{1/r} = 63/4 in (1/2, 1)):
 
-====================== ========================================================
-tag                     claim (q = min weight, A = M_1, G = M_0)
-====================== ========================================================
-diananda-upper          delta(r,s,t,alpha) <= C_{r,s,t}((1-q)^alpha)
-diananda-lower          C_{r,s,t}(q^alpha) <= delta(r,s,t,alpha)
-diananda-base-upper     M_{1/2} <= (1-q) A + q G
-diananda-base-lower     q A + (1-q) G <= M_{1/2}
-mix-variance-upper      M_{1/r} - q^{r-1} A - (1-q^{r-1}) G
-                          <= (1/r - q^{r-1}) sigma / (2 x_1),      r >= 2
-mix-variance-lower      (1/r - (1-q)^{r-1}) sigma / (2 x_1)
-                          <= M_{1/r} - (1-q)^{r-1} A - (1-(1-q)^{r-1}) G,
-                                                                   1 < r <= 2
-cartwright-field-lower  (r-s) sigma / (2 x_n) <= M_r - M_s,        r > s
-cartwright-field-upper  M_r - M_s <= (r-s) sigma / (2 x_1),        r > s
-mg-sigma-lower          r sigma / (2 x_n) <= M_r - G
-mg-sigma-upper          M_r - G <= r sigma / (2 x_1)
-half-mean-lower         q^{2-1/r} M_r + (1-q^{2-1/r}) G <= M_{1/2},
-                                                                   1/2 < r <= 1
-half-mean-upper         M_{1/2} <= (1-q)^{2-1/r} M_r + (1-(1-q)^{2-1/r}) G,
-                                                                   r >= 1
-half-mean-var-upper     M_{1/2} - q^{2-1/r} M_r - (1-q^{2-1/r}) G
-                          <= (1/2 - r q^{2-1/r}) sigma / (2 x_1),  r0 <= r <= 1
-half-mean-var-lower     (1/2 - r (1-q)^{2-1/r}) sigma / (2 x_1)
-                          <= M_{1/2} - (1-q)^{2-1/r} M_r - (1-(1-q)^{2-1/r}) G,
-                                                                   1 <= r <= 2
-====================== ========================================================
+@CATALOG@
 
 The mg-sigma pair is a candidate family whose exact validity frontier in r
 is probed by the search module rather than assumed, so its only hypothesis
@@ -38,11 +14,11 @@ parameter hypotheses (the counterexample hunter relies on this); the
 structural requirements of the formulas themselves are never bypassed.
 
 Each tag is one entry of a catalog table: how its parameters resolve, its
-stated hypotheses, whether it needs x_1 > 0, and its (lhs, rhs) formula,
-written once over a means record.  :func:`check` evaluates the formula on
-the floats of one configuration; :func:`relative_residuals` evaluates it
-on the arrays of a :class:`ConfigurationBatch`, with the same result row
-by row.
+claim and stated hypotheses (the table above is rendered from them), and
+its (lhs, rhs) formula, written once over a means record.  :func:`check`
+evaluates the formula on the floats of one configuration;
+:func:`relative_residuals` evaluates it on the arrays of a
+:class:`ConfigurationBatch`, with the same result row by row.
 """
 
 from __future__ import annotations
@@ -54,6 +30,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._tables import with_table
 from .errors import DegenerateInput, DomainError
 from .means import (
     DEFAULT_ABS_FLOOR,
@@ -237,9 +214,16 @@ def _need_param(value, name: str, tag: InequalityId):
     return value
 
 
+def _finite_param(value, name: str, tag: InequalityId) -> float:
+    value = float(_need_param(value, name, tag))
+    if not math.isfinite(value):
+        raise DomainError(f"{tag.value} needs a finite {name} (got {value})")
+    return value
+
+
 def _triple_params(tag, triple, alpha, r, s) -> dict:
     r, s, t = order_triple(*_need_param(triple, "triple", tag))
-    alpha = float(alpha if alpha is not None else 1.0)
+    alpha = _finite_param(1.0 if alpha is None else alpha, "alpha", tag)
     # not a hypothesis: C((1-q)^alpha) and C(q^alpha) need an argument in (0, 1)
     if not alpha > 0.0:
         raise DomainError("the exponent alpha must be positive")
@@ -251,15 +235,15 @@ def _no_params(tag, triple, alpha, r, s) -> dict:
 
 
 def _order_params(tag, triple, alpha, r, s) -> dict:
-    r = float(_need_param(r, "r", tag))
+    r = _finite_param(r, "r", tag)
     if r == 0.0:
         raise DomainError("the mean order r must be nonzero")
     return {"r": r}
 
 
 def _pair_params(tag, triple, alpha, r, s) -> dict:
-    r = float(_need_param(r, "r", tag))
-    s = float(_need_param(s, "s", tag))
+    r = _finite_param(r, "r", tag)
+    s = _finite_param(s, "s", tag)
     if not r > s:
         raise DomainError("the mean-difference bounds need r > s")
     return {"r": r, "s": s}
@@ -351,63 +335,92 @@ def _half_mean_var(upper: bool):
     return sides
 
 
+@dataclass(frozen=True)
 class _Tag:
-    """A catalog entry: parameters, stated hypotheses, and the two sides.
+    """A catalog entry: parameters, claim, stated hypotheses, and the two sides.
 
     ``params`` resolves and checks the parameters the formula itself
-    needs (``force`` never skips these); ``hypothesis`` is the stated
-    parameter range, and ``positive_min`` the x_1 > 0 requirement, both
-    skipped under ``force``; ``sides`` maps a means record and the
-    resolved parameters to (lhs, rhs).
+    needs (``force`` never skips these).  ``claim`` is the inequality as
+    documented, ``stated`` its stated parameter range and ``in_range`` the
+    test of that range; ``in_range`` and ``positive_min`` (the x_1 > 0
+    requirement) are skipped under ``force``.  ``sides`` maps a means
+    record and the resolved parameters to (lhs, rhs).
     """
 
-    def __init__(self, params: Callable[..., dict], sides: Callable,
-                 hypothesis: Callable[[dict], bool] | None = None, message: str = "",
-                 positive_min: bool = False) -> None:
-        self.params = params
-        self.sides = sides
-        self.hypothesis = hypothesis
-        self.message = message
-        self.positive_min = positive_min
+    params: Callable[..., dict]
+    sides: Callable
+    claim: str
+    stated: str = ""
+    in_range: Callable[[dict], bool] | None = None
+    positive_min: bool = False
+
+    @property
+    def hypotheses(self) -> str:
+        """The stated hypotheses as documented: the range, then x_1 > 0."""
+        x1 = "x_1 > 0" if self.positive_min else ""
+        return ", ".join(h for h in (self.stated, x1) if h) or "none"
 
     def resolve(self, id, triple, alpha, r, s, force: bool) -> dict:
         params = self.params(id, triple, alpha, r, s)
-        if not force and self.hypothesis is not None and not self.hypothesis(params):
-            raise DomainError(self.message)
+        if not force and self.in_range is not None and not self.in_range(params):
+            raise DomainError(f"{id.value} is stated for {self.stated}")
         return params
 
 
+_TRIPLE = "distinct r > s > t >= 0, alpha > 0"
 _I = InequalityId
 _CATALOG: dict[InequalityId, _Tag] = {
-    _I.DIANANDA_UPPER: _Tag(_triple_params, _diananda(True)),
-    _I.DIANANDA_LOWER: _Tag(_triple_params, _diananda(False)),
-    _I.DIANANDA_BASE_UPPER: _Tag(_no_params, _base(True)),
-    _I.DIANANDA_BASE_LOWER: _Tag(_no_params, _base(False)),
+    _I.DIANANDA_UPPER: _Tag(
+        _triple_params, _diananda(True),
+        "delta(r,s,t,alpha) <= C_{r,s,t}((1-q)^alpha)", _TRIPLE),
+    _I.DIANANDA_LOWER: _Tag(
+        _triple_params, _diananda(False),
+        "C_{r,s,t}(q^alpha) <= delta(r,s,t,alpha)", _TRIPLE),
+    _I.DIANANDA_BASE_UPPER: _Tag(_no_params, _base(True), "M_{1/2} <= (1-q) A + q G"),
+    _I.DIANANDA_BASE_LOWER: _Tag(_no_params, _base(False), "q A + (1-q) G <= M_{1/2}"),
     _I.MIX_VARIANCE_UPPER: _Tag(
-        _order_params, _mix_variance(True), lambda p: p["r"] >= 2.0,
-        "the upper mix bound needs r >= 2", positive_min=True),
+        _order_params, _mix_variance(True),
+        "M_{1/r} - q^{r-1} A - (1-q^{r-1}) G <= (1/r - q^{r-1}) sigma / (2 x_1)",
+        "r >= 2", lambda p: p["r"] >= 2.0, positive_min=True),
     _I.MIX_VARIANCE_LOWER: _Tag(
-        _order_params, _mix_variance(False), lambda p: 1.0 < p["r"] <= 2.0,
-        "the lower mix bound needs 1 < r <= 2", positive_min=True),
-    _I.CARTWRIGHT_FIELD_LOWER: _Tag(_pair_params, _cartwright_field(False), positive_min=True),
-    _I.CARTWRIGHT_FIELD_UPPER: _Tag(_pair_params, _cartwright_field(True), positive_min=True),
-    _I.MG_SIGMA_LOWER: _Tag(_order_params, _mg_sigma(False), positive_min=True),
-    _I.MG_SIGMA_UPPER: _Tag(_order_params, _mg_sigma(True), positive_min=True),
+        _order_params, _mix_variance(False),
+        "(1/r - (1-q)^{r-1}) sigma / (2 x_1) <= M_{1/r} - (1-q)^{r-1} A - (1-(1-q)^{r-1}) G",
+        "1 < r <= 2", lambda p: 1.0 < p["r"] <= 2.0, positive_min=True),
+    _I.CARTWRIGHT_FIELD_LOWER: _Tag(
+        _pair_params, _cartwright_field(False), "(r-s) sigma / (2 x_n) <= M_r - M_s",
+        "r > s", positive_min=True),
+    _I.CARTWRIGHT_FIELD_UPPER: _Tag(
+        _pair_params, _cartwright_field(True), "M_r - M_s <= (r-s) sigma / (2 x_1)",
+        "r > s", positive_min=True),
+    _I.MG_SIGMA_LOWER: _Tag(
+        _order_params, _mg_sigma(False), "r sigma / (2 x_n) <= M_r - G", positive_min=True),
+    _I.MG_SIGMA_UPPER: _Tag(
+        _order_params, _mg_sigma(True), "M_r - G <= r sigma / (2 x_1)", positive_min=True),
     _I.HALF_MEAN_LOWER: _Tag(
-        _order_params, _half_mean(False), lambda p: 0.5 < p["r"] <= 1.0,
-        "the lower half-mean bound needs 1/2 < r <= 1"),
+        _order_params, _half_mean(False), "q^{2-1/r} M_r + (1-q^{2-1/r}) G <= M_{1/2}",
+        "1/2 < r <= 1", lambda p: 0.5 < p["r"] <= 1.0),
     _I.HALF_MEAN_UPPER: _Tag(
-        _order_params, _half_mean(True), lambda p: p["r"] >= 1.0,
-        "the upper half-mean bound needs r >= 1"),
+        _order_params, _half_mean(True), "M_{1/2} <= (1-q)^{2-1/r} M_r + (1-(1-q)^{2-1/r}) G",
+        "r >= 1", lambda p: p["r"] >= 1.0),
     _I.HALF_MEAN_VAR_UPPER: _Tag(
         _order_params, _half_mean_var(True),
+        "M_{1/2} - q^{2-1/r} M_r - (1-q^{2-1/r}) G <= (1/2 - r q^{2-1/r}) sigma / (2 x_1)",
+        "r0 <= r <= 1",
         lambda p: r0_value() - _HYPOTHESIS_SLACK <= p["r"] <= 1.0 + _HYPOTHESIS_SLACK,
-        "the variance-corrected upper half-mean bound needs r0 <= r <= 1", positive_min=True),
+        positive_min=True),
     _I.HALF_MEAN_VAR_LOWER: _Tag(
         _order_params, _half_mean_var(False),
+        "(1/2 - r (1-q)^{2-1/r}) sigma / (2 x_1)"
+        " <= M_{1/2} - (1-q)^{2-1/r} M_r - (1-(1-q)^{2-1/r}) G",
+        "1 <= r <= 2",
         lambda p: 1.0 - _HYPOTHESIS_SLACK <= p["r"] <= 2.0 + _HYPOTHESIS_SLACK,
-        "the variance-corrected lower half-mean bound needs 1 <= r <= 2", positive_min=True),
+        positive_min=True),
 }
+
+_HEADER = ("tag", "claim (q = min weight, A = M_1, G = M_0)", "stated hypotheses")
+__doc__ = with_table(__doc__, [_HEADER] + [
+    (id.value, tag.claim, tag.hypotheses) for id, tag in _CATALOG.items()
+], (56, 24))
 
 
 def resolve_params(
@@ -468,7 +481,7 @@ def check(
     tag = _CATALOG[id]
     params = tag.resolve(id, triple, alpha, r, s, force)
     if tag.positive_min and not force and config.x[0] <= 0.0:
-        raise DomainError("this inequality is stated for x_1 > 0")
+        raise DomainError(f"{id.value} is stated for x_1 > 0")
     try:
         lhs, rhs = tag.sides(_Means(config, q), params)
     except DegenerateInput:

@@ -483,7 +483,9 @@ def delta_rows(batch: ConfigurationBatch, params: DeltaParams) -> np.ndarray:
 
 
 def order_triple(a: float, b: float, c: float) -> tuple[float, float, float]:
-    """Rearrange three distinct nonnegative orders descending as (r, s, t)."""
+    """Rearrange three distinct, finite, nonnegative orders descending as (r, s, t)."""
+    if not all(math.isfinite(v) for v in (a, b, c)):
+        raise DomainError(f"the triple's orders must be finite (got {(a, b, c)})")
     r, s, t = sorted((a, b, c), reverse=True)
     if r == s or s == t:
         raise DomainError(f"orders must be mutually distinct (got {(a, b, c)})")

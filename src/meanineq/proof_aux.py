@@ -4,42 +4,9 @@ Each tag packages one scalar function that carries the weight of a step in
 the validity proofs, together with the sign (or bound) it is claimed to
 satisfy on a stated domain.  ``aux_eval`` evaluates the raw value at one
 point; ``aux_sign_check`` sweeps a grid over the claimed domain and
-reports the worst point.
+reports the worst point.  The table is rendered from the catalog entries:
 
-========================= ====================================================
-tag (args)                 function and claim
-========================= ====================================================
-core-upper (r, a, t)       (1-t^r)/((1+t)^{r-1}(1-t)) - ((1+t)^r/(1+t^r))^a
-                           >= 0 for 1 < r <= 2, a <= min-profile(r)
-core-lower (r, a, t)       (1+t)^{r-1}(1-t)/(1-t^r) - ((1+t)^r/(1+t^r))^a
-                           >= 0 for r >= 2, a <= min(1-1/r, min-profile(r))
-shifted-ratio-monotone     finite difference in s of
-  (r, p, s, z)             ln[(z+s)^{p-1}/(z^r+s)^{p/r-1}]
-                           >= 0 for z > 1, p >= r > 1, 0 <= s <= 1
-linear-gap-bound (r, a, t) gap(r, t) - a r t >= 0 where gap is the scalar
-                           core gap (upper branch for 1 < r < 2, lower for
-                           r > 2), for a up to the solved gap exponent
-binomial-chain (r, t)      (1+t)^{r-1} - (1-t^r)/(1-t) - (r-2) t >= 0,
-                           r >= 4
-growth-ratio-monotone      d/dr [(1+t)^r/(1-t^r)] >= 0 for r >= 2,
-  (r, t)                   0 < t < 1
-envelope-hi-weight (q, r)  (1-2q)/3 + (r-1/3) q^{2-1/r} + (2/3) q^{3-1/r}
-                           <= 1/2 for 0 < q <= 1/2, r in [r0, 1]
-envelope-lo-weight (q, r)  ((1-r)(2r-1)(1-2q)/3 + r) q^{2-1/r} <= 1/2,
-                           same domain
-tangent-slope (q, r)       -1/2 - 2q + 2r q^{2-1/r} + 2 q^{3-1/r} <= 0 for
-                           0 < q <= 1/3, r in [r0, 1]; vanishes at q = 1/3,
-                           r = r0
-tangent-cubic (x, q, r)    -1/2 + q^{2-1/r}(1-r) x + (1-q^{2-1/r}) x^{1-2q}
-                           - (1/2 - r q^{2-1/r}) x^3 <= 0 for x >= 1,
-                           q <= 1/3, r in [r0, 1]; vanishes at x = 1
-exponent-margin (x, r)     r x^{2-1/r} - 1/2 - x + x^{3-1/r} >= 0 for
-                           3/4 <= x <= 1, 1 <= r <= 2
-three-sample-lower         y^E - q2 y/(1-q3) - q1/(1-q3) >= 0 for y >= 1,
-  (y, q1, q2, q3, r)       1 <= r <= 2 and admissible weights, where
-                           E = q2 / (r + 1 - q3 - (r-1/2)/(1-(1-q)^{2-1/r}))
-                           and admissible means that denominator is > 0
-========================= ====================================================
+@CATALOG@
 
 Removable 0/0 points (t at 1 for the core/gap/chain functions) are handled
 by explicit limit branches within 1e-8 of the singularity.  All functions
@@ -61,6 +28,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._tables import with_table
 from .errors import DomainError
 from .thresholds import (
     _SINGULAR_T,
@@ -190,16 +158,8 @@ def _core_lower(r, a, t):
 
 
 def _shifted_ratio_monotone(r, p, s, z):
-    # Central finite difference of ln[(z+s)^{p-1}/(z^r+s)^{p/r-1}] in s,
-    # one-sided at the ends of [0, 1].
-    h = 1e-4
-    s_lo = np.maximum(s - h, 0.0)
-    s_hi = np.minimum(s + h, 1.0)
-
-    def logratio(sv):
-        return (p - 1.0) * np.log(z + sv) - (p / r - 1.0) * np.log(z**r + sv)
-
-    return (logratio(s_hi) - logratio(s_lo)) / (s_hi - s_lo)
+    # d/ds ln[(z+s)^{p-1}/(z^r+s)^{p/r-1}]
+    return (p - 1.0) / (z + s) - (p / r - 1.0) / (z**r + s)
 
 
 def _linear_gap_bound(r, a, t):
@@ -262,72 +222,16 @@ def _three_sample_lower(y, q1, q2, q3, r):
 
 
 # ---------------------------------------------------------------------------
-# Scalar-call domain validation, one per tag.
+# Scalar-call domains: a test of one argument tuple, and its description.
 
-def _check_weights(q1, q2, q3):
-    if min(q1, q2, q3) <= 0.0 or abs(q1 + q2 + q3 - 1.0) > 1e-9:
-        raise DomainError("weights must be positive and sum to 1")
-
-
-def _validate_core(r, a, t):
-    if not r > 1.0:
-        raise DomainError("the scalar cores need r > 1")
-    if not 0.0 <= t <= 1.0:
-        raise DomainError("t must lie in [0, 1]")
-    if a < 0.0:
-        raise DomainError("the exponent perturbation a must be nonnegative")
+_CORE_TAKES = (lambda r, a, t: r > 1.0 and 0.0 <= t <= 1.0 and a >= 0.0,
+               "r > 1, 0 <= t <= 1, a >= 0")
+_WEIGHT_FN_TAKES = (lambda q, r: 0.0 < q < 1.0 and r > 0.5, "0 < q < 1, r > 1/2")
 
 
-def _validate_shifted(r, p, s, z):
-    if not (z > 1.0 and p >= r > 1.0 and 0.0 <= s <= 1.0):
-        raise DomainError("needs z > 1, p >= r > 1 and s in [0, 1]")
-
-
-def _validate_linear_gap(r, a, t):
-    if not (1.0 < r < 2.0 or r > 2.0):
-        raise DomainError("the gap bound needs r in (1, 2) or r > 2")
-    if not 0.0 <= t <= 1.0:
-        raise DomainError("t must lie in [0, 1]")
-    if a < 0.0:
-        raise DomainError("the exponent perturbation a must be nonnegative")
-
-
-def _validate_chain(r, t):
-    if not r > 0.0 or not 0.0 <= t <= 1.0:
-        raise DomainError("needs r > 0 and t in [0, 1]")
-
-
-def _validate_growth(r, t):
-    if not r > 0.0 or not 0.0 < t < 1.0:
-        raise DomainError("needs r > 0 and t in (0, 1)")
-
-
-def _validate_weight_fn(q, r):
-    if not 0.0 < q < 1.0:
-        raise DomainError("q must lie in (0, 1)")
-    if not r > 0.5:
-        raise DomainError("needs r > 1/2")
-
-
-def _validate_cubic(x, q, r):
-    if x <= 0.0:
-        raise DomainError("x must be positive")
-    _validate_weight_fn(q, r)
-
-
-def _validate_margin(x, r):
-    if x <= 0.0 or r <= 0.5:
-        raise DomainError("needs x > 0 and r > 1/2")
-
-
-def _validate_three_sample(y, q1, q2, q3, r):
-    _check_weights(q1, q2, q3)
-    if y < 1.0:
-        raise DomainError("y must be at least 1")
-    if not r > 0.5:
-        raise DomainError("needs r > 1/2")
-    if _three_sample_denom(q1, q2, q3, r) <= 0.0:
-        raise DomainError("weights are not admissible (nonpositive denominator)")
+def _three_sample_takes(y, q1, q2, q3, r):
+    return (min(q1, q2, q3) > 0.0 and abs(q1 + q2 + q3 - 1.0) <= 1e-9 and y >= 1.0
+            and r > 0.5 and _three_sample_denom(q1, q2, q3, r) > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +293,10 @@ def _three_sample_admissible(q1, q2, q3, r):
 class _CatalogEntry:
     fn: Callable
     args: tuple[str, ...]
+    statement: str  # the function and its claim, as documented
     claim: str  # "ge" or "le"
     bound: float
-    validate: Callable
+    takes: tuple[Callable[..., bool], str]  # the arguments aux_eval takes
     # () -> (broadcast axes for the grid arguments, domain description)
     default_grid: Callable[[], tuple[tuple[np.ndarray, ...], str]]
     admissible: Callable[..., np.ndarray] | None = None
@@ -411,15 +316,23 @@ class _CatalogEntry:
 
 _CATALOG: dict[AuxFunctionId, _CatalogEntry] = {
     AuxFunctionId.CORE_UPPER: _CatalogEntry(
-        _core_upper, ("r", "a", "t"), "ge", 0.0, _validate_core,
-        lambda: _core_axes(upper=True),
+        _core_upper, ("r", "a", "t"),
+        "(1-t^r)/((1+t)^{r-1}(1-t)) - ((1+t)^r/(1+t^r))^a >= 0"
+        " for 1 < r <= 2, a <= min-profile(r)",
+        "ge", 0.0, _CORE_TAKES, lambda: _core_axes(upper=True),
     ),
     AuxFunctionId.CORE_LOWER: _CatalogEntry(
-        _core_lower, ("r", "a", "t"), "ge", 0.0, _validate_core,
-        lambda: _core_axes(upper=False),
+        _core_lower, ("r", "a", "t"),
+        "(1+t)^{r-1}(1-t)/(1-t^r) - ((1+t)^r/(1+t^r))^a >= 0"
+        " for r >= 2, a <= min(1-1/r, min-profile(r))",
+        "ge", 0.0, _CORE_TAKES, lambda: _core_axes(upper=False),
     ),
     AuxFunctionId.SHIFTED_RATIO_MONOTONE: _CatalogEntry(
-        _shifted_ratio_monotone, ("r", "p", "s", "z"), "ge", 0.0, _validate_shifted,
+        _shifted_ratio_monotone, ("r", "p", "s", "z"),
+        "d/ds ln[(z+s)^{p-1}/(z^r+s)^{p/r-1}] = (p-1)/(z+s) - (p/r-1)/(z^r+s) >= 0"
+        " for z > 1, p >= r > 1, 0 <= s <= 1",
+        "ge", 0.0, (lambda r, p, s, z: z > 1.0 and p >= r > 1.0 and 0.0 <= s <= 1.0,
+                    "z > 1, p >= r > 1, 0 <= s <= 1"),
         lambda: (np.ix_(np.linspace(1.1, 4.0, 12), np.linspace(1.1, 8.0, 14),
                         np.linspace(0.0, 1.0, 21), np.geomspace(1.01, 100.0, 16)),
                  "r in [1.1, 4] x12, p in [1.1, 8] x14 (p >= r), s in [0, 1] x21, "
@@ -427,60 +340,87 @@ _CATALOG: dict[AuxFunctionId, _CatalogEntry] = {
         admissible=lambda r, p, s, z: p >= r,
     ),
     AuxFunctionId.LINEAR_GAP_BOUND: _CatalogEntry(
-        _linear_gap_bound, ("r", "a", "t"), "ge", 0.0, _validate_linear_gap,
+        _linear_gap_bound, ("r", "a", "t"),
+        "gap(r, t) - a r t >= 0 where gap is the scalar core gap (upper branch for"
+        " 1 < r < 2, lower for r > 2), for a up to the solved gap exponent",
+        "ge", 0.0, (lambda r, a, t: (1.0 < r < 2.0 or r > 2.0) and 0.0 <= t <= 1.0 and a >= 0.0,
+                    "1 < r < 2 or r > 2, 0 <= t <= 1, a >= 0"),
         _linear_gap_axes,
         admissible=lambda r, a, t: np.abs(r - 2.0) > 1e-9,
     ),
     AuxFunctionId.BINOMIAL_CHAIN: _CatalogEntry(
-        _binomial_chain, ("r", "t"), "ge", 0.0, _validate_chain,
+        _binomial_chain, ("r", "t"), "(1+t)^{r-1} - (1-t^r)/(1-t) - (r-2) t >= 0 for r >= 4",
+        "ge", 0.0, (lambda r, t: r > 0.0 and 0.0 <= t <= 1.0, "r > 0, 0 <= t <= 1"),
         lambda: (np.ix_(np.linspace(4.0, 8.0, 81), np.linspace(0.0, 1.0, 500)),
                  "r in [4, 8] x81, t in [0, 1] x500"),
     ),
     AuxFunctionId.GROWTH_RATIO_MONOTONE: _CatalogEntry(
-        _growth_ratio_monotone, ("r", "t"), "ge", 0.0, _validate_growth,
+        _growth_ratio_monotone, ("r", "t"), "d/dr [(1+t)^r/(1-t^r)] >= 0 for r >= 2, 0 < t < 1",
+        "ge", 0.0, (lambda r, t: r > 0.0 and 0.0 < t < 1.0, "r > 0, 0 < t < 1"),
         lambda: (np.ix_(np.linspace(2.0, 4.0, 81), np.linspace(1e-3, 1.0 - 1e-3, 500)),
                  "r in [2, 4] x81, t in (0, 1) x500"),
     ),
     AuxFunctionId.ENVELOPE_HI_WEIGHT: _CatalogEntry(
-        _envelope_hi_weight, ("q", "r"), "le", 0.5, _validate_weight_fn,
-        _weight_axes(0.5, "1/2"),
+        _envelope_hi_weight, ("q", "r"),
+        "(1-2q)/3 + (r-1/3) q^{2-1/r} + (2/3) q^{3-1/r} <= 1/2"
+        " for 0 < q <= 1/2, r in [r0, 1]",
+        "le", 0.5, _WEIGHT_FN_TAKES, _weight_axes(0.5, "1/2"),
     ),
     AuxFunctionId.ENVELOPE_LO_WEIGHT: _CatalogEntry(
-        _envelope_lo_weight, ("q", "r"), "le", 0.5, _validate_weight_fn,
-        _weight_axes(0.5, "1/2"),
+        _envelope_lo_weight, ("q", "r"),
+        "((1-r)(2r-1)(1-2q)/3 + r) q^{2-1/r} <= 1/2 for 0 < q <= 1/2, r in [r0, 1]",
+        "le", 0.5, _WEIGHT_FN_TAKES, _weight_axes(0.5, "1/2"),
     ),
     AuxFunctionId.TANGENT_SLOPE: _CatalogEntry(
-        _tangent_slope, ("q", "r"), "le", 0.0, _validate_weight_fn,
-        _weight_axes(1.0 / 3.0, "1/3"),
+        _tangent_slope, ("q", "r"),
+        "-1/2 - 2q + 2r q^{2-1/r} + 2 q^{3-1/r} <= 0 for 0 < q <= 1/3, r in [r0, 1];"
+        " vanishes at q = 1/3, r = r0",
+        "le", 0.0, _WEIGHT_FN_TAKES, _weight_axes(1.0 / 3.0, "1/3"),
     ),
     AuxFunctionId.TANGENT_CUBIC: _CatalogEntry(
-        _tangent_cubic, ("x", "q", "r"), "le", 0.0, _validate_cubic,
+        _tangent_cubic, ("x", "q", "r"),
+        "-1/2 + q^{2-1/r}(1-r) x + (1-q^{2-1/r}) x^{1-2q} - (1/2 - r q^{2-1/r}) x^3 <= 0"
+        " for x >= 1, q <= 1/3, r in [r0, 1]; vanishes at x = 1",
+        "le", 0.0, (lambda x, q, r: x > 0.0 and 0.0 < q < 1.0 and r > 0.5,
+                    "x > 0, 0 < q < 1, r > 1/2"),
         lambda: (np.ix_(np.geomspace(1.0, 100.0, 150), np.linspace(1e-3, 1.0 / 3.0, 40),
                         np.linspace(r0_value(), 1.0, 25)),
                  "x in [1, 100] x150 log, q in (0, 1/3] x40, r in [r0, 1] x25"),
     ),
     AuxFunctionId.EXPONENT_MARGIN: _CatalogEntry(
-        _exponent_margin, ("x", "r"), "ge", 0.0, _validate_margin,
+        _exponent_margin, ("x", "r"),
+        "r x^{2-1/r} - 1/2 - x + x^{3-1/r} >= 0 for 3/4 <= x <= 1, 1 <= r <= 2",
+        "ge", 0.0, (lambda x, r: x > 0.0 and r > 0.5, "x > 0, r > 1/2"),
         lambda: (np.ix_(np.linspace(0.75, 1.0, 200), np.linspace(1.0, 2.0, 100)),
                  "x in [3/4, 1] x200, r in [1, 2] x100"),
     ),
     AuxFunctionId.THREE_SAMPLE_LOWER: _CatalogEntry(
-        _three_sample_lower, ("y", "q1", "q2", "q3", "r"), "ge", 0.0,
-        _validate_three_sample, _three_sample_axes,
+        _three_sample_lower, ("y", "q1", "q2", "q3", "r"),
+        "y^E - q2 y/(1-q3) - q1/(1-q3) >= 0 for y >= 1, 1 <= r <= 2 and admissible"
+        " weights, where E = q2 / (r + 1 - q3 - (r-1/2)/(1-(1-q)^{2-1/r})) and"
+        " admissible means that denominator is > 0",
+        "ge", 0.0, (_three_sample_takes, "y >= 1, r > 1/2, positive weights summing to 1"
+                                         " and a positive denominator of E"),
+        _three_sample_axes,
         admissible=lambda y, q1, q2, q3, r: _three_sample_admissible(q1, q2, q3, r),
     ),
 }
 
+__doc__ = with_table(__doc__, [("tag (args)", "function and claim")] + [
+    (f"{id.value} ({', '.join(entry.args)})", entry.statement) for id, entry in _CATALOG.items()
+], (56,))
+
 
 def aux_eval(id: AuxFunctionId, args: tuple) -> float:
     """The raw value of one catalog function at one argument tuple."""
-    entry = _CATALOG[AuxFunctionId(id)]
+    id = AuxFunctionId(id)
+    entry = _CATALOG[id]
     if len(args) != len(entry.args):
-        raise DomainError(
-            f"{AuxFunctionId(id).value} takes arguments {entry.args}, got {len(args)}"
-        )
+        raise DomainError(f"{id.value} takes arguments {entry.args}, got {len(args)}")
     vals = tuple(float(v) for v in args)
-    entry.validate(*vals)
+    in_domain, takes = entry.takes
+    if not (all(map(math.isfinite, vals)) and in_domain(*vals)):
+        raise DomainError(f"{id.value} takes finite {takes}, got {vals}")
     arrays = tuple(np.asarray([v]) for v in vals)
     return float(entry.fn(*arrays)[0])
 

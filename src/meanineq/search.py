@@ -55,7 +55,6 @@ from .means import (
     c_constant,
     delta,
     delta_rows,
-    order_triple,
     power_mean,
     variance_sigma,
 )
@@ -66,6 +65,13 @@ from .means import (
 VIOLATION_REL_TOL = 1e-7
 
 _LOG_CLIP = 40.0
+
+# Descent steps in log coordinates: the first, and the one a descent stops below.
+_STEP0 = 0.6
+_MIN_STEP = 1e-7
+
+# Draws of the free weights before a pinned-weight sample gives up.
+_PINNED_TRIES = 200
 
 
 @dataclass(frozen=True)
@@ -121,7 +127,7 @@ def _stream(seed: int, n: int, restart: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, n, restart])))
 
 
-def _pinned_weights(rng, n: int, q_target: float, max_tries: int = 200):
+def _pinned_weights(rng, n: int, q_target: float):
     """Weights with min exactly q_target: one pinned slot, rest resampled.
 
     The rest is a flat Dirichlet draw, built as ``rng.dirichlet`` builds
@@ -129,7 +135,7 @@ def _pinned_weights(rng, n: int, q_target: float, max_tries: int = 200):
     standard exponentials, scaled by the reciprocal of their left-to-right
     sum.
     """
-    for _ in range(max_tries):
+    for _ in range(_PINNED_TRIES):
         gamma = rng.standard_exponential(n - 1)
         values = gamma.tolist()
         acc = 0.0
@@ -188,9 +194,9 @@ def sharpness_probe(
         raise DomainError("sharpness probes apply to the two general three-mean bounds")
     if not 0.0 < q_target <= 0.5:
         raise DomainError("q_target must lie in (0, 1/2]")
-    r, s, t = order_triple(*triple)
-    if not alpha > 0:
-        raise DomainError("alpha must be positive")
+    resolved = resolve_params(id, triple=triple, alpha=alpha)
+    r, s, t = resolved["triple"]
+    alpha = resolved["alpha"]
     upper = id is InequalityId.DIANANDA_UPPER
     params = DeltaParams(r, s, t, alpha)
     if upper:
@@ -319,7 +325,7 @@ class _Descent:
         return min(self.used, allowance), float(f), batch.row(row)
 
 
-def _descend(id, params, n, rngs, caps, step0=0.6, min_step=1e-7) -> list[_Descent]:
+def _descend(id, params, n, rngs, caps) -> list[_Descent]:
     """Coordinate descent with adaptive step halving in log coordinates.
 
     One descent per stream, each with an allowance from ``caps``.  A
@@ -342,7 +348,7 @@ def _descend(id, params, n, rngs, caps, step0=0.6, min_step=1e-7) -> list[_Desce
     descents = [_Descent(1, [(1, f[k], batch, k)]) for k in range(len(rngs))]
     used = np.ones(len(rngs), dtype=int)
     cap = np.array(caps)
-    step = np.full(len(rngs), step0)
+    step = np.full(len(rngs), _STEP0)
     pos = np.zeros(len(rngs), dtype=int)            # next coordinate slot in the sweep
     moved = np.zeros(len(rngs), dtype=bool)         # whether the current sweep has moved
     perm = np.zeros((len(rngs), dims), dtype=int)
@@ -374,7 +380,7 @@ def _descend(id, params, n, rngs, caps, step0=0.6, min_step=1e-7) -> list[_Desce
         swept = idx[pos[idx] == dims]
         step[swept[~moved[swept]]] *= 0.5
         live[idx] = used[idx] < cap[idx]
-        live[swept] &= step[swept] > min_step
+        live[swept] &= step[swept] > _MIN_STEP
         for k in swept[live[swept]].tolist():
             perm[k] = rngs[k].permutation(dims)
             pos[k] = 0
@@ -390,6 +396,19 @@ class ProbeClaim(str, Enum):
     SMALLEST_SAMPLE_SLOPE = "smallest-sample-slope"
     LARGEST_SAMPLE_SLOPE = "largest-sample-slope"
     WEIGHT_PARAM_SLOPE = "weight-param-slope"
+
+
+# Each claim's proven range: its test on (r, a), and the message when it fails.
+_PROBE_RANGES = {
+    ProbeClaim.SMALLEST_SAMPLE_SLOPE: (
+        lambda r, a: a is not None and 1.0 < r <= 2.0 and a > 0.0,
+        "the smallest-sample slope needs 1 < r <= 2 and a > 0"),
+    ProbeClaim.LARGEST_SAMPLE_SLOPE: (
+        lambda r, a: a is not None and r >= 2.0 and 0.0 < a < 1.0,
+        "the largest-sample slope needs r >= 2 and 0 < a < 1"),
+    ProbeClaim.WEIGHT_PARAM_SLOPE: (
+        lambda r, a: 0.5 < r <= 2.0, "the weight-parameter slope needs 1/2 < r <= 2"),
+}
 
 
 def _ratio_functional(config: Configuration, r: float, a: float, upper: bool) -> float:
@@ -436,37 +455,20 @@ def finite_difference_probe(
     claim = ProbeClaim(claim)
     if config.x[0] <= 0.0:
         raise DomainError("finite-difference probes need x_1 > 0")
-    if claim is ProbeClaim.SMALLEST_SAMPLE_SLOPE:
-        if a is None or not (1.0 < r <= 2.0) or a <= 0.0:
-            raise DomainError("the smallest-sample slope needs 1 < r <= 2 and a > 0")
-        x = config.x.copy()
-        q = config.q_weights
-
-        def f(v: float) -> float:
-            xs = x.copy()
-            xs[0] = v
-            return _ratio_functional(Configuration(xs, q), r, a, upper=True)
-
-        return _richardson(f, float(x[0]), 1e-6 * float(x[0]))
-    if claim is ProbeClaim.LARGEST_SAMPLE_SLOPE:
-        if a is None or not r >= 2.0 or not 0.0 < a < 1.0:
-            raise DomainError("the largest-sample slope needs r >= 2 and 0 < a < 1")
-        x = config.x.copy()
-        q = config.q_weights
-
-        def f(v: float) -> float:
-            xs = x.copy()
-            xs[-1] = v
-            return _ratio_functional(Configuration(xs, q), r, a, upper=False)
-
-        return _richardson(f, float(x[-1]), 1e-6 * float(x[-1]))
+    in_range, message = _PROBE_RANGES[claim]
+    if not in_range(r, a):
+        raise DomainError(message)
     if claim is ProbeClaim.WEIGHT_PARAM_SLOPE:
-        if not 0.5 < r <= 2.0:
-            raise DomainError("the weight-parameter slope needs 1/2 < r <= 2")
         qp = config.min_weight
+        return _richardson(lambda v: _half_mean_gap_functional(config, r, v), qp, 1e-6 * qp)
+    upper = claim is ProbeClaim.SMALLEST_SAMPLE_SLOPE
+    i = 0 if upper else -1
+    x = config.x.copy()
+    q = config.q_weights
 
-        def f(v: float) -> float:
-            return _half_mean_gap_functional(config, r, v)
+    def f(v: float) -> float:
+        xs = x.copy()
+        xs[i] = v
+        return _ratio_functional(Configuration(xs, q), r, a, upper)
 
-        return _richardson(f, qp, 1e-6 * qp)
-    raise DomainError(f"unknown probe claim {claim!r}")
+    return _richardson(f, float(x[i]), 1e-6 * float(x[i]))

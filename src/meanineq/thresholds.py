@@ -73,7 +73,7 @@ BISECT_MAX_ITER = 200
 
 _GOLDEN_MAX_ITER = 200
 
-# min_a_r's defaults, which _min_a_r_rows always uses.
+# min_a_r's grid and polish tolerance, which _min_a_r_rows uses too.
 _PROFILE_GRID_POINTS = 2049
 _PROFILE_XTOL = 1e-10
 
@@ -226,26 +226,22 @@ def a_r_fn(r: float, t: float) -> float:
     return float(a_r_values(r, np.asarray([t]))[0])
 
 
-def min_a_r(
-    r: float, *, grid_points: int = _PROFILE_GRID_POINTS, xtol: float = _PROFILE_XTOL
-) -> tuple[float, float]:
+def min_a_r(r: float) -> tuple[float, float]:
     """Global minimum of a_r over [0, 1]: a dense grid refined by golden section.
 
     No unimodality is assumed: the grid localizes the global minimum and
     golden section only polishes the best cell.  Returns (t_star, a_star).
     """
     _check_profile_r(r)
-    if grid_points < 3:
-        raise DomainError("grid_points must be at least 3")
-    ts = np.linspace(0.0, 1.0, grid_points)
+    ts = np.linspace(0.0, 1.0, _PROFILE_GRID_POINTS)
     at_one = _a_r_at_one(r)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = _a_r(r, ts, at_one)
         i = int(np.argmin(vals))
         lo = ts[max(i - 1, 0)]
-        hi = ts[min(i + 1, grid_points - 1)]
+        hi = ts[min(i + 1, _PROFILE_GRID_POINTS - 1)]
         t_star, a_star = golden_section_min(
-            lambda u: _a_r(r, np.array([u]), at_one)[0], lo, hi, xtol=xtol
+            lambda u: _a_r(r, np.array([u]), at_one)[0], lo, hi, xtol=_PROFILE_XTOL
         )
     if vals[i] < a_star:
         t_star, a_star = ts[i], vals[i]

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,25 @@ def run_fresh(args, **kwargs):
     env = dict(os.environ, PYTHONPATH=str(Path(meanineq.__file__).resolve().parents[1]))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           **kwargs)
+
+
+def rst_table_rows(doc: str) -> list[tuple[str, ...]]:
+    """The body rows of the first RST simple table in ``doc``, as tuples of cells.
+
+    A line whose first cell is blank continues the row above it; each of
+    its cells is joined to that row's cell with one space.
+    """
+    lines = doc.split("\n")
+    rules = [i for i, line in enumerate(lines) if re.fullmatch(r"=+( =+)*", line)]
+    starts = [m.start() for m in re.finditer(r"=+", lines[rules[0]])]
+    rows: list[list[str]] = []
+    for line in lines[rules[1] + 1:rules[2]]:
+        cells = [line[a:b].strip() for a, b in zip(starts, [*starts[1:], None])]
+        if cells[0]:
+            rows.append(cells)
+        else:
+            rows[-1] = [" ".join(filter(None, pair)) for pair in zip(rows[-1], cells)]
+    return [tuple(row) for row in rows]
 
 
 def sample_config(rng, n_max=8, zero_prob=0.0, log_spread=1.0):

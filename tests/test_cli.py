@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from meanineq import cli
 from meanineq.cli import RunConfig, run
+from meanineq.inequalities import _CATALOG
 
 from conftest import run_fresh
 
@@ -65,6 +67,22 @@ class TestCheckCommand:
         assert code == 2
         assert "error" in err
 
+    def test_non_finite_parameter_exit_two(self, capsys):
+        # used to exit 0 with `"r": Infinity`, which is not JSON
+        code, out, err = invoke(["check", "--ineq", "mix-variance-upper", "--r", "inf",
+                                 "--x", "1,2", "--q", "0.5,0.5"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "needs a finite r" in err
+
+    def test_ineq_help_lists_the_catalog(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "2000")  # one line per option: no wrap at hyphens
+        with pytest.raises(SystemExit):
+            run(["check", "--help"])
+        help_text = capsys.readouterr().out
+        for id, tag in _CATALOG.items():
+            assert f"{id.value} ({tag.hypotheses})" in help_text
+
     def test_domain_error_named(self, capsys):
         code, _, err = invoke(
             ["check", "--ineq", "mg-sigma-upper", "--x", "1,2", "--q", "0.5,0.5"], capsys
@@ -97,6 +115,14 @@ class TestThresholdCommand:
     def test_missing_r_exit_two(self, capsys):
         code, _, err = invoke(["threshold", "--which", "t1"], capsys)
         assert code == 2
+
+    def test_unknown_threshold_from_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"command": "threshold", "options": {"which": "nope"}}))
+        code, out, err = invoke(["--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "meanineq: error: unknown threshold 'nope'\n"
 
     def test_out_of_range_exit_two(self, capsys):
         code, _, err = invoke(["threshold", "--which", "t1", "--r", "2.5"], capsys)
@@ -142,6 +168,17 @@ class TestSearchCommands:
         assert code == 2
         assert out == ""
         assert err == "meanineq: error: mg-sigma-upper requires parameter 'r'\n"
+
+    def test_hunt_non_finite_parameter_fails_before_evaluating(self, capsys, monkeypatch):
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("the hunt evaluated configurations")
+
+        monkeypatch.setattr("meanineq.search.relative_residuals", no_evaluation)
+        code, out, err = invoke(["hunt", "--ineq", "mix-variance-upper", "--r", "inf",
+                                 "--budget", "300", "--seed", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "meanineq: error: mix-variance-upper needs a finite r (got inf)\n"
 
     @pytest.mark.parametrize("flag, message", [
         ("--budget", "max_evals must be at least 1"),
@@ -211,6 +248,14 @@ class TestSweepCommand:
             ["sweep", "--quantity", "alpha-threshold", "--grid", "1.5,3,4"], capsys
         )
         assert code == 2
+
+    def test_unknown_quantity_without_grid(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"command": "sweep", "options": {"quantity": "nope"}}))
+        code, out, err = invoke(["--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "meanineq: error: unknown sweep quantity 'nope'\n"
 
     def test_residual_boundary_nonnegative(self, capsys):
         code, out, _ = invoke(
@@ -289,10 +334,26 @@ class TestDeterminismAndPlumbing:
         code, out, _ = invoke(argv, capsys)
         assert json.loads(out)["status"] == "Equality"
 
+    def test_imports_without_docstrings(self):
+        # under -OO every __doc__ is None; the catalog tables are rendered into them
+        proc = run_fresh(["-OO", "-c", "import meanineq.cli"])
+        assert proc.returncode == 0, proc.stderr
+
     def test_entry_point_installed(self):
         proc = run_fresh(["-m", "meanineq.cli"], input="")
         # module is importable; no command -> usage error
         assert proc.returncode in (1, 2)
+
+
+@pytest.mark.parametrize("argv, table", [
+    (["threshold", "--which"], "_THRESHOLDS"),
+    (["sweep", "--quantity"], "_SWEEPS"),
+])
+def test_choices_are_the_dispatch_table_keys(argv, table, capsys):
+    with pytest.raises(SystemExit):
+        run([*argv, "nope"])
+    choices = ", ".join(repr(name) for name in getattr(cli, table))
+    assert f"invalid choice: 'nope' (choose from {choices})" in capsys.readouterr().err
 
 
 def test_cli_module_main():

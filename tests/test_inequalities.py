@@ -1,6 +1,5 @@
 import json
 import math
-import re
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ from meanineq import inequalities, means
 from meanineq.inequalities import relative_residuals, resolve_params
 from meanineq.means import ConfigurationBatch
 
-from conftest import pinned_config, sample_config
+from conftest import pinned_config, rst_table_rows, sample_config
 
 BASE_TRIPLE = (1.0, 0.5, 0.0)
 
@@ -375,6 +374,25 @@ class TestBatchEvaluation:
             resolve_params(InequalityId.DIANANDA_UPPER, triple=BASE_TRIPLE, alpha=0.0,
                            force=True)
 
+    @pytest.mark.parametrize("tag, params, message", [
+        (InequalityId.MIX_VARIANCE_UPPER, dict(r=math.inf), "mix-variance-upper needs a finite r"),
+        (InequalityId.MG_SIGMA_UPPER, dict(r=math.nan), "mg-sigma-upper needs a finite r"),
+        (InequalityId.CARTWRIGHT_FIELD_UPPER, dict(r=1.0, s=-math.inf),
+         "cartwright-field-upper needs a finite s"),
+        (InequalityId.CARTWRIGHT_FIELD_LOWER, dict(r=math.inf, s=0.0),
+         "cartwright-field-lower needs a finite r"),
+        (InequalityId.DIANANDA_UPPER, dict(triple=(math.nan, 0.5, 0.0)),
+         "the triple's orders must be finite"),
+        (InequalityId.DIANANDA_LOWER, dict(triple=BASE_TRIPLE, alpha=math.inf),
+         "diananda-lower needs a finite alpha"),
+    ])
+    def test_non_finite_parameters_rejected(self, tag, params, message):
+        # at r = inf, mix-variance-upper used to report Equality
+        with pytest.raises(DomainError, match=message):
+            resolve_params(tag, force=True, **params)
+        with pytest.raises(DomainError, match=message):
+            check(tag, Configuration([1.0, 2.0], [0.5, 0.5]), force=True, **params)
+
     @pytest.mark.parametrize("tag, cfg, alpha", [
         # (1 - q)^(1/s - 1/r) rounds to 1 at q = 1e-14
         (InequalityId.DIANANDA_UPPER, Configuration([1e-8, 1e8], [1 - 1e-14, 1e-14]), None),
@@ -477,22 +495,26 @@ class TestSharedMeansRecord:
         assert CountingLog.calls == 1
 
 
-def _catalog_names(lines) -> list[str]:
-    return [m.group(1) for m in map(re.compile(r"\|? ?`?([a-z]+(?:-[a-z]+)+)`? ").match, lines)
-            if m]
-
-
 class TestCatalogDocs:
-    """The hand-kept catalog tables list every tag exactly once."""
+    """The catalog tables in the docs are the one rendered from the catalog, row for row."""
 
-    TAGS = sorted(tag.value for tag in InequalityId)
+    ROWS = [(id.value, tag.claim, tag.hypotheses) for id, tag in inequalities._CATALOG.items()]
+
+    def test_every_tag_in_the_catalog(self):
+        assert list(inequalities._CATALOG) == list(InequalityId)
 
     def test_module_docstring_table(self):
-        lines = inequalities.__doc__.split("====\n", 2)[2].split("\n====")[0].splitlines()
-        assert sorted(_catalog_names(lines)) == self.TAGS
+        assert rst_table_rows(inequalities.__doc__) == self.ROWS
 
     def test_readme_table(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = readme.split("## The inequality catalog", 1)[1].split("\n## ", 1)[0]
         rows = [line for line in section.splitlines() if line.startswith("| `")]
-        assert sorted(_catalog_names(rows)) == self.TAGS
+        assert rows == [f"| `{tag}` | `{claim}` | `{hyps}` |" for tag, claim, hyps in self.ROWS]
+
+    def test_hypothesis_messages_name_the_tag_and_range(self):
+        cfg = Configuration([1.0, 2.0], [0.5, 0.5])
+        with pytest.raises(DomainError, match=r"^mix-variance-upper is stated for r >= 2$"):
+            check(InequalityId.MIX_VARIANCE_UPPER, cfg, r=1.2)
+        with pytest.raises(DomainError, match=r"^half-mean-var-upper is stated for x_1 > 0$"):
+            check(InequalityId.HALF_MEAN_VAR_UPPER, Configuration([0.0, 2.0], [0.5, 0.5]), r=0.8)

@@ -236,6 +236,12 @@ class TestOrderTriple:
         with pytest.raises(DomainError):
             order_triple(2.0, 1.0, -0.5)
 
+    @pytest.mark.parametrize("orders", [(math.nan, 0.5, 0.0), (1.0, math.inf, 0.0),
+                                        (1.0, 0.5, -math.inf)])
+    def test_rejects_non_finite_orders(self, orders):
+        with pytest.raises(DomainError, match="the triple's orders must be finite"):
+            order_triple(*orders)
+
 
 class TestConfiguration:
     def test_sorts_jointly(self):

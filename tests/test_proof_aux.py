@@ -1,3 +1,6 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,9 @@ from meanineq import (
     claimed_bound,
     r0_value,
 )
+from meanineq import proof_aux
+
+from conftest import rst_table_rows
 
 R0 = r0_value()
 
@@ -71,6 +77,19 @@ class TestAuxEval:
             aux_eval(AuxFunctionId.GROWTH_RATIO_MONOTONE, (2.0, 1.0))
         with pytest.raises(DomainError):
             aux_eval(AuxFunctionId.SHIFTED_RATIO_MONOTONE, (2.0, 1.5, 0.5, 3.0))  # p < r
+
+    @pytest.mark.parametrize("tag, args", [
+        (AuxFunctionId.EXPONENT_MARGIN, (math.nan, 1.0)),
+        (AuxFunctionId.EXPONENT_MARGIN, (math.inf, 1.0)),
+        (AuxFunctionId.CORE_UPPER, (1.5, math.nan, 0.5)),
+        (AuxFunctionId.CORE_UPPER, (math.inf, 0.1, 0.5)),
+        (AuxFunctionId.LINEAR_GAP_BOUND, (1.5, math.nan, 0.5)),
+        (AuxFunctionId.TANGENT_CUBIC, (math.nan, 0.2, 0.8)),
+        (AuxFunctionId.THREE_SAMPLE_LOWER, (-math.inf, 0.3, 0.3, 0.4, 1.0)),
+    ])
+    def test_non_finite_arguments_rejected(self, tag, args):
+        with pytest.raises(DomainError, match=f"{tag.value} takes finite"):
+            aux_eval(tag, args)
 
     def test_claimed_bounds_exposed(self):
         assert claimed_bound(AuxFunctionId.ENVELOPE_HI_WEIGHT) == ("le", 0.5)
@@ -212,9 +231,9 @@ class TestIndependentCrossChecks:
             p = r * rng.uniform(1.0, 2.0)
             s = rng.uniform(0.05, 0.95)
             z = rng.uniform(1.1, 20.0)
-            fd = aux_eval(AuxFunctionId.SHIFTED_RATIO_MONOTONE, (r, p, s, z))
+            value = aux_eval(AuxFunctionId.SHIFTED_RATIO_MONOTONE, (r, p, s, z))
             analytic = (p - 1.0) / (z + s) - (p / r - 1.0) / (z**r + s)
-            assert fd == pytest.approx(analytic, rel=1e-5, abs=1e-9)
+            assert value == pytest.approx(analytic, rel=1e-12, abs=1e-9)
 
     def test_binomial_chain_brute_force(self, rng):
         for _ in range(200):
@@ -228,10 +247,12 @@ class TestIndependentCrossChecks:
 
 # Reports recorded before the grids moved to broadcast axes; every field is
 # compared exactly, so any change in grid order, filtering or arithmetic shows.
+# shifted-ratio-monotone's values were re-recorded when its finite difference
+# in s gave way to the exact derivative (before: 0.0009900995001644855).
 _GOLDEN_DEFAULT = [
     {'id': 'core-upper', 'domain': 'r in [1.05, 1.95] x19 with a tied to the solved profile minimum, t in [0, 1] x501', 'worst_point': {'r': 1.6, 'a': 0.13011984185439612, 't': 1.0}, 'worst_value': -2.220446049250313e-16, 'margin': -2.220446049250313e-16, 'verdict': 'AllSatisfy', 'points_checked': 9519},
     {'id': 'core-lower', 'domain': 'r in [2.05, 5.0] x19 with a tied to the solved profile minimum, t in [0, 1] x501', 'worst_point': {'r': 2.05, 'a': 0.013691514533854802, 't': 0.0}, 'worst_value': 0.0, 'margin': 0.0, 'verdict': 'AllSatisfy', 'points_checked': 9519},
-    {'id': 'shifted-ratio-monotone', 'domain': 'r in [1.1, 4] x12, p in [1.1, 8] x14 (p >= r), s in [0, 1] x21, z in (1, 100] x16 log', 'worst_point': {'r': 1.1, 'p': 1.1, 's': 1.0, 'z': 100.0}, 'worst_value': 0.0009900995001644855, 'margin': 0.0009900995001644855, 'verdict': 'AllSatisfy', 'points_checked': 44352},
+    {'id': 'shifted-ratio-monotone', 'domain': 'r in [1.1, 4] x12, p in [1.1, 8] x14 (p >= r), s in [0, 1] x21, z in (1, 100] x16 log', 'worst_point': {'r': 1.1, 'p': 1.1, 's': 1.0, 'z': 100.0}, 'worst_value': 0.000990099009900991, 'margin': 0.000990099009900991, 'verdict': 'AllSatisfy', 'points_checked': 44352},
     {'id': 'linear-gap-bound', 'domain': 'r in (1, 2) and (2, 3), 25 each, a = solved gap exponent, t in [0, 1] x401', 'worst_point': {'r': 1.02, 'a': 0.004732945994024407, 't': 0.0}, 'worst_value': 0.0, 'margin': 0.0, 'verdict': 'AllSatisfy', 'points_checked': 20050},
     {'id': 'binomial-chain', 'domain': 'r in [4, 8] x81, t in [0, 1] x500', 'worst_point': {'r': 4.0, 't': 0.0}, 'worst_value': 0.0, 'margin': 0.0, 'verdict': 'AllSatisfy', 'points_checked': 40500},
     {'id': 'growth-ratio-monotone', 'domain': 'r in [2, 4] x81, t in (0, 1) x500', 'worst_point': {'r': 2.0, 't': 0.001}, 'worst_value': 0.0009945797432108962, 'margin': 0.0009945797432108962, 'verdict': 'AllSatisfy', 'points_checked': 40500},
@@ -299,3 +320,17 @@ class TestGoldenSignReports:
                 grid={"x": GridAxis(0.75, 1.0, 20), "r": GridAxis(1.0, 2.0, 10)},
                 max_points=100,
             )
+
+
+class TestCatalogDocs:
+    def test_docstring_table_rendered_from_catalog(self):
+        assert rst_table_rows(proof_aux.__doc__) == [
+            (f"{tag.value} ({', '.join(entry.args)})", entry.statement)
+            for tag, entry in proof_aux._CATALOG.items()]
+        assert list(proof_aux._CATALOG) == list(AuxFunctionId)
+
+    def test_readme_tag_list(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Proof-auxiliary catalog", 1)[1].split("\n## ", 1)[0]
+        listed = " ".join(section.split("Tags:", 1)[1].split(".  See", 1)[0].split())
+        assert listed == ", ".join(f"`{tag.value}`" for tag in AuxFunctionId)

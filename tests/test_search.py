@@ -113,6 +113,11 @@ class TestCounterexampleHunt:
             counterexample_hunt(InequalityId.MG_SIGMA_LOWER, r=0.0)
         with pytest.raises(DomainError, match="alpha must be positive"):
             counterexample_hunt(InequalityId.DIANANDA_UPPER, triple=TRIPLE, alpha=-1.0)
+        with pytest.raises(DomainError, match="mix-variance-upper needs a finite r"):
+            counterexample_hunt(InequalityId.MIX_VARIANCE_UPPER, r=math.inf)
+        with pytest.raises(DomainError, match="the triple's orders must be finite"):
+            sharpness_probe(InequalityId.DIANANDA_UPPER, triple=(1.0, math.nan, 0.0),
+                            q_target=0.25)
 
     def test_unscorable_configurations_give_a_verdict(self):
         # (1 - q)^alpha underflows to 0 at every configuration the hunt visits
