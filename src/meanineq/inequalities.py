@@ -476,6 +476,9 @@ def check(
     """
     rel_tol = DEFAULT_REL_TOL if rel_tol is None else rel_tol
     abs_floor = DEFAULT_ABS_FLOOR if abs_floor is None else abs_floor
+    if not (0.0 <= rel_tol < math.inf and 0.0 <= abs_floor < math.inf):
+        raise DomainError(f"rel_tol and abs_floor must be finite and >= 0 "
+                          f"(got {rel_tol}, {abs_floor})")
     id = InequalityId(id)
     q = config.min_weight
     tag = _CATALOG[id]

@@ -75,7 +75,8 @@ class GridAxis:
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise DomainError(f"axis bounds must be finite, got [{self.lo}, {self.hi}]")
-        if not isinstance(self.count, numbers.Integral) or self.count < 1:
+        if (isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral)
+                or self.count < 1):
             raise DomainError(f"axis count must be a positive integer, got {self.count!r}")
         if self.log and not (self.lo > 0.0 and self.hi > 0.0):
             raise DomainError(f"a log axis needs lo > 0 and hi > 0, got [{self.lo}, {self.hi}]")
@@ -446,6 +447,8 @@ def aux_sign_check(
     AllSatisfy when the claimed bound holds at every point within
     ``tolerance`` (absolute).
     """
+    if not 0.0 <= tolerance < math.inf:
+        raise DomainError(f"tolerance must be finite and >= 0 (got {tolerance})")
     id = AuxFunctionId(id)
     entry = _CATALOG[id]
     if grid is None:

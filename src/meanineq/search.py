@@ -47,7 +47,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError
-from .inequalities import InequalityId, relative_residuals, resolve_params
+from .inequalities import _CATALOG, InequalityId, _Means, relative_residuals, resolve_params
 from .means import (
     Configuration,
     ConfigurationBatch,
@@ -56,7 +56,6 @@ from .means import (
     delta,
     delta_rows,
     power_mean,
-    variance_sigma,
 )
 
 # A hunt only declares a violation below this relative residual; the check
@@ -423,12 +422,9 @@ def _ratio_functional(config: Configuration, r: float, a: float, upper: bool) ->
 
 
 def _half_mean_gap_functional(config: Configuration, r: float, qp: float) -> float:
-    w = qp ** (2.0 - 1.0 / r)
-    half = power_mean(config, 0.5)
-    mr = power_mean(config, r)
-    g = power_mean(config, 0.0)
-    sigma = variance_sigma(config)
-    return half - w * mr - (1.0 - w) * g - (0.5 - r * w) * sigma / (2.0 * config.x[0])
+    sides = _CATALOG[InequalityId.HALF_MEAN_VAR_UPPER].sides
+    lhs, rhs = sides(_Means(config, qp), {"r": r})
+    return lhs - rhs
 
 
 def _richardson(f, v0: float, h: float) -> float:

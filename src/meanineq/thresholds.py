@@ -36,17 +36,21 @@ golden-section search and assumes no unimodality.  Everything here is a
 pure function, safe for concurrent use.
 
 The a_r formula is written once, in the unchecked kernel ``_a_r``, which
-broadcasts r against t.  ``a_r_values`` validates its input and calls it;
-``min_a_r`` runs its grid and its golden-section polish on it directly.
-``_min_a_r_rows`` solves many r at once, as the default core-certificate
-grids need: one grid evaluation of shape (R, 2049), then R golden sections
-stepped in lockstep.  It returns ``min_a_r``'s bits, because the kernel
-always runs numpy's array loops, whose result for one element does not
-depend on the array around it.  (A scalar ``math`` form of the kernel
-would round differently from those loops in about one evaluation in
-eight.)  The one exception is numpy's shortcut for ``array ** scalar``,
-which takes sqrt or square for the exponents 1/2 and 2; the single-r
-path meets it only at r in {1.5, 2, 3}, and the tests pin those three.
+broadcasts r against t; ``a_r_values`` validates its input and calls it.
+There is one golden-section loop, the generator ``_golden_section``, and
+``_golden_lanes`` steps any number of them in lockstep, with one call of
+the objective per step over all lanes.  Lane state is Python floats, since
+numpy's per-call overhead would dominate a single lane; the objective is
+the only array work.  ``golden_section_min`` is a one-lane call.  There is
+one profile solver, ``_min_a_r_rows``: one grid evaluation of shape
+(R, 2049), then R golden sections in lockstep.  It serves the 19-r default
+core-certificate grids, and ``min_a_r`` is its one-r call.  r is passed to
+the kernel as given: one float r runs numpy's ``array ** scalar`` loops, an
+array of r the elementwise ones, whose result for one element does not
+depend on the array around it.  The two agree except where the scalar loop
+takes sqrt or square for the exponents 1/2 and 2, at r in {1.5, 2, 3}; the
+tests pin those three.  (A scalar ``math`` form of the kernel would round
+differently from numpy's loops in about one evaluation in eight.)
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ BISECT_MAX_ITER = 200
 
 _GOLDEN_MAX_ITER = 200
 
-# min_a_r's grid and polish tolerance, which _min_a_r_rows uses too.
+# The profile solver's grid and polish tolerance.
 _PROFILE_GRID_POINTS = 2049
 _PROFILE_XTOL = 1e-10
 
@@ -155,33 +159,56 @@ def golden_section_min(
     Tracks the best point actually evaluated (including the endpoints), so
     a minimum sitting on the bracket edge is never lost.
     """
-    best_t, best_f = lo, f(lo)
-    fhi = f(hi)
-    if fhi < best_f:
-        best_t, best_f = hi, fhi
+    return _golden_lanes(lambda u: [f(u[0])], [lo], [hi], xtol, max_iter)[0]
+
+
+def _golden_section(lo: float, hi: float, xtol: float, max_iter: int):
+    """The points golden section evaluates on [lo, hi], ends first: a
+    generator that yields each point and is sent the value there."""
     a, b = lo, hi
     c = b - (b - a) * _INV_PHI
     d = a + (b - a) * _INV_PHI
-    fc, fd = f(c), f(d)
-    for t, ft in ((c, fc), (d, fd)):
-        if ft < best_f:
-            best_t, best_f = t, ft
-    iterations = 0
-    while b - a > xtol and iterations < max_iter:
+    yield lo
+    yield hi
+    fc = yield c
+    fd = yield d
+    for _ in range(max_iter):
+        if not b - a > xtol:
+            return
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - (b - a) * _INV_PHI
-            fc = f(c)
-            if fc < best_f:
-                best_t, best_f = c, fc
+            fc = yield c
         else:
             a, c, fc = c, d, fd
             d = a + (b - a) * _INV_PHI
-            fd = f(d)
-            if fd < best_f:
-                best_t, best_f = d, fd
-        iterations += 1
-    return best_t, best_f
+            fd = yield d
+
+
+def _golden_lanes(
+    f: Callable[[list], list], lo: list, hi: list, xtol: float, max_iter: int
+) -> list[tuple[float, float]]:
+    """One golden section per bracket [lo[k], hi[k]], stepped in lockstep.
+
+    ``f`` maps a list of points, one per lane, to the list of their values;
+    a lane that has finished is fed its last point again.  Returns each
+    lane's best evaluated (t, f(t)), the first of equal values.
+    """
+    live = list(enumerate(_golden_section(*b, xtol, max_iter) for b in zip(lo, hi)))
+    t = [next(lane) for _, lane in live]
+    ft = f(t)
+    best = list(zip(t, ft))
+    while True:
+        for k, lane in live:
+            if ft[k] < best[k][1]:
+                best[k] = t[k], ft[k]
+            try:
+                t[k] = lane.send(ft[k])
+            except StopIteration:  # this pass keeps iterating the old list
+                live = [p for p in live if p[0] != k]
+        if not live:
+            return best
+        ft = f(t)
 
 
 def _check_profile_r(r: float) -> None:
@@ -233,81 +260,33 @@ def min_a_r(r: float) -> tuple[float, float]:
     golden section only polishes the best cell.  Returns (t_star, a_star).
     """
     _check_profile_r(r)
-    ts = np.linspace(0.0, 1.0, _PROFILE_GRID_POINTS)
-    at_one = _a_r_at_one(r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = _a_r(r, ts, at_one)
-        i = int(np.argmin(vals))
-        lo = ts[max(i - 1, 0)]
-        hi = ts[min(i + 1, _PROFILE_GRID_POINTS - 1)]
-        t_star, a_star = golden_section_min(
-            lambda u: _a_r(r, np.array([u]), at_one)[0], lo, hi, xtol=_PROFILE_XTOL
-        )
-    if vals[i] < a_star:
-        t_star, a_star = ts[i], vals[i]
-    return float(t_star), float(a_star)
+    t_star, a_star = _min_a_r_rows(r)
+    return float(t_star[0]), float(a_star[0])
 
 
-def _min_a_r_rows(rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _min_a_r_rows(rs: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``min_a_r(r)`` for every r in ``rs`` (each a finite r > 1), bit for bit.
 
-    One grid evaluation of shape (len(rs), 2049), then one golden section
+    ``rs`` is one float r or an (R,) array of them, passed to the kernel as
+    given.  One grid evaluation of shape (R, 2049), then one golden section
     per r, all stepped in lockstep.  Returns the arrays (t_star, a_star).
     """
-    rs = np.asarray(rs, dtype=float)
-    at_one = np.array([_a_r_at_one(r) for r in rs])
+    at_one = np.array([_a_r_at_one(r) for r in np.ravel(rs).tolist()])
     ts = np.linspace(0.0, 1.0, _PROFILE_GRID_POINTS)
+    last = _PROFILE_GRID_POINTS - 1
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = _a_r(rs[:, None], ts, at_one[:, None])
-        i = np.argmin(vals, axis=1)
-        grid_t, grid_f = ts[i], vals[np.arange(len(rs)), i]
-        t_star, a_star = _golden_section_rows(
-            lambda u: _a_r(rs, u, at_one),
-            ts[np.maximum(i - 1, 0)],
-            ts[np.minimum(i + 1, len(ts) - 1)],
-            xtol=_PROFILE_XTOL,
+        vals = _a_r(rs[:, None] if np.ndim(rs) else rs, ts, at_one[:, None])
+        i = vals.argmin(axis=1).tolist()
+        polished = _golden_lanes(
+            lambda u: _a_r(rs, np.array(u), at_one).tolist(),
+            [float(ts[max(j - 1, 0)]) for j in i],
+            [float(ts[min(j + 1, last)]) for j in i],
+            _PROFILE_XTOL,
+            _GOLDEN_MAX_ITER,
         )
-    grid_wins = grid_f < a_star
-    return np.where(grid_wins, grid_t, t_star), np.where(grid_wins, grid_f, a_star)
-
-
-def _golden_section_rows(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-    *,
-    xtol: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``golden_section_min`` on every bracket [lo[k], hi[k]] in lockstep.
-
-    ``f`` maps one point per lane to its value.  Each lane takes the steps
-    that ``golden_section_min`` takes on its bracket; a lane that has
-    converged still moves, but no longer updates its best point.
-    """
-
-    def keep_best(best_t, best_f, t, ft, active=True):
-        better = active & (ft < best_f)
-        return np.where(better, t, best_t), np.where(better, ft, best_f)
-
-    best_t, best_f = keep_best(lo, f(lo), hi, f(hi))
-    a, b = lo, hi
-    c = b - (b - a) * _INV_PHI
-    d = a + (b - a) * _INV_PHI
-    fc, fd = f(c), f(d)
-    best_t, best_f = keep_best(best_t, best_f, c, fc)
-    best_t, best_f = keep_best(best_t, best_f, d, fd)
-    for _ in range(_GOLDEN_MAX_ITER):
-        active = b - a > xtol
-        if not active.any():
-            break
-        left = fc < fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        t = np.where(left, b - (b - a) * _INV_PHI, a + (b - a) * _INV_PHI)
-        ft = f(t)
-        c, d = np.where(left, t, d), np.where(left, c, t)
-        fc, fd = np.where(left, ft, fd), np.where(left, fc, ft)
-        best_t, best_f = keep_best(best_t, best_f, t, ft, active)
-    return best_t, best_f
+    grid = [(ts[j], vals[k, j]) for k, j in enumerate(i)]
+    t_star, a_star = zip(*(g if g[1] < p[1] else p for g, p in zip(grid, polished)))
+    return np.array(t_star), np.array(a_star)
 
 
 def _t1_gap(r: float, t: float) -> float:

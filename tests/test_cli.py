@@ -334,6 +334,17 @@ class TestDeterminismAndPlumbing:
         code, out, _ = invoke(argv, capsys)
         assert json.loads(out)["status"] == "Equality"
 
+    @pytest.mark.parametrize("bad", ["nan", "-1", "inf"])
+    def test_bad_tolerance_is_a_usage_error(self, bad, capsys, monkeypatch):
+        argv = ["check", "--ineq", "diananda-base-lower", "--x", "1,1", "--q", "0.5,0.5"]
+        code, out, err = invoke(argv + ["--tol", bad], capsys)
+        assert (code, out) == (2, "")
+        assert "rel_tol and abs_floor must be finite and >= 0" in err
+        monkeypatch.setenv("MEANINEQ_TOL", bad)
+        code, out, err = invoke(argv, capsys)
+        assert (code, out) == (2, "")
+        assert "rel_tol and abs_floor must be finite and >= 0" in err
+
     def test_imports_without_docstrings(self):
         # under -OO every __doc__ is None; the catalog tables are rendered into them
         proc = run_fresh(["-OO", "-c", "import meanineq.cli"])

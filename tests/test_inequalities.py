@@ -141,6 +141,15 @@ class TestHypotheses:
         with pytest.raises(DomainError, match="'r'"):
             check(InequalityId.MG_SIGMA_UPPER, cfg)
 
+    def test_tolerances_must_be_finite_and_nonnegative(self):
+        cfg = Configuration([1.0, 1.0], [0.5, 0.5])
+        for bad in (math.nan, math.inf, -1.0):
+            for key in ("rel_tol", "abs_floor"):
+                with pytest.raises(DomainError, match="rel_tol and abs_floor"):
+                    check(InequalityId.DIANANDA_BASE_LOWER, cfg, **{key: bad})
+        assert check(InequalityId.DIANANDA_BASE_LOWER, cfg, rel_tol=0.0,
+                     abs_floor=0.0).status is CheckStatus.EQUALITY
+
 
 class TestBaseCase:
     def test_random_suite(self, rng):

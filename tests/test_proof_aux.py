@@ -119,6 +119,14 @@ class TestDefaultSignChecks:
             }[tag]
         )
 
+    @pytest.mark.parametrize("tolerance", [math.nan, -1.0, math.inf])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tolerance):
+        # exponent-margin holds with margin 0.0625; a NaN or negative
+        # tolerance used to report ViolationFound.
+        with pytest.raises(DomainError, match="tolerance"):
+            aux_sign_check(AuxFunctionId.EXPONENT_MARGIN, tolerance=tolerance)
+        assert aux_sign_check(AuxFunctionId.EXPONENT_MARGIN, tolerance=0.0).verdict == "AllSatisfy"
+
     def test_reports_are_deterministic(self):
         a = aux_sign_check(AuxFunctionId.ENVELOPE_HI_WEIGHT).to_json_dict()
         b = aux_sign_check(AuxFunctionId.ENVELOPE_HI_WEIGHT).to_json_dict()
@@ -187,11 +195,14 @@ class TestCustomGrids:
         with pytest.raises(DomainError, match="log axis"):
             GridAxis(lo, hi, 5, log=True)
 
-    @pytest.mark.parametrize("count", [2.7, 0, -3, "5"])
+    @pytest.mark.parametrize("count", [2.7, 0, -3, "5", True])
     def test_axis_count_must_be_a_positive_integer(self, count):
-        # A JSON count of 2.7 used to be truncated to 2 points.
+        # A JSON count of 2.7 used to be truncated to 2 points, and a count
+        # of true gave one point.
         with pytest.raises(DomainError, match="count"):
             GridAxis.from_json_dict({"lo": 0.0, "hi": 1.0, "count": count})
+        with pytest.raises(DomainError, match="count"):
+            GridAxis(0.0, 1.0, count)
         assert len(GridAxis(0.0, 1.0, np.int64(3)).points()) == 3
 
     def test_worst_point_is_admissible(self):

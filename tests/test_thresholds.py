@@ -65,6 +65,25 @@ class TestGoldenSection:
         assert t == 0.25
         assert f == 0.25
 
+    # Exact (t, f), recorded from the scalar loop: the lockstep lanes must
+    # do the same float operations in the same order.
+    def test_not_unimodal(self):
+        # cos(5u) has two minima in [-2, 3]; the section settles on one.
+        t, f = golden_section_min(lambda u: math.cos(5.0 * u), -2.0, 3.0)
+        assert (t, f) == (1.8849555911141087, -1.0)
+
+    def test_cut_short_by_max_iter(self):
+        t, f = golden_section_min(lambda u: math.cos(5.0 * u), -2.0, 3.0, max_iter=5)
+        assert (t, f) == (1.8196601125010516, -0.9471779461193855)
+        t, f = golden_section_min(lambda u: abs(u - 0.77), -2.0, 3.0, max_iter=5)
+        assert (t, f) == (0.8115294937452684, 0.041529493745268375)
+
+    def test_coarse_xtol(self):
+        t, f = golden_section_min(lambda u: (u - 0.3) ** 2, 0.25, 1.0, xtol=1e-3)
+        assert (t, f) == (0.29988341868848617, 1.3591202194282161e-08)
+        t, f = golden_section_min(lambda u: math.cos(5.0 * u), 0.25, 1.0, xtol=1e-3)
+        assert (t, f) == (0.628153994626696, -0.9999996615984524)
+
 
 class TestProfile:
     def test_endpoint_limit_at_zero(self):
