@@ -27,7 +27,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -62,21 +62,36 @@ class RunConfig:
     format: str = "json"
 
     def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "options": self.options,
-            "output": self.output,
-            "format": self.format,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "RunConfig":
-        return cls(
-            command=str(payload["command"]),
-            options=dict(payload.get("options", {})),
-            output=payload.get("output"),
-            format=str(payload.get("format", "json")),
-        )
+        if not isinstance(payload, dict):
+            raise MeanIneqError("a run configuration must be a JSON object")
+        options = payload.get("options", {})
+        if not isinstance(options, dict):
+            raise MeanIneqError("'options' must be a JSON object")
+        for key, (types, what) in _OPTION_TYPES.items():
+            value = options.get(key)
+            # type(), not isinstance(): true and false are no numbers
+            if value is not None and type(value) not in types:
+                raise MeanIneqError(f"option {key!r} must be {what}, got {json.dumps(value)}")
+        output = payload.get("output")
+        if not isinstance(output, (str, type(None))):
+            raise MeanIneqError(f"'output' must be a path, got {json.dumps(output)}")
+        return cls(command=str(payload["command"]),
+                   options={key: value for key, value in options.items() if value is not None},
+                   output=output, format=str(payload.get("format", "json")))
+
+
+# The JSON types a run configuration may give an option, and their name.
+_OPTION_TYPES = {
+    **dict.fromkeys(("r", "s", "alpha", "tol", "q_target"), ((float, int), "a number")),
+    **dict.fromkeys(("budget", "seed", "restarts", "n_min", "n_max"), ((int,), "an integer")),
+    **dict.fromkeys(("ineq", "which", "quantity", "grid"), ((str,), "a string")),
+    **dict.fromkeys(("x", "q", "triple"), ((str, list), "a string or a list of numbers")),
+    "force": ((bool,), "true or false"),
+}
 
 
 def _floats(value) -> list[float]:
@@ -124,17 +139,19 @@ def _ineq_params(options: dict) -> dict:
 
 
 def _budget(options: dict) -> SearchBudget:
-    def get(key: str, default: int) -> int:
-        # an explicit 0 is a value for SearchBudget to reject, not a missing flag
-        value = options.get(key)
-        return default if value is None else int(value)
-
     return SearchBudget(
-        max_evals=get("budget", 100_000),
-        seed=get("seed", 0),
-        n_range=(get("n_min", 2), get("n_max", 4)),
-        restarts=get("restarts", 20),
+        max_evals=options.get("budget", 100_000),
+        seed=options.get("seed", 0),
+        n_range=(options.get("n_min", 2), options.get("n_max", 4)),
+        restarts=options.get("restarts", 20),
     )
+
+
+def _required(options: dict, key: str, where: str = ""):
+    """Option ``key``, which the command needs (``where``: for what)."""
+    if options.get(key) is None:
+        raise MeanIneqError(f"--{key.replace('_', '-')} is required{where}")
+    return options[key]
 
 
 def _tolerance(options: dict) -> float | None:
@@ -146,15 +163,11 @@ def _tolerance(options: dict) -> float | None:
 
 def _exec_mean(options: dict):
     cfg = _configuration(options)
-    if options.get("r") is None:
-        raise MeanIneqError("--r is required")
-    return power_mean(cfg, float(options["r"])), EXIT_OK
+    return power_mean(cfg, float(_required(options, "r"))), EXIT_OK
 
 
 def _exec_check(options: dict):
-    if options.get("ineq") is None:
-        raise MeanIneqError("--ineq is required")
-    tag = InequalityId(options["ineq"])
+    tag = InequalityId(_required(options, "ineq"))
     cfg = _configuration(options)
     report = check(
         tag,
@@ -169,9 +182,7 @@ def _exec_check(options: dict):
 
 def _lookup(table: dict, options: dict, key: str, what: str):
     """The entry of ``table`` that option ``key`` names."""
-    name = options.get(key)
-    if name is None:
-        raise MeanIneqError(f"--{key} is required")
+    name = _required(options, key)
     if name not in table:
         raise MeanIneqError(f"unknown {what} {name!r}")
     return table[name]
@@ -180,9 +191,7 @@ def _lookup(table: dict, options: dict, key: str, what: str):
 def _at_r(report):
     """A threshold solved at --r: ``report(r)``, once --r is given."""
     def run(options: dict):
-        if options.get("r") is None:
-            raise MeanIneqError(f"--r is required for --which {options['which']}")
-        return report(float(options["r"]))
+        return report(float(_required(options, "r", f" for --which {options['which']}")))
 
     return run
 
@@ -203,28 +212,24 @@ def _exec_threshold(options: dict):
 
 
 def _exec_sharpness(options: dict):
-    if options.get("ineq") is None:
-        raise MeanIneqError("--ineq is required")
+    ineq = _required(options, "ineq")
     params = _ineq_params(options)
     if "triple" not in params:
         raise MeanIneqError("--triple is required")
-    if options.get("q_target") is None:
-        raise MeanIneqError("--q-target is required")
+    q_target = float(_required(options, "q_target"))
     report = sharpness_probe(
-        InequalityId(options["ineq"]),
+        InequalityId(ineq),
         triple=params["triple"],
         alpha=params.get("alpha", 1.0),
-        q_target=float(options["q_target"]),
+        q_target=q_target,
         budget=_budget(options),
     )
     return report.to_json_dict(), EXIT_OK
 
 
 def _exec_hunt(options: dict):
-    if options.get("ineq") is None:
-        raise MeanIneqError("--ineq is required")
     report = counterexample_hunt(
-        InequalityId(options["ineq"]),
+        InequalityId(_required(options, "ineq")),
         budget=_budget(options),
         **_ineq_params(options),
     )
@@ -233,9 +238,7 @@ def _exec_hunt(options: dict):
 
 
 def _sweep_profile(options: dict, lo: float, hi: float, axis: np.ndarray) -> dict:
-    if options.get("r") is None:
-        raise MeanIneqError("--r is required for the profile sweep")
-    r = float(options["r"])
+    r = float(_required(options, "r", " for the profile sweep"))
     if not 0.0 <= lo <= hi <= 1.0:
         raise MeanIneqError("the profile sweep needs a t-grid inside [0, 1]")
     rows = [[t, a] for t, a in zip(axis.tolist(), a_r_values(r, axis).tolist())]
@@ -374,18 +377,17 @@ def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
         for key, value in vars(args).items()
         if key not in skip and value is not None
     }
-    file_rc = None
+    file_rc = RunConfig(command="")
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             file_rc = RunConfig.from_json_dict(json.load(handle))
-    command = args.command or (file_rc.command if file_rc else None)
-    if command is None:
+    command = args.command or file_rc.command
+    if not command:
         raise MeanIneqError("no command given (flag or config file)")
-    merged = dict(file_rc.options) if file_rc else {}
-    merged.update(options)
-    output = getattr(args, "output", None) or (file_rc.output if file_rc else None)
-    fmt = getattr(args, "format", None) or (file_rc.format if file_rc else None) or "json"
-    return RunConfig(command=command, options=merged, output=output, format=fmt)
+    output = getattr(args, "output", None) or file_rc.output
+    fmt = getattr(args, "format", None) or file_rc.format
+    return RunConfig(command=command, options={**file_rc.options, **options}, output=output,
+                     format=fmt)
 
 
 def _csv_cell(value) -> str:

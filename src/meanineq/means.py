@@ -15,9 +15,13 @@ comparison constant ``C_{r,s,t}(x)`` that bounds the ratio in terms of the
 minimum weight alone.
 
 All operations are pure functions of immutable inputs and are safe for
-unrestricted concurrent use.  Power sums are evaluated as max-shifted
-log-sums with compensated summation so that exponents up to a few hundred
-in magnitude neither overflow nor lose the leading digits.
+unrestricted concurrent use.  Power sums are shifted by their largest
+exponent and summed with compensated summation, so that exponents up to a
+few hundred in magnitude neither overflow nor lose the leading digits.
+For |r| < 0.05 the sum is 1 + sum_i q_i expm1(d_i) / sum_i q_i, taken by
+log1p (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41, 2021), so that
+ln M_r = ln(sum) / r stays accurate as r -> 0.  At larger |r| the plain
+exp form is as accurate and is kept, so seeded reports there keep their bits.
 
 Each :class:`Configuration` carries a means record: the quantities that
 every catalog formula reads, computed on first use and then kept.  It
@@ -35,7 +39,7 @@ scalar function on the i-th configuration: the array forms repeat the
 scalar operations in the same order, run numpy's whole-vector steps on
 all rows at once (row-wise dots go through the same BLAS dot as
 ``np.dot``) and apply the scalar steps (``math.fsum``, ``math.log``,
-``math.exp``, ``math.expm1``) row by row.
+``math.log1p``, ``math.exp``, ``math.expm1``) row by row.
 """
 
 from __future__ import annotations
@@ -52,10 +56,9 @@ from .errors import ConfigError, DegenerateInput, DomainError
 DEFAULT_REL_TOL = 1e-9
 DEFAULT_ABS_FLOOR = 1e-12
 
-# Below this order the direct log-sum formula for M_r loses accuracy to
-# cancellation; switch to the second-order expansion around the geometric
-# mean instead.
-_SMALL_ORDER = 1e-8
+# The expm1/log1p band of the power sums (see the module docstring); above
+# it the plain form's rounding, about 1e-16 / |r| relative, is below 3e-15.
+_EXPM1_BAND = 0.05
 
 _WEIGHT_SUM_TOL = 1e-12
 
@@ -233,19 +236,6 @@ class MeanValue:
             raise DomainError("MeanValue requires a finite value")
 
 
-def _weighted_logsumexp(a: np.ndarray, w: np.ndarray) -> float:
-    """log(sum_i w_i e^{a_i}) via max shift and compensated summation.
-
-    Entries of ``a`` may be -inf (zero samples) or +inf (zero samples at
-    negative order); the result is then -inf/+inf accordingly.
-    """
-    amax = float(a.max())
-    if math.isinf(amax):
-        return amax
-    terms = w * np.exp(a - amax)
-    return amax + math.log(math.fsum(terms.tolist()))
-
-
 def log_power_mean(config: Configuration, r: float) -> float:
     """ln M_r(x; q); -inf when the mean is 0 (zero samples at r <= 0)."""
     if not math.isfinite(r):
@@ -261,19 +251,29 @@ def log_power_mean(config: Configuration, r: float) -> float:
 
 def _log_power_mean(config: Configuration, r: float) -> float:
     """:func:`log_power_mean` computed afresh, for a finite order r."""
-    x = config.x
     q = config.q_weights
     logx = config._log_x
     if r == 0.0:
-        if x[0] == 0.0:
-            return float("-inf")
         return float(np.dot(q, logx))
-    if abs(r) < _SMALL_ORDER and x[0] > 0.0:
-        # M_r = G * exp(r * var(log x) / 2) + O(r^2); avoids the 1/r blowup.
-        log_g = config._log_geometric_mean
-        log_var = float(np.dot(q, (logx - log_g) ** 2))
-        return log_g + 0.5 * r * log_var
-    return _weighted_logsumexp(r * logx, q) / r
+    a = r * logx
+    m = float(a.max())
+    if math.isinf(m):
+        return m / r
+    return _log_power_sum(m, _power_sum_terms(a - m, q, r).tolist(), q.tolist(), r) / r
+
+
+def _power_sum_terms(d: np.ndarray, q: np.ndarray, r: float) -> np.ndarray:
+    """q e^d for d = r ln x - max, whole-array; q (e^d - 1) when |r| < _EXPM1_BAND."""
+    return q * (np.expm1(d) if abs(r) < _EXPM1_BAND else np.exp(d))
+
+
+def _log_power_sum(m: float, terms: list[float], q: list[float], r: float) -> float:
+    """m + ln sum_j q_j e^{d_j} from one configuration's terms; an infinite m is kept."""
+    if math.isinf(m):
+        return m
+    if abs(r) < _EXPM1_BAND:
+        return m + math.log1p(math.fsum(terms) / math.fsum(q))
+    return m + math.log(math.fsum(terms))
 
 
 def power_mean(config: Configuration, r: float) -> float:
@@ -413,36 +413,20 @@ def _map(fn, values: np.ndarray) -> np.ndarray:
     return np.array([fn(v) for v in values.tolist()], dtype=float)
 
 
-def _log_fsums(terms: np.ndarray) -> np.ndarray:
-    """``math.log(math.fsum(row))`` of every row, as :func:`_weighted_logsumexp` sums."""
-    return np.array([math.log(math.fsum(t)) for t in terms.tolist()], dtype=float)
-
-
 def log_power_mean_rows(batch: ConfigurationBatch, r: float) -> np.ndarray:
     """:func:`log_power_mean` of every row."""
     if not math.isfinite(r):
         raise DomainError("the order r must be finite; infinite orders are unsupported")
-    x = batch.x
     q = batch.q_weights
-    zero = x[:, 0] == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        logx = np.log(x)
+        logx = np.log(batch.x)
         if r == 0.0:
-            return np.where(zero, -np.inf, _row_dots(q, logx))
+            return _row_dots(q, logx)
         a = r * logx
-        amax = a.max(axis=1)
-        finite = np.isfinite(amax)
-        terms = q * np.exp(a - amax[:, None])
-    out = amax.copy()  # an infinite maximum is the result, as in _weighted_logsumexp
-    out[finite] = amax[finite] + _log_fsums(terms[finite])
-    out = out / r
-    if abs(r) < _SMALL_ORDER and not zero.all():
-        # the second-order expansion of log_power_mean, on rows with x_1 > 0
-        with np.errstate(invalid="ignore"):
-            log_g = _row_dots(q, logx)
-            log_var = _row_dots(q, (logx - log_g[:, None]) ** 2)
-        out = np.where(zero, out, log_g + 0.5 * r * log_var)
-    return out
+        m = a.max(axis=1)
+        terms = _power_sum_terms(a - m[:, None], q, r)
+    rows = zip(m.tolist(), terms.tolist(), q.tolist())
+    return np.array([_log_power_sum(mi, t, w, r) for mi, t, w in rows], dtype=float) / r
 
 
 def power_mean_rows(batch: ConfigurationBatch, r: float) -> np.ndarray:

@@ -41,6 +41,7 @@ budget are not counted.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -83,11 +84,15 @@ class SearchBudget:
     restarts: int = 20
 
     def __post_init__(self) -> None:
+        lo, hi = self.n_range
+        for name, value in (("max_evals", self.max_evals), ("seed", self.seed),
+                            ("restarts", self.restarts), ("n_range", lo), ("n_range", hi)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.max_evals < 1:
             raise DomainError("max_evals must be at least 1")
         if not 0 <= self.seed < 2**64:
             raise DomainError("seed must fit in 64 unsigned bits")
-        lo, hi = self.n_range
         if lo < 2 or hi < lo:
             raise DomainError("n_range must satisfy 2 <= lo <= hi")
         if self.restarts < 1:

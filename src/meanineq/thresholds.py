@@ -113,10 +113,15 @@ def bisect(
     """Plain bisection on a sign-changing bracket; unconditionally convergent.
 
     Returns the midpoint of the final bracket together with the residual
-    f(value).  Raises DomainError when f(lo) and f(hi) do not straddle 0.
+    f(value).  Raises DomainError when the bracket is not finite with
+    lo <= hi, or when f(lo) and f(hi) are NaN or do not straddle 0.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise DomainError(f"bracket [{lo}, {hi}] must be finite with lo <= hi")
     flo = f(lo)
     fhi = f(hi)
+    if math.isnan(flo) or math.isnan(fhi):
+        raise DomainError(f"f is NaN at the bracket [{lo}, {hi}] (f = {flo}, {fhi})")
     if flo == 0.0:
         return ThresholdResult(lo, (lo, hi), 0.0, 0)
     if fhi == 0.0:

@@ -324,6 +324,35 @@ class TestDeterminismAndPlumbing:
         assert code == 0
         assert out == "2.0\n"
 
+    @pytest.mark.parametrize("payload, message", [
+        # a list used to raise TypeError, exit 1 (the Violated code)
+        ([1, 2], "a run configuration must be a JSON object"),
+        ({"command": "mean", "options": [1]}, "'options' must be a JSON object"),
+        ({"command": "mean", "options": {"x": "1,4", "q": "0.5,0.5", "r": [1]}},
+         "option 'r' must be a number, got [1]"),
+        ({"command": "mean", "options": {"x": "1,4", "q": "0.5,0.5", "r": True}},
+         "option 'r' must be a number, got true"),
+        ({"command": "mean", "options": {"x": 1, "q": "0.5,0.5", "r": 1}},
+         "option 'x' must be a string or a list of numbers, got 1"),
+        ({"command": "threshold", "options": {"which": ["r0"]}},
+         "option 'which' must be a string, got [\"r0\"]"),
+        ({"command": "check", "options": {"ineq": "diananda-base-lower", "x": "1,4",
+                                          "q": "0.5,0.5", "force": 1}},
+         "option 'force' must be true or false, got 1"),
+        # a float budget used to run silently as its integer part
+        *(({"command": "hunt", "options": {"ineq": "mg-sigma-upper", "r": 2.5, key: value}},
+           f"option '{key}' must be an integer, got {json.dumps(value)}")
+          for key, value in [("budget", 2.7), ("budget", True), ("seed", 1.5),
+                             ("restarts", 2.5), ("n_min", 2.5), ("n_max", "4")]),
+        ({"command": "threshold", "options": {"which": "r0"}, "output": [1]},
+         "'output' must be a path, got [1]"),
+    ])
+    def test_malformed_config_file_is_a_usage_error(self, payload, message, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(payload))
+        code, out, err = invoke(["--config", str(cfg)], capsys)
+        assert (code, out, err) == (2, "", f"meanineq: error: {message}\n")
+
     def test_tolerance_env_var(self, capsys, monkeypatch):
         # a loose tolerance reclassifies a small positive residual as equality
         argv = ["check", "--ineq", "diananda-base-lower", "--x", "1,1.2",

@@ -299,6 +299,7 @@ class TestEqualityWitness:
 
 # Two parameter sets per tag: one inside the stated hypotheses and one
 # outside them (evaluated under force), so residuals of both signs occur.
+# mg-sigma-lower also takes an order inside the expm1 band of the power sums.
 BATCH_PARAMS = {
     InequalityId.DIANANDA_UPPER: [dict(triple=(1, 0.5, 0), alpha=1.5),
                                   dict(triple=(3, 1, 0.2), alpha=0.3)],
@@ -310,7 +311,7 @@ BATCH_PARAMS = {
     InequalityId.MIX_VARIANCE_LOWER: [dict(r=1.5), dict(r=-2.0)],
     InequalityId.CARTWRIGHT_FIELD_LOWER: [dict(r=1.5, s=0.5), dict(r=1.0, s=0.0)],
     InequalityId.CARTWRIGHT_FIELD_UPPER: [dict(r=1.5, s=-0.5), dict(r=5e-9, s=0.0)],
-    InequalityId.MG_SIGMA_LOWER: [dict(r=3.5), dict(r=-1.0)],
+    InequalityId.MG_SIGMA_LOWER: [dict(r=3.5), dict(r=0.01), dict(r=-1.0)],
     InequalityId.MG_SIGMA_UPPER: [dict(r=2.5), dict(r=5e-9)],
     InequalityId.HALF_MEAN_LOWER: [dict(r=0.7), dict(r=3.0)],
     InequalityId.HALF_MEAN_UPPER: [dict(r=2.0), dict(r=-0.5)],
@@ -432,7 +433,7 @@ class TestSharedMeansRecord:
         {tag: sets[0] for tag, sets in BATCH_PARAMS.items()},
         {tag: sets[-1] for tag, sets in BATCH_PARAMS.items()},
         dict({tag: sets[0] for tag, sets in BATCH_PARAMS.items()}, **{
-            # the small-order branch, signed zero orders, negative orders
+            # an order in the expm1 band, signed zero orders, negative orders
             InequalityId.MG_SIGMA_UPPER: dict(r=1e-9),
             InequalityId.CARTWRIGHT_FIELD_UPPER: dict(r=1.0, s=-0.0),
             InequalityId.CARTWRIGHT_FIELD_LOWER: dict(r=1.0, s=0.0),

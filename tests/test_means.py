@@ -319,9 +319,9 @@ def _record_configs():
     return configs
 
 
-# The fixed orders of the record, their sign twin -0.0, the small-order
-# branch, and negative orders (-inf at a zero sample).
-RECORD_ORDERS = [0.0, -0.0, 0.5, 1.0, 1e-9, -1e-9, -1.0, -2.5, 0.3, 2.0, 7.0]
+# The fixed orders of the record, their sign twin -0.0, orders inside the
+# expm1 band of the power sums, and negative orders (-inf at a zero sample).
+RECORD_ORDERS = [0.0, -0.0, 0.5, 1.0, 1e-9, -1e-9, 0.02, -0.02, -1.0, -2.5, 0.3, 2.0, 7.0]
 RECORD_TRIPLES = [DeltaParams(1.0, 0.5, 0.0, 1.0), DeltaParams(1.0, 0.5, -0.0, 2.0),
                   DeltaParams(2.0, 1.0, 0.5, 0.0), DeltaParams(0.5, -1.0, 1e-9, 1.5)]
 

@@ -137,6 +137,14 @@ class TestCounterexampleHunt:
             SearchBudget(restarts=0)
         with pytest.raises(DomainError):
             SearchBudget(seed=-1)
+        # a float budget used to crash the descent, float restarts, n_range or
+        # seed raised TypeError mid-hunt, and True ran a one-evaluation hunt
+        for bad in (dict(max_evals=50.5), dict(max_evals=True), dict(restarts=2.5),
+                    dict(n_range=(2.5, 3)), dict(n_range=(2, 3.0)), dict(seed=1.5),
+                    dict(seed=False)):
+            with pytest.raises(DomainError, match="must be an integer"):
+                SearchBudget(**bad)
+        assert SearchBudget(max_evals=np.int64(5), seed=np.int64(3)).max_evals == 5
 
 
 def sequential_hunt(id, budget, **params):

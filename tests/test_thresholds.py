@@ -44,9 +44,23 @@ class TestBisect:
         assert abs(res.residual) <= 1e-12
         assert res.bracket[0] <= res.value <= res.bracket[1]
 
-    def test_rejects_unsigned_bracket(self):
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda x: x * x + 1.0, -1.0, 1.0),
+        # a reversed bracket used to return 0.5 with residual 0.2
+        (lambda x: x - 0.3, 1.0, 0.0),
+        # an infinite end used to return inf
+        (lambda x: x - 0.3, 0.0, math.inf),
+        (lambda x: x - 0.3, -math.inf, 1.0),
+        (lambda x: x - 0.3, math.nan, 1.0),
+        # a NaN at either end used to pass for a sign, and bisection went on
+        (lambda x: -math.nan if x == 0.0 else x - 0.3, 0.0, 1.0),
+        (lambda x: math.nan if x == 0.0 else x - 0.3, 0.0, 1.0),
+        (lambda x: math.nan if x == 1.0 else x - 0.3, 0.0, 1.0),
+    ], ids=["unsigned", "reversed", "inf-hi", "inf-lo", "nan-lo", "negative-nan-at-lo",
+            "nan-at-lo", "nan-at-hi"])
+    def test_rejects_unsigned_bracket(self, f, lo, hi):
         with pytest.raises(DomainError):
-            bisect(lambda x: x * x + 1.0, -1.0, 1.0)
+            bisect(f, lo, hi)
 
     def test_flags_low_confidence_brackets(self):
         res = bisect(lambda x: 1e-14 * x - 5e-15, 0.0, 1.0)
