@@ -21,7 +21,7 @@ for t in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
 
 for r in (1.2, 1.5, 1.9, 2.0, 2.5, 4.0):
     t_star, a_star = min_a_r(r)
-    print(f"min over t at r={r}: a* = {a_star:.6f} (attained near t = {t_star:.4f})")
+    print(f"min over t at r={r}: a* = {a_star:.6f} (attained at t = {t_star:g})")
 
 print("\nimplicit-equation solves (bisection on guaranteed brackets):")
 t1 = solve_t1(1.5)

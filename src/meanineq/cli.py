@@ -76,13 +76,23 @@ class RunConfig:
             # type(), not isinstance(): true and false are no numbers
             if value is not None and type(value) not in types:
                 raise MeanIneqError(f"option {key!r} must be {what}, got {json.dumps(value)}")
+        command = payload.get("command", "")
+        if not isinstance(command, str):
+            raise MeanIneqError(f"'command' must be a string, got {json.dumps(command)}")
         output = payload.get("output")
         if not isinstance(output, (str, type(None))):
             raise MeanIneqError(f"'output' must be a path, got {json.dumps(output)}")
-        return cls(command=str(payload["command"]),
+        fmt = payload.get("format", "json")
+        if fmt not in _FORMATS:
+            raise MeanIneqError(f"'format' must be {' or '.join(map(json.dumps, _FORMATS))}, "
+                                f"got {json.dumps(fmt)}")
+        return cls(command=command,
                    options={key: value for key, value in options.items() if value is not None},
-                   output=output, format=str(payload.get("format", "json")))
+                   output=output, format=fmt)
 
+
+# The report formats, for --format and a run configuration's "format".
+_FORMATS = ("json", "csv")
 
 # The JSON types a run configuration may give an option, and their name.
 _OPTION_TYPES = {
@@ -307,7 +317,7 @@ _INEQ_HELP = "inequality tag, with its stated hypotheses: " + "; ".join(
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", help="write the report here instead of stdout")
-    common.add_argument("--format", choices=("json", "csv"), default=None,
+    common.add_argument("--format", choices=_FORMATS, default=None,
                         help="report format (default json)")
     common.add_argument("--tol", type=float, default=None,
                         help=f"relative tolerance override (or env {_TOL_ENV})")

@@ -30,16 +30,12 @@ import numpy as np
 
 from ._tables import with_table
 from .errors import DomainError
-from .thresholds import (
-    _SINGULAR_T,
-    _min_a_r_rows,
-    alpha_threshold_lower,
-    alpha_threshold_upper,
-    r0_value,
-)
+from .thresholds import _a_r_at_one, alpha_threshold_lower, alpha_threshold_upper, r0_value
 
 DEFAULT_SIGN_TOL = 1e-10
 MAX_GRID_POINTS = 1_000_000
+# The gap and chain functions take their t = 1 limit this close to 1.
+_SINGULAR_T = 1e-8
 
 
 class AuxFunctionId(str, Enum):
@@ -242,11 +238,12 @@ def _core_axes(upper: bool):
     # a is tied to r, so it shares r's (R, 1) column.
     lo, hi = (1.05, 1.95) if upper else (2.05, 5.0)
     rs = np.linspace(lo, hi, 19)
-    avals = _min_a_r_rows(rs)[1]
+    avals = np.array([_a_r_at_one(r) for r in rs.tolist()])
     if not upper:
         avals = np.minimum(1.0 - 1.0 / rs, avals)
     axes = (rs[:, None], avals[:, None], np.linspace(0.0, 1.0, 501)[None, :])
-    desc = f"r in [{lo}, {hi}] x19 with a tied to the solved profile minimum, t in [0, 1] x501"
+    desc = (f"r in [{lo}, {hi}] x19 with a tied to the closed-form profile minimum a_r(1), "
+            "t in [0, 1] x501")
     return axes, desc
 
 

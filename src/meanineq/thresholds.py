@@ -31,26 +31,30 @@ the smallest mean order for which the variance-corrected half-mean upper
 bound is proved.
 
 All solvers use plain bisection on brackets whose sign change is
-guaranteed by monotonicity; the minimizer is a dense grid refined by
-golden-section search and assumes no unimodality.  Everything here is a
-pure function, safe for concurrent use.
+guaranteed by monotonicity.  Everything here is a pure function, safe for
+concurrent use.
 
-The a_r formula is written once, in the unchecked kernel ``_a_r``, which
-broadcasts r against t; ``a_r_values`` validates its input and calls it.
-There is one golden-section loop, the generator ``_golden_section``, and
-``_golden_lanes`` steps any number of them in lockstep, with one call of
-the objective per step over all lanes.  Lane state is Python floats, since
-numpy's per-call overhead would dominate a single lane; the objective is
-the only array work.  ``golden_section_min`` is a one-lane call.  There is
-one profile solver, ``_min_a_r_rows``: one grid evaluation of shape
-(R, 2049), then R golden sections in lockstep.  It serves the 19-r default
-core-certificate grids, and ``min_a_r`` is its one-r call.  r is passed to
-the kernel as given: one float r runs numpy's ``array ** scalar`` loops, an
-array of r the elementwise ones, whose result for one element does not
-depend on the array around it.  The two agree except where the scalar loop
-takes sqrt or square for the exponents 1/2 and 2, at r in {1.5, 2, 3}; the
-tests pin those three.  (A scalar ``math`` form of the kernel would round
-differently from numpy's loops in about one evaluation in eight.)
+The minimum of a_r over [0, 1] is a_r(1), in closed form.  Both ratios in
+a_r are unchanged under t -> 1/t, so a_r(t) = a_r(1/t) and t = 1 is always
+a stationary point.  That it is the global minimum is not proved here but
+verified at 50 digits on 209 r (a 1/40 grid on (1, 6) without r = 2, plus
+1.0001, 1.001, 1.999, 1.9999, 2.0001, 2.001, 8, 10, 20, 50 and 100) and
+225 t (steps of 1/200, and 10^-k and 1 - 10^-k for k = 3..15): no a_r(t)
+falls below a_r(1).  ``tests/test_oracle.py`` repeats a seeded scan over
+the r that the certificates and the CLI use.  The closed form's
+numerator (r-1) ln 2 - ln r vanishes at r = 1 and r = 2, so it is written
+in two branches, each free of cancellation.
+
+a_r itself is evaluated as
+
+    a_r(t) = |p + w phi(t w)| / (p - u phi(t u)),   p = (r-1) phi(t),
+
+with phi(x) = log1p(x)/x, w = (t^{r-1} - 1)/(1 - t^r) and
+u = (t^{r-1} - 1)/(1 + t), where t^{r-1} - 1 and 1 - t^r are expm1 of
+multiples of ln t.  That is the quotient of the two logarithms in a_r, each
+divided by t: it stays within 1e-15 absolute of a 150-digit oracle on all
+of [0, 1], subnormal t included, and gives the limit |r-2|/r at t = 0
+itself; only t = 1 takes the closed form.
 """
 
 from __future__ import annotations
@@ -70,16 +74,11 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Interior brackets are clipped here; defining equations degenerate at the
 # endpoints of their r-ranges.
 _BRACKET_CLIP = 1e-12
-_SINGULAR_T = 1e-8
 
 BISECT_XTOL = 1e-13
 BISECT_MAX_ITER = 200
 
 _GOLDEN_MAX_ITER = 200
-
-# The profile solver's grid and polish tolerance.
-_PROFILE_GRID_POINTS = 2049
-_PROFILE_XTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -164,56 +163,33 @@ def golden_section_min(
     Tracks the best point actually evaluated (including the endpoints), so
     a minimum sitting on the bracket edge is never lost.
     """
-    return _golden_lanes(lambda u: [f(u[0])], [lo], [hi], xtol, max_iter)[0]
-
-
-def _golden_section(lo: float, hi: float, xtol: float, max_iter: int):
-    """The points golden section evaluates on [lo, hi], ends first: a
-    generator that yields each point and is sent the value there."""
+    best_t, best_f = lo, f(lo)
+    fhi = f(hi)
+    if fhi < best_f:
+        best_t, best_f = hi, fhi
     a, b = lo, hi
     c = b - (b - a) * _INV_PHI
     d = a + (b - a) * _INV_PHI
-    yield lo
-    yield hi
-    fc = yield c
-    fd = yield d
-    for _ in range(max_iter):
-        if not b - a > xtol:
-            return
+    fc, fd = f(c), f(d)
+    for t, ft in ((c, fc), (d, fd)):
+        if ft < best_f:
+            best_t, best_f = t, ft
+    iterations = 0
+    while b - a > xtol and iterations < max_iter:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - (b - a) * _INV_PHI
-            fc = yield c
+            fc = f(c)
+            if fc < best_f:
+                best_t, best_f = c, fc
         else:
             a, c, fc = c, d, fd
             d = a + (b - a) * _INV_PHI
-            fd = yield d
-
-
-def _golden_lanes(
-    f: Callable[[list], list], lo: list, hi: list, xtol: float, max_iter: int
-) -> list[tuple[float, float]]:
-    """One golden section per bracket [lo[k], hi[k]], stepped in lockstep.
-
-    ``f`` maps a list of points, one per lane, to the list of their values;
-    a lane that has finished is fed its last point again.  Returns each
-    lane's best evaluated (t, f(t)), the first of equal values.
-    """
-    live = list(enumerate(_golden_section(*b, xtol, max_iter) for b in zip(lo, hi)))
-    t = [next(lane) for _, lane in live]
-    ft = f(t)
-    best = list(zip(t, ft))
-    while True:
-        for k, lane in live:
-            if ft[k] < best[k][1]:
-                best[k] = t[k], ft[k]
-            try:
-                t[k] = lane.send(ft[k])
-            except StopIteration:  # this pass keeps iterating the old list
-                live = [p for p in live if p[0] != k]
-        if not live:
-            return best
-        ft = f(t)
+            fd = f(d)
+            if fd < best_f:
+                best_t, best_f = d, fd
+        iterations += 1
+    return best_t, best_f
 
 
 def _check_profile_r(r: float) -> None:
@@ -222,25 +198,17 @@ def _check_profile_r(r: float) -> None:
 
 
 def _a_r_at_one(r: float) -> float:
-    """The t = 1 limit |ln(2^{r-1}/r)| / ((r-1) ln 2)."""
-    return abs((r - 1.0) * _LN2 - math.log(r)) / ((r - 1.0) * _LN2)
+    """The t = 1 limit |(r-1) ln 2 - ln r| / ((r-1) ln 2), the minimum of a_r."""
+    if r < 1.5:
+        num = (r - 1.0) * _LN2 - math.log1p(r - 1.0)
+    else:
+        num = (r - 2.0) * _LN2 - math.log1p((r - 2.0) / 2.0)
+    return abs(num) / ((r - 1.0) * _LN2)
 
 
-def _a_r(r, t: np.ndarray, at_one) -> np.ndarray:
-    """a_r(t) without input checks: ``r`` broadcasts against ``t``, and
-    ``at_one`` is ``_a_r_at_one`` of each r.
-
-    Call it inside ``np.errstate(divide="ignore", invalid="ignore")``: the
-    formula is 0/0 at both ends, where the limits replace it.  ``t`` must be
-    an array, never a Python or numpy scalar, so that every power and
-    logarithm runs numpy's array loops and the bits do not depend on the
-    caller.
-    """
-    tr = t**r
-    num = np.abs(np.log((1.0 + t) ** (r - 1.0) * (1.0 - t) / (1.0 - tr)))
-    den = r * np.log1p(t) - np.log1p(tr)
-    vals = np.where(t < _SINGULAR_T, abs(r - 2.0) / r, num / den)
-    return np.where(t > 1.0 - _SINGULAR_T, at_one, vals)
+def _log1p_over(x: np.ndarray) -> np.ndarray:
+    """log1p(x)/x, with its limit 1 at x = 0."""
+    return np.where(x == 0.0, 1.0, np.log1p(x) / x)
 
 
 def a_r_values(r: float, t: np.ndarray) -> np.ndarray:
@@ -249,8 +217,14 @@ def a_r_values(r: float, t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if not np.all((t >= 0.0) & (t <= 1.0)):
         raise DomainError("t must lie in [0, 1]")
+    # At t = 0, ln t = -inf carries the formula to its limit |r-2|/r; t = 1 is 0/0.
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _a_r(r, t, _a_r_at_one(r))
+        lnt = np.log(t)
+        g = np.expm1((r - 1.0) * lnt)
+        w, u = g / -np.expm1(r * lnt), g / (1.0 + t)
+        p = (r - 1.0) * _log1p_over(t)
+        a = np.abs(p + w * _log1p_over(t * w)) / (p - u * _log1p_over(t * u))
+    return np.where(t == 1.0, _a_r_at_one(float(r)), a)
 
 
 def a_r_fn(r: float, t: float) -> float:
@@ -259,39 +233,13 @@ def a_r_fn(r: float, t: float) -> float:
 
 
 def min_a_r(r: float) -> tuple[float, float]:
-    """Global minimum of a_r over [0, 1]: a dense grid refined by golden section.
+    """Global minimum of a_r over [0, 1]: (1.0, a_r(1)), from the closed form.
 
-    No unimodality is assumed: the grid localizes the global minimum and
-    golden section only polishes the best cell.  Returns (t_star, a_star).
+    a_r(t) = a_r(1/t) makes t = 1 stationary; that it is the global minimum
+    is verified at high precision over the r in use (module docstring).
     """
     _check_profile_r(r)
-    t_star, a_star = _min_a_r_rows(r)
-    return float(t_star[0]), float(a_star[0])
-
-
-def _min_a_r_rows(rs: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``min_a_r(r)`` for every r in ``rs`` (each a finite r > 1), bit for bit.
-
-    ``rs`` is one float r or an (R,) array of them, passed to the kernel as
-    given.  One grid evaluation of shape (R, 2049), then one golden section
-    per r, all stepped in lockstep.  Returns the arrays (t_star, a_star).
-    """
-    at_one = np.array([_a_r_at_one(r) for r in np.ravel(rs).tolist()])
-    ts = np.linspace(0.0, 1.0, _PROFILE_GRID_POINTS)
-    last = _PROFILE_GRID_POINTS - 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = _a_r(rs[:, None] if np.ndim(rs) else rs, ts, at_one[:, None])
-        i = vals.argmin(axis=1).tolist()
-        polished = _golden_lanes(
-            lambda u: _a_r(rs, np.array(u), at_one).tolist(),
-            [float(ts[max(j - 1, 0)]) for j in i],
-            [float(ts[min(j + 1, last)]) for j in i],
-            _PROFILE_XTOL,
-            _GOLDEN_MAX_ITER,
-        )
-    grid = [(ts[j], vals[k, j]) for k, j in enumerate(i)]
-    t_star, a_star = zip(*(g if g[1] < p[1] else p for g, p in zip(grid, polished)))
-    return np.array(t_star), np.array(a_star)
+    return 1.0, _a_r_at_one(float(r))
 
 
 def _t1_gap(r: float, t: float) -> float:

@@ -314,6 +314,18 @@ class TestDeterminismAndPlumbing:
         assert code == 0
         assert out == "2.25\n"
 
+    def test_config_file_without_command(self, tmp_path, capsys):
+        # the command comes from the command line; this used to fail with
+        # "meanineq: error: 'command'", a KeyError
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"options": {"x": "1,4", "q": "0.5,0.5", "r": 0.5},
+                                   "format": "csv"}))
+        code, out, err = invoke(["--config", str(cfg), "mean"], capsys)
+        assert (code, out, err) == (0, "value\n2.25\n", "")
+        code, out, err = invoke(["--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "meanineq: error: no command given (flag or config file)\n"
+
     def test_cli_flags_override_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({
@@ -346,6 +358,14 @@ class TestDeterminismAndPlumbing:
                              ("restarts", 2.5), ("n_min", 2.5), ("n_max", "4")]),
         ({"command": "threshold", "options": {"which": "r0"}, "output": [1]},
          "'output' must be a path, got [1]"),
+        # an unknown format used to give JSON silently
+        ({"command": "threshold", "options": {"which": "r0"}, "format": "xml"},
+         "'format' must be \"json\" or \"csv\", got \"xml\""),
+        ({"command": "threshold", "options": {"which": "r0"}, "format": ["csv"]},
+         "'format' must be \"json\" or \"csv\", got [\"csv\"]"),
+        ({"command": ["threshold"], "options": {"which": "r0"}},
+         "'command' must be a string, got [\"threshold\"]"),
+        ({"command": 1, "options": {"which": "r0"}}, "'command' must be a string, got 1"),
     ])
     def test_malformed_config_file_is_a_usage_error(self, payload, message, tmp_path, capsys):
         cfg = tmp_path / "run.json"

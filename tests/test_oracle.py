@@ -1,8 +1,8 @@
-"""Power means against a 50-digit mpmath oracle, and small-order verdicts.
+"""Power means and the a_r profile against mpmath oracles, and small-order verdicts.
 
-The oracle normalizes the weights by their exact sum: configurations
-accept weights that sum to 1 within 1e-12, and M_r is the mean of the
-normalized weights.
+The power-mean oracle normalizes the weights by their exact sum:
+configurations accept weights that sum to 1 within 1e-12, and M_r is the
+mean of the normalized weights.
 """
 
 import math
@@ -10,7 +10,16 @@ import math
 import numpy as np
 from mpmath import mp
 
-from meanineq import CheckStatus, Configuration, check, log_power_mean, power_mean
+from meanineq import (
+    CheckStatus,
+    Configuration,
+    a_r_fn,
+    a_r_values,
+    check,
+    log_power_mean,
+    min_a_r,
+    power_mean,
+)
 from meanineq.means import _EXPM1_BAND
 
 EDGE = [math.nextafter(_EXPM1_BAND, 0.0), _EXPM1_BAND, math.nextafter(_EXPM1_BAND, 1.0)]
@@ -80,3 +89,71 @@ def test_no_spurious_violations_at_small_orders():
             statuses.append(check("mg-sigma-upper", cfg, r=r).status)
     assert len(statuses) == 6000
     assert CheckStatus.VIOLATED not in statuses
+
+
+def oracle_a_r(r, t, dps=50):
+    """a_r(t) at ``dps`` digits, with its limits at t = 0 and t = 1."""
+    with mp.workdps(dps):
+        r, t = mp.mpf(r), mp.mpf(t)
+        if t == 0:
+            return abs(r - 2) / r
+        if t == 1:
+            return abs((r - 1) * mp.log(2) - mp.log(r)) / ((r - 1) * mp.log(2))
+        num = (r - 1) * mp.log1p(t) + mp.log1p(-t) - mp.log1p(-t**r)
+        return abs(num) / (r * mp.log1p(t) - mp.log1p(t**r))
+
+
+# Steps of 1/200 (both ends included), both ends approached by 10^-k, and
+# tiny and subnormal t, where a_r nears |r-2|/r only like t^{r-1}.
+PROFILE_TS = np.array(sorted({
+    *np.linspace(0.0, 1.0, 201).tolist(),
+    *(10.0**-k for k in range(3, 16)), *(1.0 - 10.0**-k for k in range(3, 16)),
+    1e-30, 1e-60, 1e-300, 5e-324,
+}))
+
+
+def test_a_r_values_match_the_oracle():
+    # a_r used to snap t < 1e-8 to |r-2|/r and t > 1 - 1e-8 to a_r(1), and
+    # to cancel near both ends: it was 0.1 absolute off at r = 1.0001.
+    rng = np.random.default_rng(2026)
+    rs = [*(1.0 + 5.0 * (1.0 - rng.random(20))), 1.0001, 10.0, 50.0, 100.0]
+    worst = 0.0
+    for r in rs:
+        got = a_r_values(float(r), PROFILE_TS)
+        for t, value in zip(PROFILE_TS.tolist(), got.tolist()):
+            worst = max(worst, abs(value - float(oracle_a_r(r, t))))
+    assert worst <= 1e-14, worst
+
+
+def test_profile_minimum_matches_the_oracle():
+    # a_r(1) in closed form; its numerator (r-1) ln 2 - ln r vanishes at
+    # r = 1 and r = 2; the one-line form lost 2.1e-12 relative at r = 2.0001.
+    rng = np.random.default_rng(7)
+    rs = [*(1.0 + 5.0 * (1.0 - rng.random(3000))),
+          *(1.0 + 10.0 ** rng.uniform(-9.0, math.log10(1e6 - 1.0), 500)),
+          1.0001, 1.9999, 2.0001, 1e6]
+    worst = 0.0
+    for r in map(float, rs):
+        t_star, a_star = min_a_r(r)
+        assert (t_star, a_star) == (1.0, a_r_fn(r, 1.0))
+        want = oracle_a_r(r, 1.0, dps=40)
+        worst = max(worst, float(abs(a_star - want) / want))
+    assert worst <= 2e-15, worst
+    assert min_a_r(2.0) == (1.0, 0.0)
+
+
+def test_profile_minimum_is_at_one():
+    # a_r(t) = a_r(1/t) makes t = 1 stationary; this scan, at 40 digits,
+    # finds no t where a_r dips below a_r(1), over the default core-* ranges
+    # of r and a few more that the CLI takes.  Near t = 1 the gap is
+    # O((1-t)^2), about 4e-22 at r = 2.0001 and 1 - t = 1e-8.
+    rng = np.random.default_rng(12)
+    rs = [*rng.uniform(1.05, 1.95, 25), *rng.uniform(2.05, 5.0, 25),
+          1.0001, 1.01, 1.999, 2.0001, 10.0, 100.0]
+    ts = [*rng.uniform(0.0, 1.0, 40), *(10.0**-k for k in range(1, 9)),
+          *(1.0 - 10.0**-k for k in range(1, 9))]
+    for r in map(float, rs):
+        t_star, _ = min_a_r(r)
+        assert t_star == 1.0
+        floor = oracle_a_r(r, t_star, dps=40)
+        assert all(oracle_a_r(r, t, dps=40) >= floor for t in ts), r

@@ -260,9 +260,13 @@ class TestIndependentCrossChecks:
 # compared exactly, so any change in grid order, filtering or arithmetic shows.
 # shifted-ratio-monotone's values were re-recorded when its finite difference
 # in s gave way to the exact derivative (before: 0.0009900995001644855).
+# The core-* reports were re-recorded when a became the closed-form a_r(1)
+# instead of a solved minimum: core-upper's worst point moved from
+# (r 1.6, t 1) at margin -2.2e-16 to (r 1.05, t 0) at 0.0, core-lower's from
+# (r 2.05, t 0) at 0.0 to (r 4.18, t 1) at -4.4e-16.
 _GOLDEN_DEFAULT = [
-    {'id': 'core-upper', 'domain': 'r in [1.05, 1.95] x19 with a tied to the solved profile minimum, t in [0, 1] x501', 'worst_point': {'r': 1.6, 'a': 0.13011984185439612, 't': 1.0}, 'worst_value': -2.220446049250313e-16, 'margin': -2.220446049250313e-16, 'verdict': 'AllSatisfy', 'points_checked': 9519},
-    {'id': 'core-lower', 'domain': 'r in [2.05, 5.0] x19 with a tied to the solved profile minimum, t in [0, 1] x501', 'worst_point': {'r': 2.05, 'a': 0.013691514533854802, 't': 0.0}, 'worst_value': 0.0, 'margin': 0.0, 'verdict': 'AllSatisfy', 'points_checked': 9519},
+    {'id': 'core-upper', 'domain': 'r in [1.05, 1.95] x19 with a tied to the closed-form profile minimum a_r(1), t in [0, 1] x501', 'worst_point': {'r': 1.05, 'a': 0.4077865578279588, 't': 0.0}, 'worst_value': 0.0, 'margin': 0.0, 'verdict': 'AllSatisfy', 'points_checked': 9519},
+    {'id': 'core-lower', 'domain': 'r in [2.05, 5.0] x19 with a tied to the closed-form profile minimum a_r(1), t in [0, 1] x501', 'worst_point': {'r': 4.180555555555555, 'a': 0.351152765839074, 't': 1.0}, 'worst_value': -4.440892098500626e-16, 'margin': -4.440892098500626e-16, 'verdict': 'AllSatisfy', 'points_checked': 9519},
     {'id': 'shifted-ratio-monotone', 'domain': 'r in [1.1, 4] x12, p in [1.1, 8] x14 (p >= r), s in [0, 1] x21, z in (1, 100] x16 log', 'worst_point': {'r': 1.1, 'p': 1.1, 's': 1.0, 'z': 100.0}, 'worst_value': 0.000990099009900991, 'margin': 0.000990099009900991, 'verdict': 'AllSatisfy', 'points_checked': 44352},
     {'id': 'linear-gap-bound', 'domain': 'r in (1, 2) and (2, 3), 25 each, a = solved gap exponent, t in [0, 1] x401', 'worst_point': {'r': 1.02, 'a': 0.004732945994024407, 't': 0.0}, 'worst_value': 0.0, 'margin': 0.0, 'verdict': 'AllSatisfy', 'points_checked': 20050},
     {'id': 'binomial-chain', 'domain': 'r in [4, 8] x81, t in [0, 1] x500', 'worst_point': {'r': 4.0, 't': 0.0}, 'worst_value': 0.0, 'margin': 0.0, 'verdict': 'AllSatisfy', 'points_checked': 40500},

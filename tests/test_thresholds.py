@@ -22,7 +22,6 @@ from meanineq import (
     solve_t1,
     solve_t2,
 )
-from meanineq.thresholds import _min_a_r_rows
 
 
 def t1_equation_sides(r, t):
@@ -79,8 +78,7 @@ class TestGoldenSection:
         assert t == 0.25
         assert f == 0.25
 
-    # Exact (t, f), recorded from the scalar loop: the lockstep lanes must
-    # do the same float operations in the same order.
+    # Exact (t, f), recorded from the scalar loop.
     def test_not_unimodal(self):
         # cos(5u) has two minima in [-2, 3]; the section settles on one.
         t, f = golden_section_min(lambda u: math.cos(5.0 * u), -2.0, 3.0)
@@ -158,6 +156,7 @@ class TestMinProfile:
             assert a_star <= a_r_fn(r, 0.0) + 1e-12
             assert a_star <= a_r_fn(r, 1.0) + 1e-12
             assert a_star >= 0.0
+            assert (t_star, a_star) == (1.0, a_r_fn(r, 1.0))
 
     def test_bracketed_for_three_halves(self):
         _, a_star = min_a_r(1.5)
@@ -165,47 +164,32 @@ class TestMinProfile:
 
 
 class TestMinProfileRows:
-    # Recorded from the one-r-at-a-time solver before the lockstep path
-    # existed; r = 1.3009643341361339 has its minimum on the t = 1 limit.
-    # At r in {1.5, 2, 3} the single-r kernel meets numpy's sqrt/square
-    # shortcut for `array ** 0.5` and `array ** 2.0`, which the rows path,
-    # with one exponent per lane, does not take: the rows path can round
-    # differently only there, so all three are pinned.
+    # min_a_r at a few r and over both default core grids.  Re-recorded
+    # when the grid-and-golden-section solver gave way to the closed form
+    # a_r(1): each t_star was in [0.99998, 1] before (0 at r = 2), and each
+    # a_star here moved by at most 6.1e-10 relative.
     GOLDEN = {
-        1.05: (0.9999841198852426, 0.40778655775994677),
+        1.05: (1.0, 0.4077865578279588),
         1.3009643341361339: (1.0, 0.26121725447691596),
-        1.5: (0.9999856363012656, 0.16992500144006223),
-        1.75: (1.0, 0.07647322941013886),
-        2.0: (0.0, 0.0),
-        2.5: (0.9999960299713107, 0.11871460340224702),
-        3.0: (0.9999959100125291, 0.20751874963635256),
-        5.0: (0.9999975188179558, 0.4195179762773781),
+        1.5: (1.0, 0.1699250014423124),
+        1.75: (1.0, 0.0764732294101388),
+        2.0: (1.0, 0.0),
+        2.5: (1.0, 0.11871460340842509),
+        3.0: (1.0, 0.2075187496394219),
+        5.0: (1.0, 0.41951797627815934),
     }
     # sha256 of repr(list of min_a_r(r)) over both default core grids.
-    DEFAULT_GRIDS_SHA256 = "de039bdd763424f8b69d3d50cc3b5c3aff3558a17df8c8a4f1401714d9289170"
-
-    @staticmethod
-    def rows(rs):
-        t_star, a_star = _min_a_r_rows(np.asarray(rs, dtype=float))
-        return [(float(t), float(a)) for t, a in zip(t_star, a_star)]
+    DEFAULT_GRIDS_SHA256 = "b883b6012e7038a04bb9921e88e880168d15a8c215587154d09512abdf3ea22d"
 
     def test_golden_values(self):
         for r, expected in self.GOLDEN.items():
             assert min_a_r(r) == expected
-        assert self.rows(list(self.GOLDEN)) == list(self.GOLDEN.values())
 
     def test_default_grids_digest(self):
         rs = [float(r) for r in np.concatenate([np.linspace(1.05, 1.95, 19),
                                                 np.linspace(2.05, 5.0, 19)])]
-        for solved in ([min_a_r(r) for r in rs], self.rows(rs[:19]) + self.rows(rs[19:])):
-            assert hashlib.sha256(repr(solved).encode()).hexdigest() == self.DEFAULT_GRIDS_SHA256
-
-    def test_rows_equal_single_solves(self):
-        rng = np.random.default_rng(20261018)
-        rs = [float(r) for r in 1.0 + 5.0 * (1.0 - rng.random(500))] + list(self.GOLDEN)
-        for start in range(0, len(rs), 64):
-            chunk = rs[start:start + 64]
-            assert self.rows(chunk) == [min_a_r(r) for r in chunk]
+        solved = [min_a_r(r) for r in rs]
+        assert hashlib.sha256(repr(solved).encode()).hexdigest() == self.DEFAULT_GRIDS_SHA256
 
 
 class TestImplicitEquations:
