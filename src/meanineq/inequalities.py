@@ -159,7 +159,7 @@ class _RowMeans:
 
     def __init__(self, batch: ConfigurationBatch) -> None:
         self.batch = batch
-        self.q = batch.q_weights.min(axis=1)
+        self.q = batch.min_weights()
         self.bad = np.zeros(len(self.q), dtype=bool)
 
     def mean(self, r: float) -> np.ndarray:
@@ -172,7 +172,7 @@ class _RowMeans:
         return self.batch.x[:, 0]
 
     def xn(self) -> np.ndarray:
-        return self.batch.x[:, -1]
+        return self.batch.x_n()
 
     def delta(self, params: DeltaParams) -> np.ndarray:
         d = delta_rows(self.batch, params)

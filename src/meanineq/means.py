@@ -32,14 +32,18 @@ computed afresh on every call.  :func:`log_power_mean`, :func:`power_mean`,
 samples and weights are read-only, so a kept value cannot go stale, and
 callers racing to fill an entry compute and store the same float.
 
-:class:`ConfigurationBatch` holds B configurations of one size n as
-``(B, n)`` arrays, and the ``*_rows`` functions are the array forms of
-M_r, sigma and delta over it.  Row i of each is bit-identical to the
-scalar function on the i-th configuration: the array forms repeat the
-scalar operations in the same order, run numpy's whole-vector steps on
-all rows at once (row-wise dots go through the same BLAS dot as
-``np.dot``) and apply the scalar steps (``math.fsum``, ``math.log``,
-``math.log1p``, ``math.exp``, ``math.expm1``) row by row.
+:class:`ConfigurationBatch` holds B configurations as ``(B, width)``
+arrays, row i holding its n_i samples first and padding after them, and
+the ``*_rows`` functions are the array forms of M_r, sigma and delta over
+it.  Row i of each is bit-identical to the scalar function on the i-th
+configuration: the array forms repeat the scalar operations in the same
+order, run numpy's elementwise steps on all rows at once, take row maxima
+and minima with the padding set to -inf or +inf, run sums and row-wise
+dots (the same BLAS dot as ``np.dot``) on each run of equal-size rows cut
+to its size, and apply the scalar steps (``math.fsum``, ``math.log``,
+``math.log1p``, ``math.exp``, ``math.expm1``) row by row to the row's own
+entries.  A padded sum or dot would not do: numpy's pairwise sum regroups
+its terms from 8 of them, and the BLAS dot from 16.
 """
 
 from __future__ import annotations
@@ -380,27 +384,68 @@ def c_constant(r: float, s: float, t: float, xarg: float) -> float:
 
 
 class ConfigurationBatch:
-    """B configurations of n samples each, as ``(B, n)`` arrays.
+    """B configurations as ``(B, width)`` arrays, row i holding ``sizes[i]`` samples.
 
     Each row is sorted ascending on construction, weights permuted along,
-    exactly as :class:`Configuration` sorts.  Rows are not validated: the
-    constructors' callers supply valid configurations.
+    exactly as :class:`Configuration` sorts.  Entries past a row's size
+    are padding, left as given; ``sizes`` defaults to the full width.
+    Rows are not validated: the constructors' callers supply valid
+    configurations.
     """
 
-    def __init__(self, x, q_weights) -> None:
+    def __init__(self, x, q_weights, sizes=None) -> None:
         x = np.asarray(x, dtype=float)
-        order = np.argsort(x, axis=1, kind="stable")
-        self.x = np.take_along_axis(x, order, axis=1)
-        self.q_weights = np.take_along_axis(np.asarray(q_weights, dtype=float), order, axis=1)
+        self._set_sizes(sizes, x.shape)
+        self._sort(x, np.asarray(q_weights, dtype=float))
 
     @classmethod
-    def from_log_coordinates(cls, logx: np.ndarray, logits: np.ndarray) -> "ConfigurationBatch":
+    def from_log_coordinates(cls, logx: np.ndarray, logits: np.ndarray,
+                             sizes=None) -> "ConfigurationBatch":
         """Samples ``exp(logx)`` with weights ``softmax(logits)``, row by row."""
+        batch = cls.__new__(cls)
+        batch._set_sizes(sizes, logits.shape)
+        logits = batch._fill(logits, -np.inf)
         w = np.exp(logits - logits.max(axis=1, keepdims=True))
-        return cls(np.exp(logx), w / w.sum(axis=1, keepdims=True))
+        batch._sort(np.exp(logx), w / batch._per_size(lambda w: w.sum(axis=1), w)[:, None])
+        return batch
+
+    def _set_sizes(self, sizes, shape) -> None:
+        rows, width = shape
+        self.sizes = np.full(rows, width) if sizes is None else np.asarray(sizes, dtype=int)
+        starts = [0, *((self.sizes[1:] != self.sizes[:-1]).nonzero()[0] + 1).tolist(), rows]
+        # each run of consecutive rows of one size, as (rows, size)
+        self._runs = [(slice(a, b), int(self.sizes[a]))
+                      for a, b in zip(starts, starts[1:]) if a < b]
+        self._padding = self.sizes[:, None] <= np.arange(width)
+
+    def _sort(self, x: np.ndarray, q: np.ndarray) -> None:
+        order = np.argsort(self._fill(x, np.inf), axis=1, kind="stable")
+        rows = np.arange(len(x))[:, None]
+        self.x = x[rows, order]
+        self.q_weights = q[rows, order]
+
+    def _fill(self, a: np.ndarray, value: float) -> np.ndarray:
+        """``a`` with the padding set to ``value``; a row's max or min then ignores it."""
+        return np.where(self._padding, value, a)
+
+    def _per_size(self, fn, *arrays) -> np.ndarray:
+        """``fn`` on each run of equal-size rows cut to their size, as one (B,) array."""
+        out = np.empty(len(self.sizes))
+        for rows, n in self._runs:
+            out[rows] = fn(*(a[rows, :n] for a in arrays))
+        return out
+
+    def min_weights(self) -> np.ndarray:
+        """The minimum weight of every row."""
+        return self._fill(self.q_weights, np.inf).min(axis=1)
+
+    def x_n(self) -> np.ndarray:
+        """The largest sample of every row."""
+        return self.x[np.arange(len(self.x)), self.sizes - 1]
 
     def row(self, i: int) -> Configuration:
-        return Configuration(self.x[i], self.q_weights[i])
+        n = self.sizes[i]
+        return Configuration(self.x[i, :n], self.q_weights[i, :n])
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -418,15 +463,16 @@ def log_power_mean_rows(batch: ConfigurationBatch, r: float) -> np.ndarray:
     if not math.isfinite(r):
         raise DomainError("the order r must be finite; infinite orders are unsupported")
     q = batch.q_weights
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Padding may overflow here; a row's own terms are at most its weights.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         logx = np.log(batch.x)
         if r == 0.0:
-            return _row_dots(q, logx)
+            return batch._per_size(_row_dots, q, logx)
         a = r * logx
-        m = a.max(axis=1)
+        m = batch._fill(a, -np.inf).max(axis=1)
         terms = _power_sum_terms(a - m[:, None], q, r)
-    rows = zip(m.tolist(), terms.tolist(), q.tolist())
-    return np.array([_log_power_sum(mi, t, w, r) for mi, t, w in rows], dtype=float) / r
+    return np.array([_log_power_sum(mi, t, w, r) for rows, n in batch._runs for mi, t, w in zip(
+        m[rows].tolist(), terms[rows, :n].tolist(), q[rows, :n].tolist())], dtype=float) / r
 
 
 def power_mean_rows(batch: ConfigurationBatch, r: float) -> np.ndarray:
@@ -436,10 +482,11 @@ def power_mean_rows(batch: ConfigurationBatch, r: float) -> np.ndarray:
 
 def variance_sigma_rows(batch: ConfigurationBatch) -> np.ndarray:
     """:func:`variance_sigma` of every row."""
-    x = batch.x
-    q = batch.q_weights
-    a = _row_dots(q, x)
-    return _row_dots(q, (x - a[:, None]) ** 2)
+    def sigma(q, x):
+        a = _row_dots(q, x)
+        return _row_dots(q, (x - a[:, None]) ** 2)
+
+    return batch._per_size(sigma, batch.q_weights, batch.x)
 
 
 def delta_rows(batch: ConfigurationBatch, params: DeltaParams) -> np.ndarray:
@@ -462,7 +509,7 @@ def delta_rows(batch: ConfigurationBatch, params: DeltaParams) -> np.ndarray:
             out[i] = _delta_with_zero_reference(float(ls[i]), float(lt[i]), alpha)
         except DegenerateInput:
             out[i] = np.nan
-    out[batch.x[:, 0] == batch.x[:, -1]] = np.nan
+    out[batch.x[:, 0] == batch.x_n()] = np.nan
     return out
 
 

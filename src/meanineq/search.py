@@ -27,15 +27,16 @@ parallel execution order could not change the result.
 Both searches score configurations in batches (:func:`relative_residuals`
 and :func:`delta_rows`, bit-identical to ``check`` and ``delta`` row by
 row), and their results equal the sequential definition: restarts one
-after another, one trial at a time.  The restarts of a hunt run in
-lockstep, one coordinate per step: each batch holds, for every live
-restart, the +step and -step trials of its next coordinate.  A restart
+after another, one trial at a time.  All restarts of a hunt, of every
+sample size n, run in one lockstep, one coordinate per step: each step
+scores one batch, padded to the largest n, that holds for every live
+restart the +step and -step trials of its next coordinate.  A restart
 moves at its first improving trial, as the sequential descent does; a
 -step trial after an improving +step was computed speculatively and is
 not counted, so verdicts, ``evals_used`` and best configurations stay
-those of the sequential descent.  A probe evaluates each restart's
-samples, drawn in order from its stream, in one batch; samples past the
-budget are not counted.
+those of the sequential descent.  A probe draws the restarts of one n,
+each from its own stream, until their samples could use up the budget,
+and scores them in one batch; samples past the budget are not counted.
 """
 
 from __future__ import annotations
@@ -140,20 +141,15 @@ def _pinned_weights(rng, n: int, q_target: float):
     sum.
     """
     for _ in range(_PINNED_TRIES):
-        gamma = rng.standard_exponential(n - 1)
-        values = gamma.tolist()
+        values = rng.standard_exponential(n - 1).tolist()
         acc = 0.0
         for v in values:
             acc += v
         inv = 1.0 / acc
         # min(c * draw) == c * min(draw) for c > 0: rounding is monotone
         if (1.0 - q_target) * (min(values) * inv) >= q_target - 1e-12:
-            rest = (1.0 - q_target) * (gamma * inv)
-            slot = int(rng.integers(n))
-            w = np.empty(n)
-            w[:slot] = rest[:slot]
-            w[slot] = q_target
-            w[slot + 1:] = rest[slot:]
+            w = [(1.0 - q_target) * (v * inv) for v in values]
+            w.insert(int(rng.integers(n)), q_target)
             return w
     return None
 
@@ -165,7 +161,7 @@ def _probe_samples(rng, n: int, q_target: float, count: int):
         w = _pinned_weights(rng, n, q_target)
         if w is None:
             break
-        x = np.sort(rng.uniform(0.0, 1.0, n))
+        x = sorted(rng.random(n).tolist())
         if rng.random() < 0.5:
             x[0] = 0.0
         if x[-1] - x[0] < 0.1 * x[-1] or x[-1] <= 0.0:
@@ -219,12 +215,20 @@ def sharpness_probe(
     for n in feasible:
         n_budget = max(1, budget.max_evals * n // weight_total)
         per_restart = max(1, n_budget // budget.restarts)
-        for k in range(budget.restarts):
-            if evals >= budget.max_evals:
-                break
-            xs, ws = _probe_samples(_stream(budget.seed, n, k), n, q_target, per_restart)
+        k = 0
+        while k < budget.restarts and evals < budget.max_evals:
+            # Each sample counts at most once, so draw restarts until the
+            # samples could use up the budget; more only if some were
+            # degenerate and left it unspent.
+            xs, ws = [], []
+            while k < budget.restarts and len(xs) < budget.max_evals - evals:
+                more_xs, more_ws = _probe_samples(_stream(budget.seed, n, k), n, q_target,
+                                                  per_restart)
+                xs += more_xs
+                ws += more_ws
+                k += 1
             if not xs:
-                continue
+                break
             batch = ConfigurationBatch(np.array(xs), np.array(ws))
             # Samples past the budget are drawn and evaluated but not counted.
             for i, d in enumerate(delta_rows(batch, params).tolist()):
@@ -271,43 +275,53 @@ def counterexample_hunt(
     """
     id = InequalityId(id)
     params = resolve_params(id, triple=triple, alpha=alpha, r=r, s=s, force=True)
-    best_cfg: Configuration | None = None
-    best_rel = math.inf
-    evals = 0
     lo_n, hi_n = budget.n_range
     weight_total = sum(range(lo_n, hi_n + 1))
+    sizes, rngs, limits, floors, caps = [], [], [], [], []
+    reserved = 0  # the sum of the caps so far
     for n in range(lo_n, hi_n + 1):
-        n_budget = max(1, budget.max_evals * n // weight_total)
-        per_restart = max(2, n_budget // budget.restarts)
-        # Every restart uses at least one evaluation, so restart k gets at
-        # most this cap; its exact allowance is applied once its
-        # predecessors' counts are known.
-        caps = [min(per_restart, budget.max_evals - evals - k) for k in range(budget.restarts)]
-        caps = [c for c in caps if c > 0]
-        if not caps:
+        per_restart = max(2, max(1, budget.max_evals * n // weight_total) // budget.restarts)
+        # A restart uses at least one evaluation and at most its cap, so at
+        # most max_evals restarts start, and the j-th of the hunt gets at
+        # least its floor and at most max_evals - j.  Its exact allowance is
+        # applied below, in order of n and then k, once its predecessors'
+        # counts are known.
+        for k in range(min(budget.restarts, budget.max_evals - len(caps))):
+            sizes.append(n)
+            rngs.append(_stream(budget.seed, n, k))
+            limits.append(per_restart)
+            floors.append(min(per_restart, budget.max_evals - reserved))
+            caps.append(min(per_restart, budget.max_evals - len(caps)))
+            reserved += caps[-1]
+    best = None
+    best_rel = math.inf
+    evals = 0
+    for descent, per_restart in zip(_descend(id, params, sizes, rngs, floors, caps), limits):
+        if evals >= budget.max_evals:
             break
-        rngs = [_stream(budget.seed, n, k) for k in range(len(caps))]
-        for descent in _descend(id, params, n, rngs, caps):
-            if evals >= budget.max_evals:
-                break
-            used, rel, cfg = descent.truncated(min(per_restart, budget.max_evals - evals))
-            evals += used
-            if best_cfg is None or rel < best_rel:
-                best_cfg, best_rel = cfg, rel
+        used, rel, batch, row = descent.truncated(min(per_restart, budget.max_evals - evals))
+        evals += used
+        if best is None or rel < best_rel:
+            best, best_rel = (batch, row), rel
     verdict = "ViolationFound" if best_rel < -VIOLATION_REL_TOL else "NoViolationFound"
     return SearchReport(
         verdict=verdict,
-        best_config=best_cfg,
+        best_config=best[0].row(best[1]),
         best_residual=best_rel,
         evals_used=evals,
         seed=budget.seed,
     )
 
 
-def _evaluate(id, params, u: np.ndarray, n: int):
-    """The batch of configurations at log coordinates ``u`` (one row each) and their scores."""
-    batch = ConfigurationBatch.from_log_coordinates(
-        np.clip(u[:, :n], -_LOG_CLIP, _LOG_CLIP), np.clip(u[:, n:], -_LOG_CLIP, _LOG_CLIP))
+def _evaluate(id, params, u: np.ndarray, sizes: np.ndarray):
+    """The batch of configurations at log coordinates ``u`` (one row each) and their scores.
+
+    Row i holds ``sizes[i]`` log samples in its first half and as many
+    weight logits in its second; the rest is padding.
+    """
+    width = u.shape[1] // 2
+    u = np.clip(u, -_LOG_CLIP, _LOG_CLIP)
+    batch = ConfigurationBatch.from_log_coordinates(u[:, :width], u[:, width:], sizes)
     return batch, relative_residuals(id, batch, params)
 
 
@@ -315,7 +329,8 @@ class _Descent:
     """One restart's descent: its evaluation count and its improvements.
 
     ``improvements`` lists (count, score, batch, row) each time the score
-    fell, the count being the evaluations used up to and including it.
+    fell, the count being the evaluations used up to and including it; it
+    may leave out those that no allowance could pick.
     """
 
     def __init__(self, used: int, improvements: list) -> None:
@@ -323,50 +338,61 @@ class _Descent:
         self.improvements = improvements
 
     def truncated(self, allowance: int):
-        """(used, best score, best configuration) had the descent stopped at ``allowance``."""
+        """(used, best score, batch, row of the best) had the descent stopped at ``allowance``."""
         count, f, batch, row = next(
             entry for entry in reversed(self.improvements) if entry[0] <= allowance)
-        return min(self.used, allowance), float(f), batch.row(row)
+        return min(self.used, allowance), f, batch, row
 
 
-def _descend(id, params, n, rngs, caps) -> list[_Descent]:
+def _descend(id, params, sizes, rngs, floors, caps) -> list[_Descent]:
     """Coordinate descent with adaptive step halving in log coordinates.
 
-    One descent per stream, each with an allowance from ``caps``.  A
-    sequential descent sweeps the coordinates in a fresh random order,
-    tries +step then -step on each, moves at the first trial that improves
-    and goes on to the next coordinate, and halves the step after a sweep
-    without a move.  Here all descents advance in lockstep, one coordinate
-    per step: one batch evaluates, for every live descent, the two trials
-    of its next coordinate from its current point.  If +step improves, the
-    descent moves there and counts one trial; the -step trial was computed
-    speculatively and is not counted.  Otherwise it counts both trials (at
-    most its remaining allowance) and moves to -step if that improves.  So
-    counts, moves and results equal the sequential descent's.
+    One descent per stream, of the sample size in ``sizes``, whose
+    allowance lies between its entries in ``floors`` and ``caps``: it runs
+    to its cap, and an improvement made within its floor drops the earlier
+    ones, as no allowance could pick them.  A sequential descent sweeps
+    the coordinates in a fresh random order, tries +step then -step on
+    each, moves at the first trial that improves and goes on to the next
+    coordinate, and halves the step after a sweep without a move.  Here
+    all descents, whatever their size, advance in lockstep, one coordinate
+    per step: one padded batch evaluates, for every live descent, the two
+    trials of its next coordinate from its current point.  If +step
+    improves, the descent moves there and counts one trial; the -step
+    trial was computed speculatively and is not counted.  Otherwise it
+    counts both trials (at most its remaining allowance) and moves to
+    -step if that improves.  So counts, moves and results equal the
+    sequential descent's.
     """
-    dims = 2 * n
-    u = np.array([np.concatenate([rng.uniform(-math.log(50.0), math.log(50.0), n),  # log samples
-                                  rng.normal(0.0, 1.5, n)])                         # weight logits
-                  for rng in rngs])
-    batch, f = _evaluate(id, params, u, n)
-    descents = [_Descent(1, [(1, f[k], batch, k)]) for k in range(len(rngs))]
+    sizes = np.array(sizes)
+    dims = 2 * sizes
+    dims_of = dims.tolist()
+    width = int(sizes.max())
+    # Row k: log samples in columns [0, n), weight logits in [width, width + n).
+    u = np.zeros((len(rngs), 2 * width))
+    for k, (rng, n) in enumerate(zip(rngs, sizes.tolist())):
+        u[k, :n] = rng.uniform(-math.log(50.0), math.log(50.0), n)
+        u[k, width:width + n] = rng.normal(0.0, 1.5, n)
+    batch, f = _evaluate(id, params, u, sizes)
+    descents = [_Descent(1, [(1, score, batch, k)]) for k, score in enumerate(f.tolist())]
     used = np.ones(len(rngs), dtype=int)
     cap = np.array(caps)
     step = np.full(len(rngs), _STEP0)
     pos = np.zeros(len(rngs), dtype=int)            # next coordinate slot in the sweep
     moved = np.zeros(len(rngs), dtype=bool)         # whether the current sweep has moved
-    perm = np.zeros((len(rngs), dims), dtype=int)
+    perm = np.zeros((len(rngs), 2 * width), dtype=int)
     live = used < cap
     for k in np.flatnonzero(live).tolist():
-        perm[k] = rngs[k].permutation(dims)
+        perm[k, :dims_of[k]] = rngs[k].permutation(dims_of[k])
     while live.any():
         idx = np.flatnonzero(live)
         rows = np.arange(idx.size)
+        size = sizes[idx]
         coord = perm[idx, pos[idx]]
+        coord += np.where(coord < size, 0, width - size)  # a logit's column
         points = np.repeat(u[idx, None], 2, axis=1)   # trial 0: +step, trial 1: -step
         points[rows, 0, coord] += step[idx]
         points[rows, 1, coord] -= step[idx]
-        batch, f_t = _evaluate(id, params, points.reshape(-1, dims), n)
+        batch, f_t = _evaluate(id, params, points.reshape(-1, 2 * width), np.repeat(size, 2))
         better = f_t.reshape(-1, 2) < f[idx, None]
         first = np.where(better[:, 0], 0, np.where(better[:, 1], 1, 2))
         count = np.minimum(2, cap[idx] - used[idx])
@@ -378,17 +404,22 @@ def _descend(id, params, n, rngs, caps) -> list[_Descent]:
         u[k_hit] = points[h, first[h]]
         f[k_hit] = f_t[j]
         moved[k_hit] = True
-        for k, row in zip(k_hit.tolist(), j.tolist()):
-            descents[k].improvements.append((int(used[k]), f_t[row], batch, row))
+        for k, evals, score, row in zip(k_hit.tolist(), used[k_hit].tolist(), f_t[j].tolist(),
+                                        j.tolist()):
+            if evals <= floors[k]:
+                descents[k].improvements = [(evals, score, batch, row)]
+            else:
+                descents[k].improvements.append((evals, score, batch, row))
         pos[idx] += 1
-        swept = idx[pos[idx] == dims]
+        swept = idx[pos[idx] == dims[idx]]
         step[swept[~moved[swept]]] *= 0.5
         live[idx] = used[idx] < cap[idx]
         live[swept] &= step[swept] > _MIN_STEP
-        for k in swept[live[swept]].tolist():
-            perm[k] = rngs[k].permutation(dims)
-            pos[k] = 0
-            moved[k] = False
+        again = swept[live[swept]]
+        for k in again.tolist():
+            perm[k, :dims_of[k]] = rngs[k].permutation(dims_of[k])
+        pos[again] = 0
+        moved[again] = False
     for k, descent in enumerate(descents):
         descent.used = int(used[k])
     return descents

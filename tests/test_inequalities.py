@@ -354,12 +354,12 @@ def _batch_groups():
 class TestBatchEvaluation:
     GROUPS = _batch_groups()
 
-    @pytest.mark.parametrize("tag", list(InequalityId))
-    def test_rows_equal_check(self, tag):
+    @staticmethod
+    def assert_rows_equal_check(tag, groups):
         signs = set()
         for params in BATCH_PARAMS[tag]:
             resolved = resolve_params(tag, force=True, **params)
-            for configs, batch in self.GROUPS:
+            for configs, batch in groups:
                 rows = relative_residuals(tag, batch, resolved).tolist()
                 for cfg, got in zip(configs, rows):
                     try:
@@ -373,6 +373,28 @@ class TestBatchEvaluation:
                         assert got == rep.residual_rel, (params, cfg)
                         signs.add(math.copysign(1.0, got))
         assert signs == {-1.0, 1.0}
+
+    @pytest.mark.parametrize("tag", list(InequalityId))
+    def test_rows_equal_check(self, tag):
+        self.assert_rows_equal_check(tag, self.GROUPS)
+
+    @pytest.mark.parametrize("tag", list(InequalityId))
+    def test_padded_rows_equal_check(self, tag):
+        # every size n = 2..8 in one batch, rows in a seeded order, samples
+        # descending (ties kept in order); padding that sorted first or
+        # entered a sum would show
+        configs = [cfg for group, _ in self.GROUPS for cfg in group]
+        configs = [configs[i] for i in np.random.default_rng(7).permutation(len(configs))]
+        x = np.full((len(configs), 8), -1.0)
+        q = np.full((len(configs), 8), np.nan)
+        for i, cfg in enumerate(configs):
+            descending = np.argsort(-cfg.x, kind="stable")
+            x[i, :cfg.n] = cfg.x[descending]
+            q[i, :cfg.n] = cfg.q_weights[descending]
+        batch = ConfigurationBatch(x, q, [cfg.n for cfg in configs])
+        assert [batch.row(i).to_json_dict() for i in range(len(configs))] == \
+            [cfg.to_json_dict() for cfg in configs]
+        self.assert_rows_equal_check(tag, [(configs, batch)])
 
     def test_parameters_checked_once_without_a_configuration(self):
         with pytest.raises(DomainError, match="'r'"):

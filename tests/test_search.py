@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from meanineq import (
     CheckStatus,
     Configuration,
+    DegenerateInput,
     DomainError,
     InequalityId,
     ProbeClaim,
@@ -20,7 +22,7 @@ from meanineq import (
 )
 from meanineq import search
 from meanineq.means import DeltaParams
-from meanineq.search import _pinned_weights, _stream
+from meanineq.search import _pinned_weights, _probe_samples, _stream
 
 TRIPLE = (1.0, 0.5, 0.0)
 
@@ -128,6 +130,17 @@ class TestCounterexampleHunt:
         assert report.evals_used == 280
         assert report.to_json_dict()["best_residual"] is None
 
+    def test_restarts_beyond_the_budget_cost_nothing(self):
+        # every restart uses an evaluation, so at most max_evals of them can
+        # start, and the hunt builds no others
+        start = time.perf_counter()
+        huge = counterexample_hunt(InequalityId.MG_SIGMA_UPPER, r=2.5,
+                                   budget=SearchBudget(max_evals=50, restarts=10**12))
+        assert time.perf_counter() - start < 1.0
+        fifty = counterexample_hunt(InequalityId.MG_SIGMA_UPPER, r=2.5,
+                                    budget=SearchBudget(max_evals=50, restarts=50))
+        assert huge.to_json_dict() == fifty.to_json_dict()
+
     def test_budget_validation(self):
         with pytest.raises(DomainError):
             SearchBudget(max_evals=0)
@@ -219,6 +232,27 @@ class TestLockstepHunt:
         assert report.best_residual == rel
         assert report.best_config.to_json_dict() == cfg.to_json_dict()
 
+    @pytest.mark.parametrize("tag, params", [
+        (InequalityId.MG_SIGMA_LOWER, dict(r=3.5)),
+        (InequalityId.MG_SIGMA_UPPER, dict(r=1e-3)),
+        (InequalityId.DIANANDA_UPPER, dict(triple=(1, 0.5, 0), alpha=2.0)),
+    ])
+    # 1984 and 992: every restart uses its full allowance; 100: the budget
+    # runs out one evaluation into the first restart at n = 17.  From n = 9
+    # up, the best configuration has at least 9 samples.
+    @pytest.mark.parametrize("n_range, max_evals, restarts, used", [
+        ((2, 17), 2000, 2, 1984), ((2, 17), 100, 3, 100), ((9, 17), 1000, 2, 992)])
+    def test_sizes_across_reduction_boundaries(self, tag, params, n_range, max_evals, restarts,
+                                               used):
+        # all sizes in one lockstep, padded to the largest: numpy's pairwise
+        # sum regroups from 8 terms and the BLAS dot from 16
+        budget = SearchBudget(max_evals=max_evals, seed=11, n_range=n_range, restarts=restarts)
+        report = counterexample_hunt(tag, budget=budget, **params)
+        cfg, rel, evals = sequential_hunt(tag, budget, **params)
+        assert report.evals_used == evals == used
+        assert report.best_residual == rel
+        assert report.best_config.to_json_dict() == cfg.to_json_dict()
+
     def test_descents_stopping_at_min_step(self):
         # per-restart allowance 400: these descents converge and stop earlier
         budget = SearchBudget(max_evals=1600, seed=5, n_range=(2, 2), restarts=4)
@@ -268,6 +302,89 @@ GOLDEN = {
          "evals_used": 1954,
          "best_config": {"x": [0.0, 0.2311549086502307], "q": [0.3, 0.7]}}),
 }
+
+
+def sequential_probe(id, q_target, budget, triple=TRIPLE, alpha=1.0, degenerate=None):
+    """The probe's definition: each restart's samples scored one at a time, in order.
+
+    ``degenerate(cfg)`` marks further samples as unscorable.
+    """
+    upper = id is InequalityId.DIANANDA_UPPER
+    params = DeltaParams(*triple, alpha)
+    if upper:
+        best_cfg = Configuration([0.0, 1.0], [q_target, 1.0 - q_target])
+    else:
+        best_cfg = Configuration([0.0, 1.0], [1.0 - q_target, q_target])
+    best, evals = delta(best_cfg, params), 1
+    lo_n, hi_n = budget.n_range
+    feasible = [n for n in range(lo_n, hi_n + 1) if q_target <= 1.0 / n + 1e-12]
+    for n in feasible:
+        per_restart = max(1, max(1, budget.max_evals * n // sum(feasible)) // budget.restarts)
+        for k in range(budget.restarts):
+            if evals >= budget.max_evals:
+                break
+            xs, ws = _probe_samples(_stream(budget.seed, n, k), n, q_target, per_restart)
+            for x, w in zip(xs, ws):
+                if evals >= budget.max_evals:
+                    break
+                cfg = Configuration(x, w)
+                try:
+                    d = delta(cfg, params)
+                except DegenerateInput:
+                    continue
+                if degenerate is not None and degenerate(cfg):
+                    continue
+                evals += 1
+                if (d > best) if upper else (d < best):
+                    best_cfg, best = cfg, d
+    return best_cfg, best, evals
+
+
+class TestBatchedProbe:
+    """One batch per size reproduces the per-sample probe exactly."""
+
+    @pytest.mark.parametrize("tag", [InequalityId.DIANANDA_UPPER, InequalityId.DIANANDA_LOWER])
+    @pytest.mark.parametrize("q_target", [0.05, 0.2, 0.5])
+    @pytest.mark.parametrize("seed, max_evals, restarts", [(0, 700, 6), (3, 150, 20), (8, 41, 4)])
+    def test_equals_the_sequential_definition(self, tag, q_target, seed, max_evals, restarts):
+        budget = SearchBudget(max_evals=max_evals, seed=seed, n_range=(2, 6), restarts=restarts)
+        report = sharpness_probe(tag, triple=TRIPLE, q_target=q_target, budget=budget)
+        cfg, best, evals = sequential_probe(tag, q_target, budget)
+        assert report.evals_used == evals
+        assert report.best_config.to_json_dict() == cfg.to_json_dict()
+        if tag is InequalityId.DIANANDA_UPPER:
+            bound = c_constant(*TRIPLE, 1.0 - q_target)
+            assert report.best_residual == bound - best
+        else:
+            assert report.best_residual == best - c_constant(*TRIPLE, q_target)
+
+
+    def test_degenerate_samples_leave_budget_to_later_restarts(self, monkeypatch):
+        drawn = []
+        stream, delta_rows = search._stream, search.delta_rows
+
+        def recording(seed, n, k):
+            drawn.append((n, k))
+            return stream(seed, n, k)
+
+        def marking(batch, params):
+            d = delta_rows(batch, params)
+            d[batch.x_n() > 0.8] = np.nan
+            return d
+
+        monkeypatch.setattr(search, "_stream", recording)
+        monkeypatch.setattr(search, "delta_rows", marking)
+        budget = SearchBudget(max_evals=12, seed=2, n_range=(2, 6), restarts=20)
+        report = sharpness_probe(InequalityId.DIANANDA_UPPER, triple=TRIPLE, q_target=0.1,
+                                 budget=budget)
+        cfg, best, evals = sequential_probe(InequalityId.DIANANDA_UPPER, 0.1, budget,
+                                            degenerate=lambda cfg: cfg.x[-1] > 0.8)
+        assert report.evals_used == evals == 12
+        assert report.best_config.to_json_dict() == cfg.to_json_dict()
+        # one sample per restart: the first batch drew 11 restarts for the
+        # 11 evaluations left, and marked samples sent the probe back for 6
+        # more; the budget was spent before n = 2 ran out of restarts
+        assert drawn == [(2, k) for k in range(17)]
 
 
 class TestGoldenTrajectories:
@@ -320,18 +437,23 @@ class TestSpeculation:
         steps = []
         evaluate = search._evaluate
 
-        def recording(id, params, u, n):
-            steps.append(u.copy())
-            return evaluate(id, params, u, n)
+        def recording(id, params, u, sizes):
+            steps.append((u.copy(), sizes.copy()))
+            return evaluate(id, params, u, sizes)
 
         monkeypatch.setattr(search, "_evaluate", recording)
         run, want = GOLDEN["r2.5-violation"]
         assert run().evals_used == want["evals_used"]
-        for u in steps:
+        # one lockstep for n = 2, 3 and 4, where one descent per n in turn
+        # would make 99 to 102 evaluation calls
+        assert len(steps) <= 45
+        assert any(len(set(sizes.tolist())) > 1 for _, sizes in steps[1:])
+        for u, sizes in steps:
             # a restart's trials differ from its point, and so from each
-            # other, in at most 2 of the 2n coordinates; distinct restarts
-            # share none
+            # other, in at most 2 of the 2 n_max coordinates; distinct
+            # restarts share none
             shared = (u[:, None, :] == u[None, :, :]).sum(axis=2) >= u.shape[1] - 2
+            shared &= sizes[:, None] == sizes[None, :]
             restarts = np.unique(shared.argmax(axis=1)).size
             assert u.shape[0] <= 2 * restarts
 
