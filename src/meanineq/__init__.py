@@ -7,7 +7,26 @@ root-finding and 1-D minimization, sweeps the scalar certificate
 functions of the underlying proofs over their claimed domains, and
 searches configuration space to confirm sharpness and locate
 counterexamples beyond the proven validity frontiers.
+
+``proof_aux`` (the certificate sweeps) and ``search`` (the sharpness
+probe and the counterexample hunts) load on first use: ``import meanineq``
+registers both in ``sys.modules`` and binds them as package attributes,
+but their bodies run only when one of their attributes is first read, as
+``meanineq.aux_sign_check``, ``meanineq.search.counterexample_hunt`` or
+``from meanineq.search import SearchBudget`` do.  A CLI command that
+needs neither (``mean``, ``check``, ``threshold``, ``sweep``) then never
+compiles or runs them.  They are registered, not imported on demand, so
+that code which looks them up in ``sys.modules`` right after
+``import meanineq``, such as a tracer that wraps their functions, finds
+them.  Until a body has run, the module's type is a subclass of
+``types.ModuleType``; the first read runs it under a lock, so a second
+thread waits for it instead of reading a half-run module.
 """
+
+import importlib.util
+import sys
+import threading
+import types
 
 from .errors import ConfigError, DegenerateInput, DomainError, MeanIneqError
 from .inequalities import (
@@ -31,22 +50,6 @@ from .means import (
     power_mean,
     variance_sigma,
 )
-from .proof_aux import (
-    AuxFunctionId,
-    GridAxis,
-    SignCheckReport,
-    aux_eval,
-    aux_sign_check,
-    claimed_bound,
-)
-from .search import (
-    ProbeClaim,
-    SearchBudget,
-    SearchReport,
-    counterexample_hunt,
-    finite_difference_probe,
-    sharpness_probe,
-)
 from .thresholds import (
     ThresholdResult,
     a_r_fn,
@@ -65,6 +68,68 @@ from .thresholds import (
 )
 
 __version__ = "0.1.0"
+
+
+# Held while a lazily registered submodule's body runs.  Reentrant: reads
+# of the module by the body's own thread pass through while it runs.
+_LOAD_LOCK = threading.RLock()
+_running: set[int] = set()  # ids of the modules whose body is running
+
+
+class _Unloaded(types.ModuleType):
+    """A registered submodule whose body has not run; the first attribute read runs it.
+
+    ``importlib.util.LazyLoader`` does the same, but in Python 3.11 without
+    a lock: a second thread can read the module while its body runs and
+    miss the names it has not defined yet.
+    """
+
+    def __getattribute__(self, attr):
+        with _LOAD_LOCK:
+            if type(self) is _Unloaded and id(self) not in _running:
+                _running.add(id(self))
+                try:
+                    types.ModuleType.__getattribute__(self, "__spec__").loader.exec_module(self)
+                finally:
+                    _running.discard(id(self))
+                self.__class__ = types.ModuleType
+        return types.ModuleType.__getattribute__(self, attr)
+
+
+def _register_lazily(name: str) -> types.ModuleType:
+    """Submodule ``name``, registered and bound now, run on its first attribute read."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    module = importlib.util.module_from_spec(spec)
+    module.__class__ = _Unloaded
+    sys.modules[spec.name] = module
+    return module
+
+
+proof_aux = _register_lazily("proof_aux")
+search = _register_lazily("search")
+
+# The names re-exported from the lazy submodules.  They are read from the
+# submodule on every access and never cached here, so whatever the
+# submodule binds at that moment (a test's or a tracer's stand-in, say)
+# is what the package gives out.
+_LAZY_NAMES = {
+    **dict.fromkeys(("AuxFunctionId", "GridAxis", "SignCheckReport", "aux_eval",
+                     "aux_sign_check", "claimed_bound"), proof_aux),
+    **dict.fromkeys(("ProbeClaim", "SearchBudget", "SearchReport", "counterexample_hunt",
+                     "finite_difference_probe", "sharpness_probe"), search),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY_NAMES})
+
 
 __all__ = [
     "CheckReport",

@@ -31,10 +31,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import search
 from .errors import MeanIneqError
 from .inequalities import _CATALOG, CheckStatus, InequalityId, check
 from .means import Configuration, power_mean
-from .search import SearchBudget, counterexample_hunt, sharpness_probe
 from .thresholds import (
     alpha_threshold_lower,
     alpha_threshold_upper,
@@ -148,8 +148,8 @@ def _ineq_params(options: dict) -> dict:
     return out
 
 
-def _budget(options: dict) -> SearchBudget:
-    return SearchBudget(
+def _budget(options: dict) -> search.SearchBudget:
+    return search.SearchBudget(
         max_evals=options.get("budget", 100_000),
         seed=options.get("seed", 0),
         n_range=(options.get("n_min", 2), options.get("n_max", 4)),
@@ -227,7 +227,7 @@ def _exec_sharpness(options: dict):
     if "triple" not in params:
         raise MeanIneqError("--triple is required")
     q_target = float(_required(options, "q_target"))
-    report = sharpness_probe(
+    report = search.sharpness_probe(
         InequalityId(ineq),
         triple=params["triple"],
         alpha=params.get("alpha", 1.0),
@@ -238,7 +238,7 @@ def _exec_sharpness(options: dict):
 
 
 def _exec_hunt(options: dict):
-    report = counterexample_hunt(
+    report = search.counterexample_hunt(
         InequalityId(_required(options, "ineq")),
         budget=_budget(options),
         **_ineq_params(options),

@@ -213,6 +213,11 @@ def sharpness_probe(
     feasible = [n for n in range(lo_n, hi_n + 1) if q_target <= 1.0 / n + 1e-12]
     weight_total = sum(feasible) or 1
     for n in feasible:
+        if n >= 3 and n * q_target >= 1.0 - 1e-12:
+            # The other n - 1 weights share 1 - q_target, so they all reach
+            # q_target only if they are all equal: no draw pins the weight,
+            # and every restart of this n would come back empty.
+            continue
         n_budget = max(1, budget.max_evals * n // weight_total)
         per_restart = max(1, n_budget // budget.restarts)
         k = 0

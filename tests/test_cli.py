@@ -399,6 +399,48 @@ class TestDeterminismAndPlumbing:
         proc = run_fresh(["-OO", "-c", "import meanineq.cli"])
         assert proc.returncode == 0, proc.stderr
 
+    def test_commands_run_only_the_submodules_they_use(self):
+        # proof_aux and search stay registered but unexecuted (a module
+        # subclass) until a command reads from them; a monkeypatched search
+        # function set before the first read still reaches the hunt
+        script = (
+            "import contextlib, io, sys, types\n"
+            "import pytest\n"
+            "import meanineq.cli as cli\n"
+            "from meanineq.inequalities import relative_residuals\n"
+            "def loaded(name):\n"
+            "    return type(sys.modules['meanineq.' + name]) is types.ModuleType\n"
+            "def run(argv):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = cli.run(argv)\n"
+            "    print(argv[0], code, loaded('proof_aux'), loaded('search'))\n"
+            "run(['mean', '--x', '1,4', '--q', '0.5,0.5', '--r', '0.5'])\n"
+            "run(['check', '--ineq', 'diananda-base-upper', '--x', '1,4', '--q', '0.5,0.5'])\n"
+            "run(['threshold', '--which', 'r0'])\n"
+            "run(['sweep', '--quantity', 'alpha-threshold', '--grid', '2.1,6,4'])\n"
+            "calls = []\n"
+            "def counting(*args, **kwargs):\n"
+            "    calls.append(1)\n"
+            "    return relative_residuals(*args, **kwargs)\n"
+            "with pytest.MonkeyPatch.context() as mp:\n"
+            "    mp.setattr('meanineq.search.relative_residuals', counting)\n"
+            "    run(['hunt', '--ineq', 'mg-sigma-upper', '--r', '6', '--budget', '50'])\n"
+            "print('patched calls', len(calls) > 0)\n"
+            "run(['sharpness', '--ineq', 'diananda-upper', '--triple', '1,0.5,0',\n"
+            "     '--q-target', '0.3', '--budget', '50'])\n"
+        )
+        proc = run_fresh(["-c", script])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "mean 0 False False",
+            "check 0 False False",
+            "threshold 0 False False",
+            "sweep 0 False False",
+            "hunt 1 False True",
+            "patched calls True",
+            "sharpness 0 False True",
+        ]
+
     def test_entry_point_installed(self):
         proc = run_fresh(["-m", "meanineq.cli"], input="")
         # module is importable; no command -> usage error

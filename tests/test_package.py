@@ -1,0 +1,87 @@
+"""The package namespace: every name in ``__all__`` and the lazily loaded submodules."""
+
+import sys
+
+import pytest
+
+import meanineq
+
+from conftest import run_fresh
+
+
+def defining_module(value):
+    """The meanineq module that defines ``value``; the plain float constants live in means."""
+    name = getattr(value, "__module__", "")
+    return sys.modules[name] if name.startswith("meanineq.") else meanineq.means
+
+
+@pytest.mark.parametrize("name", meanineq.__all__)
+def test_public_name_resolves_to_its_definition(name):
+    value = getattr(meanineq, name)
+    star: dict = {}
+    exec("from meanineq import *", star)
+    assert star[name] is value
+    assert getattr(defining_module(value), name) is value
+    assert name in dir(meanineq)
+
+
+def test_unknown_attribute_is_the_standard_error():
+    with pytest.raises(AttributeError) as info:
+        meanineq.no_such_name
+    assert str(info.value) == "module 'meanineq' has no attribute 'no_such_name'"
+    assert not hasattr(meanineq, "no_such_name")
+
+
+@pytest.mark.parametrize("module, name", [
+    ("search", "counterexample_hunt"),
+    ("proof_aux", "aux_sign_check"),
+])
+def test_forwarded_names_follow_their_module(module, name, monkeypatch):
+    # a name cached in the package would outlive a stand-in installed in the
+    # submodule (by a test or a tracer), or keep one after it is removed
+    original = getattr(meanineq, name)
+    assert name not in vars(meanineq)
+
+    def stand_in(*args, **kwargs):
+        raise AssertionError("not called")
+
+    monkeypatch.setattr(f"meanineq.{module}.{name}", stand_in)
+    assert getattr(meanineq, name) is stand_in
+    monkeypatch.undo()
+    assert getattr(meanineq, name) is original
+    assert name not in vars(meanineq)
+
+
+def test_a_second_thread_waits_for_the_first_use():
+    # the first read of search runs its body, slowed down here; a read from
+    # another thread meanwhile must wait for the whole body
+    script = (
+        "import sys, threading, time\n"
+        "import meanineq\n"
+        "loader = object.__getattribute__(sys.modules['meanineq.search'], '__spec__').loader\n"
+        "run_body, started = loader.exec_module, threading.Event()\n"
+        "def slow_body(module):\n"
+        "    started.set()\n"
+        "    time.sleep(0.2)\n"
+        "    run_body(module)\n"
+        "loader.exec_module = slow_body\n"
+        "out = []\n"
+        "def read(who):\n"
+        "    try:\n"
+        "        out.append((who, meanineq.search.SearchBudget.__name__))\n"
+        "    except AttributeError as exc:\n"
+        "        out.append((who, str(exc)))\n"
+        "def second():\n"
+        "    started.wait(10)\n"
+        "    read('second')\n"
+        "threads = [threading.Thread(target=second),\n"
+        "           threading.Thread(target=read, args=('first',))]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join(10)\n"
+        "print(sorted(out))\n"
+    )
+    proc = run_fresh(["-c", script], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[('first', 'SearchBudget'), ('second', 'SearchBudget')]\n"

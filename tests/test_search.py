@@ -386,6 +386,25 @@ class TestBatchedProbe:
         # more; the budget was spent before n = 2 ran out of restarts
         assert drawn == [(2, k) for k in range(17)]
 
+    @pytest.mark.parametrize("n, q_target", [(3, 0.3333333333333333), (4, 0.25), (5, 0.2)])
+    @pytest.mark.parametrize("restarts", [10, 1000])
+    def test_sizes_that_cannot_pin_the_weight_draw_no_restart(self, n, q_target, restarts,
+                                                               monkeypatch):
+        # at n * q_target = 1 the other weights would all have to equal q_target
+        drawn = []
+        stream = search._stream
+
+        def recording(seed, n, k):
+            drawn.append((n, k))
+            return stream(seed, n, k)
+
+        monkeypatch.setattr(search, "_stream", recording)
+        budget = SearchBudget(max_evals=100, seed=1, n_range=(n, n), restarts=restarts)
+        report = sharpness_probe(InequalityId.DIANANDA_UPPER, triple=TRIPLE, q_target=q_target,
+                                 budget=budget)
+        assert drawn == []
+        assert report.evals_used == 1
+
 
 class TestGoldenTrajectories:
     @pytest.mark.parametrize("name", list(GOLDEN))
