@@ -8,18 +8,19 @@ reports the worst point.  The table is rendered from the catalog entries:
 
 @CATALOG@
 
-Removable 0/0 points (t at 1 for the core/gap/chain functions) are handled
-by explicit limit branches within 1e-8 of the singularity.  All functions
-broadcast over numpy arrays.  A grid is one 1-D axis per argument, shaped so
-that the axes broadcast against each other (an open mesh); an argument that
-depends on another, such as the core functions' a tied to r, shares that
-argument's axis.  Default and custom grids take the same path: the function
-is evaluated once on the broadcast axes, one broadcast mask marks the
-admissible points, and the worst admissible point is reported.
+The core/gap/chain functions have a removable 0/0 at t = 1, and t = 1 alone
+takes the closed-form limit.  All functions broadcast over numpy arrays.  A
+grid is one 1-D axis per argument, shaped so that the axes broadcast against
+each other (an open mesh); an argument that depends on another, such as the
+core functions' a tied to r, shares that argument's axis.  Default and
+custom grids take the same path: the function is evaluated once on the
+broadcast axes, one broadcast mask marks the admissible points, and the
+worst admissible point is reported.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -30,12 +31,12 @@ import numpy as np
 
 from ._tables import with_table
 from .errors import DomainError
-from .thresholds import _a_r_at_one, alpha_threshold_lower, alpha_threshold_upper, r0_value
+from .thresholds import (
+    _a_r_at_one, _log_gap_over_t, alpha_threshold_lower, alpha_threshold_upper, r0_value,
+)
 
 DEFAULT_SIGN_TOL = 1e-10
 MAX_GRID_POINTS = 1_000_000
-# The gap and chain functions take their t = 1 limit this close to 1.
-_SINGULAR_T = 1e-8
 
 
 class AuxFunctionId(str, Enum):
@@ -126,32 +127,16 @@ class SignCheckReport:
 # ---------------------------------------------------------------------------
 # The functions themselves (vectorized over numpy arrays).
 
-def _upper_gap(r, t):
-    """(1-t^r)/((1+t)^{r-1}(1-t)), with its t -> 1 limit r/2^{r-1}."""
-    near1 = t > 1.0 - _SINGULAR_T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw = (1.0 - t**r) / ((1.0 + t) ** (r - 1.0) * (1.0 - t))
-    return np.where(near1, r / 2.0 ** (r - 1.0), raw)
-
-
-def _lower_gap(r, t):
-    """(1+t)^{r-1}(1-t)/(1-t^r), with its t -> 1 limit 2^{r-1}/r."""
-    near1 = t > 1.0 - _SINGULAR_T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw = (1.0 + t) ** (r - 1.0) * (1.0 - t) / (1.0 - t**r)
-    return np.where(near1, 2.0 ** (r - 1.0) / r, raw)
-
-
 def _penalty(r, a, t):
     return ((1.0 + t) ** r / (1.0 + t**r)) ** a
 
 
 def _core_upper(r, a, t):
-    return _upper_gap(r, t) - _penalty(r, a, t)
+    return np.exp(-t * _log_gap_over_t(r, t)) - _penalty(r, a, t)
 
 
 def _core_lower(r, a, t):
-    return _lower_gap(r, t) - _penalty(r, a, t)
+    return np.exp(t * _log_gap_over_t(r, t)) - _penalty(r, a, t)
 
 
 def _shifted_ratio_monotone(r, p, s, z):
@@ -160,16 +145,15 @@ def _shifted_ratio_monotone(r, p, s, z):
 
 
 def _linear_gap_bound(r, a, t):
-    gap = np.where(r < 2.0, _upper_gap(r, t), _lower_gap(r, t)) - 1.0
+    gap = np.expm1(np.where(r < 2.0, -t, t) * _log_gap_over_t(r, t))
     return gap - a * r * t
 
 
 def _binomial_chain(r, t):
-    near1 = t > 1.0 - _SINGULAR_T
+    # the geometric tail (1-t^r)/(1-t), with its t -> 1 limit r
     with np.errstate(divide="ignore", invalid="ignore"):
-        tail = (1.0 - t**r) / (1.0 - t)
-    tail = np.where(near1, r * np.ones_like(tail), tail)
-    # at t -> 1 the geometric tail (1-t^r)/(1-t) tends to r
+        lnt = np.log(t)
+        tail = np.where(t == 1.0, r, np.expm1(r * lnt) / np.expm1(lnt))
     return (1.0 + t) ** (r - 1.0) - tail - (r - 2.0) * t
 
 
@@ -234,6 +218,7 @@ def _three_sample_takes(y, q1, q2, q3, r):
 # ---------------------------------------------------------------------------
 # Default grids over the claimed domains, as broadcast axes in argument order.
 
+@functools.cache  # the grid is fixed; rebuilding it cost each core sweep a tenth of its time
 def _core_axes(upper: bool):
     # a is tied to r, so it shares r's (R, 1) column.
     lo, hi = (1.05, 1.95) if upper else (2.05, 5.0)

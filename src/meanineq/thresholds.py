@@ -54,7 +54,8 @@ u = (t^{r-1} - 1)/(1 + t), where t^{r-1} - 1 and 1 - t^r are expm1 of
 multiples of ln t.  That is the quotient of the two logarithms in a_r, each
 divided by t: it stays within 1e-15 absolute of a 150-digit oracle on all
 of [0, 1], subnormal t included, and gives the limit |r-2|/r at t = 0
-itself; only t = 1 takes the closed form.
+itself; only t = 1 takes the closed form.  The numerator, ln G / t for the
+two-point gap G, is the kernel ``_log_gap_over_t`` that ``proof_aux`` reads too.
 """
 
 from __future__ import annotations
@@ -197,13 +198,16 @@ def _check_profile_r(r: float) -> None:
         raise DomainError(f"the profile needs a finite r > 1 (got {r})")
 
 
+def _log_gap_at_one(r: float) -> float:
+    """ln(2^{r-1}/r), the t = 1 limit of the gap kernel, free of cancellation at r = 1 and 2."""
+    if r < 1.5:
+        return (r - 1.0) * _LN2 - math.log1p(r - 1.0)
+    return (r - 2.0) * _LN2 - math.log1p((r - 2.0) / 2.0)
+
+
 def _a_r_at_one(r: float) -> float:
     """The t = 1 limit |(r-1) ln 2 - ln r| / ((r-1) ln 2), the minimum of a_r."""
-    if r < 1.5:
-        num = (r - 1.0) * _LN2 - math.log1p(r - 1.0)
-    else:
-        num = (r - 2.0) * _LN2 - math.log1p((r - 2.0) / 2.0)
-    return abs(num) / ((r - 1.0) * _LN2)
+    return abs(_log_gap_at_one(r)) / ((r - 1.0) * _LN2)
 
 
 def _log1p_over(x: np.ndarray) -> np.ndarray:
@@ -211,19 +215,36 @@ def _log1p_over(x: np.ndarray) -> np.ndarray:
     return np.where(x == 0.0, 1.0, np.log1p(x) / x)
 
 
+def _log_gap_over_t(r, t):
+    """ln[(1+t)^{r-1}(1-t)/(1-t^r)] / t as p + w phi(t w), over arrays of r > 1, t in [0, 1]."""
+    # In place where the bits allow: the certificate grids spend their time here.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lnt = np.log(t)
+        w = np.expm1((r - 1.0) * lnt)
+        w /= -np.expm1(r * lnt)
+        x = t * w
+        k = np.log1p(x)
+        k /= x
+        k[x == 0.0] = 1.0  # phi(0) = 1
+        k *= w
+        k += (r - 1.0) * _log1p_over(t)
+    at_one = np.reshape([_log_gap_at_one(v) for v in np.ravel(r).tolist()], np.shape(r))
+    np.copyto(k, at_one, where=t == 1.0)
+    np.copyto(k, r - 2.0, where=t == 0.0)  # the formula's limit for r > 1; r = 1 gives 0 ln 0
+    return k
+
+
 def a_r_values(r: float, t: np.ndarray) -> np.ndarray:
     """Vectorized a_r(t) over an array of t in [0, 1], with limit endpoints."""
     _check_profile_r(r)
-    t = np.asarray(t, dtype=float)
+    t = np.array(t, dtype=float, ndmin=1)
     if not np.all((t >= 0.0) & (t <= 1.0)):
         raise DomainError("t must lie in [0, 1]")
     # At t = 0, ln t = -inf carries the formula to its limit |r-2|/r; t = 1 is 0/0.
     with np.errstate(divide="ignore", invalid="ignore"):
-        lnt = np.log(t)
-        g = np.expm1((r - 1.0) * lnt)
-        w, u = g / -np.expm1(r * lnt), g / (1.0 + t)
-        p = (r - 1.0) * _log1p_over(t)
-        a = np.abs(p + w * _log1p_over(t * w)) / (p - u * _log1p_over(t * u))
+        u = np.expm1((r - 1.0) * np.log(t)) / (1.0 + t)
+        den = (r - 1.0) * _log1p_over(t) - u * _log1p_over(t * u)
+        a = np.abs(_log_gap_over_t(r, t)) / den
     return np.where(t == 1.0, _a_r_at_one(float(r)), a)
 
 
@@ -242,6 +263,7 @@ def min_a_r(r: float) -> tuple[float, float]:
     return 1.0, _a_r_at_one(float(r))
 
 
+# Scalar quotients, not the array kernel: bisect calls them thousands of times, at interior roots.
 def _t1_gap(r: float, t: float) -> float:
     lhs = 2.0 - r - t ** (r - 1.0)
     rhs = (1.0 - t**r) / ((1.0 + t) ** (r - 1.0) * (1.0 - t)) - 1.0

@@ -1,4 +1,5 @@
-"""Power means and the a_r profile against mpmath oracles, and small-order verdicts.
+"""Power means, the a_r profile and the two-point gaps against mpmath oracles,
+and small-order verdicts.
 
 The power-mean oracle normalizes the weights by their exact sum:
 configurations accept weights that sum to 1 within 1e-12, and M_r is the
@@ -8,13 +9,18 @@ mean of the normalized weights.
 import math
 
 import numpy as np
+import pytest
 from mpmath import mp
 
 from meanineq import (
+    AuxFunctionId,
     CheckStatus,
     Configuration,
     a_r_fn,
     a_r_values,
+    alpha_threshold_lower,
+    alpha_threshold_upper,
+    aux_eval,
     check,
     log_power_mean,
     min_a_r,
@@ -157,3 +163,61 @@ def test_profile_minimum_is_at_one():
         assert t_star == 1.0
         floor = oracle_a_r(r, t_star, dps=40)
         assert all(oracle_a_r(r, t, dps=40) >= floor for t in ts), r
+
+
+def oracle_lower_gap(r, t):
+    """(1+t)^{r-1}(1-t)/(1-t^r) at 50 digits, with its limit 2^{r-1}/r at t = 1."""
+    with mp.workdps(50):
+        r, t = mp.mpf(r), mp.mpf(t)
+        if t == 1:
+            return 2 ** (r - 1) / r
+        return (1 + t) ** (r - 1) * (1 - t) / (1 - t**r)
+
+
+# Both ends, subnormal t, and t approaching 1 through and past the band
+# 1 - 1e-8 < t < 1 where the gaps and the chain used to snap to their limit.
+GAP_TS = [0.0, 1e-300, 5e-324, *(1.0 - 10.0**-k for k in range(2, 16)),
+          1.0 - 5e-9, 1.0 - 9e-9, 1.0]
+
+
+def _solved_gap_exponent(r):
+    return alpha_threshold_upper(r) - 1.0 if r < 2.0 else 1.0 - alpha_threshold_lower(r)
+
+
+@pytest.mark.parametrize("tag, rs", [
+    (AuxFunctionId.CORE_UPPER, [1.0001, 1.05, 1.3, 1.5, 1.9, 1.9999, 2.0]),
+    (AuxFunctionId.CORE_LOWER, [2.0, 2.0001, 2.05, 2.5, 3.0, 4.0, 5.0, 8.0]),
+    (AuxFunctionId.LINEAR_GAP_BOUND, [1.02, 1.05, 1.5, 1.9, 1.98, 2.02, 2.5, 2.98]),
+])
+def test_gaps_match_the_oracle(tag, rs):
+    # Each value is gap - 1 - a r t (a = 0 on the core tags, where the
+    # penalty is then 1), held within 4e-15 of the gap.  The raw quotient
+    # was 3.95e-9 of the gap off at r = 1.05, t = 1 - 1e-8 (upper gap) and
+    # 1.7e-9 at r = 2.05 (lower gap).
+    linear, worst = tag is AuxFunctionId.LINEAR_GAP_BOUND, 0.0
+    for r in rs:
+        a = _solved_gap_exponent(r) if linear else 0.0
+        upper = r < 2.0 if linear else tag is AuxFunctionId.CORE_UPPER
+        for t in GAP_TS:
+            gap = oracle_lower_gap(r, t) ** (-1 if upper else 1)
+            want = gap - 1 - mp.mpf(a) * r * t
+            err = abs(aux_eval(tag, (r, a, t)) - want) / gap
+            worst = max(worst, float(err))
+    assert worst <= 4e-15, worst
+
+
+def test_binomial_chain_matches_the_oracle():
+    # (1+t)^{r-1} - (1-t^r)/(1-t) - (r-2) t, held within 2e-15 (1+t)^{r-1};
+    # the raw tail was 2.5e-7 absolute off at r = 8, t = 1 - 9e-9, 2,500
+    # times the default sign tolerance.
+    worst = 0.0
+    for r in (4.0, 4.5, 5.0, 6.5, 8.0):
+        for t in GAP_TS:
+            with mp.workdps(50):
+                rr, tt = mp.mpf(r), mp.mpf(t)
+                lead = (1 + tt) ** (rr - 1)
+                tail = rr if t == 1.0 else (1 - tt**rr) / (1 - tt)
+                want = lead - tail - (rr - 2) * tt
+                err = abs(aux_eval(AuxFunctionId.BINOMIAL_CHAIN, (r, t)) - want) / lead
+            worst = max(worst, float(err))
+    assert worst <= 2e-15, worst

@@ -263,10 +263,12 @@ class TestIndependentCrossChecks:
 # The core-* reports were re-recorded when a became the closed-form a_r(1)
 # instead of a solved minimum: core-upper's worst point moved from
 # (r 1.6, t 1) at margin -2.2e-16 to (r 1.05, t 0) at 0.0, core-lower's from
-# (r 2.05, t 0) at 0.0 to (r 4.18, t 1) at -4.4e-16.
+# (r 2.05, t 0) at 0.0 to (r 4.18, t 1) at -4.4e-16.  When the gaps moved to
+# one cancellation-free kernel, core-lower's worst point moved on to
+# (r 4.02, t 1), still at -4.4e-16.
 _GOLDEN_DEFAULT = [
     {'id': 'core-upper', 'domain': 'r in [1.05, 1.95] x19 with a tied to the closed-form profile minimum a_r(1), t in [0, 1] x501', 'worst_point': {'r': 1.05, 'a': 0.4077865578279588, 't': 0.0}, 'worst_value': 0.0, 'margin': 0.0, 'verdict': 'AllSatisfy', 'points_checked': 9519},
-    {'id': 'core-lower', 'domain': 'r in [2.05, 5.0] x19 with a tied to the closed-form profile minimum a_r(1), t in [0, 1] x501', 'worst_point': {'r': 4.180555555555555, 'a': 0.351152765839074, 't': 1.0}, 'worst_value': -4.440892098500626e-16, 'margin': -4.440892098500626e-16, 'verdict': 'AllSatisfy', 'points_checked': 9519},
+    {'id': 'core-lower', 'domain': 'r in [2.05, 5.0] x19 with a tied to the closed-form profile minimum a_r(1), t in [0, 1] x501', 'worst_point': {'r': 4.016666666666667, 'a': 0.33502804178294704, 't': 1.0}, 'worst_value': -4.440892098500626e-16, 'margin': -4.440892098500626e-16, 'verdict': 'AllSatisfy', 'points_checked': 9519},
     {'id': 'shifted-ratio-monotone', 'domain': 'r in [1.1, 4] x12, p in [1.1, 8] x14 (p >= r), s in [0, 1] x21, z in (1, 100] x16 log', 'worst_point': {'r': 1.1, 'p': 1.1, 's': 1.0, 'z': 100.0}, 'worst_value': 0.000990099009900991, 'margin': 0.000990099009900991, 'verdict': 'AllSatisfy', 'points_checked': 44352},
     {'id': 'linear-gap-bound', 'domain': 'r in (1, 2) and (2, 3), 25 each, a = solved gap exponent, t in [0, 1] x401', 'worst_point': {'r': 1.02, 'a': 0.004732945994024407, 't': 0.0}, 'worst_value': 0.0, 'margin': 0.0, 'verdict': 'AllSatisfy', 'points_checked': 20050},
     {'id': 'binomial-chain', 'domain': 'r in [4, 8] x81, t in [0, 1] x500', 'worst_point': {'r': 4.0, 't': 0.0}, 'worst_value': 0.0, 'margin': 0.0, 'verdict': 'AllSatisfy', 'points_checked': 40500},
@@ -280,12 +282,15 @@ _GOLDEN_DEFAULT = [
 ]
 
 # The dense custom grids of the certify benchmark at seeds 1 and 2, with the
-# tolerance each is checked at and the report it gave.
+# tolerance each is checked at and the report it gave.  The core-upper
+# margins were re-recorded with the cancellation-free gap kernel, from
+# 2.369171525629099e-10 and 1.9595258748950073e-10; a 50-digit mpmath
+# oracle gives 2.3693075905e-10 and 1.9601853469e-10 at the worst points.
 _GOLDEN_DENSE = [
     ("core-upper", {"r": GridAxis(1.1028137277553933, 1.6409824601715195, 20),
                     "a": GridAxis(0.0, 0.11478841140959022, 10),
                     "t": GridAxis(0.0, 1.0, 5000, open_lo=True, open_hi=True)}, 1e-9,
-     {'id': 'core-upper', 'domain': 'r in [1.10281, 1.64098] x20, a in [0, 0.114788] x10, t in [0.00019996, 0.9998] x5000', 'worst_point': {'r': 1.6409824601715195, 'a': 0.11478841140959022, 't': 0.9998000399920015}, 'worst_value': 2.369171525629099e-10, 'margin': 2.369171525629099e-10, 'verdict': 'AllSatisfy', 'points_checked': 1000000}),
+     {'id': 'core-upper', 'domain': 'r in [1.10281, 1.64098] x20, a in [0, 0.114788] x10, t in [0.00019996, 0.9998] x5000', 'worst_point': {'r': 1.6409824601715195, 'a': 0.11478841140959022, 't': 0.9998000399920015}, 'worst_value': 2.3693091932841526e-10, 'margin': 2.3693091932841526e-10, 'verdict': 'AllSatisfy', 'points_checked': 1000000}),
     ("tangent-cubic", {"x": GridAxis(1.0, 100.0, 200, log=True),
                        "q": GridAxis(0.0051035914801663826, 0.3333333333333333, 100),
                        "r": GridAxis(0.6597671758852641, 1.0, 50)}, 1e-10,
@@ -298,7 +303,7 @@ _GOLDEN_DENSE = [
     ("core-upper", {"r": GridAxis(1.170289384059105, 1.7521243699776798, 20),
                     "a": GridAxis(0.0, 0.07575983017507329, 10),
                     "t": GridAxis(0.0, 1.0, 5000, open_lo=True, open_hi=True)}, 1e-9,
-     {'id': 'core-upper', 'domain': 'r in [1.17029, 1.75212] x20, a in [0, 0.0757598] x10, t in [0.00019996, 0.9998] x5000', 'worst_point': {'r': 1.7521243699776798, 'a': 0.07575983017507329, 't': 0.9998000399920015}, 'worst_value': 1.9595258748950073e-10, 'margin': 1.9595258748950073e-10, 'verdict': 'AllSatisfy', 'points_checked': 1000000}),
+     {'id': 'core-upper', 'domain': 'r in [1.17029, 1.75212] x20, a in [0, 0.0757598] x10, t in [0.00019996, 0.9998] x5000', 'worst_point': {'r': 1.7521243699776798, 'a': 0.07575983017507329, 't': 0.9998000399920015}, 'worst_value': 1.960187567817684e-10, 'margin': 1.960187567817684e-10, 'verdict': 'AllSatisfy', 'points_checked': 1000000}),
     ("tangent-cubic", {"x": GridAxis(1.0, 100.0, 200, log=True),
                        "q": GridAxis(0.005846340848007925, 0.3333333333333333, 100),
                        "r": GridAxis(0.6597671758852641, 1.0, 50)}, 1e-10,
