@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +172,31 @@ class TestCustomGrids:
                 grid={"x": GridAxis(0.75, 1.0, 2000), "r": GridAxis(1.0, 2.0, 2000)},
             )
 
+    def test_point_cap_checked_before_points_are_built(self):
+        # An axis of 10^15 points used to be built (8 PB) before the cap saw it.
+        grid = {"x": GridAxis(0.75, 1.0, 10**15), "r": GridAxis(1.0, 2.0, 1)}
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=r"^grid would have 1000000000000000 points, "
+                                                  r"above the cap 1000000$"):
+                aux_sign_check(AuxFunctionId.EXPONENT_MARGIN, grid=grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("max_points", [math.nan, None, 0, 2.5, True])
+    def test_max_points_must_be_a_positive_integer(self, max_points):
+        # A NaN cap used to turn the cap off, and None raised a bare TypeError.
+        with pytest.raises(DomainError, match="max_points must be a positive integer"):
+            aux_sign_check(AuxFunctionId.EXPONENT_MARGIN, max_points=max_points)
+        with pytest.raises(DomainError, match="max_points must be a positive integer"):
+            aux_sign_check(
+                AuxFunctionId.EXPONENT_MARGIN,
+                grid={"x": GridAxis(0.75, 1.0, 2), "r": GridAxis(1.0, 2.0, 2)},
+                max_points=max_points,
+            )
+
     def test_missing_axis_rejected(self):
         with pytest.raises(DomainError):
             aux_sign_check(AuxFunctionId.EXPONENT_MARGIN, grid={"x": GridAxis(0.75, 1.0, 5)})
@@ -220,6 +247,95 @@ class TestCustomGrids:
         assert report.points_checked == 1
         assert report.worst_point["q2"] == 1.0 / 3.0
         assert report.margin == np.inf and report.verdict == "AllSatisfy"
+
+
+def _whole_grid_report(tag, grid, tolerance):
+    """The report of one evaluation on the whole broadcast grid, worst point by np.argmin."""
+    entry = proof_aux._CATALOG[AuxFunctionId(tag)]
+    args = entry.complete(np.ix_(*(grid[name].points() for name in entry.grid_names)))
+    shape = np.broadcast_shapes(*(a.shape for a in args))
+    with np.errstate(all="ignore"):
+        values = np.broadcast_to(entry.fn(*args), shape).ravel()
+    margins = values - entry.bound if entry.claim == "ge" else entry.bound - values
+    if entry.admissible is None:
+        kept = np.arange(values.size)
+    else:
+        kept = np.flatnonzero(np.broadcast_to(entry.admissible(*args), shape))
+    worst = kept[np.argmin(margins[kept])]
+    at = np.unravel_index(worst, shape)
+    margin = float(margins[worst])
+    return {
+        "worst_point": {name: float(np.broadcast_to(a, shape)[at])
+                        for name, a in zip(entry.args, args)},
+        "worst_value": float(values[worst]),
+        "margin": margin,
+        "verdict": "AllSatisfy" if margin >= -tolerance else "ViolationFound",
+        "points_checked": int(kept.size),
+    }
+
+
+# Grids of about 10^6 points, so that aux_sign_check sweeps them in several
+# blocks.  growth-ratio's margin is NaN at t = 1, in the last t-block, or in
+# every r-block when r is the longer axis; binomial-chain's margins tie at 0
+# at t = 0 in every r-block.  Then the dense certify benchmark grids at seed 3.
+_BLOCKED_CASES = [
+    ("growth-ratio-monotone", {"r": GridAxis(2.0, 4.0, 50), "t": GridAxis(0.001, 1.0, 20000)},
+     1e-10, {"r": 2.0, "t": 1.0}),
+    ("growth-ratio-monotone", {"r": GridAxis(2.0, 4.0, 20000), "t": GridAxis(0.001, 1.0, 50)},
+     1e-10, {"r": 2.0, "t": 1.0}),
+    ("binomial-chain", {"r": GridAxis(4.0, 8.0, 5000), "t": GridAxis(0.0, 1.0, 200)},
+     1e-10, {"r": 4.0, "t": 0.0}),
+    ("core-upper", {"r": GridAxis(1.1205599229929637, 1.6959839859254253, 20),
+                    "a": GridAxis(0.0, 0.09502885547054836, 10),
+                    "t": GridAxis(0.0, 1.0, 5000, open_lo=True, open_hi=True)}, 1e-9, None),
+    ("tangent-cubic", {"x": GridAxis(1.0, 100.0, 200, log=True),
+                       "q": GridAxis(0.009991733724419694, 0.3333333333333333, 100),
+                       "r": GridAxis(0.6597671758852641, 1.0, 50)}, 1e-10, None),
+    ("three-sample-lower", {"y": GridAxis(1.0, 100.0, 40, log=True),
+                            "q1": GridAxis(0.22771307652959105, 0.43340492552374127, 50),
+                            "q2": GridAxis(0.22771307652959105, 0.43340492552374127, 50),
+                            "r": GridAxis(1.0, 1.3106431524520643, 10)}, 1e-10, None),
+]
+
+
+class TestBlockedSweeps:
+    @pytest.mark.parametrize("tag, grid, tolerance, point", _BLOCKED_CASES,
+                             ids=["growth-nan-t", "growth-nan-r", "binomial-ties",
+                                  "core-upper-seed3", "tangent-cubic-seed3",
+                                  "three-sample-seed3"])
+    def test_worst_point_is_whole_grid_argmin(self, tag, grid, tolerance, point):
+        report = aux_sign_check(tag, grid=grid, tolerance=tolerance).to_json_dict()
+        expected = _whole_grid_report(tag, grid, tolerance)
+        # json.dumps tells NaN from any number, and -0.0 from 0.0.
+        assert json.dumps({k: report[k] for k in expected}) == json.dumps(expected)
+        if point is not None:
+            assert report["worst_point"] == point
+        if tag == "growth-ratio-monotone":
+            assert math.isnan(report["margin"]) and report["verdict"] == "ViolationFound"
+
+    def test_dense_sweep_memory_is_bounded(self):
+        # Evaluated on the whole grid, each step made a fresh 8 MB temporary
+        # and the traced peak was 15.6 MiB.
+        grid = {"x": GridAxis(1.0, 100.0, 200, log=True), "q": GridAxis(0.005, 1.0 / 3.0, 100),
+                "r": GridAxis(R0, 1.0, 50)}
+        tracemalloc.start()
+        try:
+            report = aux_sign_check(AuxFunctionId.TANGENT_CUBIC, grid=grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.points_checked == 10**6
+        assert peak <= 8 * 2**20
+
+    @pytest.mark.parametrize("tag", list(AuxFunctionId))
+    def test_default_grid_built_once_and_read_only(self, tag):
+        first = aux_sign_check(tag)
+        axes = proof_aux._default_axes(tag)[0]
+        assert aux_sign_check(tag) == first
+        assert proof_aux._default_axes(tag)[0] is axes
+        assert all(not a.flags.writeable for a in axes)
+        with pytest.raises(ValueError, match="read-only"):
+            axes[0][(0,) * axes[0].ndim] = 0.0
 
 
 class TestIndependentCrossChecks:
