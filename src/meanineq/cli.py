@@ -296,6 +296,8 @@ def _exec_sweep(options: dict):
     if options.get("grid") is None:
         raise MeanIneqError("--grid lo,hi,count is required")
     lo, hi, count = _grid_triplet(options["grid"])
+    if not np.isfinite([lo, hi]).all():
+        raise MeanIneqError(f"grid ends must be finite (got {lo}, {hi})")
     if count < 1:
         raise MeanIneqError("grid count must be positive")
     return sweep(options, lo, hi, np.linspace(lo, hi, count)), EXIT_OK

@@ -99,14 +99,17 @@ class GridAxis:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "GridAxis":
-        return cls(
-            lo=float(payload["lo"]),
-            hi=float(payload["hi"]),
-            count=payload["count"],
-            open_lo=bool(payload.get("open_lo", False)),
-            open_hi=bool(payload.get("open_hi", False)),
-            log=bool(payload.get("log", False)),
-        )
+        missing = [key for key in ("lo", "hi", "count") if key not in payload]
+        if missing:
+            raise DomainError(f"a JSON axis needs 'lo', 'hi' and 'count', missing {missing}")
+        lo, hi = payload["lo"], payload["hi"]
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (lo, hi)):
+            raise DomainError(f"axis bounds must be numbers, got [{lo!r}, {hi!r}]")
+        flags = {key: payload.get(key, False) for key in ("open_lo", "open_hi", "log")}
+        for key, flag in flags.items():
+            if not isinstance(flag, bool):
+                raise DomainError(f"{key} must be true or false, got {flag!r}")
+        return cls(lo=float(lo), hi=float(hi), count=payload["count"], **flags)
 
 
 @dataclass(frozen=True)
@@ -512,12 +515,24 @@ def _default_axes(id: AuxFunctionId):
     return axes, desc
 
 
+def _grid_axis(name: str, axis) -> GridAxis:
+    """A custom grid's axis, given as a GridAxis or as its JSON dict."""
+    if isinstance(axis, GridAxis):
+        return axis
+    if not isinstance(axis, dict):
+        raise DomainError(f"axis {name!r} must be a GridAxis or a JSON object, "
+                          f"got {type(axis).__name__}")
+    try:
+        return GridAxis.from_json_dict(axis)
+    except DomainError as exc:
+        raise DomainError(f"axis {name!r}: {exc}") from None
+
+
 def _custom_axes(entry: _CatalogEntry, grid: dict, max_points: int):
     names = entry.grid_names
     if set(grid) != set(names):
         raise DomainError(f"grid has axes {tuple(grid)}, but this tag takes {names}")
-    axes = [GridAxis.from_json_dict(axis) if isinstance(axis, dict) else axis
-            for axis in (grid[name] for name in names)]
+    axes = [_grid_axis(name, grid[name]) for name in names]
     # Count before building any points, so that a refused grid allocates nothing.
     total = math.prod(int(axis.count) for axis in axes)
     if total > max_points:

@@ -27,14 +27,15 @@ parallel execution order could not change the result.
 Both searches score configurations in batches (:func:`relative_residuals`
 and :func:`delta_rows`, bit-identical to ``check`` and ``delta`` row by
 row), and their results equal the sequential definition: restarts one
-after another, one trial at a time.  All restarts of a hunt, of every
-sample size n, run in one lockstep, one coordinate per step: each step
-scores one batch, padded to the largest n, that holds for every live
-restart the +step and -step trials of its next coordinate.  A restart
-moves at its first improving trial, as the sequential descent does; a
--step trial after an improving +step was computed speculatively and is
-not counted, so verdicts, ``evals_used`` and best configurations stay
-those of the sequential descent.  A probe draws the restarts of one n,
+after another, one trial at a time.  A hunt fixes every restart's
+evaluation allowance before it starts any, and all its restarts, of
+every sample size n, run in one lockstep, one coordinate per step: each
+step scores one batch, padded to the largest n, that holds for every
+live restart the +step and -step trials of its next coordinate.  A
+restart moves at its first improving trial, as the sequential descent
+does; a -step trial after an improving +step was computed speculatively
+and is not counted, so verdicts, ``evals_used`` and best configurations
+stay those of the sequential descent.  A probe draws the restarts of one n,
 each from its own stream, until their samples could use up the budget,
 and scores them in one batch; samples past the budget are not counted.
 """
@@ -282,38 +283,32 @@ def counterexample_hunt(
     params = resolve_params(id, triple=triple, alpha=alpha, r=r, s=s, force=True)
     lo_n, hi_n = budget.n_range
     weight_total = sum(range(lo_n, hi_n + 1))
-    sizes, rngs, limits, floors, caps = [], [], [], [], []
-    reserved = 0  # the sum of the caps so far
+    sizes, rngs, allowances = [], [], []
+    left = budget.max_evals  # the evaluations not yet given to a restart
     for n in range(lo_n, hi_n + 1):
         per_restart = max(2, max(1, budget.max_evals * n // weight_total) // budget.restarts)
-        # A restart uses at least one evaluation and at most its cap, so at
-        # most max_evals restarts start, and the j-th of the hunt gets at
-        # least its floor and at most max_evals - j.  Its exact allowance is
-        # applied below, in order of n and then k, once its predecessors'
-        # counts are known.
-        for k in range(min(budget.restarts, budget.max_evals - len(caps))):
+        # Sequentially a restart gets min(per_restart, max_evals - evals so
+        # far); counting each earlier restart at its allowance gives the same.
+        # If no per_restart was raised to 2 by the outer max, they sum to at
+        # most max_evals.  If one was, max_evals < weight_total * restarts, so
+        # at every n per_restart <= max(2, n - 1) < 1 + 92 n, the fewest
+        # evaluations of a descent that stops early (23 sweeps without a
+        # move: 0.6 / 2**23 < 1e-7), and every restart uses its allowance.
+        for k in range(min(budget.restarts, -(-left // per_restart))):  # those with evaluations
             sizes.append(n)
             rngs.append(_stream(budget.seed, n, k))
-            limits.append(per_restart)
-            floors.append(min(per_restart, budget.max_evals - reserved))
-            caps.append(min(per_restart, budget.max_evals - len(caps)))
-            reserved += caps[-1]
-    best = None
-    best_rel = math.inf
-    evals = 0
-    for descent, per_restart in zip(_descend(id, params, sizes, rngs, floors, caps), limits):
-        if evals >= budget.max_evals:
-            break
-        used, rel, batch, row = descent.truncated(min(per_restart, budget.max_evals - evals))
-        evals += used
-        if best is None or rel < best_rel:
-            best, best_rel = (batch, row), rel
+            allowances.append(min(per_restart, left))
+            left -= allowances[-1]
+    used, f, at = _descend(id, params, sizes, rngs, allowances)
+    best = int(np.argmin(f))  # the first restart of the lowest score
+    best_rel = float(f[best])
+    batch, row = at[best]
     verdict = "ViolationFound" if best_rel < -VIOLATION_REL_TOL else "NoViolationFound"
     return SearchReport(
         verdict=verdict,
-        best_config=best[0].row(best[1]),
+        best_config=batch.row(row),
         best_residual=best_rel,
-        evals_used=evals,
+        evals_used=int(used.sum()),
         seed=budget.seed,
     )
 
@@ -330,32 +325,12 @@ def _evaluate(id, params, u: np.ndarray, sizes: np.ndarray):
     return batch, relative_residuals(id, batch, params)
 
 
-class _Descent:
-    """One restart's descent: its evaluation count and its improvements.
-
-    ``improvements`` lists (count, score, batch, row) each time the score
-    fell, the count being the evaluations used up to and including it; it
-    may leave out those that no allowance could pick.
-    """
-
-    def __init__(self, used: int, improvements: list) -> None:
-        self.used = used
-        self.improvements = improvements
-
-    def truncated(self, allowance: int):
-        """(used, best score, batch, row of the best) had the descent stopped at ``allowance``."""
-        count, f, batch, row = next(
-            entry for entry in reversed(self.improvements) if entry[0] <= allowance)
-        return min(self.used, allowance), f, batch, row
-
-
-def _descend(id, params, sizes, rngs, floors, caps) -> list[_Descent]:
+def _descend(id, params, sizes, rngs, allowances):
     """Coordinate descent with adaptive step halving in log coordinates.
 
-    One descent per stream, of the sample size in ``sizes``, whose
-    allowance lies between its entries in ``floors`` and ``caps``: it runs
-    to its cap, and an improvement made within its floor drops the earlier
-    ones, as no allowance could pick them.  A sequential descent sweeps
+    One descent per stream, of the sample size in ``sizes``, each run to
+    its entry in ``allowances``; returns the evaluations each used, its
+    score and the (batch, row) of its point.  A sequential descent sweeps
     the coordinates in a fresh random order, tries +step then -step on
     each, moves at the first trial that improves and goes on to the next
     coordinate, and halves the step after a sweep without a move.  Here
@@ -378,9 +353,9 @@ def _descend(id, params, sizes, rngs, floors, caps) -> list[_Descent]:
         u[k, :n] = rng.uniform(-math.log(50.0), math.log(50.0), n)
         u[k, width:width + n] = rng.normal(0.0, 1.5, n)
     batch, f = _evaluate(id, params, u, sizes)
-    descents = [_Descent(1, [(1, score, batch, k)]) for k, score in enumerate(f.tolist())]
+    at = [(batch, k) for k in range(len(rngs))]
     used = np.ones(len(rngs), dtype=int)
-    cap = np.array(caps)
+    cap = np.array(allowances)
     step = np.full(len(rngs), _STEP0)
     pos = np.zeros(len(rngs), dtype=int)            # next coordinate slot in the sweep
     moved = np.zeros(len(rngs), dtype=bool)         # whether the current sweep has moved
@@ -409,12 +384,8 @@ def _descend(id, params, sizes, rngs, floors, caps) -> list[_Descent]:
         u[k_hit] = points[h, first[h]]
         f[k_hit] = f_t[j]
         moved[k_hit] = True
-        for k, evals, score, row in zip(k_hit.tolist(), used[k_hit].tolist(), f_t[j].tolist(),
-                                        j.tolist()):
-            if evals <= floors[k]:
-                descents[k].improvements = [(evals, score, batch, row)]
-            else:
-                descents[k].improvements.append((evals, score, batch, row))
+        for k, row in zip(k_hit.tolist(), j.tolist()):
+            at[k] = (batch, row)
         pos[idx] += 1
         swept = idx[pos[idx] == dims[idx]]
         step[swept[~moved[swept]]] *= 0.5
@@ -425,9 +396,7 @@ def _descend(id, params, sizes, rngs, floors, caps) -> list[_Descent]:
             perm[k, :dims_of[k]] = rngs[k].permutation(dims_of[k])
         pos[again] = 0
         moved[again] = False
-    for k, descent in enumerate(descents):
-        descent.used = int(used[k])
-    return descents
+    return used, f, at
 
 
 class ProbeClaim(str, Enum):

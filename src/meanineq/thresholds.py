@@ -324,8 +324,8 @@ def alpha_threshold_lower(r: float) -> float:
     Piecewise: 1 - a2(r) on (2, 3), 1 - 1/(3r) on [3, 4), 1 - (r-2)/r^2 on
     [4, inf).
     """
-    if not r > 2.0:
-        raise DomainError(f"the lower threshold needs r > 2 (got {r})")
+    if not 2.0 < r < math.inf:
+        raise DomainError(f"the lower threshold needs a finite r > 2 (got {r})")
     if r < 3.0:
         return 1.0 - gap_exponent_lower(r)
     if r < 4.0:

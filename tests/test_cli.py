@@ -136,6 +136,17 @@ class TestThresholdCommand:
             assert out == ""
             assert "finite" in err
 
+    # an infinite order has no threshold: 1 - (r - 2) / r^2 is inf / inf there
+    @pytest.mark.parametrize("argv, message", [
+        (["threshold", "--which", "alpha-lower", "--r", "inf"],
+         "the lower threshold needs a finite r > 2 (got inf)"),
+        (["sweep", "--quantity", "alpha-threshold", "--grid", "2.5,inf,3"],
+         "grid ends must be finite (got 2.5, inf)"),
+    ])
+    def test_non_finite_alpha_order_exit_two(self, argv, message, capsys):
+        code, out, err = invoke(argv, capsys)
+        assert (code, out, err) == (2, "", f"meanineq: error: {message}\n")
+
 
 class TestSearchCommands:
     def test_sharpness(self, capsys):

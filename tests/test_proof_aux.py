@@ -232,6 +232,21 @@ class TestCustomGrids:
             GridAxis(0.0, 1.0, count)
         assert len(GridAxis(0.0, 1.0, np.int64(3)).points()) == 3
 
+    @pytest.mark.parametrize("axis, message", [
+        ([0.75, 1.0, 5], "'x' must be a GridAxis or a JSON object, got list"),
+        (0.75, "'x' must be a GridAxis or a JSON object, got float"),
+        ({"hi": 1.0, "count": 5}, r"'x': .*missing \['lo'\]"),
+        ({"lo": 0.75, "hi": 1.0}, r"'x': .*missing \['count'\]"),
+        ({"lo": "a", "hi": 1.0, "count": 5}, "'x': axis bounds must be numbers"),
+        ({"lo": 0.75, "hi": 1.0, "count": 5, "log": "no"}, "'x': log must be true or false"),
+        ({"lo": 0.75, "hi": 1.0, "count": 5, "open_lo": "false"},
+         "'x': open_lo must be true or false"),
+    ], ids=["list", "float", "no-lo", "no-count", "text-lo", "text-log", "text-open-lo"])
+    def test_malformed_axes_are_domain_errors(self, axis, message):
+        # a string flag such as "false" is not read as a truthy value
+        with pytest.raises(DomainError, match=message):
+            aux_sign_check(AuxFunctionId.EXPONENT_MARGIN, grid={"x": axis, "r": GridAxis(1, 2, 2)})
+
     def test_worst_point_is_admissible(self):
         # At q2 = 0.05 the weights are inadmissible; at q2 = 1/3 they are
         # admissible and y^E overflows, so the only admissible margin is +inf.

@@ -216,19 +216,35 @@ def sequential_hunt(id, budget, **params):
 class TestLockstepHunt:
     """Lockstep restarts reproduce the sequential descent exactly."""
 
-    @pytest.mark.parametrize("tag, params, max_evals", [
+    @pytest.mark.parametrize("tag, params, budget", [
         (InequalityId.MG_SIGMA_UPPER, dict(r=2.5), 1),
         (InequalityId.MG_SIGMA_UPPER, dict(r=2.5), 7),
         (InequalityId.MG_SIGMA_UPPER, dict(r=2.5), 50),
         (InequalityId.MG_SIGMA_LOWER, dict(r=3.5), 400),
         (InequalityId.DIANANDA_UPPER, dict(triple=(1, 0.5, 0), alpha=2.0), 300),
         (InequalityId.HALF_MEAN_VAR_UPPER, dict(r=0.9), 300),
+        # The hunt fixes each restart's allowance before any runs.  Here
+        # per_restart is raised to 2 at n = 2, and the allowances sum to
+        # max_evals exactly.
+        (InequalityId.MG_SIGMA_LOWER, dict(r=3.5), 20),
+        # None is raised, and the allowances (10, 15, 20 twice) sum to 90.
+        pytest.param(InequalityId.HALF_MEAN_VAR_UPPER, dict(r=0.9),
+                     dict(max_evals=90, n_range=(2, 4), restarts=2), id="exact-sum"),
+        # One restart per n: max_evals * n // W is 0 at n = 2 and 3, and the
+        # allowances (40 in all) run out at n = 17.
+        pytest.param(InequalityId.MG_SIGMA_UPPER, dict(r=2.5),
+                     dict(max_evals=38, n_range=(2, 17), restarts=1), id="one-restart"),
+        # Raised at n = 2 to 7 only; the last restart at n = 17 is cut by one.
+        pytest.param(InequalityId.DIANANDA_UPPER, dict(triple=(1, 0.5, 0), alpha=2.0),
+                     dict(max_evals=125, n_range=(2, 17), restarts=3), id="raised-small-n"),
     ])
-    def test_equals_the_sequential_definition(self, tag, params, max_evals):
-        budget = SearchBudget(max_evals=max_evals, seed=3, n_range=(2, 3), restarts=5)
+    def test_equals_the_sequential_definition(self, tag, params, budget):
+        # an int is max_evals, at seed 3 with 5 restarts of n = 2 and 3
+        fields = budget if isinstance(budget, dict) else dict(max_evals=budget)
+        budget = SearchBudget(**{"seed": 3, "n_range": (2, 3), "restarts": 5, **fields})
         report = counterexample_hunt(tag, budget=budget, **params)
         cfg, rel, evals = sequential_hunt(tag, budget, **params)
-        assert report.evals_used == evals <= max_evals
+        assert report.evals_used == evals <= budget.max_evals
         assert report.best_residual == rel
         assert report.best_config.to_json_dict() == cfg.to_json_dict()
 
@@ -475,6 +491,23 @@ class TestSpeculation:
             shared &= sizes[:, None] == sizes[None, :]
             restarts = np.unique(shared.argmax(axis=1)).size
             assert u.shape[0] <= 2 * restarts
+
+
+    @pytest.mark.parametrize("max_evals, rows", [(7, 10), (50, 75)])
+    def test_small_budgets_score_only_counted_restarts(self, monkeypatch, max_evals, rows):
+        # allowances are fixed before the lockstep, so no restart runs past its own
+        scored = []
+        evaluate = search._evaluate
+
+        def counting(id, params, u, sizes):
+            scored.append(u.shape[0])
+            return evaluate(id, params, u, sizes)
+
+        monkeypatch.setattr(search, "_evaluate", counting)
+        report = counterexample_hunt(InequalityId.MG_SIGMA_UPPER, r=2.5,
+                                     budget=SearchBudget(max_evals=max_evals))
+        assert report.evals_used == max_evals
+        assert sum(scored) == rows
 
 
 class TestFiniteDifferenceProbes:

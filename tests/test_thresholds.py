@@ -251,6 +251,10 @@ class TestAlphaThresholds:
         with pytest.raises(DomainError):
             alpha_threshold_lower(2.0)
 
+    def test_lower_needs_a_finite_order(self):
+        with pytest.raises(DomainError, match="finite r > 2"):
+            alpha_threshold_lower(math.inf)
+
     def test_solved_margin_never_beats_profile_minimum(self):
         # The closed-form exponent comes from weakening the profile bound.
         for r in np.linspace(1.05, 1.95, 10):
