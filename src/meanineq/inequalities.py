@@ -38,6 +38,7 @@ from .means import (
     Configuration,
     ConfigurationBatch,
     DeltaParams,
+    _map_or_nan,
     c_constant,
     delta,
     delta_rows,
@@ -144,8 +145,7 @@ class _Means:
     def delta(self, params: DeltaParams) -> float:
         return delta(self.config, params)
 
-    def bound(self, r: float, s: float, t: float, xarg: float) -> float:
-        return c_constant(r, s, t, xarg)
+    bound = staticmethod(c_constant)
 
     @staticmethod
     def pow(base: float, exponent: float) -> float:
@@ -155,12 +155,11 @@ class _Means:
 
 
 class _RowMeans:
-    """A batch's quantities as (B,) arrays; a row that would raise is marked bad."""
+    """A batch's quantities as (B,) arrays; NaN in a row that would raise."""
 
     def __init__(self, batch: ConfigurationBatch) -> None:
         self.batch = batch
         self.q = batch.min_weights()
-        self.bad = np.zeros(len(self.q), dtype=bool)
 
     def mean(self, r: float) -> np.ndarray:
         return power_mean_rows(self.batch, r)
@@ -175,21 +174,10 @@ class _RowMeans:
         return self.batch.x_n()
 
     def delta(self, params: DeltaParams) -> np.ndarray:
-        d = delta_rows(self.batch, params)
-        self.bad |= np.isnan(d)
-        return d
+        return delta_rows(self.batch, params)
 
     def bound(self, r: float, s: float, t: float, xarg: np.ndarray) -> np.ndarray:
-        """:func:`c_constant` row by row; a row where it raises is marked bad."""
-        inside = (xarg > 0.0) & (xarg < 1.0)
-        self.bad |= ~inside
-        xarg = np.where(inside, xarg, 0.5)
-        den = 1.0 - self.pow(xarg, 1.0 / s - 1.0 / r)
-        self.bad |= den == 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if t == 0.0:
-                return 1.0 / den
-            return (1.0 - self.pow(xarg, 1.0 / t - 1.0 / r)) / den
+        return _map_or_nan(lambda x: c_constant(r, s, t, x), xarg)
 
     @staticmethod
     def pow(base: np.ndarray, exponent: float) -> np.ndarray:
@@ -444,13 +432,12 @@ def relative_residuals(id: InequalityId, batch: ConfigurationBatch, params: dict
     would raise :class:`DomainError` (a bound argument outside (0, 1)) or
     report Degenerate (a 0/0 ratio, a NaN residual) score +inf.
     """
-    m = _RowMeans(batch)
-    lhs, rhs = _CATALOG[InequalityId(id)].sides(m, params)
+    lhs, rhs = _CATALOG[InequalityId(id)].sides(_RowMeans(batch), params)
     with np.errstate(invalid="ignore", over="ignore"):
         residual = rhs - lhs
         scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
         rel = np.where(np.isinf(residual), residual, residual / scale)
-    rel[m.bad | np.isnan(residual)] = np.inf
+    rel[np.isnan(residual)] = np.inf
     return rel
 
 

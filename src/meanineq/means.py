@@ -36,14 +36,14 @@ callers racing to fill an entry compute and store the same float.
 arrays, row i holding its n_i samples first and padding after them, and
 the ``*_rows`` functions are the array forms of M_r, sigma and delta over
 it.  Row i of each is bit-identical to the scalar function on the i-th
-configuration: the array forms repeat the scalar operations in the same
-order, run numpy's elementwise steps on all rows at once, take row maxima
-and minima with the padding set to -inf or +inf, run sums and row-wise
-dots (the same BLAS dot as ``np.dot``) on each run of equal-size rows cut
-to its size, and apply the scalar steps (``math.fsum``, ``math.log``,
-``math.log1p``, ``math.exp``, ``math.expm1``) row by row to the row's own
-entries.  A padded sum or dot would not do: numpy's pairwise sum regroups
-its terms from 8 of them, and the BLAS dot from 16.
+configuration: numpy's elementwise steps run on all rows at once, row
+maxima and minima see the padding as -inf or +inf, and sums and row-wise
+dots (the same BLAS dot as ``np.dot``) run on each run of equal-size rows
+cut to its size.  A padded sum or dot would not do: numpy's pairwise sum
+regroups its terms from 8 of them, and the BLAS dot from 16.  The scalar
+tail functions (``math.fsum``, ``math.log``, ``math.log1p``, ``math.exp``
+and the ratio after the three log-means) are applied row by row to the
+row's own entries, so the arithmetic of delta is written once.
 """
 
 from __future__ import annotations
@@ -311,55 +311,54 @@ def delta(config: Configuration, params: DeltaParams) -> float:
 
     Computed as |expm1(alpha (ln M_t - ln M_r))| / |expm1(alpha (ln M_s - ln M_r))|
     so that the scale of x cancels exactly and neither M^alpha overflows
-    nor the near-equal-mean differences lose precision.  At alpha = 0 the
-    differences of ln M are used directly.
+    nor the near-equal-mean differences lose precision.  Where an expm1
+    overflows, the quotient is taken in log form; it is inf only past the
+    float range.  At alpha = 0 the differences of ln M are used directly.
+    When M_r = 0 (zero samples, order <= 0) the ratio is its limit: 1 for
+    alpha <= 0, where the vanishing mean dominates both differences, and
+    (M_t / M_s)^alpha for alpha > 0.
     """
     if config.is_constant:
         raise DegenerateInput("the ratio is 0/0 when all samples are equal")
-    lr = log_power_mean(config, params.r)
-    ls = log_power_mean(config, params.s)
-    lt = log_power_mean(config, params.t)
-    if lr == float("-inf"):
-        return _delta_with_zero_reference(ls, lt, params.alpha)
-    if params.alpha == 0.0:
-        num = lr - lt
-        den = lr - ls
+    return _delta_of_logs(log_power_mean(config, params.r), log_power_mean(config, params.s),
+                          log_power_mean(config, params.t), params.alpha)
+
+
+def _delta_of_logs(lr: float, ls: float, lt: float, alpha: float) -> float:
+    """:func:`delta` from the log-means ln M_r, ln M_s and ln M_t."""
+    if lr == -math.inf:
+        if alpha <= 0.0:
+            return 1.0
+        if ls == -math.inf:
+            if lt == -math.inf:
+                raise DegenerateInput("ratio undefined: both means in a difference are zero")
+            raise DegenerateInput("ratio denominator vanished")
+        return _exp(alpha * (lt - ls))
+    if alpha == 0.0:
+        num, den = lr - lt, lr - ls
     else:
-        num = _expm1_gap(params.alpha, lt, lr)
-        den = _expm1_gap(params.alpha, ls, lr)
-    if math.isnan(num) or math.isnan(den):
-        raise DegenerateInput("ratio undefined: both means in a difference are zero")
-    if den == 0.0:
+        num, den = alpha * (lt - lr), alpha * (ls - lr)
+    if den == 0.0:  # expm1(den) == 0 exactly when den == 0
         raise DegenerateInput("ratio denominator vanished")
-    return abs(num / den)
+    try:
+        return abs(num / den if alpha == 0.0 else math.expm1(num) / math.expm1(den))
+    except OverflowError:  # an expm1 overflowed: take the quotient in log form
+        return _exp(_log_abs_expm1(num) - _log_abs_expm1(den))
 
 
-def _delta_with_zero_reference(ls: float, lt: float, alpha: float) -> float:
-    """The ratio when the first mean vanishes (zero samples, order <= 0).
-
-    For alpha > 0 it reduces to (M_t / M_s)^alpha; for alpha <= 0 the
-    vanishing mean dominates both differences, giving 1 in the limit.
-    """
-    if alpha <= 0.0:
-        return 1.0
-    if ls == float("-inf"):
-        if lt == float("-inf"):
-            raise DegenerateInput("ratio undefined: both means in a difference are zero")
-        raise DegenerateInput("ratio denominator vanished")
-    if lt == float("-inf"):
-        return 0.0
-    return math.exp(alpha * (lt - ls))
+def _log_abs_expm1(x: float) -> float:
+    """ln |e^x - 1|, also where e^x overflows; -inf at x = 0."""
+    if x > 1.0:
+        return x + math.log1p(-math.exp(-x))
+    return math.log(abs(math.expm1(x))) if x else -math.inf
 
 
-def _expm1_gap(alpha: float, la: float, lb: float) -> float:
-    """expm1(alpha * (la - lb)) with -inf log-means handled (zero means)."""
-    gap = la - lb
-    if math.isnan(gap):  # both -inf: M_a = M_b = 0
-        return float("nan")
-    arg = alpha * gap
-    if arg == float("-inf"):
-        return -1.0
-    return math.expm1(arg)
+def _exp(x: float) -> float:
+    """e^x; inf past the float range, where ``math.exp`` raises."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def c_constant(r: float, s: float, t: float, xarg: float) -> float:
@@ -458,6 +457,17 @@ def _map(fn, values: np.ndarray) -> np.ndarray:
     return np.array([fn(v) for v in values.tolist()], dtype=float)
 
 
+def _map_or_nan(fn, *columns: np.ndarray) -> np.ndarray:
+    """A scalar function applied row by row; NaN where it raises DomainError or DegenerateInput."""
+    out = []
+    for args in zip(*(c.tolist() for c in columns)):
+        try:
+            out.append(fn(*args))
+        except (DomainError, DegenerateInput):
+            out.append(math.nan)
+    return np.array(out, dtype=float)
+
+
 def log_power_mean_rows(batch: ConfigurationBatch, r: float) -> np.ndarray:
     """:func:`log_power_mean` of every row."""
     if not math.isfinite(r):
@@ -491,24 +501,8 @@ def variance_sigma_rows(batch: ConfigurationBatch) -> np.ndarray:
 
 def delta_rows(batch: ConfigurationBatch, params: DeltaParams) -> np.ndarray:
     """:func:`delta` of every row; NaN where it raises :class:`DegenerateInput`."""
-    lr = log_power_mean_rows(batch, params.r)
-    ls = log_power_mean_rows(batch, params.s)
-    lt = log_power_mean_rows(batch, params.t)
-    alpha = params.alpha
-    with np.errstate(invalid="ignore", divide="ignore"):
-        if alpha == 0.0:
-            num = lr - lt
-            den = lr - ls
-        else:
-            num = _map(math.expm1, alpha * (lt - lr))
-            den = _map(math.expm1, alpha * (ls - lr))
-        out = np.abs(num / den)
-    out[(den == 0.0) | np.isnan(out)] = np.nan
-    for i in np.flatnonzero(lr == -np.inf).tolist():
-        try:
-            out[i] = _delta_with_zero_reference(float(ls[i]), float(lt[i]), alpha)
-        except DegenerateInput:
-            out[i] = np.nan
+    logs = (log_power_mean_rows(batch, p) for p in (params.r, params.s, params.t))
+    out = _map_or_nan(lambda lr, ls, lt: _delta_of_logs(lr, ls, lt, params.alpha), *logs)
     out[batch.x[:, 0] == batch.x_n()] = np.nan
     return out
 

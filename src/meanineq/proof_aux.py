@@ -102,10 +102,13 @@ class GridAxis:
         missing = [key for key in ("lo", "hi", "count") if key not in payload]
         if missing:
             raise DomainError(f"a JSON axis needs 'lo', 'hi' and 'count', missing {missing}")
+        flags = {key: payload.get(key, False) for key in ("open_lo", "open_hi", "log")}
+        unknown = sorted(set(payload) - {"lo", "hi", "count", *flags}, key=str)
+        if unknown:
+            raise DomainError(f"a JSON axis has unknown keys {unknown}")
         lo, hi = payload["lo"], payload["hi"]
         if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (lo, hi)):
             raise DomainError(f"axis bounds must be numbers, got [{lo!r}, {hi!r}]")
-        flags = {key: payload.get(key, False) for key in ("open_lo", "open_hi", "log")}
         for key, flag in flags.items():
             if not isinstance(flag, bool):
                 raise DomainError(f"{key} must be true or false, got {flag!r}")

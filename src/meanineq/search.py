@@ -35,9 +35,10 @@ live restart the +step and -step trials of its next coordinate.  A
 restart moves at its first improving trial, as the sequential descent
 does; a -step trial after an improving +step was computed speculatively
 and is not counted, so verdicts, ``evals_used`` and best configurations
-stay those of the sequential descent.  A probe draws the restarts of one n,
-each from its own stream, until their samples could use up the budget,
-and scores them in one batch; samples past the budget are not counted.
+stay those of the sequential descent.  A probe reads the samples of one n
+as one lazy stream, its restarts' draws in turn, each from its own random
+stream; a batch takes as many as the budget has left, and more follow
+only when some were degenerate.
 """
 
 from __future__ import annotations
@@ -46,20 +47,13 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, islice
 
 import numpy as np
 
 from .errors import DomainError
 from .inequalities import _CATALOG, InequalityId, _Means, relative_residuals, resolve_params
-from .means import (
-    Configuration,
-    ConfigurationBatch,
-    DeltaParams,
-    c_constant,
-    delta,
-    delta_rows,
-    power_mean,
-)
+from .means import Configuration, ConfigurationBatch, DeltaParams, delta_rows, power_mean
 
 # A hunt only declares a violation below this relative residual; the check
 # tolerance itself is far tighter, so a declared violation always
@@ -196,18 +190,12 @@ def sharpness_probe(
     if not 0.0 < q_target <= 0.5:
         raise DomainError("q_target must lie in (0, 1/2]")
     resolved = resolve_params(id, triple=triple, alpha=alpha)
-    r, s, t = resolved["triple"]
-    alpha = resolved["alpha"]
+    params = DeltaParams(*resolved["triple"], resolved["alpha"])
     upper = id is InequalityId.DIANANDA_UPPER
-    params = DeltaParams(r, s, t, alpha)
-    if upper:
-        bound = c_constant(r, s, t, (1.0 - q_target) ** alpha)
-        boundary = Configuration([0.0, 1.0], [q_target, 1.0 - q_target])
-    else:
-        bound = c_constant(r, s, t, q_target**alpha)
-        boundary = Configuration([0.0, 1.0], [1.0 - q_target, q_target])
-    best_cfg = boundary
-    best_delta = delta(boundary, params)
+    weights = [q_target, 1.0 - q_target] if upper else [1.0 - q_target, q_target]
+    best_cfg = Configuration([0.0, 1.0], weights)
+    lhs, rhs = _CATALOG[id].sides(_Means(best_cfg, q_target), resolved)
+    best_delta, bound = (lhs, rhs) if upper else (rhs, lhs)
     boundary_gap = abs(bound - best_delta)
     evals = 1
     lo_n, hi_n = budget.n_range
@@ -219,34 +207,21 @@ def sharpness_probe(
             # q_target only if they are all equal: no draw pins the weight,
             # and every restart of this n would come back empty.
             continue
-        n_budget = max(1, budget.max_evals * n // weight_total)
-        per_restart = max(1, n_budget // budget.restarts)
-        k = 0
-        while k < budget.restarts and evals < budget.max_evals:
-            # Each sample counts at most once, so draw restarts until the
-            # samples could use up the budget; more only if some were
-            # degenerate and left it unspent.
-            xs, ws = [], []
-            while k < budget.restarts and len(xs) < budget.max_evals - evals:
-                more_xs, more_ws = _probe_samples(_stream(budget.seed, n, k), n, q_target,
-                                                  per_restart)
-                xs += more_xs
-                ws += more_ws
-                k += 1
-            if not xs:
-                break
+        per_restart = max(1, budget.max_evals * n // weight_total // budget.restarts)
+        samples = chain.from_iterable(
+            zip(*_probe_samples(_stream(budget.seed, n, k), n, q_target, per_restart))
+            for k in range(budget.restarts))
+        # Each sample counts at most once, so take as many as the budget has
+        # left; more only if some were degenerate and left it unspent.
+        while chunk := list(islice(samples, budget.max_evals - evals)):
+            xs, ws = zip(*chunk)
             batch = ConfigurationBatch(np.array(xs), np.array(ws))
-            # Samples past the budget are drawn and evaluated but not counted.
             for i, d in enumerate(delta_rows(batch, params).tolist()):
-                if evals >= budget.max_evals:
-                    break
                 if math.isnan(d):  # degenerate
                     continue
                 evals += 1
-                better = d > best_delta if upper else d < best_delta
-                if better:
+                if (d > best_delta) if upper else (d < best_delta):
                     best_cfg, best_delta = batch.row(i), d
-    gap = abs(bound - best_delta)
     signed = (bound - best_delta) if upper else (best_delta - bound)
     return SearchReport(
         verdict="SupremumGap",
@@ -254,7 +229,7 @@ def sharpness_probe(
         best_residual=signed,
         evals_used=evals,
         seed=budget.seed,
-        supremum_gap=gap,
+        supremum_gap=abs(signed),
         boundary_gap=boundary_gap,
     )
 
@@ -286,7 +261,7 @@ def counterexample_hunt(
     sizes, rngs, allowances = [], [], []
     left = budget.max_evals  # the evaluations not yet given to a restart
     for n in range(lo_n, hi_n + 1):
-        per_restart = max(2, max(1, budget.max_evals * n // weight_total) // budget.restarts)
+        per_restart = max(2, budget.max_evals * n // weight_total // budget.restarts)
         # Sequentially a restart gets min(per_restart, max_evals - evals so
         # far); counting each earlier restart at its allowance gives the same.
         # If no per_restart was raised to 2 by the outer max, they sum to at

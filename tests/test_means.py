@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import math
 import pickle
@@ -23,6 +24,7 @@ from meanineq import (
     power_mean,
     variance_sigma,
 )
+from meanineq.means import ConfigurationBatch, delta_rows
 
 from conftest import sample_config
 
@@ -203,6 +205,48 @@ class TestDelta:
         lt = log_power_mean(cfg, 0.0)
         expected = abs((lr - lt) / (lr - ls))
         assert delta(cfg, DeltaParams(1.0, 0.5, 0.0, 0.0)) == pytest.approx(expected, rel=1e-13)
+
+
+def _delta_outcome(cfg, params):
+    """repr of :func:`delta`, or 'nan' where it raises DegenerateInput."""
+    try:
+        return repr(delta(cfg, params))
+    except DegenerateInput:
+        return "nan"
+
+
+class TestDeltaRows:
+    # TestDelta's configurations, two that overflow expm1, a constant and an
+    # all-zero one, in one padded batch of mixed sizes
+    CONFIGS = [
+        ([2.0, 2.0, 2.0], [0.2, 0.5, 0.3]),
+        ([0.0, 0.0], [0.5, 0.5]),
+        ([0.0, 1.0], [0.75, 0.25]),
+        ([1.0, 4.0, 9.0], [1 / 3, 1 / 3, 1 / 3]),
+        ([1.0, 4.0, 9.0], [0.2, 0.5, 0.3]),
+        ([0.0, 2.0, 5.0], [0.25, 0.5, 0.25]),
+        ([1.0, 100.0], [0.5, 0.5]),
+        ([0.0, 1.0, 100.0], [0.5, 0.25, 0.25]),
+    ]
+    ALPHAS = [-1000.0, -2.0, 0.0, 1e-12, 1.0, 1.5, 1000.0]
+
+    def test_rows_equal_delta(self):
+        configs = [Configuration(x, q) for x, q in self.CONFIGS]
+        x = np.full((len(configs), 3), -1.0)
+        q = np.full((len(configs), 3), np.nan)
+        for i, cfg in enumerate(configs):
+            x[i, :cfg.n], q[i, :cfg.n] = cfg.x, cfg.q_weights
+        batch = ConfigurationBatch(x, q, [cfg.n for cfg in configs])
+        orders = [-1.0, 0.0, 0.001, 0.5, 0.999, 1.0, 2.0]
+        outcomes = set()
+        for r, s, t in itertools.permutations(orders, 3):
+            for alpha in self.ALPHAS:
+                params = DeltaParams(r, s, t, alpha)
+                rows = [repr(v) for v in delta_rows(batch, params).tolist()]
+                want = [_delta_outcome(cfg, params) for cfg in configs]
+                assert rows == want, params
+                outcomes.update(v if v in ("nan", "inf", "0.0", "1.0") else "finite" for v in want)
+        assert outcomes == {"nan", "inf", "0.0", "1.0", "finite"}
 
 
 class TestCConstant:

@@ -16,12 +16,14 @@ from meanineq import (
     AuxFunctionId,
     CheckStatus,
     Configuration,
+    DeltaParams,
     a_r_fn,
     a_r_values,
     alpha_threshold_lower,
     alpha_threshold_upper,
     aux_eval,
     check,
+    delta,
     log_power_mean,
     min_a_r,
     power_mean,
@@ -95,6 +97,41 @@ def test_no_spurious_violations_at_small_orders():
             statuses.append(check("mg-sigma-upper", cfg, r=r).status)
     assert len(statuses) == 6000
     assert CheckStatus.VIOLATED not in statuses
+
+
+def oracle_delta(x, q, params):
+    """Delta at 60 digits, from the oracle's log-means; M_r = 0 takes its limit."""
+    with mp.workdps(60):
+        def log_mean(r):
+            if r == 0:
+                if min(x) == 0.0:
+                    return mp.ninf
+                return mp.fsum(mp.mpf(w) * mp.log(v) for v, w in zip(x, q)) / mp.fsum(q)
+            return oracle_log_power_mean(x, q, r)
+
+        lr, ls, lt = (log_mean(r) for r in (params.r, params.s, params.t))
+        alpha = mp.mpf(params.alpha)
+        if lr == mp.ninf:
+            return mp.exp(alpha * (lt - ls)) if alpha > 0 else mp.mpf(1)
+        return abs(mp.expm1(alpha * (lt - lr)) / mp.expm1(alpha * (ls - lr)))
+
+
+@pytest.mark.parametrize("x, q, params", [
+    ([1.0, 100.0], [0.5, 0.5], DeltaParams(1.0, 0.001, 0.0, -1000.0)),
+    ([1.0, 100.0], [0.5, 0.5], DeltaParams(0.0, 0.999, 1.0, 1000.0)),
+    ([1.0, 100.0], [0.5, 0.5], DeltaParams(1.0, 0.999, 0.0, -1000.0)),
+    ([0.0, 1.0, 100.0], [0.5, 0.25, 0.25], DeltaParams(0.0, 0.5, 1.0, 1000.0)),
+], ids=["alpha-negative", "alpha-positive", "past-float-range", "zero-reference"])
+def test_delta_past_the_expm1_range(x, q, params):
+    # alpha (ln M_x - ln M_r) above ln(max float) = 709.78 used to raise
+    # OverflowError from math.expm1 (math.exp with a vanishing M_r); the
+    # ratio is inf only where it exceeds the float range
+    want = oracle_delta(x, q, params)
+    got = delta(Configuration(x, q), params)
+    if want > mp.mpf(np.finfo(float).max):
+        assert got == math.inf
+    else:
+        assert float(abs(got - want) / want) <= 1e-12, (got, want)
 
 
 def oracle_a_r(r, t, dps=50):

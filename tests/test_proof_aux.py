@@ -241,7 +241,10 @@ class TestCustomGrids:
         ({"lo": 0.75, "hi": 1.0, "count": 5, "log": "no"}, "'x': log must be true or false"),
         ({"lo": 0.75, "hi": 1.0, "count": 5, "open_lo": "false"},
          "'x': open_lo must be true or false"),
-    ], ids=["list", "float", "no-lo", "no-count", "text-lo", "text-log", "text-open-lo"])
+        ({"lo": 0.75, "hi": 1, "count": 5, "opne_lo": True, "lgo": True},
+         r"'x': .*unknown keys \['lgo', 'opne_lo'\]"),
+    ], ids=["list", "float", "no-lo", "no-count", "text-lo", "text-log", "text-open-lo",
+            "unknown-keys"])
     def test_malformed_axes_are_domain_errors(self, axis, message):
         # a string flag such as "false" is not read as a truthy value
         with pytest.raises(DomainError, match=message):
