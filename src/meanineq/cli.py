@@ -11,12 +11,17 @@ usage or domain errors.  Reports are single JSON documents (default) or
 headered CSV; numbers are emitted in shortest round-trip decimal form, so
 identical invocations produce byte-identical reports.
 
+Each option (its flag and its JSON types) is written once, in ``_OPTIONS``,
+and each command (its help, executor and options) once, in ``_COMMANDS``.
+The parser and the config-file checks read both, so a file option that the
+command does not take is a usage error, as its flag would be.
+
 Weights given on the command line are normalized by their sum when it is
 within 1e-6 of 1 and rejected otherwise.  The default relative tolerance
-can be set via the MEANINEQ_TOL environment variable and overridden per
-run with --tol.  A JSON run-configuration file mirroring the flags can be
-supplied at the top level: ``meanineq --config run.json [command ...]``;
-explicit flags win over file entries.
+of ``check`` can be set via the MEANINEQ_TOL environment variable and
+overridden per run with --tol.  A JSON run-configuration file mirroring
+the flags can be supplied at the top level: ``meanineq --config run.json
+[command ...]``; explicit flags win over file entries.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -71,11 +77,13 @@ class RunConfig:
         options = payload.get("options", {})
         if not isinstance(options, dict):
             raise MeanIneqError("'options' must be a JSON object")
-        for key, (types, what) in _OPTION_TYPES.items():
-            value = options.get(key)
+        for key, value in options.items():
+            if key not in _OPTIONS:
+                raise MeanIneqError(f"unknown option {key!r}")
+            kind = _OPTIONS[key][0]
             # type(), not isinstance(): true and false are no numbers
-            if value is not None and type(value) not in types:
-                raise MeanIneqError(f"option {key!r} must be {what}, got {json.dumps(value)}")
+            if value is not None and type(value) not in kind.json:
+                raise MeanIneqError(f"option {key!r} must be {kind.what}, got {json.dumps(value)}")
         command = payload.get("command", "")
         if not isinstance(command, str):
             raise MeanIneqError(f"'command' must be a string, got {json.dumps(command)}")
@@ -94,14 +102,8 @@ class RunConfig:
 # The report formats, for --format and a run configuration's "format".
 _FORMATS = ("json", "csv")
 
-# The JSON types a run configuration may give an option, and their name.
-_OPTION_TYPES = {
-    **dict.fromkeys(("r", "s", "alpha", "tol", "q_target"), ((float, int), "a number")),
-    **dict.fromkeys(("budget", "seed", "restarts", "n_min", "n_max"), ((int,), "an integer")),
-    **dict.fromkeys(("ineq", "which", "quantity", "grid"), ((str,), "a string")),
-    **dict.fromkeys(("x", "q", "triple"), ((str, list), "a string or a list of numbers")),
-    "force": ((bool,), "true or false"),
-}
+# The most rows a sweep emits; a larger grid count is refused before any is built.
+_MAX_GRID_ROWS = 10**6
 
 
 def _floats(value) -> list[float]:
@@ -136,24 +138,24 @@ def _configuration(options: dict) -> Configuration:
 
 
 def _ineq_params(options: dict) -> dict:
-    out: dict = {}
-    if options.get("triple") is not None:
-        trip = _floats(options["triple"])
-        if len(trip) != 3:
+    """The tag parameters given, and ``triple`` always (None when not given)."""
+    out = {key: float(options[key]) for key in ("alpha", "r", "s") if key in options}
+    out["triple"] = options.get("triple")
+    if out["triple"] is not None:
+        out["triple"] = tuple(_floats(out["triple"]))
+        if len(out["triple"]) != 3:
             raise MeanIneqError("--triple expects three comma-separated orders")
-        out["triple"] = tuple(trip)
-    for key in ("alpha", "r", "s"):
-        if options.get(key) is not None:
-            out[key] = float(options[key])
     return out
 
 
 def _budget(options: dict) -> search.SearchBudget:
+    default = search.SearchBudget()
     return search.SearchBudget(
-        max_evals=options.get("budget", 100_000),
-        seed=options.get("seed", 0),
-        n_range=(options.get("n_min", 2), options.get("n_max", 4)),
-        restarts=options.get("restarts", 20),
+        max_evals=options.get("budget", default.max_evals),
+        seed=options.get("seed", default.seed),
+        n_range=(options.get("n_min", default.n_range[0]),
+                 options.get("n_max", default.n_range[1])),
+        restarts=options.get("restarts", default.restarts),
     )
 
 
@@ -222,18 +224,9 @@ def _exec_threshold(options: dict):
 
 
 def _exec_sharpness(options: dict):
-    ineq = _required(options, "ineq")
-    params = _ineq_params(options)
-    if "triple" not in params:
-        raise MeanIneqError("--triple is required")
-    q_target = float(_required(options, "q_target"))
-    report = search.sharpness_probe(
-        InequalityId(ineq),
-        triple=params["triple"],
-        alpha=params.get("alpha", 1.0),
-        q_target=q_target,
-        budget=_budget(options),
-    )
+    report = search.sharpness_probe(InequalityId(_required(options, "ineq")),
+                                    q_target=float(_required(options, "q_target")),
+                                    budget=_budget(options), **_ineq_params(options))
     return report.to_json_dict(), EXIT_OK
 
 
@@ -256,16 +249,8 @@ def _sweep_profile(options: dict, lo: float, hi: float, axis: np.ndarray) -> dic
 
 
 def _sweep_alpha_threshold(options: dict, lo: float, hi: float, axis: np.ndarray) -> dict:
-    rows = []
-    for r in axis.tolist():
-        if 1.0 < r < 2.0:
-            rows.append([r, alpha_threshold_upper(r)])
-        elif r > 2.0:
-            rows.append([r, alpha_threshold_lower(r)])
-        else:
-            raise MeanIneqError(
-                f"alpha threshold undefined at r = {r}; grid must avoid r <= 1 and r = 2"
-            )
+    rows = [[r, (alpha_threshold_upper if r < 2.0 else alpha_threshold_lower)(r)]
+            for r in axis.tolist()]
     return {"columns": ["r", "alpha"], "rows": rows}
 
 
@@ -293,27 +278,76 @@ _SWEEPS = {
 
 def _exec_sweep(options: dict):
     sweep = _lookup(_SWEEPS, options, "quantity", "sweep quantity")
-    if options.get("grid") is None:
-        raise MeanIneqError("--grid lo,hi,count is required")
-    lo, hi, count = _grid_triplet(options["grid"])
+    lo, hi, count = _grid_triplet(_required(options, "grid"))
     if not np.isfinite([lo, hi]).all():
         raise MeanIneqError(f"grid ends must be finite (got {lo}, {hi})")
-    if count < 1:
-        raise MeanIneqError("grid count must be positive")
+    if not 1 <= count <= _MAX_GRID_ROWS:
+        raise MeanIneqError(f"grid count must lie between 1 and {_MAX_GRID_ROWS}")
     return sweep(options, lo, hi, np.linspace(lo, hi, count)), EXIT_OK
 
 
-_EXECUTORS = {
-    "mean": _exec_mean,
-    "check": _exec_check,
-    "threshold": _exec_threshold,
-    "sharpness": _exec_sharpness,
-    "hunt": _exec_hunt,
-    "sweep": _exec_sweep,
-}
-
 _INEQ_HELP = "inequality tag, with its stated hypotheses: " + "; ".join(
     f"{id.value} ({tag.hypotheses})" for id, tag in _CATALOG.items())
+
+
+class _Kind(NamedTuple):
+    flag: dict  # argparse keywords of the flag
+    json: tuple  # the JSON types a run configuration may give the option
+    what: str  # their name, in messages and in the README's option table
+
+
+_NUMBER = _Kind({"type": float}, (float, int), "a number")
+_INTEGER = _Kind({"type": int}, (int,), "an integer")
+_STRING = _Kind({}, (str,), "a string")
+_NUMBERS = _Kind({}, (str, list), "a string or a list of numbers")
+_SWITCH = _Kind({"action": "store_true", "default": None}, (bool,), "true or false")
+
+# Every option: its kind, and the rest of its flag --<name> (underscores as
+# hyphens).  The search defaults in the help are SearchBudget()'s.
+_OPTIONS = {
+    "x": (_NUMBERS, {"help": "comma-separated samples"}),
+    "q": (_NUMBERS, {"help": "comma-separated weights (sum within 1e-6 of 1)"}),
+    "ineq": (_STRING, {"help": _INEQ_HELP}),
+    "triple": (_NUMBERS, {"help": "three comma-separated mean orders"}),
+    "alpha": (_NUMBER, {"help": "comparison exponent"}),
+    "r": (_NUMBER, {"help": "mean order, or the tag's order parameter"}),
+    "s": (_NUMBER, {"help": "the tag's second order parameter"}),
+    "tol": (_NUMBER, {"help": f"relative tolerance override (or env {_TOL_ENV})"}),
+    "force": (_SWITCH, {"help": "evaluate outside the stated hypothesis ranges"}),
+    "which": (_STRING, {"choices": tuple(_THRESHOLDS), "help": "threshold to solve"}),
+    "q_target": (_NUMBER, {"help": "pinned minimum weight in (0, 1/2]"}),
+    "budget": (_INTEGER, {"help": "evaluation budget (default 100000)"}),
+    "seed": (_INTEGER, {"help": "random seed (default 0)"}),
+    "restarts": (_INTEGER, {"help": "random restarts (default 20)"}),
+    "n_min": (_INTEGER, {"help": "smallest n (default 2)"}),
+    "n_max": (_INTEGER, {"help": "largest n (default 4)"}),
+    "quantity": (_STRING, {"choices": tuple(_SWEEPS), "help": "quantity to tabulate"}),
+    "grid": (_STRING, {"help": f"axis as lo,hi,count (count at most {_MAX_GRID_ROWS})"}),
+}
+
+
+class _Command(NamedTuple):
+    help: str
+    execute: Callable[[dict], tuple]  # options -> (report, exit code)
+    options: tuple  # the keys of _OPTIONS it takes
+
+
+_CONFIG = ("x", "q")
+_TAG = ("ineq", "triple", "alpha")
+_SEARCH = ("budget", "seed", "restarts", "n_min", "n_max")
+
+_COMMANDS = {
+    "mean": _Command("evaluate a weighted power mean", _exec_mean, (*_CONFIG, "r")),
+    "check": _Command("check one inequality on one configuration", _exec_check,
+                      (*_CONFIG, *_TAG, "r", "s", "tol", "force")),
+    "threshold": _Command("solve a sharp parameter threshold", _exec_threshold, ("which", "r")),
+    "sharpness": _Command("probe sharpness at the two-point boundary configuration",
+                          _exec_sharpness, (*_TAG, "q_target", *_SEARCH)),
+    "hunt": _Command("search configurations for a violation", _exec_hunt,
+                     (*_TAG, "r", "s", *_SEARCH)),
+    "sweep": _Command("emit a plot-ready table for one quantity", _exec_sweep,
+                      ("quantity", "r", "grid", "ineq")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,27 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", help="write the report here instead of stdout")
     common.add_argument("--format", choices=_FORMATS, default=None,
                         help="report format (default json)")
-    common.add_argument("--tol", type=float, default=None,
-                        help=f"relative tolerance override (or env {_TOL_ENV})")
-
-    config_common = argparse.ArgumentParser(add_help=False)
-    config_common.add_argument("--x", help="comma-separated samples")
-    config_common.add_argument("--q", help="comma-separated weights (sum within 1e-6 of 1)")
-
-    ineq_common = argparse.ArgumentParser(add_help=False)
-    ineq_common.add_argument("--ineq", help=_INEQ_HELP)
-    ineq_common.add_argument("--triple", help="three comma-separated mean orders")
-    ineq_common.add_argument("--alpha", type=float, help="comparison exponent")
-    ineq_common.add_argument("--r", type=float, help="mean order parameter")
-    ineq_common.add_argument("--s", type=float, help="second mean order parameter")
-
-    search_common = argparse.ArgumentParser(add_help=False)
-    search_common.add_argument("--budget", type=int, help="evaluation budget (default 100000)")
-    search_common.add_argument("--seed", type=int, help="random seed (default 0)")
-    search_common.add_argument("--restarts", type=int, help="random restarts (default 20)")
-    search_common.add_argument("--n-min", type=int, dest="n_min", help="smallest n (default 2)")
-    search_common.add_argument("--n-max", type=int, dest="n_max", help="largest n (default 4)")
-
     parser = argparse.ArgumentParser(
         prog="meanineq",
         description="Evaluate weighted power-mean inequalities, solve their sharp "
@@ -349,46 +362,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON run-configuration file mirroring the flags")
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("mean", parents=[common, config_common],
-                       help="evaluate a weighted power mean")
-    p.add_argument("--r", type=float, help="mean order")
-
-    sub.add_parser("check", parents=[common, config_common, ineq_common],
-                   help="check one inequality on one configuration") \
-        .add_argument("--force", action="store_true", default=None,
-                      help="evaluate outside the stated hypothesis ranges")
-
-    p = sub.add_parser("threshold", parents=[common],
-                       help="solve a sharp parameter threshold")
-    p.add_argument("--which", choices=tuple(_THRESHOLDS))
-    p.add_argument("--r", type=float, help="mean order where applicable")
-
-    sub.add_parser("sharpness", parents=[common, ineq_common, search_common],
-                   help="probe sharpness at the two-point boundary configuration") \
-        .add_argument("--q-target", type=float, dest="q_target",
-                      help="pinned minimum weight in (0, 1/2]")
-
-    sub.add_parser("hunt", parents=[common, ineq_common, search_common],
-                   help="search configurations for a violation")
-
-    p = sub.add_parser("sweep", parents=[common],
-                       help="emit a plot-ready table for one quantity")
-    p.add_argument("--quantity", choices=tuple(_SWEEPS))
-    p.add_argument("--r", type=float, help="mean order for the profile sweep")
-    p.add_argument("--grid", help="axis as lo,hi,count")
-    p.add_argument("--ineq", help="base inequality for the boundary sweep")
-
+    for name, command in _COMMANDS.items():
+        # no prefix matching: sharpness --r would otherwise be read as --restarts
+        p = sub.add_parser(name, parents=[common], help=command.help, allow_abbrev=False)
+        for key in command.options:
+            kind, flag = _OPTIONS[key]
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **kind.flag, **flag)
     return parser
 
 
 def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
-    skip = {"command", "config", "output", "format"}
-    options = {
-        key: value
-        for key, value in vars(args).items()
-        if key not in skip and value is not None
-    }
+    options = {key: getattr(args, key) for key in _OPTIONS if getattr(args, key, None) is not None}
     file_rc = RunConfig(command="")
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
@@ -418,15 +402,12 @@ def _to_csv(payload) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     if isinstance(payload, dict) and "columns" in payload and "rows" in payload:
-        writer.writerow(payload["columns"])
-        for row in payload["rows"]:
-            writer.writerow([_csv_cell(v) for v in row])
+        rows = [payload["columns"], *payload["rows"]]
     elif isinstance(payload, dict):
-        writer.writerow(list(payload.keys()))
-        writer.writerow([_csv_cell(v) for v in payload.values()])
+        rows = [list(payload), list(payload.values())]
     else:
-        writer.writerow(["value"])
-        writer.writerow([_csv_cell(payload)])
+        rows = [["value"], [payload]]
+    writer.writerows([_csv_cell(v) for v in row] for row in rows)
     return buffer.getvalue()
 
 
@@ -448,14 +429,14 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         run_config = _run_config_from_args(args)
-        executor = _EXECUTORS.get(run_config.command)
-        if executor is None:
+        command = _COMMANDS.get(run_config.command)
+        if command is None:
             raise MeanIneqError(f"unknown command {run_config.command!r}")
-        payload, code = executor(run_config.options)
-    except MeanIneqError as exc:
-        print(f"meanineq: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        for key in run_config.options:
+            if key not in command.options:
+                raise MeanIneqError(f"{run_config.command} takes no option {key!r}")
+        payload, code = command.execute(run_config.options)
+    except (MeanIneqError, OSError, ValueError, KeyError) as exc:
         print(f"meanineq: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _emit(payload, run_config)

@@ -511,9 +511,9 @@ def equality_witness(
 
     Documented cases: constant samples (every tag); for the
     variance-corrected upper half-mean bound the special point r = 1,
-    n = 2, q = 1/2; and for the two general three-mean bounds the
-    two-point configurations with x_1 = 0 and the minimum weight sitting
-    on the zero (upper) respectively the positive (lower) sample.
+    n = 2, q = 1/2; and for the general three-mean and the base bounds
+    the two-point configurations with x_1 = 0 and the minimum weight on
+    the zero (upper) respectively the positive (lower) sample.
     """
     id = InequalityId(id)
     if config.is_constant:
@@ -525,11 +525,12 @@ def equality_witness(
             and config.n == 2
             and abs(config.min_weight - 0.5) <= tol
         )
-    if id in (InequalityId.DIANANDA_UPPER, InequalityId.DIANANDA_LOWER):
+    upper = (InequalityId.DIANANDA_UPPER, InequalityId.DIANANDA_BASE_UPPER)
+    if id in upper or id in (InequalityId.DIANANDA_LOWER, InequalityId.DIANANDA_BASE_LOWER):
         if config.n != 2 or config.x[0] != 0.0:
             return False
         w_zero, w_pos = float(config.q_weights[0]), float(config.q_weights[1])
-        if id is InequalityId.DIANANDA_UPPER:
+        if id in upper:
             return w_zero <= w_pos + tol
         return w_pos <= w_zero + tol
     return False

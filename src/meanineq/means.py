@@ -316,7 +316,8 @@ def delta(config: Configuration, params: DeltaParams) -> float:
     float range.  At alpha = 0 the differences of ln M are used directly.
     When M_r = 0 (zero samples, order <= 0) the ratio is its limit: 1 for
     alpha <= 0, where the vanishing mean dominates both differences, and
-    (M_t / M_s)^alpha for alpha > 0.
+    (M_t / M_s)^alpha for alpha > 0.  When M_s = M_t = 0 < M_r and
+    alpha <= 0, both differences are infinite: :class:`DegenerateInput`.
     """
     if config.is_constant:
         raise DegenerateInput("the ratio is 0/0 when all samples are equal")
@@ -334,6 +335,8 @@ def _delta_of_logs(lr: float, ls: float, lt: float, alpha: float) -> float:
                 raise DegenerateInput("ratio undefined: both means in a difference are zero")
             raise DegenerateInput("ratio denominator vanished")
         return _exp(alpha * (lt - ls))
+    if ls == lt == -math.inf and alpha <= 0.0:
+        raise DegenerateInput("ratio undefined: M_s and M_t are both zero")
     if alpha == 0.0:
         num, den = lr - lt, lr - ls
     else:

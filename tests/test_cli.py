@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -482,3 +484,126 @@ def test_cli_module_main():
     proc = run_fresh(["-c", launcher, "mean", "--x", "1,4", "--q", "0.5,0.5", "--r", "0.5"])
     assert proc.returncode == 0
     assert proc.stdout == "2.25\n"
+
+
+# Runs that give every command each option it takes; the searches stay small.
+TABLE_RUNS = {
+    "mean": [["mean", "--x", "1,4,9", "--q", "0.2,0.5,0.3", "--r", "0.5"]],
+    "check": [
+        ["check", "--ineq", "diananda-upper", "--triple", "1,0.5,0", "--alpha", "2",
+         "--x", "1,4,9", "--q", "0.2,0.5,0.3"],
+        ["check", "--ineq", "cartwright-field-lower", "--r", "2", "--s", "0.5",
+         "--x", "1,4", "--q", "0.5,0.5"],
+        ["check", "--ineq", "diananda-base-lower", "--tol", "1e-2", "--x", "1,1.2",
+         "--q", "0.3,0.7"],
+        ["check", "--ineq", "mix-variance-upper", "--r", "0.5", "--force", "--x", "1,4",
+         "--q", "0.5,0.5"],
+    ],
+    "threshold": [["threshold", "--which", "t1", "--r", "1.5"]],
+    "sharpness": [["sharpness", "--ineq", "diananda-lower", "--triple", "1,0.5,0", "--alpha", "2",
+                   "--q-target", "0.3", "--budget", "60", "--seed", "3", "--restarts", "2",
+                   "--n-min", "3", "--n-max", "4"]],
+    "hunt": [
+        ["hunt", "--ineq", "mg-sigma-upper", "--r", "2.5", "--budget", "60", "--seed", "5",
+         "--restarts", "2", "--n-min", "3", "--n-max", "4"],
+        ["hunt", "--ineq", "diananda-upper", "--triple", "1,0.5,0", "--alpha", "2",
+         "--budget", "60"],
+        ["hunt", "--ineq", "cartwright-field-upper", "--r", "2", "--s", "1", "--budget", "60"],
+    ],
+    "sweep": [
+        ["sweep", "--quantity", "a-r-profile", "--r", "1.5", "--grid", "0,1,5"],
+        ["sweep", "--quantity", "residual-boundary", "--grid", "0.1,0.5,3",
+         "--ineq", "diananda-base-lower"],
+    ],
+}
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("command, key", [
+        (name, key) for name, command in cli._COMMANDS.items() for key in command.options])
+    def test_config_file_value_equals_the_flag(self, command, key, tmp_path, capsys):
+        flag = "--" + key.replace("_", "-")
+        argv = next((argv for argv in TABLE_RUNS[command] if flag in argv), None)
+        assert argv is not None, f"no run gives {command} {flag}"
+        value = getattr(cli.build_parser().parse_args(argv), key)
+        at = argv.index(flag)
+        rest = argv[:at] + argv[at + (1 if value is True else 2):]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"options": {key: value}}))
+        want = invoke(argv, capsys)
+        assert invoke(["--config", str(cfg), *rest], capsys) == want
+
+    def test_unknown_key_exits_two(self, tmp_path, capsys):
+        # the misspelled seed used to be ignored: a seed-0 hunt, exit 0
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"command": "hunt", "options": {
+            "ineq": "mg-sigma-upper", "r": 2.5, "seeed": 5, "budget": 300}}))
+        assert invoke(["--config", str(cfg)], capsys) == (
+            2, "", "meanineq: error: unknown option 'seeed'\n")
+
+    def test_option_the_command_does_not_take_in_a_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"command": "mean", "options": {
+            "x": "1,4", "q": "0.5,0.5", "r": 0.5, "budget": 7}}))
+        assert invoke(["--config", str(cfg)], capsys) == (
+            2, "", "meanineq: error: mean takes no option 'budget'\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["mean", "--x", "1,4", "--q", "0.5,0.5", "--r", "1", "--tol", "1e-3"],
+        ["threshold", "--which", "r0", "--tol", "1"],
+        # neither is read as a prefix of --restarts or --seed
+        ["sharpness", "--ineq", "diananda-upper", "--triple", "1,0.5,0", "--q-target", "0.3",
+         "--budget", "50", "--r", "2"],
+        ["sharpness", "--ineq", "diananda-upper", "--triple", "1,0.5,0", "--q-target", "0.3",
+         "--budget", "50", "--s", "2"],
+    ])
+    def test_flag_the_command_does_not_take(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_sharpness_without_triple_gives_the_library_message(self, capsys):
+        from meanineq.errors import DomainError
+        from meanineq.inequalities import InequalityId, resolve_params
+
+        with pytest.raises(DomainError) as info:
+            resolve_params(InequalityId.DIANANDA_UPPER)
+        assert invoke(["sharpness", "--ineq", "diananda-upper", "--q-target", "0.25"],
+                      capsys) == (2, "", f"meanineq: error: {info.value}\n")
+
+    def test_help_defaults_are_the_search_budgets(self):
+        from meanineq.search import SearchBudget
+
+        budget = SearchBudget()
+        defaults = {}
+        for key, (_, flag) in cli._OPTIONS.items():
+            match = re.search(r"\(default (\d+)\)", flag.get("help", ""))
+            if match:
+                defaults[key] = int(match.group(1))
+        assert defaults == {"budget": budget.max_evals, "seed": budget.seed,
+                            "restarts": budget.restarts, "n_min": budget.n_range[0],
+                            "n_max": budget.n_range[1]}
+
+    @pytest.mark.parametrize("count", [10**6 + 1, 10**15])
+    def test_grid_count_cap_checked_before_rows_are_built(self, count, capsys):
+        # a count of 10^15 used to reach np.linspace: a MemoryError, exit 1
+        argv = ["sweep", "--quantity", "a-r-profile", "--r", "1.5", "--grid", f"0,1,{count}"]
+        tracemalloc.start()
+        try:
+            result = invoke(argv, capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (2, "", "meanineq: error: grid count must lie between 1 and 1000000\n")
+        assert peak < 2**20
+
+    def test_readme_table(self):
+        readme = (ROOT / "README.md").read_text()
+        section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        rows = [line for line in section.splitlines() if line.startswith("| `")]
+        assert rows == [
+            f"| `{key}` | `--{key.replace('_', '-')}` | {kind.what} | "
+            + ", ".join(f"`{name}`" for name, command in cli._COMMANDS.items()
+                        if key in command.options) + " |"
+            for key, (kind, _) in cli._OPTIONS.items()]

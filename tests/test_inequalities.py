@@ -290,6 +290,18 @@ class TestEqualityWitness:
         assert equality_witness(InequalityId.DIANANDA_LOWER, lower_cfg)
         assert not equality_witness(InequalityId.DIANANDA_LOWER, upper_cfg)
 
+    @pytest.mark.parametrize("q", [0.1, 0.3, 0.5])
+    def test_base_bounds_two_point_configs(self, q):
+        # the minimum weight on the zero (upper) or positive (lower) sample
+        on_zero = Configuration([0.0, 2.0], [q, 1.0 - q])
+        on_pos = Configuration([0.0, 2.0], [1.0 - q, q])
+        for tag, cfg, other in ((InequalityId.DIANANDA_BASE_UPPER, on_zero, on_pos),
+                                (InequalityId.DIANANDA_BASE_LOWER, on_pos, on_zero)):
+            rep = check(tag, cfg)
+            assert rep.status is CheckStatus.EQUALITY and abs(rep.residual) <= 1e-15
+            assert equality_witness(tag, cfg)
+            assert equality_witness(tag, other) is (q == 0.5)
+
     def test_generic_config_is_not_a_witness(self):
         cfg = Configuration([1.0, 4.0, 9.0], [1 / 3, 1 / 3, 1 / 3])
         rep = check(InequalityId.DIANANDA_UPPER, cfg, triple=BASE_TRIPLE, alpha=1.0)

@@ -198,6 +198,17 @@ class TestDelta:
         with pytest.raises(DegenerateInput):
             delta(cfg, DeltaParams(-1.0, -2.0, 2.0, 1.0))  # M_s = 0 too
 
+    def test_zero_lower_means_at_nonpositive_alpha(self):
+        # M_r > 0 = M_s = M_t: both differences are infinite for alpha <= 0,
+        # where these used to return NaN (inf / inf)
+        cfg = Configuration([0.0, 1.0], [0.5, 0.5])
+        for alpha in (0.0, -2.0):
+            with pytest.raises(DegenerateInput, match="M_s and M_t are both zero"):
+                delta(cfg, DeltaParams(1.0, 0.0, -1.0, alpha))
+        assert delta(cfg, DeltaParams(1.0, 0.0, -1.0, 2.0)) == 1.0
+        batch = ConfigurationBatch(np.array([[0.0, 1.0]]), np.array([[0.5, 0.5]]), [2])
+        assert np.isnan(delta_rows(batch, DeltaParams(1.0, 0.0, -1.0, -2.0))).all()
+
     def test_log_convention_at_alpha_zero(self):
         cfg = Configuration([1.0, 4.0, 9.0], [0.2, 0.5, 0.3])
         lr = log_power_mean(cfg, 1.0)
