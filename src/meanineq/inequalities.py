@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -42,8 +43,8 @@ from .means import (
     c_constant,
     delta,
     delta_rows,
+    log_power_mean,
     order_triple,
-    power_mean,
     power_mean_rows,
     variance_sigma,
     variance_sigma_rows,
@@ -79,7 +80,7 @@ class CheckStatus(str, Enum):
     DEGENERATE = "Degenerate"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CheckReport:
     """One inequality evaluation, oriented so residual >= 0 means it holds."""
 
@@ -91,6 +92,11 @@ class CheckReport:
     residual_rel: float
     status: CheckStatus
     q_used: float
+
+    def __init__(self, id, params, lhs, rhs, residual, residual_rel, status, q_used) -> None:
+        # one dict update: the generated frozen __init__ pays object.__setattr__ per field
+        vars(self).update(id=id, params=params, lhs=lhs, rhs=rhs, residual=residual,
+                          residual_rel=residual_rel, status=status, q_used=q_used)
 
     def to_json_dict(self) -> dict:
         def _num(v: float):
@@ -131,7 +137,7 @@ class _Means:
         self.q = q
 
     def mean(self, r: float) -> float:
-        return power_mean(self.config, r)
+        return math.exp(log_power_mean(self.config, r))
 
     def sigma(self) -> float:
         return variance_sigma(self.config)
@@ -237,102 +243,86 @@ def _pair_params(tag, triple, alpha, r, s) -> dict:
     return {"r": r, "s": s}
 
 
-def _diananda(upper: bool):
-    def sides(m, p):
-        r, s, t = p["triple"]
-        alpha = p["alpha"]
-        d = m.delta(DeltaParams(r, s, t, alpha))
-        if upper:
-            return d, m.bound(r, s, t, m.pow(1.0 - m.q, alpha))
-        return m.bound(r, s, t, m.pow(m.q, alpha)), d
-
-    return sides
+# The parameters each resolver reads; a tag refuses any other.
+_TAKES = {_triple_params: ("triple", "alpha"), _no_params: (), _order_params: ("r",),
+          _pair_params: ("r", "s")}
 
 
-def _base(upper: bool):
-    def sides(m, p):
-        q = m.q
-        a = m.mean(1.0)
-        g = m.mean(0.0)
-        half = m.mean(0.5)
-        if upper:
-            return half, (1.0 - q) * a + q * g
-        return q * a + (1.0 - q) * g, half
-
-    return sides
+def _diananda(upper: bool, m, p):
+    r, s, t = p["triple"]
+    alpha = p["alpha"]
+    d = m.delta(DeltaParams(r, s, t, alpha))
+    if upper:
+        return d, m.bound(r, s, t, m.pow(1.0 - m.q, alpha))
+    return m.bound(r, s, t, m.pow(m.q, alpha)), d
 
 
-def _mix_variance(upper: bool):
-    def sides(m, p):
-        r = p["r"]
-        w = m.pow(m.q, r - 1.0) if upper else m.pow(1.0 - m.q, r - 1.0)
-        a = m.mean(1.0)
-        g = m.mean(0.0)
-        mm = m.mean(1.0 / r)
-        combo = mm - w * a - (1.0 - w) * g
-        corr = m.div((1.0 / r - w) * m.sigma(), 2.0 * m.x1())
-        return (combo, corr) if upper else (corr, combo)
-
-    return sides
+def _base(upper: bool, m, p):
+    q = m.q
+    a = m.mean(1.0)
+    g = m.mean(0.0)
+    half = m.mean(0.5)
+    if upper:
+        return half, (1.0 - q) * a + q * g
+    return q * a + (1.0 - q) * g, half
 
 
-def _cartwright_field(upper: bool):
-    def sides(m, p):
-        r, s = p["r"], p["s"]
-        diff = m.mean(r) - m.mean(s)
-        sigma = m.sigma()
-        if upper:
-            return diff, m.div((r - s) * sigma, 2.0 * m.x1())
-        return m.div((r - s) * sigma, 2.0 * m.xn()), diff
-
-    return sides
-
-
-def _mg_sigma(upper: bool):
-    def sides(m, p):
-        r = p["r"]
-        diff = m.mean(r) - m.mean(0.0)
-        sigma = m.sigma()
-        if upper:
-            return diff, m.div(r * sigma, 2.0 * m.x1())
-        return m.div(r * sigma, 2.0 * m.xn()), diff
-
-    return sides
+def _mix_variance(upper: bool, m, p):
+    r = p["r"]
+    w = m.pow(m.q, r - 1.0) if upper else m.pow(1.0 - m.q, r - 1.0)
+    a = m.mean(1.0)
+    g = m.mean(0.0)
+    mm = m.mean(1.0 / r)
+    combo = mm - w * a - (1.0 - w) * g
+    corr = m.div((1.0 / r - w) * m.sigma(), 2.0 * m.x1())
+    return (combo, corr) if upper else (corr, combo)
 
 
-def _half_mean(upper: bool):
-    def sides(m, p):
-        r = p["r"]
-        w = m.pow(1.0 - m.q, 2.0 - 1.0 / r) if upper else m.pow(m.q, 2.0 - 1.0 / r)
-        half = m.mean(0.5)
-        combo = w * m.mean(r) + (1.0 - w) * m.mean(0.0)
-        return (half, combo) if upper else (combo, half)
-
-    return sides
+def _cartwright_field(upper: bool, m, p):
+    r, s = p["r"], p["s"]
+    diff = m.mean(r) - m.mean(s)
+    sigma = m.sigma()
+    if upper:
+        return diff, m.div((r - s) * sigma, 2.0 * m.x1())
+    return m.div((r - s) * sigma, 2.0 * m.xn()), diff
 
 
-def _half_mean_var(upper: bool):
-    def sides(m, p):
-        r = p["r"]
-        w = m.pow(m.q, 2.0 - 1.0 / r) if upper else m.pow(1.0 - m.q, 2.0 - 1.0 / r)
-        half = m.mean(0.5)
-        combo = half - w * m.mean(r) - (1.0 - w) * m.mean(0.0)
-        corr = m.div((0.5 - r * w) * m.sigma(), 2.0 * m.x1())
-        return (combo, corr) if upper else (corr, combo)
+def _mg_sigma(upper: bool, m, p):
+    r = p["r"]
+    diff = m.mean(r) - m.mean(0.0)
+    sigma = m.sigma()
+    if upper:
+        return diff, m.div(r * sigma, 2.0 * m.x1())
+    return m.div(r * sigma, 2.0 * m.xn()), diff
 
-    return sides
+
+def _half_mean(upper: bool, m, p):
+    r = p["r"]
+    w = m.pow(1.0 - m.q, 2.0 - 1.0 / r) if upper else m.pow(m.q, 2.0 - 1.0 / r)
+    half = m.mean(0.5)
+    combo = w * m.mean(r) + (1.0 - w) * m.mean(0.0)
+    return (half, combo) if upper else (combo, half)
+
+
+def _half_mean_var(upper: bool, m, p):
+    r = p["r"]
+    w = m.pow(m.q, 2.0 - 1.0 / r) if upper else m.pow(1.0 - m.q, 2.0 - 1.0 / r)
+    half = m.mean(0.5)
+    combo = half - w * m.mean(r) - (1.0 - w) * m.mean(0.0)
+    corr = m.div((0.5 - r * w) * m.sigma(), 2.0 * m.x1())
+    return (combo, corr) if upper else (corr, combo)
 
 
 @dataclass(frozen=True)
 class _Tag:
     """A catalog entry: parameters, claim, stated hypotheses, and the two sides.
 
-    ``params`` resolves and checks the parameters the formula itself
-    needs (``force`` never skips these).  ``claim`` is the inequality as
-    documented, ``stated`` its stated parameter range and ``in_range`` the
-    test of that range; ``in_range`` and ``positive_min`` (the x_1 > 0
-    requirement) are skipped under ``force``.  ``sides`` maps a means
-    record and the resolved parameters to (lhs, rhs).
+    ``params`` resolves and checks the parameters the formula needs and
+    ``resolve`` refuses others, even under ``force``.  ``claim`` is the
+    inequality as documented, ``stated`` its stated parameter range and
+    ``in_range`` the test of that range, skipped under ``force`` like
+    ``positive_min`` (x_1 > 0).  ``sides`` maps a means record and the
+    resolved parameters to (lhs, rhs).
     """
 
     params: Callable[..., dict]
@@ -349,6 +339,12 @@ class _Tag:
         return ", ".join(h for h in (self.stated, x1) if h) or "none"
 
     def resolve(self, id, triple, alpha, r, s, force: bool) -> dict:
+        keys = _TAKES[self.params]
+        given = (triple is not None) + (alpha is not None) + (r is not None) + (s is not None)
+        if given > len(keys):
+            named = {"triple": triple, "alpha": alpha, "r": r, "s": s}
+            extra = next(k for k, v in named.items() if v is not None and k not in keys)
+            raise DomainError(f"{id.value} takes no parameter {extra!r}")
         params = self.params(id, triple, alpha, r, s)
         if not force and self.in_range is not None and not self.in_range(params):
             raise DomainError(f"{id.value} is stated for {self.stated}")
@@ -359,51 +355,67 @@ _TRIPLE = "distinct r > s > t >= 0, alpha > 0"
 _I = InequalityId
 _CATALOG: dict[InequalityId, _Tag] = {
     _I.DIANANDA_UPPER: _Tag(
-        _triple_params, _diananda(True),
+        _triple_params, partial(_diananda, True),
         "delta(r,s,t,alpha) <= C_{r,s,t}((1-q)^alpha)", _TRIPLE),
     _I.DIANANDA_LOWER: _Tag(
-        _triple_params, _diananda(False),
+        _triple_params, partial(_diananda, False),
         "C_{r,s,t}(q^alpha) <= delta(r,s,t,alpha)", _TRIPLE),
-    _I.DIANANDA_BASE_UPPER: _Tag(_no_params, _base(True), "M_{1/2} <= (1-q) A + q G"),
-    _I.DIANANDA_BASE_LOWER: _Tag(_no_params, _base(False), "q A + (1-q) G <= M_{1/2}"),
+    _I.DIANANDA_BASE_UPPER: _Tag(_no_params, partial(_base, True), "M_{1/2} <= (1-q) A + q G"),
+    _I.DIANANDA_BASE_LOWER: _Tag(_no_params, partial(_base, False), "q A + (1-q) G <= M_{1/2}"),
     _I.MIX_VARIANCE_UPPER: _Tag(
-        _order_params, _mix_variance(True),
+        _order_params, partial(_mix_variance, True),
         "M_{1/r} - q^{r-1} A - (1-q^{r-1}) G <= (1/r - q^{r-1}) sigma / (2 x_1)",
         "r >= 2", lambda p: p["r"] >= 2.0, positive_min=True),
     _I.MIX_VARIANCE_LOWER: _Tag(
-        _order_params, _mix_variance(False),
+        _order_params, partial(_mix_variance, False),
         "(1/r - (1-q)^{r-1}) sigma / (2 x_1) <= M_{1/r} - (1-q)^{r-1} A - (1-(1-q)^{r-1}) G",
         "1 < r <= 2", lambda p: 1.0 < p["r"] <= 2.0, positive_min=True),
     _I.CARTWRIGHT_FIELD_LOWER: _Tag(
-        _pair_params, _cartwright_field(False), "(r-s) sigma / (2 x_n) <= M_r - M_s",
-        "r > s", positive_min=True),
+        _pair_params, partial(_cartwright_field, False),
+        "(r-s) sigma / (2 x_n) <= M_r - M_s", "r > s", positive_min=True),
     _I.CARTWRIGHT_FIELD_UPPER: _Tag(
-        _pair_params, _cartwright_field(True), "M_r - M_s <= (r-s) sigma / (2 x_1)",
+        _pair_params, partial(_cartwright_field, True), "M_r - M_s <= (r-s) sigma / (2 x_1)",
         "r > s", positive_min=True),
     _I.MG_SIGMA_LOWER: _Tag(
-        _order_params, _mg_sigma(False), "r sigma / (2 x_n) <= M_r - G", positive_min=True),
+        _order_params, partial(_mg_sigma, False), "r sigma / (2 x_n) <= M_r - G",
+        positive_min=True),
     _I.MG_SIGMA_UPPER: _Tag(
-        _order_params, _mg_sigma(True), "M_r - G <= r sigma / (2 x_1)", positive_min=True),
+        _order_params, partial(_mg_sigma, True), "M_r - G <= r sigma / (2 x_1)",
+        positive_min=True),
     _I.HALF_MEAN_LOWER: _Tag(
-        _order_params, _half_mean(False), "q^{2-1/r} M_r + (1-q^{2-1/r}) G <= M_{1/2}",
-        "1/2 < r <= 1", lambda p: 0.5 < p["r"] <= 1.0),
+        _order_params, partial(_half_mean, False),
+        "q^{2-1/r} M_r + (1-q^{2-1/r}) G <= M_{1/2}", "1/2 < r <= 1",
+        lambda p: 0.5 < p["r"] <= 1.0),
     _I.HALF_MEAN_UPPER: _Tag(
-        _order_params, _half_mean(True), "M_{1/2} <= (1-q)^{2-1/r} M_r + (1-(1-q)^{2-1/r}) G",
-        "r >= 1", lambda p: p["r"] >= 1.0),
+        _order_params, partial(_half_mean, True),
+        "M_{1/2} <= (1-q)^{2-1/r} M_r + (1-(1-q)^{2-1/r}) G", "r >= 1",
+        lambda p: p["r"] >= 1.0),
     _I.HALF_MEAN_VAR_UPPER: _Tag(
-        _order_params, _half_mean_var(True),
+        _order_params, partial(_half_mean_var, True),
         "M_{1/2} - q^{2-1/r} M_r - (1-q^{2-1/r}) G <= (1/2 - r q^{2-1/r}) sigma / (2 x_1)",
         "r0 <= r <= 1",
         lambda p: r0_value() - _HYPOTHESIS_SLACK <= p["r"] <= 1.0 + _HYPOTHESIS_SLACK,
         positive_min=True),
     _I.HALF_MEAN_VAR_LOWER: _Tag(
-        _order_params, _half_mean_var(False),
+        _order_params, partial(_half_mean_var, False),
         "(1/2 - r (1-q)^{2-1/r}) sigma / (2 x_1)"
         " <= M_{1/2} - (1-q)^{2-1/r} M_r - (1-(1-q)^{2-1/r}) G",
         "1 <= r <= 2",
         lambda p: 1.0 - _HYPOTHESIS_SLACK <= p["r"] <= 2.0 + _HYPOTHESIS_SLACK,
         positive_min=True),
 }
+
+# Each tag under its enum member and its name: a dict hit costs less than an enum call.
+_ENTRIES = {key: (id, tag) for id, tag in _CATALOG.items() for key in (id, id.value)}
+
+
+def _entry(id) -> tuple[InequalityId, _Tag]:
+    """The tag ``id`` names, as a member or a name, and its catalog entry."""
+    try:
+        return _ENTRIES[id]
+    except (KeyError, TypeError):
+        return _ENTRIES[InequalityId(id)]  # the enum call raises ValueError for an unknown tag
+
 
 _HEADER = ("tag", "claim (q = min weight, A = M_1, G = M_0)", "stated hypotheses")
 __doc__ = with_table(__doc__, [_HEADER] + [
@@ -416,13 +428,14 @@ def resolve_params(
 ) -> dict:
     """The tag's parameters, normalized as reports echo them.
 
-    Raises :class:`DomainError` when a parameter is missing or the
-    formula cannot take it, and, unless ``force``, when the parameters
-    lie outside the tag's stated hypotheses.  No configuration is needed:
-    a search calls this once before it evaluates anything.
+    Raises :class:`DomainError` when a parameter is missing, given but not
+    taken by the tag, or one the formula cannot take, and, unless
+    ``force``, when the parameters lie outside the tag's stated
+    hypotheses.  No configuration is needed: a search calls this once
+    before it evaluates anything.
     """
-    id = InequalityId(id)
-    return _CATALOG[id].resolve(id, triple, alpha, r, s, force)
+    id, tag = _entry(id)
+    return tag.resolve(id, triple, alpha, r, s, force)
 
 
 def relative_residuals(id: InequalityId, batch: ConfigurationBatch, params: dict) -> np.ndarray:
@@ -432,7 +445,7 @@ def relative_residuals(id: InequalityId, batch: ConfigurationBatch, params: dict
     would raise :class:`DomainError` (a bound argument outside (0, 1)) or
     report Degenerate (a 0/0 ratio, a NaN residual) score +inf.
     """
-    lhs, rhs = _CATALOG[InequalityId(id)].sides(_RowMeans(batch), params)
+    lhs, rhs = _entry(id)[1].sides(_RowMeans(batch), params)
     with np.errstate(invalid="ignore", over="ignore"):
         residual = rhs - lhs
         scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
@@ -466,34 +479,25 @@ def check(
     if not (0.0 <= rel_tol < math.inf and 0.0 <= abs_floor < math.inf):
         raise DomainError(f"rel_tol and abs_floor must be finite and >= 0 "
                           f"(got {rel_tol}, {abs_floor})")
-    id = InequalityId(id)
+    id, tag = _entry(id)
     q = config.min_weight
-    tag = _CATALOG[id]
     params = tag.resolve(id, triple, alpha, r, s, force)
     if tag.positive_min and not force and config.x[0] <= 0.0:
         raise DomainError(f"{id.value} is stated for x_1 > 0")
     try:
         lhs, rhs = tag.sides(_Means(config, q), params)
     except DegenerateInput:
-        nan = float("nan")
-        return CheckReport(id, params, nan, nan, nan, nan, CheckStatus.DEGENERATE, q)
+        lhs = rhs = math.nan
     residual = rhs - lhs
     scale = max(abs(lhs), abs(rhs), 1.0)
+    finite = math.isfinite(residual)  # an infinite side makes the scale infinite
+    residual_rel = residual / scale if finite else residual
     if math.isnan(residual):
-        return CheckReport(id, params, lhs, rhs, residual, residual,
-                           CheckStatus.DEGENERATE, q)
-    if math.isinf(residual):
-        status = CheckStatus.HOLDS if residual > 0 else CheckStatus.VIOLATED
-        return CheckReport(id, params, lhs, rhs, residual,
-                           math.copysign(math.inf, residual), status, q)
-    residual_rel = residual / scale
-    tol = max(rel_tol * scale, abs_floor)
-    if abs(residual) <= tol:
+        status = CheckStatus.DEGENERATE
+    elif finite and abs(residual) <= max(rel_tol * scale, abs_floor):
         status = CheckStatus.EQUALITY
-    elif residual < 0.0:
-        status = CheckStatus.VIOLATED
     else:
-        status = CheckStatus.HOLDS
+        status = CheckStatus.VIOLATED if residual < 0.0 else CheckStatus.HOLDS
     return CheckReport(id, params, lhs, rhs, residual, residual_rel, status, q)
 
 

@@ -14,6 +14,12 @@ arithmetic mean ``A = M_1``, the three-mean difference ratio
 comparison constant ``C_{r,s,t}(x)`` that bounds the ratio in terms of the
 minimum weight alone.
 
+A :class:`Configuration` validates its input once: each of x and q becomes
+one new float64 array, one-dimensional, of equal length and at least two
+entries; then, on Python floats (exact, and cheaper than numpy calls on a
+few entries), the entries must be finite, samples >= 0, weights > 0 with a
+``math.fsum`` within 1e-12 of 1, and a stable sort orders them by sample.
+
 All operations are pure functions of immutable inputs and are safe for
 unrestricted concurrent use.  Power sums are shifted by their largest
 exponent and summed with compensated summation, so that exponents up to a
@@ -108,27 +114,24 @@ class Configuration:
         if x.ndim != 1 or q.ndim != 1:
             raise ConfigError("samples and weights must be one-dimensional")
         if x.shape != q.shape:
-            raise ConfigError(
-                f"length mismatch: {x.size} samples vs {q.size} weights"
-            )
+            raise ConfigError(f"length mismatch: {x.size} samples vs {q.size} weights")
         if x.size < 2:
             raise ConfigError("a configuration needs at least two samples")
-        if not np.all(np.isfinite(x)) or not np.all(np.isfinite(q)):
+        xs, qs = x.tolist(), q.tolist()
+        if not all(map(math.isfinite, xs + qs)):
             raise ConfigError("samples and weights must be finite")
-        if np.any(x < 0):
+        if min(xs) < 0.0:
             raise ConfigError("samples must be nonnegative")
-        if np.any(q <= 0):
+        if min(qs) <= 0.0:
             raise ConfigError("weights must be strictly positive")
-        total = math.fsum(q.tolist())
+        total = math.fsum(qs)
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
             raise ConfigError(f"weights must sum to 1 (got {total!r})")
-        order = np.argsort(x, kind="stable")
-        x = np.ascontiguousarray(x[order])
-        q = np.ascontiguousarray(q[order])
+        order = sorted(range(len(xs)), key=xs.__getitem__)  # stable, ties keep their order
+        x, q = x[order], q[order]
         x.setflags(write=False)
         q.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "q_weights", q)
+        vars(self).update(x=x, q_weights=q)
 
     @property
     def n(self) -> int:
@@ -137,7 +140,7 @@ class Configuration:
     @_record_entry
     def min_weight(self) -> float:
         """The minimum weight, the single quantity the sharp constants depend on."""
-        return float(self.q_weights.min())
+        return min(self.q_weights.tolist())
 
     @property
     def is_strict(self) -> bool:
@@ -163,17 +166,10 @@ class Configuration:
         a = float(np.dot(self.q_weights, self.x))
         return float(np.dot(self.q_weights, (self.x - a) ** 2))
 
-    @_record_entry
-    def _log_geometric_mean(self) -> float:
-        return _log_power_mean(self, 0.0)
-
-    @_record_entry
-    def _log_half_mean(self) -> float:
-        return _log_power_mean(self, 0.5)
-
-    @_record_entry
-    def _log_arithmetic_mean(self) -> float:
-        return _log_power_mean(self, 1.0)
+    # ln M_r at the record's fixed orders: G, M_{1/2} and A
+    _log_geometric_mean = _record_entry(lambda self: _log_power_mean(self, 0.0))
+    _log_half_mean = _record_entry(lambda self: _log_power_mean(self, 0.5))
+    _log_arithmetic_mean = _record_entry(lambda self: _log_power_mean(self, 1.0))
 
     def scaled(self, c: float) -> "Configuration":
         """The configuration with every sample multiplied by ``c > 0``."""
@@ -212,9 +208,10 @@ class DeltaParams:
     def __post_init__(self) -> None:
         if self.r == self.s or self.r == self.t or self.s == self.t:
             raise DomainError("the orders r, s, t must be mutually distinct")
-        for name in ("r", "s", "t", "alpha"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+        if not math.isfinite(self.r + self.s + self.t + self.alpha):  # one test for all four
+            for name in ("r", "s", "t", "alpha"):
+                if not math.isfinite(getattr(self, name)):
+                    raise DomainError(f"{name} must be finite")
 
     def ordered(self) -> "DeltaParams":
         """The same parameters with the orders rearranged descending."""
@@ -255,15 +252,14 @@ def log_power_mean(config: Configuration, r: float) -> float:
 
 def _log_power_mean(config: Configuration, r: float) -> float:
     """:func:`log_power_mean` computed afresh, for a finite order r."""
-    q = config.q_weights
-    logx = config._log_x
+    q, logx = config.q_weights, config._log_x
     if r == 0.0:
         return float(np.dot(q, logx))
     a = r * logx
-    m = float(a.max())
+    m = max(a.tolist())
     if math.isinf(m):
         return m / r
-    return _log_power_sum(m, _power_sum_terms(a - m, q, r).tolist(), q.tolist(), r) / r
+    return _log_power_sum(m, _power_sum_terms(a - m, q, r).tolist(), q, r) / r
 
 
 def _power_sum_terms(d: np.ndarray, q: np.ndarray, r: float) -> np.ndarray:
@@ -271,8 +267,8 @@ def _power_sum_terms(d: np.ndarray, q: np.ndarray, r: float) -> np.ndarray:
     return q * (np.expm1(d) if abs(r) < _EXPM1_BAND else np.exp(d))
 
 
-def _log_power_sum(m: float, terms: list[float], q: list[float], r: float) -> float:
-    """m + ln sum_j q_j e^{d_j} from one configuration's terms; an infinite m is kept."""
+def _log_power_sum(m: float, terms: list[float], q, r: float) -> float:
+    """m + ln sum_j q_j e^{d_j}; an infinite m is kept, and q is read only in the expm1 band."""
     if math.isinf(m):
         return m
     if abs(r) < _EXPM1_BAND:

@@ -85,6 +85,28 @@ class TestCheckCommand:
         for id, tag in _CATALOG.items():
             assert f"{id.value} ({tag.hypotheses})" in help_text
 
+    @pytest.mark.parametrize("argv, message", [
+        (["check", "--ineq", "diananda-base-upper", "--x", "1,4", "--q", ".5,.5", "--r", "7",
+          "--s", "3", "--triple", "1,2,3", "--alpha", "5"],
+         "diananda-base-upper takes no parameter 'triple'"),
+        (["check", "--ineq", "diananda-base-upper", "--x", "1,4", "--q", ".5,.5", "--r", "7"],
+         "diananda-base-upper takes no parameter 'r'"),
+        (["check", "--ineq", "mg-sigma-upper", "--x", "1,4", "--q", ".5,.5", "--r", "1",
+          "--alpha", "2"], "mg-sigma-upper takes no parameter 'alpha'"),
+        (["hunt", "--ineq", "mg-sigma-upper", "--r", "2.5", "--s", "1", "--budget", "300"],
+         "mg-sigma-upper takes no parameter 's'"),
+        (["sharpness", "--ineq", "diananda-upper", "--triple", "1,0.5,0", "--q-target", "0.2",
+          "--alpha", "1", "--budget", "50"], None),
+    ])
+    def test_parameters_the_tag_does_not_take_exit_two(self, argv, message, capsys):
+        code, out, err = invoke(argv, capsys)
+        if message is None:  # a tag's own parameters pass
+            assert code == 0 and out
+            return
+        assert code == 2
+        assert out == ""
+        assert err == f"meanineq: error: {message}\n"
+
     def test_domain_error_named(self, capsys):
         code, _, err = invoke(
             ["check", "--ineq", "mg-sigma-upper", "--x", "1,2", "--q", "0.5,0.5"], capsys

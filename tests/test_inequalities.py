@@ -1,11 +1,16 @@
+import copy
+import dataclasses
+import hashlib
 import json
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from meanineq import (
+    CheckReport,
     CheckStatus,
     Configuration,
     DomainError,
@@ -19,7 +24,7 @@ from meanineq import (
     variance_sigma,
 )
 
-from meanineq import inequalities, means
+from meanineq import inequalities, log_power_mean, means
 from meanineq.inequalities import relative_residuals, resolve_params
 from meanineq.means import ConfigurationBatch
 
@@ -99,6 +104,32 @@ class TestReportContract:
         assert payload["lhs"] is None
         assert payload["status"] == "Degenerate"
 
+    def test_report_is_a_frozen_value(self):
+        cfg = Configuration([1.0, 2.0, 4.0], [0.25, 0.25, 0.5])
+        rep = check("mg-sigma-upper", cfg, r=1.5)
+        assert [f.name for f in dataclasses.fields(rep)] == [
+            "id", "params", "lhs", "rhs", "residual", "residual_rel", "status", "q_used"]
+        assert rep.id is InequalityId.MG_SIGMA_UPPER and rep.status is CheckStatus.HOLDS
+        assert rep == check(InequalityId.MG_SIGMA_UPPER, cfg, r=1.5)
+        assert pickle.loads(pickle.dumps(rep)) == rep == copy.deepcopy(rep)
+        assert repr(rep) == (
+            "CheckReport(id=<InequalityId.MG_SIGMA_UPPER: 'mg-sigma-upper'>, params={'r': 1.5}, "
+            f"lhs={rep.lhs!r}, rhs={rep.rhs!r}, residual={rep.residual!r}, "
+            f"residual_rel={rep.residual_rel!r}, status=<CheckStatus.HOLDS: 'Holds'>, "
+            "q_used=0.25)")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.lhs = 0.0
+        assert dataclasses.replace(rep, lhs=0.0) == CheckReport(
+            rep.id, rep.params, 0.0, rep.rhs, rep.residual, rep.residual_rel, rep.status, 0.25)
+
+    def test_unknown_tag_is_the_enum_error(self):
+        cfg = Configuration([1.0, 2.0], [0.5, 0.5])
+        for bad in ("nope", ["diananda-upper"], "DIANANDA_BASE_UPPER"):
+            with pytest.raises(ValueError, match="is not a valid InequalityId"):
+                check(bad, cfg)
+            with pytest.raises(ValueError, match="is not a valid InequalityId"):
+                resolve_params(bad)
+
     def test_q_used_is_min_weight(self, rng):
         for _ in range(50):
             cfg = sample_config(rng)
@@ -140,6 +171,41 @@ class TestHypotheses:
         cfg = Configuration([1.0, 2.0], [0.5, 0.5])
         with pytest.raises(DomainError, match="'r'"):
             check(InequalityId.MG_SIGMA_UPPER, cfg)
+
+    # The parameters each tag takes, and a value for each parameter.
+    TAKES = {InequalityId.DIANANDA_UPPER: ("triple", "alpha"),
+             InequalityId.DIANANDA_LOWER: ("triple", "alpha"),
+             InequalityId.DIANANDA_BASE_UPPER: (), InequalityId.DIANANDA_BASE_LOWER: (),
+             InequalityId.CARTWRIGHT_FIELD_LOWER: ("r", "s"),
+             InequalityId.CARTWRIGHT_FIELD_UPPER: ("r", "s")}
+    VALUES = {"triple": (1.0, 0.5, 0.0), "alpha": 1.0, "r": 1.5, "s": 0.5}
+
+    @pytest.mark.parametrize("tag", list(InequalityId))
+    def test_parameters_the_tag_does_not_take_are_refused(self, tag):
+        cfg = Configuration([1.0, 2.0, 4.0], [0.25, 0.25, 0.5])
+        takes = self.TAKES.get(tag, ("r",))
+        params = {key: self.VALUES[key] for key in takes}
+        check(tag, cfg, force=True, **params)  # its own parameters pass
+        for key in self.VALUES.keys() - set(takes):
+            message = f"^{tag.value} takes no parameter '{key}'$"
+            for force in (False, True):
+                with pytest.raises(DomainError, match=message):
+                    check(tag, cfg, force=force, **params, **{key: self.VALUES[key]})
+                with pytest.raises(DomainError, match=message):
+                    resolve_params(tag, force=force, **params, **{key: self.VALUES[key]})
+        with pytest.raises(DomainError, match=f"^{tag.value} takes no parameter"):
+            counterexample_hunt(tag, **params, **{k: v for k, v in self.VALUES.items()
+                                                  if k not in takes})
+
+    def test_an_unused_parameter_is_named(self):
+        cfg = Configuration([1.0, 2.0], [0.5, 0.5])
+        with pytest.raises(DomainError, match="^diananda-base-upper takes no parameter 'r'$"):
+            check(InequalityId.DIANANDA_BASE_UPPER, cfg, r=7)
+        with pytest.raises(DomainError, match="^mg-sigma-upper takes no parameter 'triple'$"):
+            check(InequalityId.MG_SIGMA_UPPER, cfg, r=1.0, s=None, triple=BASE_TRIPLE)
+        # one extra beside a missing parameter: the missing one is named
+        with pytest.raises(DomainError, match="^mg-sigma-upper requires parameter 'r'$"):
+            check(InequalityId.MG_SIGMA_UPPER, cfg, s=0.5)
 
     def test_tolerances_must_be_finite_and_nonnegative(self):
         cfg = Configuration([1.0, 1.0], [0.5, 0.5])
@@ -537,6 +603,115 @@ class TestSharedMeansRecord:
             assert check(tag, cfg, **inside[tag]).status is CheckStatus.HOLDS
         assert sorted(r for r in orders if r in (0.0, 0.5, 1.0)) == [0.0, 0.5, 1.0]
         assert CountingLog.calls == 1
+
+
+def _scalar_configs():
+    """112 seeded configurations, 16 for each n = 2..8.
+
+    Every fourth has a zero sample, every fifth ties its two smallest
+    samples, every seventh is constant and every sixth has a 1e-200 weight.
+    """
+    rng = np.random.default_rng(1919)
+    configs = []
+    for n in range(2, 9):
+        for i in range(16):
+            x = np.exp(rng.normal(0.0, 2.0, n))
+            q = rng.dirichlet(np.full(n, 0.5))
+            if i % 4 == 0:
+                x[np.argmin(x)] = 0.0
+            if i % 5 == 1:
+                x[1] = x[0]
+            if i % 7 == 2:
+                x[:] = x[0]
+            if i % 6 == 3:
+                q[0] = 1e-200
+            q = np.maximum(q, 1e-300)
+            configs.append(Configuration(x, q / q.sum()))
+    return configs
+
+
+# Orders of both signs inside the expm1 band of the power sums (|r| < 0.05)
+# and at its edge, the record's fixed orders and their sign twin, and wide
+# orders; a negative order on a zero sample gives -inf.
+SCALAR_ORDERS = [0.0, -0.0, 0.5, 1.0, 1e-9, -1e-9, 0.01, -0.03, 0.0499, -0.0499, 0.05, -0.05,
+                 0.37, -0.8, 2.0, -3.0, 12.5, -40.0]
+
+
+def _scalar_params(tag, rng) -> list[dict]:
+    """Three parameter sets for one tag: two drawn, one with an order in the expm1 band."""
+    if tag in (InequalityId.DIANANDA_UPPER, InequalityId.DIANANDA_LOWER):
+        return [dict(triple=tuple(rng.choice(np.linspace(0.0, 3.0, 13), 3, replace=False)),
+                     alpha=float(rng.uniform(0.1, 4.0))) for _ in range(2)] + [
+            dict(triple=(1.0, 0.02, 0.0), alpha=1.0)]
+    if tag in (InequalityId.DIANANDA_BASE_UPPER, InequalityId.DIANANDA_BASE_LOWER):
+        return [{}]
+    if tag in (InequalityId.CARTWRIGHT_FIELD_LOWER, InequalityId.CARTWRIGHT_FIELD_UPPER):
+        r, s = sorted(rng.uniform(-3.0, 6.0, 2).tolist(), reverse=True)
+        return [dict(r=r, s=s), dict(r=1.0, s=1e-9), dict(r=0.03, s=-0.02)]
+    r = float(rng.uniform(-3.0, 6.0))
+    return [dict(r=r if r else 1.0), dict(r=1e-9), dict(r=-0.02)]
+
+
+def _scalar_check_outcomes(tag) -> list[str]:
+    """``check`` under force of one tag on every scalar configuration."""
+    rng = np.random.default_rng([1919, list(InequalityId).index(tag)])
+    out = []
+    for cfg in _scalar_configs():
+        for params in _scalar_params(tag, rng):
+            try:
+                rep = check(tag, cfg, force=True, **params)
+            except (DomainError, OverflowError) as exc:  # q ** (r - 1) can overflow
+                out.append(f"{type(exc).__name__}: {exc}")
+            else:
+                out.append(f"{rep.status.value} {rep.residual_rel!r}")
+    return out
+
+
+def _short_sha256(lines: list[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+class TestScalarBits:
+    """The scalar path gives the bits it has always given.
+
+    The digests were recorded when construction, ``log_power_mean`` and
+    ``check`` made every step through numpy and the frozen-dataclass
+    constructors.  An optimization of the scalar path must leave them as
+    they are; ``TestBatchEvaluation`` ties the batch path to the same bits.
+    """
+
+    LOG_POWER_MEAN_SHA256 = "898af33f671189cd"
+    CHECK_SHA256 = {
+        "diananda-upper": "5c48d22e9da1ca6d",
+        "diananda-lower": "651144ea6b9d625f",
+        "diananda-base-upper": "436d0b456c6d9b1d",
+        "diananda-base-lower": "0bab3120dc3d784c",
+        "mix-variance-upper": "2cef0b6490701c12",
+        "mix-variance-lower": "693488b3b5ce2ac4",
+        "cartwright-field-lower": "3acd639976e2bf18",
+        "cartwright-field-upper": "51bfd0b94eaabc60",
+        "mg-sigma-lower": "adb60b60da4fb01e",
+        "mg-sigma-upper": "5d2fcdf33011ae75",
+        "half-mean-lower": "e0df38cfa957a2a5",
+        "half-mean-upper": "f04f74716987d33f",
+        "half-mean-var-upper": "79fbd7ba6dd9485f",
+        "half-mean-var-lower": "0258b9e36e232df4",
+    }
+
+    def test_log_power_mean(self):
+        rng = np.random.default_rng(19)
+        out = []
+        for cfg in _scalar_configs():
+            drawn = [float(rng.uniform(-5.0, 5.0)), float(rng.uniform(-0.05, 0.05))]
+            for r in SCALAR_ORDERS + drawn:
+                # a fresh configuration, so no order is read back from the record
+                out.append(repr(log_power_mean(Configuration(cfg.x, cfg.q_weights), r)))
+                out.append(repr(log_power_mean(cfg, r)))
+        assert _short_sha256(out) == self.LOG_POWER_MEAN_SHA256
+
+    @pytest.mark.parametrize("tag", list(InequalityId))
+    def test_check_residuals(self, tag):
+        assert _short_sha256(_scalar_check_outcomes(tag)) == self.CHECK_SHA256[tag.value]
 
 
 class TestCatalogDocs:

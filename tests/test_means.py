@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import json
 import math
@@ -335,10 +336,120 @@ class TestConfiguration:
         assert back.q_weights.tolist() == cfg.q_weights.tolist()
 
 
+def _construction_inputs(n: int):
+    """Seeded inputs of size n, valid and borderline, in the forms callers pass.
+
+    Zero samples, ties, a mix of -0.0 and 0.0, 1e-200 weights, and weight
+    sums moved to 1 +- 1e-12 and just past it (which fail); the samples come
+    as an array, a list, a tuple, numpy scalars or float32.
+    """
+    rng = np.random.default_rng([19, n])
+    forms = [lambda a: a, lambda a: a.tolist(), lambda a: tuple(a.tolist()), list,
+             lambda a: a.astype(np.float32)]
+    shifts = [1e-12, -1e-12, 1.0000001e-12, -1.0000001e-12]
+    for i in range(40):
+        x = np.exp(rng.normal(0.0, 2.0, n))
+        q = rng.dirichlet(np.ones(n))
+        if i % 3 == 0:
+            x[rng.integers(n)] = 0.0
+        if i % 4 == 1:
+            x[rng.integers(n)] = x[rng.integers(n)]
+        if i % 5 == 2:
+            x[:2] = (-0.0, 0.0) if i % 2 else (0.0, -0.0)
+            x = x[rng.permutation(n)]
+        if i % 6 == 3:
+            q[rng.integers(n)] = 1e-200
+            q = q / math.fsum(q.tolist())
+        if i % 8 >= 4:
+            q[-1] += shifts[i % 4]
+        yield forms[i % 5](x), forms[(i // 5) % 4](q)
+
+
+def _construction_outcome(x, q) -> bytes:
+    """What constructing from (x, q) gives: the arrays' bytes, dtypes and flags, or the error."""
+    try:
+        cfg = Configuration(x, q)
+    except ConfigError as exc:
+        return f"ConfigError: {exc}".encode()
+    assert set(vars(cfg)) == {"x", "q_weights"}
+    return b"|".join([cfg.x.tobytes(), cfg.q_weights.tobytes(), repr((
+        cfg.x.dtype.str, cfg.q_weights.dtype.str, cfg.x.flags.writeable,
+        cfg.q_weights.flags.writeable, cfg.x.flags.c_contiguous,
+        cfg.q_weights.flags.c_contiguous)).encode()])
+
+
+class TestConstruction:
+    """Configuration builds the same arrays and raises the same errors as it always has."""
+
+    # sha256 of the outcomes of _construction_inputs(n), recorded when
+    # construction validated and sorted with numpy calls.
+    FUZZ_SHA256 = {
+        2: "e98a1794b56bd0aa",
+        3: "ae530899f8f1e06d",
+        4: "a2534fb391db1cd8",
+        5: "7382f162fecfafd8",
+        6: "d37a7ed5613ddf08",
+        7: "7e577210e16636b7",
+        8: "39315ac42840cf4c",
+    }
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_seeded_inputs(self, n):
+        digest = hashlib.sha256()
+        for x, q in _construction_inputs(n):
+            digest.update(_construction_outcome(x, q) + b"\n")
+        assert digest.hexdigest()[:16] == self.FUZZ_SHA256[n]
+
+    @pytest.mark.parametrize("x, q, want", [
+        ([3, 1, 2], [0.25, 0.5, 0.25], [1.0, 2.0, 3.0]),
+        ([True, False], [0.25, 0.75], [0.0, 1.0]),
+        ([np.float32(2.5), np.int64(1)], (np.float16(0.5), 0.5), [1.0, 2.5]),
+        (np.array([4.0, 1.0, 4.0, 0.0])[::-1], np.full(4, 0.25), [0.0, 1.0, 4.0, 4.0]),
+        (np.arange(6.0)[::-2], [0.25, 0.25, 0.5], [1.0, 3.0, 5.0]),
+    ])
+    def test_input_types(self, x, q, want):
+        cfg = Configuration(x, q)
+        assert cfg.x.tolist() == want and cfg.x.dtype == cfg.q_weights.dtype == np.float64
+        assert not cfg.x.flags.writeable and not cfg.q_weights.flags.writeable
+        assert cfg.x.flags.c_contiguous and cfg.q_weights.flags.c_contiguous
+
+    @pytest.mark.parametrize("x, q, error, message", [
+        ([math.nan, -1.0], [0.5, 0.5], ConfigError, "samples and weights must be finite"),
+        ([-1.0, 1.0], [0.5, math.inf], ConfigError, "samples and weights must be finite"),
+        ([[1.0, 2.0]], [[0.5, 0.5]], ConfigError, "samples and weights must be one-dimensional"),
+        (1.0, 1.0, ConfigError, "samples and weights must be one-dimensional"),
+        ([1.0, 2.0, 3.0], [0.5, 0.5], ConfigError, "length mismatch: 3 samples vs 2 weights"),
+        ([1.0], [1.0], ConfigError, "a configuration needs at least two samples"),
+        ([], [], ConfigError, "a configuration needs at least two samples"),
+        ([1.0, 2.0], [1.0, 0.0], ConfigError, "weights must be strictly positive"),
+        ([1.0, 2.0], [1.0, -0.0], ConfigError, "weights must be strictly positive"),
+        ([-1.0, 2.0], [1.0, 0.0], ConfigError, "samples must be nonnegative"),
+        ([-0.0, 2.0], [0.5, 0.6], ConfigError, "weights must sum to 1 (got 1.1)"),
+        ([3, 1, 2], [1, 2, 1], ConfigError, "weights must sum to 1 (got 4.0)"),
+        ([1.0, 2.0], ["a", 0.5], ValueError, "could not convert string to float: 'a'"),
+    ])
+    def test_invalid_inputs(self, x, q, error, message):
+        with pytest.raises(error) as info:
+            Configuration(x, q)
+        assert type(info.value) is error and str(info.value) == message
+
+
 class TestDeltaParams:
     def test_rejects_tied_orders(self):
         with pytest.raises(DomainError):
             DeltaParams(1.0, 1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("values, name", [
+        ((math.nan, 0.5, 0.0, 1.0), "r"), ((1.0, -math.inf, 0.0, 1.0), "s"),
+        ((1.0, 0.5, math.nan, 1.0), "t"), ((1.0, 0.5, 0.0, math.inf), "alpha"),
+        ((math.inf, -math.inf, 0.0, 1.0), "r"),
+    ])
+    def test_rejects_non_finite_values_by_name(self, values, name):
+        with pytest.raises(DomainError, match=f"^{name} must be finite$"):
+            DeltaParams(*values)
+
+    def test_finite_values_whose_sum_overflows_are_accepted(self):
+        assert DeltaParams(1e308, 9e307, 0.0, 1e308).alpha == 1e308
 
     def test_ordered(self):
         params = DeltaParams(0.0, 1.0, 0.5, 2.0)
