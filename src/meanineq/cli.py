@@ -192,25 +192,29 @@ def _exec_check(options: dict):
     return report.to_json_dict(), code
 
 
-def _lookup(table: dict, options: dict, key: str, what: str):
-    """The entry of ``table`` that option ``key`` names."""
+def _lookup(table: dict, options: dict, key: str, command: str, what: str):
+    """The entry of ``table`` that option ``key`` names; it refuses options it does not read."""
     name = _required(options, key)
     if name not in table:
         raise MeanIneqError(f"unknown {what} {name!r}")
-    return table[name]
-
-
-def _at_r(report):
-    """A threshold solved at --r: ``report(r)``, once --r is given."""
-    def run(options: dict):
-        return report(float(_required(options, "r", f" for --which {options['which']}")))
-
+    run, takes = table[name]
+    for extra in options:
+        if extra != key and extra not in takes:
+            raise MeanIneqError(f"{command} {name} takes no option {extra!r}")
     return run
 
 
-# --which: each threshold's report.
+def _at_r(report):
+    """A threshold solved at --r: ``report(r)``, once --r is given; it reads --r."""
+    def run(options: dict):
+        return report(float(_required(options, "r", f" for --which {options['which']}")))
+
+    return run, ("r",)
+
+
+# --which: each threshold's report, and the options it reads besides --which.
 _THRESHOLDS = {
-    "r0": lambda options: solve_r0().to_json_dict(),
+    "r0": (lambda options: solve_r0().to_json_dict(), ()),
     "t1": _at_r(lambda r: solve_t1(r).to_json_dict()),
     "t2": _at_r(lambda r: solve_t2(r).to_json_dict()),
     "alpha-upper": _at_r(lambda r: {"r": r, "value": alpha_threshold_upper(r)}),
@@ -220,7 +224,7 @@ _THRESHOLDS = {
 
 
 def _exec_threshold(options: dict):
-    return _lookup(_THRESHOLDS, options, "which", "threshold")(options), EXIT_OK
+    return _lookup(_THRESHOLDS, options, "which", "threshold", "threshold")(options), EXIT_OK
 
 
 def _exec_sharpness(options: dict):
@@ -268,16 +272,17 @@ def _sweep_residual_boundary(options: dict, lo: float, hi: float, axis: np.ndarr
     return {"columns": ["q", "residual_min_on_zero", "residual_min_on_unit"], "rows": rows}
 
 
-# --quantity: each sweep's table over the grid (lo, hi, points).
+# --quantity: each sweep's table over the grid (lo, hi, points), and the
+# options it reads besides --quantity.
 _SWEEPS = {
-    "a-r-profile": _sweep_profile,
-    "alpha-threshold": _sweep_alpha_threshold,
-    "residual-boundary": _sweep_residual_boundary,
+    "a-r-profile": (_sweep_profile, ("grid", "r")),
+    "alpha-threshold": (_sweep_alpha_threshold, ("grid",)),
+    "residual-boundary": (_sweep_residual_boundary, ("grid", "ineq")),
 }
 
 
 def _exec_sweep(options: dict):
-    sweep = _lookup(_SWEEPS, options, "quantity", "sweep quantity")
+    sweep = _lookup(_SWEEPS, options, "quantity", "sweep", "sweep quantity")
     lo, hi, count = _grid_triplet(_required(options, "grid"))
     if not np.isfinite([lo, hi]).all():
         raise MeanIneqError(f"grid ends must be finite (got {lo}, {hi})")

@@ -15,10 +15,11 @@ structural requirements of the formulas themselves are never bypassed.
 
 Each tag is one entry of a catalog table: how its parameters resolve, its
 claim and stated hypotheses (the table above is rendered from them), and
-its (lhs, rhs) formula, written once over a means record.  :func:`check`
-evaluates the formula on the floats of one configuration;
-:func:`relative_residuals` evaluates it on the arrays of a
-:class:`ConfigurationBatch`, with the same result row by row.
+its (lhs, rhs) formula, written once over a formula record.  The records
+come from :mod:`meanineq.means`: :func:`check` evaluates the formula on
+the floats of one configuration (``_Means``); :func:`relative_residuals`
+evaluates it on the arrays of a :class:`ConfigurationBatch`
+(``_RowMeans``), with the same result row by row.
 """
 
 from __future__ import annotations
@@ -39,15 +40,9 @@ from .means import (
     Configuration,
     ConfigurationBatch,
     DeltaParams,
-    _map_or_nan,
-    c_constant,
-    delta,
-    delta_rows,
-    log_power_mean,
+    _Means,
+    _RowMeans,
     order_triple,
-    power_mean_rows,
-    variance_sigma,
-    variance_sigma_rows,
 )
 from .thresholds import r0_value
 
@@ -112,90 +107,6 @@ class CheckReport:
             "status": self.status.value,
             "q": self.q_used,
         }
-
-
-# ---------------------------------------------------------------------------
-# Means records: what a tag's formula reads.  The same formula runs on the
-# floats of one configuration and on the (B,) arrays of a batch.
-
-
-def _safe_div(num: float, den: float) -> float:
-    if den == 0.0:
-        if num == 0.0:
-            return 0.0
-        return math.copysign(math.inf, num)
-    return num / den
-
-
-class _Means:
-    """One configuration's quantities as floats; errors raise."""
-
-    __slots__ = ("config", "q")
-
-    def __init__(self, config: Configuration, q: float) -> None:
-        self.config = config
-        self.q = q
-
-    def mean(self, r: float) -> float:
-        return math.exp(log_power_mean(self.config, r))
-
-    def sigma(self) -> float:
-        return variance_sigma(self.config)
-
-    def x1(self) -> float:
-        return float(self.config.x[0])
-
-    def xn(self) -> float:
-        return float(self.config.x[-1])
-
-    def delta(self, params: DeltaParams) -> float:
-        return delta(self.config, params)
-
-    bound = staticmethod(c_constant)
-
-    @staticmethod
-    def pow(base: float, exponent: float) -> float:
-        return base**exponent
-
-    div = staticmethod(_safe_div)
-
-
-class _RowMeans:
-    """A batch's quantities as (B,) arrays; NaN in a row that would raise."""
-
-    def __init__(self, batch: ConfigurationBatch) -> None:
-        self.batch = batch
-        self.q = batch.min_weights()
-
-    def mean(self, r: float) -> np.ndarray:
-        return power_mean_rows(self.batch, r)
-
-    def sigma(self) -> np.ndarray:
-        return variance_sigma_rows(self.batch)
-
-    def x1(self) -> np.ndarray:
-        return self.batch.x[:, 0]
-
-    def xn(self) -> np.ndarray:
-        return self.batch.x_n()
-
-    def delta(self, params: DeltaParams) -> np.ndarray:
-        return delta_rows(self.batch, params)
-
-    def bound(self, r: float, s: float, t: float, xarg: np.ndarray) -> np.ndarray:
-        return _map_or_nan(lambda x: c_constant(r, s, t, x), xarg)
-
-    @staticmethod
-    def pow(base: np.ndarray, exponent: float) -> np.ndarray:
-        # float ** float row by row: np.power rounds differently
-        return np.array([b**exponent for b in base.tolist()], dtype=float)
-
-    @staticmethod
-    def div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-        """:func:`_safe_div` row by row."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(den == 0.0, np.where(num == 0.0, 0.0, np.copysign(np.inf, num)),
-                            num / den)
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +356,8 @@ def relative_residuals(id: InequalityId, batch: ConfigurationBatch, params: dict
     would raise :class:`DomainError` (a bound argument outside (0, 1)) or
     report Degenerate (a 0/0 ratio, a NaN residual) score +inf.
     """
-    lhs, rhs = _entry(id)[1].sides(_RowMeans(batch), params)
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is a NaN row
+        lhs, rhs = _entry(id)[1].sides(_RowMeans(batch), params)
         residual = rhs - lhs
         scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
         rel = np.where(np.isinf(residual), residual, residual / scale)

@@ -40,16 +40,28 @@ callers racing to fill an entry compute and store the same float.
 
 :class:`ConfigurationBatch` holds B configurations as ``(B, width)``
 arrays, row i holding its n_i samples first and padding after them, and
-the ``*_rows`` functions are the array forms of M_r, sigma and delta over
-it.  Row i of each is bit-identical to the scalar function on the i-th
-configuration: numpy's elementwise steps run on all rows at once, row
-maxima and minima see the padding as -inf or +inf, and sums and row-wise
-dots (the same BLAS dot as ``np.dot``) run on each run of equal-size rows
-cut to its size.  A padded sum or dot would not do: numpy's pairwise sum
-regroups its terms from 8 of them, and the BLAS dot from 16.  The scalar
-tail functions (``math.fsum``, ``math.log``, ``math.log1p``, ``math.exp``
-and the ratio after the three log-means) are applied row by row to the
-row's own entries, so the arithmetic of delta is written once.
+:func:`log_power_mean_rows` and :func:`delta_rows` are the array forms of
+ln M_r and delta over it.  Row i of each is bit-identical to the scalar
+function on the i-th configuration: numpy's elementwise steps run on all
+rows at once, row maxima and minima see the padding as -inf or +inf, and
+sums and row-wise dots (the same BLAS dot as ``np.dot``) run on each run
+of equal-size rows cut to its size.  A padded sum or dot would not do:
+numpy's pairwise sum regroups its terms from 8 of them, and the BLAS dot
+from 16.  The scalar tail functions (``math.fsum``, ``math.log``,
+``math.log1p``, ``math.exp`` and the ratio after the three log-means) are
+applied row by row to the row's own entries, so the arithmetic of delta
+is written once.
+
+The catalog formulas read a formula record: ``_Means`` gives one
+configuration's quantities as floats and raises where a step fails;
+``_RowMeans`` gives a batch's as (B,) arrays, NaN in a row that would
+raise.  ``_RowMeans`` maps the scalar steps (``math.exp``, the weight
+power of ``_Means``, :func:`c_constant`) over the rows and takes sigma
+by the rules above, so row i has the bits of ``_Means`` on the i-th
+configuration.  A weight power past the float range is +inf, as ``_exp``
+is for e^x, where ``**`` raises; the catalog side it enters is then NaN
+(inf - inf or inf * 0), which ``check`` reports Degenerate and a batch
+scores +inf.
 """
 
 from __future__ import annotations
@@ -433,10 +445,6 @@ class ConfigurationBatch:
             out[rows] = fn(*(a[rows, :n] for a in arrays))
         return out
 
-    def min_weights(self) -> np.ndarray:
-        """The minimum weight of every row."""
-        return self._fill(self.q_weights, np.inf).min(axis=1)
-
     def x_n(self) -> np.ndarray:
         """The largest sample of every row."""
         return self.x[np.arange(len(self.x)), self.sizes - 1]
@@ -449,11 +457,6 @@ class ConfigurationBatch:
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.dot(a[i], b[i])`` for every row i, through the same BLAS dot."""
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def _map(fn, values: np.ndarray) -> np.ndarray:
-    """A scalar math function applied row by row (numpy's ufuncs round differently)."""
-    return np.array([fn(v) for v in values.tolist()], dtype=float)
 
 
 def _map_or_nan(fn, *columns: np.ndarray) -> np.ndarray:
@@ -484,20 +487,6 @@ def log_power_mean_rows(batch: ConfigurationBatch, r: float) -> np.ndarray:
         m[rows].tolist(), terms[rows, :n].tolist(), q[rows, :n].tolist())], dtype=float) / r
 
 
-def power_mean_rows(batch: ConfigurationBatch, r: float) -> np.ndarray:
-    """:func:`power_mean` of every row."""
-    return _map(math.exp, log_power_mean_rows(batch, r))
-
-
-def variance_sigma_rows(batch: ConfigurationBatch) -> np.ndarray:
-    """:func:`variance_sigma` of every row."""
-    def sigma(q, x):
-        a = _row_dots(q, x)
-        return _row_dots(q, (x - a[:, None]) ** 2)
-
-    return batch._per_size(sigma, batch.q_weights, batch.x)
-
-
 def delta_rows(batch: ConfigurationBatch, params: DeltaParams) -> np.ndarray:
     """:func:`delta` of every row; NaN where it raises :class:`DegenerateInput`."""
     logs = (log_power_mean_rows(batch, p) for p in (params.r, params.s, params.t))
@@ -516,3 +505,93 @@ def order_triple(a: float, b: float, c: float) -> tuple[float, float, float]:
     if t < 0:
         raise DomainError(f"orders must be nonnegative (got {(a, b, c)})")
     return float(r), float(s), float(t)
+
+
+# ---------------------------------------------------------------------------
+# Formula records: what a catalog formula reads.  The same formula runs on
+# the floats of one configuration and on the (B,) arrays of a batch.
+
+
+class _Means:
+    """One configuration's quantities as floats; errors raise."""
+
+    __slots__ = ("config", "q")
+
+    def __init__(self, config: Configuration, q: float) -> None:
+        self.config = config
+        self.q = q
+
+    def mean(self, r: float) -> float:
+        return math.exp(log_power_mean(self.config, r))
+
+    def sigma(self) -> float:
+        return variance_sigma(self.config)
+
+    def x1(self) -> float:
+        return float(self.config.x[0])
+
+    def xn(self) -> float:
+        return float(self.config.x[-1])
+
+    def delta(self, params: DeltaParams) -> float:
+        return delta(self.config, params)
+
+    bound = staticmethod(c_constant)
+
+    @staticmethod
+    def pow(base: float, exponent: float) -> float:
+        """``base ** exponent``; inf past the float range, where ``**`` raises."""
+        try:
+            return base**exponent
+        except OverflowError:
+            return math.inf
+
+    @staticmethod
+    def div(num: float, den: float) -> float:
+        """``num / den``; 0 at 0/0 and a signed inf at x/0."""
+        if den == 0.0:
+            return 0.0 if num == 0.0 else math.copysign(math.inf, num)
+        return num / den
+
+
+class _RowMeans:
+    """A batch's quantities as (B,) arrays; NaN in a row that would raise."""
+
+    def __init__(self, batch: ConfigurationBatch) -> None:
+        self.batch = batch
+        self.q = batch._fill(batch.q_weights, np.inf).min(axis=1)
+
+    def mean(self, r: float) -> np.ndarray:
+        # math.exp row by row: np.exp rounds differently
+        return np.array(list(map(math.exp, log_power_mean_rows(self.batch, r).tolist())))
+
+    def sigma(self) -> np.ndarray:
+        def sigma(q, x):  # the two dots of Configuration._sigma, row by row
+            return _row_dots(q, (x - _row_dots(q, x)[:, None]) ** 2)
+
+        return self.batch._per_size(sigma, self.batch.q_weights, self.batch.x)
+
+    def x1(self) -> np.ndarray:
+        return self.batch.x[:, 0]
+
+    def xn(self) -> np.ndarray:
+        return self.batch.x_n()
+
+    def delta(self, params: DeltaParams) -> np.ndarray:
+        return delta_rows(self.batch, params)
+
+    def bound(self, r: float, s: float, t: float, xarg: np.ndarray) -> np.ndarray:
+        return _map_or_nan(lambda x: c_constant(r, s, t, x), xarg)
+
+    @staticmethod
+    def pow(base: np.ndarray, exponent: float) -> np.ndarray:
+        """:meth:`_Means.pow` row by row (np.power rounds differently)."""
+        pow = _Means.pow
+        return np.array([pow(b, exponent) for b in base.tolist()], dtype=float)
+
+    @staticmethod
+    def div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+        """:meth:`_Means.div` row by row."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(den == 0.0, np.where(num == 0.0, 0.0, np.copysign(np.inf, num)),
+                            num / den)

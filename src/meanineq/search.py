@@ -52,8 +52,8 @@ from itertools import chain, islice
 import numpy as np
 
 from .errors import DomainError
-from .inequalities import _CATALOG, InequalityId, _Means, relative_residuals, resolve_params
-from .means import Configuration, ConfigurationBatch, DeltaParams, delta_rows, power_mean
+from .inequalities import _CATALOG, InequalityId, relative_residuals, resolve_params
+from .means import Configuration, ConfigurationBatch, DeltaParams, _Means, delta_rows, power_mean
 
 # A hunt only declares a violation below this relative residual; the check
 # tolerance itself is far tighter, so a declared violation always
@@ -382,16 +382,17 @@ class ProbeClaim(str, Enum):
     WEIGHT_PARAM_SLOPE = "weight-param-slope"
 
 
-# Each claim's proven range: its test on (r, a), and the message when it fails.
+# Each claim's proven range: whether it reads a, its test on (r, a), and the
+# message when the test fails.
 _PROBE_RANGES = {
     ProbeClaim.SMALLEST_SAMPLE_SLOPE: (
-        lambda r, a: a is not None and 1.0 < r <= 2.0 and a > 0.0,
+        True, lambda r, a: a is not None and 1.0 < r <= 2.0 and a > 0.0,
         "the smallest-sample slope needs 1 < r <= 2 and a > 0"),
     ProbeClaim.LARGEST_SAMPLE_SLOPE: (
-        lambda r, a: a is not None and r >= 2.0 and 0.0 < a < 1.0,
+        True, lambda r, a: a is not None and r >= 2.0 and 0.0 < a < 1.0,
         "the largest-sample slope needs r >= 2 and 0 < a < 1"),
     ProbeClaim.WEIGHT_PARAM_SLOPE: (
-        lambda r, a: 0.5 < r <= 2.0, "the weight-parameter slope needs 1/2 < r <= 2"),
+        False, lambda r, a: 0.5 < r <= 2.0, "the weight-parameter slope needs 1/2 < r <= 2"),
 }
 
 
@@ -431,12 +432,14 @@ def finite_difference_probe(
     The caller asserts the sign; the claims hold for parameters inside the
     corresponding proven ranges (upper: 1 < r <= 2 with a below the
     profile minimum; lower: r >= 2 with a below min(1 - 1/r, profile
-    minimum); weight-parameter: 1/2 < r <= 2).
+    minimum); weight-parameter: 1/2 < r <= 2, and it takes no a).
     """
     claim = ProbeClaim(claim)
     if config.x[0] <= 0.0:
         raise DomainError("finite-difference probes need x_1 > 0")
-    in_range, message = _PROBE_RANGES[claim]
+    takes_a, in_range, message = _PROBE_RANGES[claim]
+    if a is not None and not takes_a:
+        raise DomainError(f"{claim.value} takes no parameter 'a'")
     if not in_range(r, a):
         raise DomainError(message)
     if claim is ProbeClaim.WEIGHT_PARAM_SLOPE:

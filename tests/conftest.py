@@ -12,8 +12,13 @@ from meanineq import Configuration
 
 
 def run_fresh(args, **kwargs):
-    """Run ``python *args`` in a fresh interpreter on the meanineq this suite imports."""
-    env = dict(os.environ, PYTHONPATH=str(Path(meanineq.__file__).resolve().parents[1]))
+    """Run ``python *args`` in a fresh interpreter on the meanineq this suite imports.
+
+    The interpreter turns a RuntimeWarning into an error, as the suite's
+    own warning filter does, so a warning a command prints fails its test.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(meanineq.__file__).resolve().parents[1]),
+               PYTHONWARNINGS="error::RuntimeWarning")
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           **kwargs)
 

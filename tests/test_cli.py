@@ -64,6 +64,21 @@ class TestCheckCommand:
         assert payload["status"] == "Violated"
         assert code == 1
 
+    def test_overflowing_weight_power_is_degenerate(self, capsys):
+        # 0.1^(2 - 1/r) overflows; this used to print a traceback and exit 1
+        code, out, err = invoke(["check", "--ineq", "half-mean-lower", "--x", "1,2,3",
+                                 "--q", ".1,.3,.6", "--r", "0.001", "--force"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["status"] == "Degenerate"
+
+    def test_csv_is_a_header_and_a_row(self, capsys):
+        code, out, _ = invoke([*self.ARGV, "--format", "csv"], capsys)
+        assert code == 0
+        header, row = csv.reader(io.StringIO(out))
+        assert header == ["id", "params", "lhs", "rhs", "residual", "residual_rel", "status",
+                          "q"]
+        assert json.loads(row[1]) == {"triple": [1.0, 0.5, 0.0], "alpha": 1.0}
+
     def test_unknown_tag_exit_two(self, capsys):
         code, _, err = invoke(["check", "--ineq", "nope", "--x", "1,2", "--q", ".5,.5"], capsys)
         assert code == 2
@@ -476,6 +491,13 @@ class TestDeterminismAndPlumbing:
             "sharpness 0 False True",
         ]
 
+    def test_hunt_prints_no_warning(self):
+        # every row's weight power overflows: inf - inf rows must not warn
+        proc = run_fresh(["-m", "meanineq.cli", "hunt", "--ineq", "half-mean-upper",
+                          "--r", "1e-9", "--budget", "300"])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["verdict"] == "NoViolationFound"
+
     def test_entry_point_installed(self):
         proc = run_fresh(["-m", "meanineq.cli"], input="")
         # module is importable; no command -> usage error
@@ -491,6 +513,26 @@ def test_choices_are_the_dispatch_table_keys(argv, table, capsys):
         run([*argv, "nope"])
     choices = ", ".join(repr(name) for name in getattr(cli, table))
     assert f"invalid choice: 'nope' (choose from {choices})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, options, message", [
+    ("threshold", {"which": "r0", "r": 99}, "threshold r0 takes no option 'r'"),
+    ("sweep", {"quantity": "alpha-threshold", "grid": "2.5,3,2", "ineq": "nope", "r": 9},
+     "sweep alpha-threshold takes no option 'ineq'"),
+    ("sweep", {"quantity": "a-r-profile", "grid": "0,1,3", "ineq": "diananda-upper", "r": 1.5},
+     "sweep a-r-profile takes no option 'ineq'"),
+])
+def test_option_the_choice_does_not_read_exits_two(command, options, message, tmp_path,
+                                                   capsys):
+    # each used to exit 0, ignoring the option
+    argv = [command]
+    for key, value in options.items():
+        argv += ["--" + key, str(value)]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"command": command, "options": options}))
+    want = (2, "", f"meanineq: error: {message}\n")
+    assert invoke(argv, capsys) == want
+    assert invoke(["--config", str(cfg)], capsys) == want
 
 
 def test_cli_module_main():

@@ -208,6 +208,13 @@ class TestCustomGrids:
         with pytest.raises(DomainError, match=r"'q3'.*\('y', 'q1', 'q2', 'r'\)"):
             aux_sign_check(AuxFunctionId.THREE_SAMPLE_LOWER, grid=grid)
 
+    def test_grid_without_admissible_points_rejected(self):
+        # shifted-ratio-monotone needs p >= r; here every p lies below every r
+        grid = {"r": GridAxis(3.0, 4.0, 3), "p": GridAxis(1.1, 2.0, 3),
+                "s": GridAxis(0.0, 1.0, 3), "z": GridAxis(1.5, 3.0, 3)}
+        with pytest.raises(DomainError, match="^the grid contains no admissible points$"):
+            aux_sign_check(AuxFunctionId.SHIFTED_RATIO_MONOTONE, grid=grid)
+
     @pytest.mark.parametrize("lo, hi", [(float("nan"), 1.0), (0.0, float("inf")),
                                         (float("-inf"), 0.0)])
     def test_axis_bounds_must_be_finite(self, lo, hi):

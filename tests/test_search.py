@@ -92,6 +92,13 @@ class TestCounterexampleHunt:
                                      budget=SearchBudget(max_evals=20_000, seed=0))
         assert report.verdict == "NoViolationFound"
 
+    def test_weight_power_past_the_float_range_scores_inf(self):
+        # (1 - q)^(2 - 1/r) overflows at r = 1e-9; the hunt used to raise OverflowError
+        report = counterexample_hunt(InequalityId.HALF_MEAN_UPPER, r=1e-9,
+                                     budget=SearchBudget(max_evals=200, restarts=2))
+        assert report.verdict == "NoViolationFound"
+        assert report.best_residual == math.inf
+
     def test_deterministic_reports(self):
         budget = SearchBudget(max_evals=5000, seed=9)
         a = counterexample_hunt(InequalityId.MG_SIGMA_UPPER, r=2.5, budget=budget)
@@ -547,6 +554,9 @@ class TestFiniteDifferenceProbes:
             finite_difference_probe(ProbeClaim.LARGEST_SAMPLE_SLOPE, self.CFG, r=1.5, a=0.1)
         with pytest.raises(DomainError):
             finite_difference_probe(ProbeClaim.WEIGHT_PARAM_SLOPE, self.CFG, r=2.5)
+        # the weight-parameter slope used to ignore a
+        with pytest.raises(DomainError, match="^weight-param-slope takes no parameter 'a'$"):
+            finite_difference_probe(ProbeClaim.WEIGHT_PARAM_SLOPE, self.CFG, r=1.0, a=0.3)
         zero_cfg = Configuration([0.0, 1.0], [0.5, 0.5])
         with pytest.raises(DomainError):
             finite_difference_probe(ProbeClaim.WEIGHT_PARAM_SLOPE, zero_cfg, r=1.0)

@@ -61,6 +61,12 @@ class TestBisect:
         with pytest.raises(DomainError):
             bisect(f, lo, hi)
 
+    @pytest.mark.parametrize("f, root", [(lambda x: x, 0.0), (lambda x: x - 1.0, 1.0)],
+                             ids=["at-lo", "at-hi"])
+    def test_root_at_an_end(self, f, root):
+        res = bisect(f, 0.0, 1.0)
+        assert (res.value, res.residual, res.iterations) == (root, 0.0, 0)
+
     def test_flags_low_confidence_brackets(self):
         res = bisect(lambda x: 1e-14 * x - 5e-15, 0.0, 1.0)
         assert res.low_confidence
