@@ -13,13 +13,19 @@ takes the closed-form limit.  All functions broadcast over numpy arrays.  A
 grid is one 1-D axis per argument, shaped so that the axes broadcast against
 each other (an open mesh); an argument that depends on another, such as the
 core functions' a tied to r, shares that argument's axis.  Default and
-custom grids take the same path: one broadcast mask marks the admissible
-points, the function is evaluated in blocks of about 2^17 points along the
-grid's longest axis, so that its temporaries stay in cache, and the worst
+custom grids take the same path.  A tag with an admissibility condition
+marks its admissible points with one broadcast mask.  When at most half of
+the grid's points are admissible, the grid is cut to them before anything
+is evaluated: the run of axes that the mask varies over becomes one axis
+listing the admissible combinations in C order.  A grid that is mostly
+admissible is evaluated whole and its inadmissible points are skipped,
+since gathering it would cost more than it saves; no default grid is cut.
+The function is evaluated in blocks of about 2^17 points along the grid's
+longest axis, so that its temporaries stay in cache, and the worst
 admissible point is reported.  That is the point ``np.argmin`` would pick
-over the whole grid: the first NaN margin if there is one, else the first
-smallest margin in C order.  Each default grid is built once per process,
-on first use, and kept read-only.
+over the admissible points of the whole grid: the first NaN margin if there
+is one, else the first smallest margin in C order.  Each default grid is
+built once per process, on first use, and kept read-only.
 """
 
 from __future__ import annotations
@@ -62,6 +68,18 @@ class AuxFunctionId(str, Enum):
 def _is_positive_int(value) -> bool:
     return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             and value >= 1)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _to_float(value: numbers.Real) -> float:
+    """A real number as a float; an integer past the float range reads as +-inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -107,12 +125,12 @@ class GridAxis:
         if unknown:
             raise DomainError(f"a JSON axis has unknown keys {unknown}")
         lo, hi = payload["lo"], payload["hi"]
-        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (lo, hi)):
+        if not (_is_real(lo) and _is_real(hi)):
             raise DomainError(f"axis bounds must be numbers, got [{lo!r}, {hi!r}]")
         for key, flag in flags.items():
             if not isinstance(flag, bool):
                 raise DomainError(f"{key} must be true or false, got {flag!r}")
-        return cls(lo=float(lo), hi=float(hi), count=payload["count"], **flags)
+        return cls(lo=_to_float(lo), hi=_to_float(hi), count=payload["count"], **flags)
 
 
 @dataclass(frozen=True)
@@ -415,7 +433,9 @@ def aux_eval(id: AuxFunctionId, args: tuple) -> float:
     entry = _CATALOG[id]
     if len(args) != len(entry.args):
         raise DomainError(f"{id.value} takes arguments {entry.args}, got {len(args)}")
-    vals = tuple(float(v) for v in args)
+    if not all(map(_is_real, args)):
+        raise DomainError(f"{id.value} takes real numbers, got {tuple(args)!r}")
+    vals = tuple(map(_to_float, args))
     in_domain, takes = entry.takes
     if not (all(map(math.isfinite, vals)) and in_domain(*vals)):
         raise DomainError(f"{id.value} takes finite {takes}, got {vals}")
@@ -459,12 +479,18 @@ def aux_sign_check(
     if entry.admissible is None:
         mask, count = None, math.prod(shape)
     else:
-        mask = np.broadcast_to(entry.admissible(*args), shape)
+        admissible = entry.admissible(*args)
+        mask = np.broadcast_to(admissible, shape)
         count = int(np.count_nonzero(mask))
     if count == 0:
         raise DomainError("the grid contains no admissible points")
     if count > max_points:
         raise DomainError(f"grid has {count} points, above the cap {max_points}")
+    if mask is not None and 2 * count <= mask.size:
+        # A sparse grid: evaluate its admissible points alone, in the same order.
+        axes = _admissible_axes(axes, admissible)
+        args = entry.complete(axes)
+        shape, mask = np.broadcast_shapes(*(a.shape for a in args)), None
     # Blocks along the longest axis: a term that does not involve the
     # blocked axis is recomputed in every block, so keep the blocks few.
     axis = max(range(len(shape)), key=shape.__getitem__)
@@ -473,7 +499,8 @@ def aux_sign_check(
     for start in range(0, shape[axis], step):
         block = (slice(None),) * axis + (slice(start, start + step),)
         sub = entry.complete(tuple(a if a.shape[axis] == 1 else a[block] for a in axes))
-        # Inadmissible points are evaluated too, and may overflow or divide by zero.
+        # Inadmissible points of an uncut grid are evaluated too, and may
+        # overflow or divide by zero.
         with np.errstate(all="ignore"):
             values = entry.fn(*sub)
         size = min(step, shape[axis] - start)
@@ -508,6 +535,29 @@ def aux_sign_check(
         verdict="AllSatisfy" if margin >= -tolerance else "ViolationFound",
         points_checked=count,
     )
+
+
+def _admissible_axes(axes, admissible: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The grid's axes cut to its admissible points.
+
+    The run of axes that the mask varies over, from its first to its last
+    non-singleton axis, becomes one axis listing the admissible combinations
+    in C order.  An array that varies over the run is gathered along it; one
+    that does not only loses those axes.  So the cut grid keeps the C order
+    of the admissible points.
+    """
+    varying = [i for i, n in enumerate(admissible.shape) if n > 1]
+    lo, hi = varying[0], varying[-1] + 1
+    index = np.nonzero(admissible.reshape(admissible.shape[lo:hi]))
+    cut = []
+    for a in axes:
+        run = a.shape[lo:hi]
+        if math.prod(run) == 1:
+            cut.append(a.reshape(a.shape[:lo] + (1,) + a.shape[hi:]))
+        else:
+            cut.append(a[(slice(None),) * lo + tuple(i if n > 1 else 0
+                                                     for i, n in zip(index, run))])
+    return tuple(cut)
 
 
 @functools.cache  # every default grid is fixed; three-sample's took 8 ms to build

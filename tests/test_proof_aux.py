@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -17,6 +18,7 @@ from meanineq import (
     r0_value,
 )
 from meanineq import proof_aux
+from meanineq.proof_aux import DEFAULT_SIGN_TOL
 
 from conftest import rst_table_rows
 
@@ -92,6 +94,16 @@ class TestAuxEval:
     def test_non_finite_arguments_rejected(self, tag, args):
         with pytest.raises(DomainError, match=f"{tag.value} takes finite"):
             aux_eval(tag, args)
+
+    @pytest.mark.parametrize("arg, message", [
+        ("a", "takes real numbers"), (1j, "takes real numbers"), (True, "takes real numbers"),
+        (10**400, r"takes finite .*got \(inf, 1.5\)"),
+    ], ids=["text", "complex", "bool", "past-float-range"])
+    def test_non_real_arguments_rejected(self, arg, message):
+        # These used to raise ValueError, TypeError and OverflowError, and a
+        # bool was read as 1.0.
+        with pytest.raises(DomainError, match=f"exponent-margin {message}"):
+            aux_eval(AuxFunctionId.EXPONENT_MARGIN, (arg, 1.5))
 
     def test_claimed_bounds_exposed(self):
         assert claimed_bound(AuxFunctionId.ENVELOPE_HI_WEIGHT) == ("le", 0.5)
@@ -224,6 +236,15 @@ class TestCustomGrids:
         with pytest.raises(DomainError, match="finite"):
             GridAxis.from_json_dict({"lo": lo, "hi": hi, "count": 5})
 
+    def test_axis_bound_past_the_float_range_rejected(self):
+        # json.loads reads a 401-digit literal as this int; float() of it
+        # used to raise OverflowError.
+        axis = {"lo": 0.75, "hi": 10**400, "count": 5}
+        with pytest.raises(DomainError, match=r"^axis bounds must be finite, got \[0.75, inf\]$"):
+            GridAxis.from_json_dict(axis)
+        with pytest.raises(DomainError, match="^axis 'x': axis bounds must be finite"):
+            aux_sign_check(AuxFunctionId.EXPONENT_MARGIN, grid={"x": axis, "r": GridAxis(1, 2, 2)})
+
     @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 2.0), (1.0, -2.0)])
     def test_log_axis_needs_positive_bounds(self, lo, hi):
         with pytest.raises(DomainError, match="log axis"):
@@ -323,6 +344,56 @@ _BLOCKED_CASES = [
 ]
 
 
+def _dense_three_sample(w_lo, w_hi, r_hi):
+    """The dense certify three-sample-lower grid for a seed's weight and r ranges."""
+    return {"y": GridAxis(1.0, 100.0, 40, log=True), "q1": GridAxis(w_lo, w_hi, 50),
+            "q2": GridAxis(w_lo, w_hi, 50), "r": GridAxis(1.0, r_hi, 10)}
+
+
+_THREE_SAMPLE_SEED1 = _dense_three_sample(0.2564805288323286, 0.43347285573493444,
+                                          1.2192119204333889)
+# 962,278 of its 10^6 points are admissible, so the sweep evaluates the whole grid.
+_THREE_SAMPLE_96 = {"y": GridAxis(1.0, 2.0, 1), "q1": GridAxis(0.31, 0.35, 100),
+                    "q2": GridAxis(0.31, 0.35, 100), "r": GridAxis(1.0, 1.05, 100)}
+# p >= r keeps 171,600 of 960,000 points.
+_SHIFTED_SPARSE = {"r": GridAxis(2.0, 6.0, 40), "p": GridAxis(1.1, 4.0, 40),
+                   "s": GridAxis(0.0, 1.0, 20), "z": GridAxis(1.01, 50.0, 30, log=True)}
+# r = 2 is inadmissible: half of the first grid, one r value in 201 of the second.
+_LINEAR_GAP_HALF = {"r": GridAxis(1.5, 2.0, 2), "a": GridAxis(0.0, 0.05, 10),
+                    "t": GridAxis(0.0, 1.0, 100)}
+_LINEAR_GAP_MOST = {"r": GridAxis(1.0, 3.0, 201), "a": GridAxis(0.0, 0.05, 10),
+                    "t": GridAxis(0.0, 1.0, 100)}
+
+# Masked grids, with the number of points the sweep evaluates: the
+# admissible ones alone when at most half of the grid is admissible.
+_MASKED_CASES = [
+    ("three-sample-lower", _THREE_SAMPLE_SEED1, 55_440),
+    ("three-sample-lower", _dense_three_sample(0.22678935703870873, 0.4026594471233721,
+                                               1.317303593961744), 40_360),
+    ("three-sample-lower", _THREE_SAMPLE_96, 10**6),
+    ("shifted-ratio-monotone", _SHIFTED_SPARSE, 171_600),
+    ("linear-gap-bound", _LINEAR_GAP_HALF, 1_000),
+    ("linear-gap-bound", _LINEAR_GAP_MOST, 201_000),
+]
+_MASKED_IDS = ["three-sample-seed1", "three-sample-seed2", "three-sample-96pct",
+               "shifted-ratio-sparse", "linear-gap-half", "linear-gap-most"]
+
+
+def _counting_entry(monkeypatch, tag) -> list[int]:
+    """Swap the tag's catalog function for one that adds up the sizes it returns."""
+    tag = AuxFunctionId(tag)
+    entry = proof_aux._CATALOG[tag]
+    sizes = []
+
+    def fn(*args):
+        values = entry.fn(*args)
+        sizes.append(np.size(values))
+        return values
+
+    monkeypatch.setitem(proof_aux._CATALOG, tag, dataclasses.replace(entry, fn=fn))
+    return sizes
+
+
 class TestBlockedSweeps:
     @pytest.mark.parametrize("tag, grid, tolerance, point", _BLOCKED_CASES,
                              ids=["growth-nan-t", "growth-nan-r", "binomial-ties",
@@ -337,6 +408,51 @@ class TestBlockedSweeps:
             assert report["worst_point"] == point
         if tag == "growth-ratio-monotone":
             assert math.isnan(report["margin"]) and report["verdict"] == "ViolationFound"
+
+    @pytest.mark.parametrize("tag, grid", [case[:2] for case in _MASKED_CASES], ids=_MASKED_IDS)
+    def test_masked_worst_point_is_whole_grid_argmin(self, tag, grid):
+        report = aux_sign_check(tag, grid=grid).to_json_dict()
+        expected = _whole_grid_report(tag, grid, DEFAULT_SIGN_TOL)
+        assert json.dumps({k: report[k] for k in expected}) == json.dumps(expected)
+        if grid is _THREE_SAMPLE_96:
+            assert report["points_checked"] == 962_278
+
+    @pytest.mark.parametrize("tag, grid, evaluated", _MASKED_CASES, ids=_MASKED_IDS)
+    def test_sparse_grid_evaluates_admissible_points_only(self, monkeypatch, tag, grid,
+                                                          evaluated):
+        sizes = _counting_entry(monkeypatch, tag)
+        aux_sign_check(tag, grid=grid)
+        assert sum(sizes) == evaluated
+
+    def test_sparse_sweep_memory_is_bounded(self):
+        # Evaluated on all 10^6 points of the grid, the traced peak was 4.08 MiB.
+        tracemalloc.start()
+        try:
+            report = aux_sign_check(AuxFunctionId.THREE_SAMPLE_LOWER, grid=_THREE_SAMPLE_SEED1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.points_checked == 55_440
+        assert peak <= 2 * 2**20
+
+    def test_masked_parity_fuzz(self):
+        # Random custom grids over the three masked tags, on both sides of
+        # the half-admissible share at which the sweep starts to cut.
+        rng = np.random.default_rng(21)
+        shares = []
+        for _ in range(100):
+            tag, grid = _random_masked_grid(rng)
+            try:
+                report = aux_sign_check(tag, grid=grid).to_json_dict()
+            except DomainError as exc:
+                assert str(exc) == "the grid contains no admissible points"
+                continue
+            expected = _whole_grid_report(tag, grid, DEFAULT_SIGN_TOL)
+            assert json.dumps({k: report[k] for k in expected}) == json.dumps(expected), grid
+            total = math.prod(len(axis.points()) for axis in grid.values())
+            shares.append(report["points_checked"] / total)
+        assert sum(share <= 0.5 for share in shares) >= 30
+        assert sum(share > 0.5 for share in shares) >= 30
 
     def test_dense_sweep_memory_is_bounded(self):
         # Evaluated on the whole grid, each step made a fresh 8 MB temporary
@@ -361,6 +477,41 @@ class TestBlockedSweeps:
         assert all(not a.flags.writeable for a in axes)
         with pytest.raises(ValueError, match="read-only"):
             axes[0][(0,) * axes[0].ndim] = 0.0
+
+
+def _random_axis(rng, lo, hi, max_count, log=False):
+    a, b = np.sort(rng.uniform(lo, hi, 2))
+    return GridAxis(float(a), float(b), int(rng.integers(1, max_count + 1)), log=log)
+
+
+def _random_masked_grid(rng):
+    """A small random grid over one of the three tags with an admissible mask."""
+    tag = ("three-sample-lower", "shifted-ratio-monotone", "linear-gap-bound")[rng.integers(3)]
+    if tag == "three-sample-lower":
+        # The admissible weights lie near (1/3, 1/3) with r near 1.  At
+        # y = 1 the margins are rounding errors of 0, and many tie.
+        mid, half = rng.uniform(0.3, 0.36), rng.uniform(0.0, 0.06)
+        q1, q2 = (GridAxis(float(mid - half), float(mid + half), int(rng.integers(1, 13)))
+                  for _ in range(2))
+        y = _random_axis(rng, 1.0, 100.0, 8, log=True)
+        if rng.random() < 0.5:
+            y = dataclasses.replace(y, lo=1.0)
+        return tag, {"y": y, "q1": q1, "q2": q2,
+                     "r": GridAxis(1.0, float(rng.uniform(1.0, 1.2)), int(rng.integers(1, 7)))}
+    if tag == "shifted-ratio-monotone":
+        return tag, {"r": _random_axis(rng, 1.1, 5.0, 10), "p": _random_axis(rng, 1.1, 5.0, 10),
+                     "s": _random_axis(rng, 0.0, 1.0, 4),
+                     "z": _random_axis(rng, 1.01, 50.0, 4, log=True)}
+    # r = 2 is inadmissible: half of a two-point r axis ending at 2, the
+    # middle of an odd one centred on 2.  At t = 0 every margin is 0, so a
+    # t axis from 0 makes ties that only C order breaks.
+    half = float(rng.uniform(0.05, 0.9))
+    count = int(rng.choice([2, 3, 5]))
+    r = GridAxis(2.0 - half, 2.0, 2) if count == 2 else GridAxis(2.0 - half, 2.0 + half, count)
+    t = _random_axis(rng, 0.0, 1.0, 20)
+    if rng.random() < 0.5:
+        t = dataclasses.replace(t, lo=0.0)
+    return tag, {"r": r, "a": _random_axis(rng, 0.0, 0.5, 6), "t": t}
 
 
 class TestIndependentCrossChecks:
