@@ -8,6 +8,10 @@ functions of the underlying proofs over their claimed domains, and
 searches configuration space to confirm sharpness and locate
 counterexamples beyond the proven validity frontiers.
 
+Each exported name is declared once, in the ``__all__`` of the module that
+defines it (``errors``, ``means``, ``inequalities``, ``thresholds``) or in
+``_LAZY_NAMES`` (``proof_aux``, ``search``); the package's ``__all__`` joins them.
+
 ``proof_aux`` (the certificate sweeps) and ``search`` (the sharpness
 probe and the counterexample hunts) load on first use: ``import meanineq``
 registers both in ``sys.modules`` and binds them as package attributes,
@@ -28,44 +32,11 @@ import sys
 import threading
 import types
 
-from .errors import ConfigError, DegenerateInput, DomainError, MeanIneqError
-from .inequalities import (
-    CheckReport,
-    CheckStatus,
-    InequalityId,
-    check,
-    equality_witness,
-)
-from .means import (
-    DEFAULT_ABS_FLOOR,
-    DEFAULT_REL_TOL,
-    Configuration,
-    DeltaParams,
-    MeanValue,
-    c_constant,
-    delta,
-    log_power_mean,
-    mean_value,
-    order_triple,
-    power_mean,
-    variance_sigma,
-)
-from .thresholds import (
-    ThresholdResult,
-    a_r_fn,
-    a_r_values,
-    alpha_threshold_lower,
-    alpha_threshold_upper,
-    bisect,
-    gap_exponent_lower,
-    gap_exponent_upper,
-    golden_section_min,
-    min_a_r,
-    r0_value,
-    solve_r0,
-    solve_t1,
-    solve_t2,
-)
+from . import errors, inequalities, means, thresholds
+from .errors import *
+from .inequalities import *
+from .means import *
+from .thresholds import *
 
 __version__ = "0.1.0"
 
@@ -131,52 +102,9 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *_LAZY_NAMES})
 
 
-__all__ = [
-    "CheckReport",
-    "CheckStatus",
-    "ConfigError",
-    "Configuration",
-    "DEFAULT_ABS_FLOOR",
-    "DEFAULT_REL_TOL",
-    "DegenerateInput",
-    "DeltaParams",
-    "DomainError",
-    "GridAxis",
-    "InequalityId",
-    "MeanIneqError",
-    "MeanValue",
-    "ProbeClaim",
-    "SearchBudget",
-    "SearchReport",
-    "SignCheckReport",
-    "ThresholdResult",
-    "AuxFunctionId",
-    "a_r_fn",
-    "a_r_values",
-    "alpha_threshold_lower",
-    "alpha_threshold_upper",
-    "aux_eval",
-    "aux_sign_check",
-    "bisect",
-    "c_constant",
-    "check",
-    "claimed_bound",
-    "counterexample_hunt",
-    "delta",
-    "equality_witness",
-    "finite_difference_probe",
-    "gap_exponent_lower",
-    "gap_exponent_upper",
-    "golden_section_min",
-    "log_power_mean",
-    "mean_value",
-    "min_a_r",
-    "order_triple",
-    "power_mean",
-    "r0_value",
-    "sharpness_probe",
-    "solve_r0",
-    "solve_t1",
-    "solve_t2",
-    "variance_sigma",
-]
+__all__ = []
+__all__ += errors.__all__
+__all__ += means.__all__
+__all__ += inequalities.__all__
+__all__ += thresholds.__all__
+__all__ += _LAZY_NAMES

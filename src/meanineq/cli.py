@@ -392,8 +392,6 @@ def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (int, str)):

@@ -1,5 +1,7 @@
 """Exception types shared across the library."""
 
+__all__ = ["ConfigError", "DegenerateInput", "DomainError", "MeanIneqError"]
+
 
 class MeanIneqError(Exception):
     """Base class for all library errors."""

@@ -42,9 +42,12 @@ from .means import (
     DeltaParams,
     _Means,
     _RowMeans,
+    _is_tolerance,
     order_triple,
 )
 from .thresholds import r0_value
+
+__all__ = ["CheckReport", "CheckStatus", "InequalityId", "check", "equality_witness"]
 
 _HYPOTHESIS_SLACK = 1e-12
 
@@ -387,7 +390,7 @@ def check(
     """
     rel_tol = DEFAULT_REL_TOL if rel_tol is None else rel_tol
     abs_floor = DEFAULT_ABS_FLOOR if abs_floor is None else abs_floor
-    if not (0.0 <= rel_tol < math.inf and 0.0 <= abs_floor < math.inf):
+    if not (_is_tolerance(rel_tol) and _is_tolerance(abs_floor)):
         raise DomainError(f"rel_tol and abs_floor must be finite and >= 0 "
                           f"(got {rel_tol}, {abs_floor})")
     id, tag = _entry(id)

@@ -67,11 +67,16 @@ scores +inf.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateInput, DomainError
+
+__all__ = ["DEFAULT_ABS_FLOOR", "DEFAULT_REL_TOL", "Configuration", "DeltaParams", "MeanValue",
+           "c_constant", "delta", "log_power_mean", "mean_value", "order_triple", "power_mean",
+           "variance_sigma"]
 
 # Default tolerances for equality/validity judgments; callers may override
 # per call.  Relative tolerance applies to max(|lhs|, |rhs|, 1).
@@ -83,6 +88,16 @@ DEFAULT_ABS_FLOOR = 1e-12
 _EXPM1_BAND = 0.05
 
 _WEIGHT_SUM_TOL = 1e-12
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number; a bool is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_tolerance(value) -> bool:
+    """Whether ``value`` is a real number, finite and >= 0; a float skips the ABC check."""
+    return (type(value) is float or _is_real(value)) and 0.0 <= value < math.inf
 
 
 class _record_entry:

@@ -41,6 +41,7 @@ import numpy as np
 
 from ._tables import with_table
 from .errors import DomainError
+from .means import _is_real, _is_tolerance
 from .thresholds import (
     _a_r_at_one, _log_gap_over_t, alpha_threshold_lower, alpha_threshold_upper, r0_value,
 )
@@ -70,10 +71,6 @@ def _is_positive_int(value) -> bool:
             and value >= 1)
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _to_float(value: numbers.Real) -> float:
     """A real number as a float; an integer past the float range reads as +-inf."""
     try:
@@ -86,8 +83,9 @@ def _to_float(value: numbers.Real) -> float:
 class GridAxis:
     """One axis of a rectangular check grid.
 
-    The bounds must be finite, and positive on a log axis; ``count`` is a
-    positive integer (interior points, when an end is open).
+    The bounds are real numbers, kept as floats, that must be finite, and
+    positive on a log axis; ``count`` is a positive integer (interior points,
+    when an end is open) and the three flags are bools.
     """
 
     lo: float
@@ -98,6 +96,12 @@ class GridAxis:
     log: bool = False
 
     def __post_init__(self):
+        if not (_is_real(self.lo) and _is_real(self.hi)):
+            raise DomainError(f"axis bounds must be numbers, got [{self.lo!r}, {self.hi!r}]")
+        for key in ("open_lo", "open_hi", "log"):
+            if not isinstance(getattr(self, key), bool):
+                raise DomainError(f"{key} must be true or false, got {getattr(self, key)!r}")
+        vars(self).update(lo=_to_float(self.lo), hi=_to_float(self.hi))
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise DomainError(f"axis bounds must be finite, got [{self.lo}, {self.hi}]")
         if not _is_positive_int(self.count):
@@ -124,13 +128,7 @@ class GridAxis:
         unknown = sorted(set(payload) - {"lo", "hi", "count", *flags}, key=str)
         if unknown:
             raise DomainError(f"a JSON axis has unknown keys {unknown}")
-        lo, hi = payload["lo"], payload["hi"]
-        if not (_is_real(lo) and _is_real(hi)):
-            raise DomainError(f"axis bounds must be numbers, got [{lo!r}, {hi!r}]")
-        for key, flag in flags.items():
-            if not isinstance(flag, bool):
-                raise DomainError(f"{key} must be true or false, got {flag!r}")
-        return cls(lo=_to_float(lo), hi=_to_float(hi), count=payload["count"], **flags)
+        return cls(lo=payload["lo"], hi=payload["hi"], count=payload["count"], **flags)
 
 
 @dataclass(frozen=True)
@@ -464,7 +462,7 @@ def aux_sign_check(
     AllSatisfy when the claimed bound holds at every point within
     ``tolerance`` (absolute).
     """
-    if not 0.0 <= tolerance < math.inf:
+    if not _is_tolerance(tolerance):
         raise DomainError(f"tolerance must be finite and >= 0 (got {tolerance})")
     if not _is_positive_int(max_points):
         raise DomainError(f"max_points must be a positive integer, got {max_points!r}")

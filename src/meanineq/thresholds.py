@@ -69,6 +69,10 @@ import numpy as np
 
 from .errors import DomainError
 
+__all__ = ["ThresholdResult", "a_r_fn", "a_r_values", "alpha_threshold_lower",
+           "alpha_threshold_upper", "bisect", "gap_exponent_lower", "gap_exponent_upper",
+           "golden_section_min", "min_a_r", "r0_value", "solve_r0", "solve_t1", "solve_t2"]
+
 _LN2 = math.log(2.0)
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 

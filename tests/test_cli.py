@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from meanineq import cli
+from meanineq import MeanIneqError, cli
 from meanineq.cli import RunConfig, run
 from meanineq.inequalities import _CATALOG
 
@@ -671,3 +671,50 @@ class TestCommandTable:
             + ", ".join(f"`{name}`" for name, command in cli._COMMANDS.items()
                         if key in command.options) + " |"
             for key, (kind, _) in cli._OPTIONS.items()]
+
+
+def execute(argv):
+    """Run one command as ``run`` does, but let its error through."""
+    run_config = cli._run_config_from_args(cli.build_parser().parse_args(argv))
+    return cli._COMMANDS[run_config.command].execute(run_config.options)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mean", "--x", "1,a", "--q", "0.5,0.5", "--r", "1"], "could not parse number list '1,a'"),
+    (["sweep", "--quantity", "alpha-threshold", "--grid", "1,2"], "--grid expects lo,hi,count"),
+    (["mean", "--r", "1"], "both --x and --q are required"),
+    (["check", "--ineq", "diananda-upper", "--triple", "1,2", "--x", "1,4", "--q", "0.5,0.5"],
+     "--triple expects three comma-separated orders"),
+    (["sweep", "--quantity", "a-r-profile", "--r", "1.5", "--grid", "0,2,3"],
+     "the profile sweep needs a t-grid inside [0, 1]"),
+    (["sweep", "--quantity", "residual-boundary", "--ineq", "diananda-upper",
+      "--grid", "0.1,0.5,3"], "the boundary sweep applies to the parameter-free base inequalities"),
+    (["sweep", "--quantity", "residual-boundary", "--grid", "0,0.5,3"],
+     "the boundary sweep needs a q-grid inside (0, 1/2]"),
+], ids=["number-list", "grid-pair", "no-configuration", "triple-pair", "profile-grid",
+        "boundary-tag", "boundary-grid"])
+def test_malformed_options_are_named(argv, message, capsys):
+    with pytest.raises(MeanIneqError) as info:
+        execute(argv)
+    assert (type(info.value), str(info.value)) == (MeanIneqError, message)
+    assert invoke(argv, capsys) == (2, "", f"meanineq: error: {message}\n")
+
+
+def test_unknown_command_in_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"command": "frobnicate"}))
+    assert invoke(["--config", str(cfg)], capsys) == (
+        2, "", "meanineq: error: unknown command 'frobnicate'\n")
+
+
+def test_csv_leaves_a_missing_value_empty(capsys):
+    # a Degenerate check reports its NaN sides and residuals as JSON null
+    argv = ["check", "--ineq", "diananda-upper", "--triple", "1,0.5,0", "--x", "1,1",
+            "--q", "0.5,0.5"]
+    code, out, _ = invoke([*argv, "--format", "csv"], capsys)
+    assert code == 0
+    header, row = csv.reader(io.StringIO(out))
+    cells = dict(zip(header, row))
+    assert [cells[key] for key in ("lhs", "rhs", "residual", "residual_rel", "status")] == [
+        "", "", "", "", "Degenerate"]
+    assert json.loads(invoke(argv, capsys)[1])["lhs"] is None

@@ -216,6 +216,18 @@ class TestHypotheses:
         assert check(InequalityId.DIANANDA_BASE_LOWER, cfg, rel_tol=0.0,
                      abs_floor=0.0).status is CheckStatus.EQUALITY
 
+    @pytest.mark.parametrize("bad", [True, "a", 1e-9j], ids=["bool", "text", "complex"])
+    def test_tolerances_must_be_numbers(self, bad):
+        # "a" used to raise TypeError, and True was read as 1.0 (reporting Equality here).
+        cfg = Configuration([1.0, 4.0], [0.5, 0.5])
+        for key in ("rel_tol", "abs_floor"):
+            with pytest.raises(DomainError,
+                               match=r"^rel_tol and abs_floor must be finite and >= 0 \(got "):
+                check(InequalityId.DIANANDA_BASE_UPPER, cfg, **{key: bad})
+        default = check(InequalityId.DIANANDA_BASE_UPPER, cfg)
+        assert check(InequalityId.DIANANDA_BASE_UPPER, cfg, rel_tol=None,
+                     abs_floor=None) == default
+
 
 class TestBaseCase:
     def test_random_suite(self, rng):
@@ -355,6 +367,11 @@ class TestEqualityWitness:
         assert not equality_witness(InequalityId.DIANANDA_UPPER, lower_cfg)
         assert equality_witness(InequalityId.DIANANDA_LOWER, lower_cfg)
         assert not equality_witness(InequalityId.DIANANDA_LOWER, upper_cfg)
+
+    def test_tag_without_a_documented_case(self):
+        cfg = Configuration([0.0, 1.0], [0.25, 0.75])
+        assert equality_witness(InequalityId.DIANANDA_UPPER, cfg)
+        assert equality_witness(InequalityId.MG_SIGMA_UPPER, cfg, r=1.0) is False
 
     @pytest.mark.parametrize("q", [0.1, 0.3, 0.5])
     def test_base_bounds_two_point_configs(self, q):

@@ -25,7 +25,7 @@ from meanineq import (
     power_mean,
     variance_sigma,
 )
-from meanineq.means import ConfigurationBatch, delta_rows
+from meanineq.means import ConfigurationBatch, delta_rows, log_power_mean_rows
 
 from conftest import sample_config
 
@@ -260,6 +260,11 @@ class TestDeltaRows:
                 outcomes.update(v if v in ("nan", "inf", "0.0", "1.0") else "finite" for v in want)
         assert outcomes == {"nan", "inf", "0.0", "1.0", "finite"}
 
+    def test_infinite_order_rejected(self):
+        batch = ConfigurationBatch([[1.0, 4.0]], [[0.5, 0.5]])
+        with pytest.raises(DomainError, match="^the order r must be finite; infinite orders"):
+            log_power_mean_rows(batch, math.inf)
+
 
 class TestCConstant:
     def test_base_triple_value(self):
@@ -334,6 +339,18 @@ class TestConfiguration:
         back = Configuration.from_json_dict(payload)
         assert back.x.tolist() == cfg.x.tolist()
         assert back.q_weights.tolist() == cfg.q_weights.tolist()
+
+    def test_json_without_weights_rejected(self):
+        with pytest.raises(ConfigError, match="^configuration JSON needs key 'q'$"):
+            Configuration.from_json_dict({"x": [1, 2]})
+
+    def test_scale_factor_must_be_positive(self):
+        with pytest.raises(ConfigError, match="^scale factor must be positive$"):
+            Configuration([1.0, 2.0], [0.5, 0.5]).scaled(0)
+
+    def test_repr_lists_sorted_samples_and_weights(self):
+        cfg = Configuration([2.0, 1.0], [0.25, 0.75])
+        assert repr(cfg) == "Configuration(x=[1.0, 2.0], q=[0.75, 0.25])"
 
 
 def _construction_inputs(n: int):
@@ -466,6 +483,17 @@ class TestMeanValue:
         cfg = Configuration([0.0, 4.0], [0.5, 0.5])
         with pytest.raises(DomainError):
             mean_value(cfg, 0.0, "log")
+
+    def test_unknown_convention_rejected(self):
+        cfg = Configuration([1.0, 4.0], [0.5, 0.5])
+        with pytest.raises(DomainError, match="^unknown convention 'odd'$"):
+            mean_value(cfg, 1.0, "odd")
+        with pytest.raises(DomainError, match="^unknown convention 'odd'$"):
+            MeanValue(1.0, "odd")
+
+    def test_value_must_be_finite(self):
+        with pytest.raises(DomainError, match="^MeanValue requires a finite value$"):
+            MeanValue(math.inf)
 
 
 def _record_configs():

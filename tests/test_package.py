@@ -1,12 +1,31 @@
 """The package namespace: every name in ``__all__`` and the lazily loaded submodules."""
 
+import collections
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
 import meanineq
 
 from conftest import run_fresh
+
+EAGER = ("errors", "means", "inequalities", "thresholds")
+LAZY = ("proof_aux", "search")
+# The public names a module offers that the package does not re-export: the batch forms.
+MODULE_ONLY = {
+    "means": ("ConfigurationBatch", "log_power_mean_rows", "delta_rows"),
+    "inequalities": ("resolve_params", "relative_residuals"),
+}
+
+
+def exported(module_name: str) -> list[str]:
+    """The names the package re-exports from one of its modules, without running a lazy body."""
+    module = getattr(meanineq, module_name)
+    if module_name in EAGER:
+        return list(module.__all__)
+    return [name for name, owner in meanineq._LAZY_NAMES.items() if owner is module]
 
 
 def defining_module(value):
@@ -85,3 +104,44 @@ def test_a_second_thread_waits_for_the_first_use():
     proc = run_fresh(["-c", script], timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[('first', 'SearchBudget'), ('second', 'SearchBudget')]\n"
+
+
+class TestDeclarations:
+    """Each public name is declared once, where it is defined, and none goes undeclared."""
+
+    @pytest.mark.parametrize("module_name", EAGER)
+    def test_eager_names_are_defined_in_their_module(self, module_name):
+        module = getattr(meanineq, module_name)
+        for name in module.__all__:
+            assert name in vars(module), name
+            assert getattr(vars(module)[name], "__module__", module.__name__) == module.__name__
+
+    def test_lazy_names_are_defined_in_their_module(self):
+        for name, module in meanineq._LAZY_NAMES.items():
+            assert getattr(module, name).__module__ == module.__name__, name
+
+    def test_no_name_is_declared_twice(self):
+        declared = [name for module_name in (*EAGER, *LAZY) for name in exported(module_name)]
+        assert [n for n, k in collections.Counter(declared).items() if k > 1] == []
+        assert sorted(meanineq.__all__) == sorted(declared)
+
+    @pytest.mark.parametrize("module_name", EAGER + LAZY)
+    def test_public_classes_and_functions_are_declared(self, module_name):
+        module = sys.modules[f"meanineq.{module_name}"]
+        public = {name for name, value in vars(module).items()
+                  if not name.startswith("_") and callable(value)
+                  and getattr(value, "__module__", None) == module.__name__}
+        assert public - set(exported(module_name)) == set(MODULE_ONLY.get(module_name, ()))
+
+
+def test_readme_module_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {}
+    for line in readme.splitlines():
+        match = re.fullmatch(r"\| `meanineq\.(\w+)` \|(.*)\|(.*)\|", line)
+        if match and match[1] != "cli":
+            cells = match.group(2, 3)
+            rows[match[1]] = tuple(sorted(re.findall(r"`(\w+)`", cell)) for cell in cells)
+    assert rows == {module_name: (sorted(exported(module_name)),
+                                  sorted(MODULE_ONLY.get(module_name, ())))
+                    for module_name in EAGER + LAZY}

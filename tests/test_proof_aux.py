@@ -133,6 +133,12 @@ class TestDefaultSignChecks:
             }[tag]
         )
 
+    @pytest.mark.parametrize("tolerance", [True, "1e-10", 1e-10j, None])
+    def test_tolerance_must_be_a_number(self, tolerance):
+        # True used to run with tolerance 1.
+        with pytest.raises(DomainError, match=r"^tolerance must be finite and >= 0 \(got "):
+            aux_sign_check(AuxFunctionId.EXPONENT_MARGIN, tolerance=tolerance)
+
     @pytest.mark.parametrize("tolerance", [math.nan, -1.0, math.inf])
     def test_tolerance_must_be_finite_and_nonnegative(self, tolerance):
         # exponent-margin holds with margin 0.0625; a NaN or negative
@@ -244,6 +250,23 @@ class TestCustomGrids:
             GridAxis.from_json_dict(axis)
         with pytest.raises(DomainError, match="^axis 'x': axis bounds must be finite"):
             aux_sign_check(AuxFunctionId.EXPONENT_MARGIN, grid={"x": axis, "r": GridAxis(1, 2, 2)})
+
+    @pytest.mark.parametrize("args, message", [
+        ((True, 2.0, 3), r"^axis bounds must be numbers, got \[True, 2.0\]$"),
+        (("a", 1.0, 5), r"^axis bounds must be numbers, got \['a', 1.0\]$"),
+        ((0.75, 10**400, 5), r"^axis bounds must be finite, got \[0.75, inf\]$"),
+        ((0.0, 1.0, 5, 1), "^open_lo must be true or false, got 1$"),
+    ], ids=["bool", "text", "past-float-range", "int-flag"])
+    def test_constructor_checks_bounds_and_flags(self, args, message):
+        # Only from_json_dict used to check these: the constructor took
+        # lo=True, and raised TypeError and OverflowError.
+        with pytest.raises(DomainError, match=message):
+            GridAxis(*args)
+
+    def test_constructor_stores_float_bounds(self):
+        axis = GridAxis(1, np.float32(2.5), 3)
+        assert (type(axis.lo), type(axis.hi)) == (float, float)
+        assert axis.points().tolist() == [1.0, 1.75, 2.5]
 
     @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 2.0), (1.0, -2.0)])
     def test_log_axis_needs_positive_bounds(self, lo, hi):
@@ -358,6 +381,10 @@ _THREE_SAMPLE_96 = {"y": GridAxis(1.0, 2.0, 1), "q1": GridAxis(0.31, 0.35, 100),
 # p >= r keeps 171,600 of 960,000 points.
 _SHIFTED_SPARSE = {"r": GridAxis(2.0, 6.0, 40), "p": GridAxis(1.1, 4.0, 40),
                    "s": GridAxis(0.0, 1.0, 20), "z": GridAxis(1.01, 50.0, 30, log=True)}
+# p >= r keeps 486,600 of 900,000 points, so the grid is swept whole, in
+# blocks along r; the blocks with r > 6.5 hold no admissible point.
+_SHIFTED_MOSTLY = {"r": GridAxis(1.1, 9.0, 200, log=True), "p": GridAxis(1.1, 6.5, 150),
+                   "s": GridAxis(0.0, 1.0, 5), "z": GridAxis(1.01, 100.0, 6, log=True)}
 # r = 2 is inadmissible: half of the first grid, one r value in 201 of the second.
 _LINEAR_GAP_HALF = {"r": GridAxis(1.5, 2.0, 2), "a": GridAxis(0.0, 0.05, 10),
                     "t": GridAxis(0.0, 1.0, 100)}
@@ -416,6 +443,13 @@ class TestBlockedSweeps:
         assert json.dumps({k: report[k] for k in expected}) == json.dumps(expected)
         if grid is _THREE_SAMPLE_96:
             assert report["points_checked"] == 962_278
+
+    def test_blocks_without_admissible_points_are_skipped(self):
+        tag = "shifted-ratio-monotone"
+        report = aux_sign_check(tag, grid=_SHIFTED_MOSTLY).to_json_dict()
+        expected = _whole_grid_report(tag, _SHIFTED_MOSTLY, DEFAULT_SIGN_TOL)
+        assert json.dumps({k: report[k] for k in expected}) == json.dumps(expected)
+        assert report["points_checked"] == 486_600
 
     @pytest.mark.parametrize("tag, grid, evaluated", _MASKED_CASES, ids=_MASKED_IDS)
     def test_sparse_grid_evaluates_admissible_points_only(self, monkeypatch, tag, grid,

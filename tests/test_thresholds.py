@@ -72,6 +72,19 @@ class TestBisect:
         assert res.low_confidence
         assert not bisect(lambda x: x - 0.5, 0.0, 1.0).low_confidence
 
+    def test_stops_at_floating_point_resolution(self):
+        # with xtol=0 only the midpoint rounding to an end stops the loop
+        hi = math.nextafter(1.0, 2.0)
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return -1.0 if x < hi else 1.0
+
+        res = bisect(f, 1.0, hi, xtol=0.0)
+        assert (res.bracket, res.iterations, res.value, res.residual) == ((1.0, hi), 0, 1.0, -1.0)
+        assert calls == [1.0, hi, 1.0]
+
 
 class TestGoldenSection:
     def test_quadratic_minimum(self):
