@@ -109,10 +109,13 @@ _MAX_GRID_ROWS = 10**6
 def _floats(value) -> list[float]:
     """Numbers given as a comma-separated string or, in a config file, as a list."""
     parts = value if isinstance(value, list) else str(value).split(",")
-    try:
-        return [float(part) for part in parts if part != ""]
-    except (TypeError, ValueError) as exc:
-        raise MeanIneqError(f"could not parse number list {value!r}") from exc
+    # float() reads true and false as 1.0 and 0.0, but they are no numbers
+    if not any(isinstance(part, bool) for part in parts):
+        try:
+            return [float(part) for part in parts if part != ""]
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise MeanIneqError(f"could not parse number list {value!r}")
 
 
 def _grid_triplet(text: str) -> tuple[float, float, int]:
@@ -139,7 +142,7 @@ def _configuration(options: dict) -> Configuration:
 
 def _ineq_params(options: dict) -> dict:
     """The tag parameters given, and ``triple`` always (None when not given)."""
-    out = {key: float(options[key]) for key in ("alpha", "r", "s") if key in options}
+    out = {key: options[key] for key in ("alpha", "r", "s") if key in options}
     out["triple"] = options.get("triple")
     if out["triple"] is not None:
         out["triple"] = tuple(_floats(out["triple"]))

@@ -43,6 +43,7 @@ from .means import (
     _Means,
     _RowMeans,
     _is_tolerance,
+    _real,
     order_triple,
 )
 from .thresholds import r0_value
@@ -123,14 +124,19 @@ def _need_param(value, name: str, tag: InequalityId):
 
 
 def _finite_param(value, name: str, tag: InequalityId) -> float:
-    value = float(_need_param(value, name, tag))
+    value = _real(_need_param(value, name, tag), name)
     if not math.isfinite(value):
         raise DomainError(f"{tag.value} needs a finite {name} (got {value})")
     return value
 
 
 def _triple_params(tag, triple, alpha, r, s) -> dict:
-    r, s, t = order_triple(*_need_param(triple, "triple", tag))
+    triple = _need_param(triple, "triple", tag)
+    try:
+        a, b, c = triple
+    except (TypeError, ValueError):
+        raise DomainError(f"{tag.value} needs a triple of three orders (got {triple!r})") from None
+    r, s, t = order_triple(a, b, c)
     alpha = _finite_param(1.0 if alpha is None else alpha, "alpha", tag)
     # not a hypothesis: C((1-q)^alpha) and C(q^alpha) need an argument in (0, 1)
     if not alpha > 0.0:
@@ -227,6 +233,20 @@ def _half_mean_var(upper: bool, m, p):
     return (combo, corr) if upper else (corr, combo)
 
 
+def _two_point(min_on_zero: bool, config: Configuration, r, tol: float) -> bool:
+    """n = 2, x_1 = 0, and the minimum weight on the zero sample or on the positive one."""
+    if config.n != 2 or config.x[0] != 0.0:
+        return False
+    w_zero, w_pos = config.q_weights.tolist()
+    return w_zero <= w_pos + tol if min_on_zero else w_pos <= w_zero + tol
+
+
+def _half_mean_var_point(config: Configuration, r, tol: float) -> bool:
+    """r = 1, n = 2 and q = 1/2."""
+    return (r is not None and abs(_real(r, "r") - 1.0) <= tol and config.n == 2
+            and abs(config.min_weight - 0.5) <= tol)
+
+
 @dataclass(frozen=True)
 class _Tag:
     """A catalog entry: parameters, claim, stated hypotheses, and the two sides.
@@ -236,7 +256,8 @@ class _Tag:
     inequality as documented, ``stated`` its stated parameter range and
     ``in_range`` the test of that range, skipped under ``force`` like
     ``positive_min`` (x_1 > 0).  ``sides`` maps a means record and the
-    resolved parameters to (lhs, rhs).
+    resolved parameters to (lhs, rhs).  ``witness(config, r, tol)`` tests
+    the tag's documented equality case besides constant samples, if any.
     """
 
     params: Callable[..., dict]
@@ -245,6 +266,7 @@ class _Tag:
     stated: str = ""
     in_range: Callable[[dict], bool] | None = None
     positive_min: bool = False
+    witness: Callable[[Configuration, object, float], bool] | None = None
 
     @property
     def hypotheses(self) -> str:
@@ -270,12 +292,16 @@ _I = InequalityId
 _CATALOG: dict[InequalityId, _Tag] = {
     _I.DIANANDA_UPPER: _Tag(
         _triple_params, partial(_diananda, True),
-        "delta(r,s,t,alpha) <= C_{r,s,t}((1-q)^alpha)", _TRIPLE),
+        "delta(r,s,t,alpha) <= C_{r,s,t}((1-q)^alpha)", _TRIPLE,
+        witness=partial(_two_point, True)),
     _I.DIANANDA_LOWER: _Tag(
         _triple_params, partial(_diananda, False),
-        "C_{r,s,t}(q^alpha) <= delta(r,s,t,alpha)", _TRIPLE),
-    _I.DIANANDA_BASE_UPPER: _Tag(_no_params, partial(_base, True), "M_{1/2} <= (1-q) A + q G"),
-    _I.DIANANDA_BASE_LOWER: _Tag(_no_params, partial(_base, False), "q A + (1-q) G <= M_{1/2}"),
+        "C_{r,s,t}(q^alpha) <= delta(r,s,t,alpha)", _TRIPLE,
+        witness=partial(_two_point, False)),
+    _I.DIANANDA_BASE_UPPER: _Tag(_no_params, partial(_base, True), "M_{1/2} <= (1-q) A + q G",
+                                 witness=partial(_two_point, True)),
+    _I.DIANANDA_BASE_LOWER: _Tag(_no_params, partial(_base, False), "q A + (1-q) G <= M_{1/2}",
+                                 witness=partial(_two_point, False)),
     _I.MIX_VARIANCE_UPPER: _Tag(
         _order_params, partial(_mix_variance, True),
         "M_{1/r} - q^{r-1} A - (1-q^{r-1}) G <= (1/r - q^{r-1}) sigma / (2 x_1)",
@@ -309,7 +335,7 @@ _CATALOG: dict[InequalityId, _Tag] = {
         "M_{1/2} - q^{2-1/r} M_r - (1-q^{2-1/r}) G <= (1/2 - r q^{2-1/r}) sigma / (2 x_1)",
         "r0 <= r <= 1",
         lambda p: r0_value() - _HYPOTHESIS_SLACK <= p["r"] <= 1.0 + _HYPOTHESIS_SLACK,
-        positive_min=True),
+        positive_min=True, witness=_half_mean_var_point),
     _I.HALF_MEAN_VAR_LOWER: _Tag(
         _order_params, partial(_half_mean_var, False),
         "(1/2 - r (1-q)^{2-1/r}) sigma / (2 x_1)"
@@ -415,40 +441,9 @@ def check(
     return CheckReport(id, params, lhs, rhs, residual, residual_rel, status, q)
 
 
-def equality_witness(
-    id: InequalityId,
-    config: Configuration,
-    *,
-    triple=None,
-    alpha=None,
-    r=None,
-    s=None,
-    tol: float = 1e-12,
-) -> bool:
-    """Whether the configuration matches a documented equality case of the tag.
-
-    Documented cases: constant samples (every tag); for the
-    variance-corrected upper half-mean bound the special point r = 1,
-    n = 2, q = 1/2; and for the general three-mean and the base bounds
-    the two-point configurations with x_1 = 0 and the minimum weight on
-    the zero (upper) respectively the positive (lower) sample.
-    """
-    id = InequalityId(id)
-    if config.is_constant:
-        return True
-    if id is InequalityId.HALF_MEAN_VAR_UPPER:
-        return (
-            r is not None
-            and abs(float(r) - 1.0) <= tol
-            and config.n == 2
-            and abs(config.min_weight - 0.5) <= tol
-        )
-    upper = (InequalityId.DIANANDA_UPPER, InequalityId.DIANANDA_BASE_UPPER)
-    if id in upper or id in (InequalityId.DIANANDA_LOWER, InequalityId.DIANANDA_BASE_LOWER):
-        if config.n != 2 or config.x[0] != 0.0:
-            return False
-        w_zero, w_pos = float(config.q_weights[0]), float(config.q_weights[1])
-        if id in upper:
-            return w_zero <= w_pos + tol
-        return w_pos <= w_zero + tol
-    return False
+def equality_witness(id: InequalityId, config: Configuration, *, r=None,
+                     tol: float = 1e-12) -> bool:
+    """Whether the configuration matches a documented equality case of the tag:
+    constant samples, or the case its catalog entry holds (``_Tag.witness``)."""
+    witness = _entry(id)[1].witness
+    return config.is_constant or (witness is not None and witness(config, r, tol))

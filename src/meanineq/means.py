@@ -27,7 +27,11 @@ few hundred in magnitude neither overflow nor lose the leading digits.
 For |r| < 0.05 the sum is 1 + sum_i q_i expm1(d_i) / sum_i q_i, taken by
 log1p (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41, 2021), so that
 ln M_r = ln(sum) / r stays accurate as r -> 0.  At larger |r| the plain
-exp form is as accurate and is kept, so seeded reports there keep their bits.
+exp form is kept because it is the accurate one there: the expm1 form
+cancels when one sample carries almost all the weight and the others sit
+far below the largest.  At r = 40, x = (1, 2), q = (1 - 1e-10, 1e-10),
+against mpmath at 60 digits, ln M_r has relative error 2.7e-17 by the
+plain form and 1.7e-8 by the expm1 form.
 
 Each :class:`Configuration` carries a means record: the quantities that
 every catalog formula reads, computed on first use and then kept.  It
@@ -95,9 +99,30 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _to_float(value: numbers.Real) -> float:
+    """A real number as a float; an integer past the float range reads as +-inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _real(value, what: str) -> float:
+    """``value`` read as a float, or :class:`DomainError` naming ``what``; a float passes as is."""
+    if type(value) is float:
+        return value
+    if not _is_real(value):
+        raise DomainError(f"{what} must be a real number, got {value!r}")
+    return _to_float(value)
+
+
 def _is_tolerance(value) -> bool:
     """Whether ``value`` is a real number, finite and >= 0; a float skips the ABC check."""
-    return (type(value) is float or _is_real(value)) and 0.0 <= value < math.inf
+    if type(value) is not float:
+        if not _is_real(value):
+            return False
+        value = _to_float(value)
+    return 0.0 <= value < math.inf
 
 
 class _record_entry:
@@ -202,7 +227,9 @@ class Configuration:
         """The configuration with every sample multiplied by ``c > 0``."""
         if not c > 0:
             raise ConfigError("scale factor must be positive")
-        return Configuration(c * self.x, self.q_weights)
+        # a product past the float range (inf, or NaN at 0 * inf) is refused as not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            return Configuration(_to_float(c) * self.x, self.q_weights)
 
     def __reduce__(self):
         # pickle and copy rebuild through validation: arrays that come back
@@ -511,15 +538,16 @@ def delta_rows(batch: ConfigurationBatch, params: DeltaParams) -> np.ndarray:
 
 
 def order_triple(a: float, b: float, c: float) -> tuple[float, float, float]:
-    """Rearrange three distinct, finite, nonnegative orders descending as (r, s, t)."""
-    if not all(math.isfinite(v) for v in (a, b, c)):
-        raise DomainError(f"the triple's orders must be finite (got {(a, b, c)})")
-    r, s, t = sorted((a, b, c), reverse=True)
+    """Rearrange three distinct, finite, nonnegative real orders descending as (r, s, t)."""
+    orders = (_real(a, "an order"), _real(b, "an order"), _real(c, "an order"))
+    if not all(map(math.isfinite, orders)):
+        raise DomainError(f"the triple's orders must be finite (got {orders})")
+    r, s, t = sorted(orders, reverse=True)
     if r == s or s == t:
-        raise DomainError(f"orders must be mutually distinct (got {(a, b, c)})")
+        raise DomainError(f"orders must be mutually distinct (got {orders})")
     if t < 0:
-        raise DomainError(f"orders must be nonnegative (got {(a, b, c)})")
-    return float(r), float(s), float(t)
+        raise DomainError(f"orders must be nonnegative (got {orders})")
+    return r, s, t
 
 
 # ---------------------------------------------------------------------------

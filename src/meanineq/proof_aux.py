@@ -19,7 +19,10 @@ the grid's points are admissible, the grid is cut to them before anything
 is evaluated: the run of axes that the mask varies over becomes one axis
 listing the admissible combinations in C order.  A grid that is mostly
 admissible is evaluated whole and its inadmissible points are skipped,
-since gathering it would cost more than it saves; no default grid is cut.
+since gathering it would cost more than it saves, and a mask that keeps
+every point is dropped.  The three-sample default grid is declared as the
+plain open mesh and cut this way once, when it is built, since only 27,060
+of its 61 million points are admissible.
 The function is evaluated in blocks of about 2^17 points along the grid's
 longest axis, so that its temporaries stay in cache, and the worst
 admissible point is reported.  That is the point ``np.argmin`` would pick
@@ -41,7 +44,7 @@ import numpy as np
 
 from ._tables import with_table
 from .errors import DomainError
-from .means import _is_real, _is_tolerance
+from .means import _is_real, _is_tolerance, _to_float
 from .thresholds import (
     _a_r_at_one, _log_gap_over_t, alpha_threshold_lower, alpha_threshold_upper, r0_value,
 )
@@ -69,14 +72,6 @@ class AuxFunctionId(str, Enum):
 def _is_positive_int(value) -> bool:
     return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             and value >= 1)
-
-
-def _to_float(value: numbers.Real) -> float:
-    """A real number as a float; an integer past the float range reads as +-inf."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -276,27 +271,23 @@ def _weight_axes(q_hi: float, label: str):
 
 
 def _three_sample_axes():
-    # The admissibility condition confines (weights, r) to a thin sliver
-    # near equal weights with r close to 1, so keep only the admissible
-    # pairs, as (P, 1) columns, and cross them with the y axis.
+    # The admissible (weights, r) lie in a thin sliver near equal weights
+    # with r close to 1, so the mesh is kept cut to them; y goes last, so
+    # that the cut lists the admissible (q1, q2, r) in C order.
     vals = np.linspace(0.005, 0.99, 160)
-    q1, q2 = np.broadcast_arrays(*np.ix_(vals, vals))
-    on_simplex = _last_weight(q1, q2) > 0
-    q1, q2 = q1[on_simplex][:, None], q2[on_simplex][:, None]
-    r = np.linspace(1.0, 2.0, 40)[None, :]
-    keep = _three_sample_admissible(q1, q2, _last_weight(q1, q2), r)
-    pairs = (np.broadcast_to(v, keep.shape)[keep][:, None] for v in (q1, q2, r))
+    q1, q2, r, y = np.ix_(vals, vals, np.linspace(1.0, 2.0, 40), np.geomspace(1.0, 100.0, 60))
+    entry = _CATALOG[AuxFunctionId.THREE_SAMPLE_LOWER]
+    # The mask is taken over half of the q1 values at a time.  Over the whole
+    # mesh its float temporaries (8 MB each) raised the peak memory by 9 MB;
+    # much smaller ones slowed every later sweep, since glibc's malloc then
+    # keeps a lower mmap threshold and maps the sweeps' 1 MB block temporaries
+    # afresh on each call (on an Intel Xeon, dense tangent-cubic took 8.3
+    # instead of 5.0 ms).
+    mask = np.concatenate([entry.admissible(*entry.complete((y, half, q2, r)))
+                           for half in np.split(q1, 2)])
     desc = ("y in [1, 100] x60 log, weight simplex at step ~0.006 and r in [1, 2] x40 "
             "restricted to admissible pairs")
-    return (np.geomspace(1.0, 100.0, 60)[None, :], *pairs), desc
-
-
-def _last_weight(q1, q2):
-    return 1.0 - q1 - q2
-
-
-def _three_sample_admissible(q1, q2, q3, r):
-    return (q3 > 0) & (_three_sample_denom(q1, q2, q3, r) > 1e-9)
+    return _admissible_axes((y, q1, q2, r), mask), desc
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +315,7 @@ class _CatalogEntry:
         if "q3" not in self.args:
             return tuple(axes)
         named = dict(zip(self.grid_names, axes))
-        named["q3"] = _last_weight(named["q1"], named["q2"])
+        named["q3"] = 1.0 - named["q1"] - named["q2"]
         return tuple(named[name] for name in self.args)
 
 
@@ -412,11 +403,11 @@ _CATALOG: dict[AuxFunctionId, _CatalogEntry] = {
         _three_sample_lower, ("y", "q1", "q2", "q3", "r"),
         "y^E - q2 y/(1-q3) - q1/(1-q3) >= 0 for y >= 1, 1 <= r <= 2 and admissible"
         " weights, where E = q2 / (r + 1 - q3 - (r-1/2)/(1-(1-q)^{2-1/r})) and"
-        " admissible means that denominator is > 0",
+        " admissible means that denominator is > 1e-9",
         "ge", 0.0, (_three_sample_takes, "y >= 1, r > 1/2, positive weights summing to 1"
                                          " and a positive denominator of E"),
         _three_sample_axes,
-        admissible=lambda y, q1, q2, q3, r: _three_sample_admissible(q1, q2, q3, r),
+        admissible=lambda y, q1, q2, q3, r: (q3 > 0) & (_three_sample_denom(q1, q2, q3, r) > 1e-9),
     ),
 }
 
@@ -474,12 +465,14 @@ def aux_sign_check(
         axes, desc = _custom_axes(entry, grid, max_points)
     args = entry.complete(axes)
     shape = np.broadcast_shapes(*(a.shape for a in args))
-    if entry.admissible is None:
-        mask, count = None, math.prod(shape)
-    else:
+    mask, count = None, math.prod(shape)
+    if entry.admissible is not None:
+        # Counted on the mask's own shape; a mask that keeps every point is dropped.
         admissible = entry.admissible(*args)
-        mask = np.broadcast_to(admissible, shape)
-        count = int(np.count_nonzero(mask))
+        kept = int(np.count_nonzero(admissible))
+        count = kept * (count // admissible.size)
+        if kept < admissible.size:
+            mask = np.broadcast_to(admissible, shape)
     if count == 0:
         raise DomainError("the grid contains no admissible points")
     if count > max_points:
@@ -558,7 +551,7 @@ def _admissible_axes(axes, admissible: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(cut)
 
 
-@functools.cache  # every default grid is fixed; three-sample's took 8 ms to build
+@functools.cache  # every default grid is fixed; three-sample's takes about 18 ms to build
 def _default_axes(id: AuxFunctionId):
     axes, desc = _CATALOG[id].default_grid()
     for a in axes:

@@ -53,7 +53,9 @@ import numpy as np
 
 from .errors import DomainError
 from .inequalities import _CATALOG, InequalityId, relative_residuals, resolve_params
-from .means import Configuration, ConfigurationBatch, DeltaParams, _Means, delta_rows, power_mean
+from .means import (
+    Configuration, ConfigurationBatch, DeltaParams, _Means, delta_rows, log_power_mean,
+)
 
 # A hunt only declares a violation below this relative residual; the check
 # tolerance itself is far tighter, so a declared violation always
@@ -397,14 +399,22 @@ _PROBE_RANGES = {
 
 
 def _ratio_functional(config: Configuration, r: float, a: float, upper: bool) -> float:
-    """The upper (weight base 1 - q, exponent (1 + a) r) or lower (q, (1 - a) r) ratio functional."""
+    """The upper (weight base 1 - q, exponent (1 + a) r) or lower (q, (1 - a) r) ratio functional.
+
+    That is (A^p - base^{(r-1)p/r} M_r^p) / G^p, homogeneous of degree 0 in
+    x, so it is taken as (A/G)^p - base^{(r-1)p/r} (M_r/G)^p from the
+    log-means, where the powers of the means themselves would overflow.
+    """
     q = config.min_weight
     p = (1.0 + a) * r if upper else (1.0 - a) * r
     base = 1.0 - q if upper else q
-    am = power_mean(config, 1.0)
-    mr = power_mean(config, r)
-    g = power_mean(config, 0.0)
-    return (am**p - base ** ((r - 1.0) * p / r) * mr**p) / g**p
+    lg = log_power_mean(config, 0.0)
+    try:
+        return (math.exp(p * (log_power_mean(config, 1.0) - lg))
+                - math.exp((r - 1.0) * p / r * math.log(base)
+                           + p * (log_power_mean(config, r) - lg)))
+    except OverflowError:
+        raise DomainError("the ratio functional is past the float range here") from None
 
 
 def _half_mean_gap_functional(config: Configuration, r: float, qp: float) -> float:

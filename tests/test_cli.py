@@ -700,6 +700,19 @@ def test_malformed_options_are_named(argv, message, capsys):
     assert invoke(argv, capsys) == (2, "", f"meanineq: error: {message}\n")
 
 
+@pytest.mark.parametrize("options, listed", [
+    ({"command": "mean", "options": {"x": [1, True], "q": [0.5, 0.5], "r": 1}}, "[1, True]"),
+    ({"command": "check", "options": {"ineq": "diananda-upper", "x": [1, 4], "q": [0.5, 0.5],
+                                      "triple": [1, 0.5, False]}}, "[1, 0.5, False]"),
+], ids=["samples", "triple"])
+def test_config_number_list_refuses_booleans(options, listed, tmp_path, capsys):
+    # true and false used to be read as 1.0 and 0.0: mean printed 1.0, check ran at t = 0
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(options))
+    assert invoke(["--config", str(cfg)], capsys) == (
+        2, "", f"meanineq: error: could not parse number list {listed}\n")
+
+
 def test_unknown_command_in_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"command": "frobnicate"}))

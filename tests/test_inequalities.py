@@ -21,6 +21,7 @@ from meanineq import (
     equality_witness,
     power_mean,
     r0_value,
+    sharpness_probe,
     variance_sigma,
 )
 
@@ -390,6 +391,66 @@ class TestEqualityWitness:
         rep = check(InequalityId.DIANANDA_UPPER, cfg, triple=BASE_TRIPLE, alpha=1.0)
         assert rep.status is CheckStatus.HOLDS and rep.residual > 1e-3
         assert not equality_witness(InequalityId.DIANANDA_UPPER, cfg)
+
+
+def test_equality_witness_takes_only_the_order_and_a_tolerance():
+    # triple, alpha and s were accepted and never read
+    cfg = Configuration([0.0, 1.0], [0.25, 0.75])
+    for key in ("triple", "alpha", "s"):
+        with pytest.raises(TypeError):
+            equality_witness(InequalityId.DIANANDA_UPPER, cfg, **{key: 1.0})
+    assert {id for id, tag in inequalities._CATALOG.items() if tag.witness is not None} == {
+        InequalityId.DIANANDA_UPPER, InequalityId.DIANANDA_LOWER,
+        InequalityId.DIANANDA_BASE_UPPER, InequalityId.DIANANDA_BASE_LOWER,
+        InequalityId.HALF_MEAN_VAR_UPPER}
+
+
+class TestParametersAreRealNumbers:
+    """Tag parameters and tolerances are read as real numbers, in the checks and the searches."""
+
+    CFG = Configuration([1.0, 4.0], [0.25, 0.75])
+    BIG = 10**400  # an integer past the float range
+    BUDGET = SearchBudget(max_evals=10, restarts=1)
+
+    def test_integer_tolerance_past_the_float_range(self):
+        # used to raise OverflowError at rel_tol * scale
+        with pytest.raises(DomainError, match="^rel_tol and abs_floor must be finite and >= 0"):
+            check(InequalityId.DIANANDA_BASE_UPPER, self.CFG, rel_tol=self.BIG)
+
+    @pytest.mark.parametrize("bad", ["2", True], ids=["text", "bool"])
+    def test_order_must_be_a_real_number(self, bad):
+        # "2" and True used to be read as 2.0 and 1.0
+        with pytest.raises(DomainError, match="^r must be a real number, got "):
+            check(InequalityId.MG_SIGMA_UPPER, self.CFG, r=bad)
+        with pytest.raises(DomainError, match="^r must be a real number, got "):
+            counterexample_hunt(InequalityId.MG_SIGMA_UPPER, r=bad, budget=self.BUDGET)
+
+    @pytest.mark.parametrize("tag, params", [
+        (InequalityId.MG_SIGMA_UPPER, {"r": BIG}),
+        (InequalityId.DIANANDA_UPPER, {"triple": BASE_TRIPLE, "alpha": BIG}),
+        (InequalityId.DIANANDA_UPPER, {"triple": (BIG, 0.5, 0)}),
+    ], ids=["r", "alpha", "triple"])
+    def test_integer_past_the_float_range_is_not_finite(self, tag, params):
+        # each used to raise OverflowError, in the check, the hunt and the probe
+        with pytest.raises(DomainError, match="finite"):
+            check(tag, self.CFG, **params)
+        with pytest.raises(DomainError, match="finite"):
+            counterexample_hunt(tag, **params, budget=self.BUDGET)
+        if "triple" in params:
+            with pytest.raises(DomainError, match="finite"):
+                sharpness_probe(tag, q_target=0.3, **params, budget=self.BUDGET)
+
+    @pytest.mark.parametrize("triple, message", [
+        ((1, 0.5), r"^diananda-upper needs a triple of three orders \(got \(1, 0\.5\)\)$"),
+        (("a", 0.5, 0), "^an order must be a real number, got 'a'$"),
+    ], ids=["two-orders", "text"])
+    def test_triple_holds_three_real_numbers(self, triple, message):
+        # both used to raise TypeError
+        with pytest.raises(DomainError, match=message):
+            check(InequalityId.DIANANDA_UPPER, self.CFG, triple=triple)
+        with pytest.raises(DomainError, match=message):
+            sharpness_probe(InequalityId.DIANANDA_UPPER, triple=triple, q_target=0.3,
+                            budget=self.BUDGET)
 
 
 # Two parameter sets per tag: one inside the stated hypotheses and one

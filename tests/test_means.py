@@ -303,6 +303,17 @@ class TestOrderTriple:
         with pytest.raises(DomainError, match="the triple's orders must be finite"):
             order_triple(*orders)
 
+    @pytest.mark.parametrize("orders", [("a", 1, 2), (True, 1, 2)], ids=["text", "bool"])
+    def test_orders_must_be_real_numbers(self, orders):
+        # "a" used to raise TypeError, and True was read as 1.0
+        with pytest.raises(DomainError, match="^an order must be a real number, got "):
+            order_triple(*orders)
+
+    def test_integer_past_the_float_range_is_not_finite(self):
+        # used to raise OverflowError in math.isfinite
+        with pytest.raises(DomainError, match=r"^the triple's orders must be finite \(got \(inf, "):
+            order_triple(10**400, 0.5, 0)
+
 
 class TestConfiguration:
     def test_sorts_jointly(self):
@@ -347,6 +358,12 @@ class TestConfiguration:
     def test_scale_factor_must_be_positive(self):
         with pytest.raises(ConfigError, match="^scale factor must be positive$"):
             Configuration([1.0, 2.0], [0.5, 0.5]).scaled(0)
+
+    @pytest.mark.parametrize("c", [1e308, math.inf, 10**400], ids=["overflow", "inf", "big-int"])
+    def test_scaled_samples_past_the_float_range_are_refused(self, c):
+        # 1e308 used to warn of an overflow in multiply, an error under this suite
+        with pytest.raises(ConfigError, match="^samples and weights must be finite$"):
+            Configuration([0.0, 1.0, 2.0], [0.25, 0.25, 0.5]).scaled(c)
 
     def test_repr_lists_sorted_samples_and_weights(self):
         cfg = Configuration([2.0, 1.0], [0.25, 0.75])

@@ -75,6 +75,15 @@ def test_log_power_mean_matches_the_oracle():
     assert max(worst.values()) <= 1e-14, worst
 
 
+def test_plain_power_sum_outside_the_band_at_a_lopsided_weight():
+    # The expm1 form would cancel here: ln M_r off by 1.7e-8 relative, where
+    # the plain form kept outside the band is off by 2.7e-17.
+    x, q, r = [1.0, 2.0], [1.0 - 1e-10, 1e-10], 40.0
+    want = oracle_log_power_mean(x, q, r)
+    got = log_power_mean(Configuration(x, q), r)
+    assert float(abs(got - want) / abs(want)) <= 1e-14
+
+
 def test_weights_off_one_by_their_tolerance():
     # weights summing to 1 + 0.9e-12 gave relative errors of 8.9e-5 at
     # r = 1.01e-8 and 9.0e-10 at r = 1e-3, their slop divided by r

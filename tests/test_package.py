@@ -1,5 +1,6 @@
 """The package namespace: every name in ``__all__`` and the lazily loaded submodules."""
 
+import ast
 import collections
 import re
 import sys
@@ -145,3 +146,31 @@ def test_readme_module_table():
     assert rows == {module_name: (sorted(exported(module_name)),
                                   sorted(MODULE_ONLY.get(module_name, ())))
                     for module_name in EAGER + LAZY}
+
+
+def test_every_private_module_name_is_used():
+    # A helper left behind by a refactor is dead code: every module-level
+    # private function, class or constant of the package is referenced in it
+    # somewhere besides its definition (a use, not an import alone).
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(meanineq.__file__).parent.glob("*.py"))}
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+    used = collections.Counter()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                used[node.attr] += 1
+    assert [f"{module}: {name}" for module, name in defined if not used[name]] == []

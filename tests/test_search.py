@@ -547,6 +547,24 @@ class TestFiniteDifferenceProbes:
                                            r=float(rng.uniform(0.6, 2.0)))
             assert down >= -1e-7
 
+    @pytest.mark.parametrize("claim, r, a", [(ProbeClaim.SMALLEST_SAMPLE_SLOPE, 1.5, 0.05),
+                                             (ProbeClaim.LARGEST_SAMPLE_SLOPE, 3.0, 0.1)],
+                             ids=["smallest", "largest"])
+    def test_ratio_functional_is_scale_free(self, claim, r, a):
+        # the functional has degree 0, so its slope in a sample has degree -1;
+        # at the scale 1e200 the means' powers used to raise OverflowError
+        value = finite_difference_probe(claim, self.CFG, r=r, a=a)
+        scaled = finite_difference_probe(claim, self.CFG.scaled(1e200), r=r, a=a)
+        assert scaled * 1e200 == pytest.approx(value, rel=1e-5)
+        assert math.isfinite(finite_difference_probe(
+            ProbeClaim.SMALLEST_SAMPLE_SLOPE, Configuration([1.0, 1e200], [0.5, 0.5]), r=1.5,
+            a=0.1))
+
+    def test_ratio_functional_past_the_float_range_is_refused(self):
+        cfg = Configuration([1.0, 1e200], [0.5, 0.5])
+        with pytest.raises(DomainError, match="^the ratio functional is past the float range"):
+            finite_difference_probe(ProbeClaim.SMALLEST_SAMPLE_SLOPE, cfg, r=1.5, a=100.0)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             finite_difference_probe(ProbeClaim.SMALLEST_SAMPLE_SLOPE, self.CFG, r=3.0, a=0.1)
