@@ -21,7 +21,18 @@ within 1e-6 of 1 and rejected otherwise.  The default relative tolerance
 of ``check`` can be set via the MEANINEQ_TOL environment variable and
 overridden per run with --tol.  A JSON run-configuration file mirroring
 the flags can be supplied at the top level: ``meanineq --config run.json
-[command ...]``; explicit flags win over file entries.
+[command ...]``; explicit flags win over file entries.  A number in the
+file is read by the library's rule: an integer past the float range reads
+as +-inf, which the command then refuses with its usual message.
+
+A command loads only the modules it runs.  This module imports no numpy,
+and reads ``means``, ``inequalities`` and ``search`` as module attributes
+when a command runs, so the package's lazy registration leaves them
+unexecuted until then (see ``meanineq/__init__.py``).  ``threshold`` and
+``sweep --quantity alpha-threshold`` therefore run without numpy: the
+sweep's axis is computed in Python floats equal to ``np.linspace`` bit
+for bit, and the ``--ineq`` catalog listing is rendered only when help is
+printed.
 """
 
 from __future__ import annotations
@@ -30,17 +41,14 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from . import search
-from .errors import MeanIneqError
-from .inequalities import _CATALOG, CheckStatus, InequalityId, check
-from .means import Configuration, power_mean
+from . import inequalities, means, search
+from .errors import MeanIneqError, _to_float
 from .thresholds import (
     alpha_threshold_lower,
     alpha_threshold_upper,
@@ -94,8 +102,10 @@ class RunConfig:
         if fmt not in _FORMATS:
             raise MeanIneqError(f"'format' must be {' or '.join(map(json.dumps, _FORMATS))}, "
                                 f"got {json.dumps(fmt)}")
+        # a number by the library's rule: an integer past the float range reads as +-inf
         return cls(command=command,
-                   options={key: value for key, value in options.items() if value is not None},
+                   options={key: _to_float(value) if _OPTIONS[key][0] is _NUMBER else value
+                            for key, value in options.items() if value is not None},
                    output=output, format=fmt)
 
 
@@ -125,7 +135,24 @@ def _grid_triplet(text: str) -> tuple[float, float, int]:
     return float(parts[0]), float(parts[1]), int(parts[2])
 
 
-def _configuration(options: dict) -> Configuration:
+def _linspace(lo: float, hi: float, count: int) -> list[float]:
+    """``np.linspace(lo, hi, count).tolist()``, bit for bit, without numpy.
+
+    numpy takes point i as i * step + lo with step = (hi - lo) / (count - 1),
+    as i / (count - 1) * (hi - lo) + lo when that step underflows to 0, and
+    sets the last point to hi; a single point is 0 * (hi - lo) + lo.
+    """
+    delta = hi - lo
+    if count == 1:
+        return [0.0 * delta + lo]
+    div = count - 1
+    step = delta / div
+    if step == 0.0:
+        return [*(i / div * delta + lo for i in range(div)), hi]
+    return [*(i * step + lo for i in range(div)), hi]
+
+
+def _configuration(options: dict) -> means.Configuration:
     x = options.get("x")
     q = options.get("q")
     if x is None or q is None:
@@ -137,7 +164,7 @@ def _configuration(options: dict) -> Configuration:
             f"weights sum to {total!r}; more than 1e-6 away from 1, refusing to normalize"
         )
     qs = [v / total for v in qs]
-    return Configuration(np.asarray(xs), np.asarray(qs))
+    return means.Configuration(xs, qs)
 
 
 def _ineq_params(options: dict) -> dict:
@@ -178,20 +205,20 @@ def _tolerance(options: dict) -> float | None:
 
 def _exec_mean(options: dict):
     cfg = _configuration(options)
-    return power_mean(cfg, float(_required(options, "r"))), EXIT_OK
+    return means.power_mean(cfg, float(_required(options, "r"))), EXIT_OK
 
 
 def _exec_check(options: dict):
-    tag = InequalityId(_required(options, "ineq"))
+    tag = inequalities.InequalityId(_required(options, "ineq"))
     cfg = _configuration(options)
-    report = check(
+    report = inequalities.check(
         tag,
         cfg,
         force=bool(options.get("force")),
         rel_tol=_tolerance(options),
         **_ineq_params(options),
     )
-    code = EXIT_VIOLATION if report.status is CheckStatus.VIOLATED else EXIT_OK
+    code = EXIT_VIOLATION if report.status is inequalities.CheckStatus.VIOLATED else EXIT_OK
     return report.to_json_dict(), code
 
 
@@ -231,7 +258,7 @@ def _exec_threshold(options: dict):
 
 
 def _exec_sharpness(options: dict):
-    report = search.sharpness_probe(InequalityId(_required(options, "ineq")),
+    report = search.sharpness_probe(inequalities.InequalityId(_required(options, "ineq")),
                                     q_target=float(_required(options, "q_target")),
                                     budget=_budget(options), **_ineq_params(options))
     return report.to_json_dict(), EXIT_OK
@@ -239,7 +266,7 @@ def _exec_sharpness(options: dict):
 
 def _exec_hunt(options: dict):
     report = search.counterexample_hunt(
-        InequalityId(_required(options, "ineq")),
+        inequalities.InequalityId(_required(options, "ineq")),
         budget=_budget(options),
         **_ineq_params(options),
     )
@@ -247,30 +274,31 @@ def _exec_hunt(options: dict):
     return report.to_json_dict(), code
 
 
-def _sweep_profile(options: dict, lo: float, hi: float, axis: np.ndarray) -> dict:
+def _sweep_profile(options: dict, lo: float, hi: float, axis: list[float]) -> dict:
     r = float(_required(options, "r", " for the profile sweep"))
     if not 0.0 <= lo <= hi <= 1.0:
         raise MeanIneqError("the profile sweep needs a t-grid inside [0, 1]")
-    rows = [[t, a] for t, a in zip(axis.tolist(), a_r_values(r, axis).tolist())]
+    rows = [[t, a] for t, a in zip(axis, a_r_values(r, axis).tolist())]
     return {"columns": ["t", "a_r"], "rows": rows}
 
 
-def _sweep_alpha_threshold(options: dict, lo: float, hi: float, axis: np.ndarray) -> dict:
+def _sweep_alpha_threshold(options: dict, lo: float, hi: float, axis: list[float]) -> dict:
     rows = [[r, (alpha_threshold_upper if r < 2.0 else alpha_threshold_lower)(r)]
-            for r in axis.tolist()]
+            for r in axis]
     return {"columns": ["r", "alpha"], "rows": rows}
 
 
-def _sweep_residual_boundary(options: dict, lo: float, hi: float, axis: np.ndarray) -> dict:
-    tag = InequalityId(options.get("ineq") or "diananda-base-upper")
-    if tag not in (InequalityId.DIANANDA_BASE_UPPER, InequalityId.DIANANDA_BASE_LOWER):
+def _sweep_residual_boundary(options: dict, lo: float, hi: float, axis: list[float]) -> dict:
+    ids = inequalities.InequalityId
+    tag = ids(options.get("ineq") or "diananda-base-upper")
+    if tag not in (ids.DIANANDA_BASE_UPPER, ids.DIANANDA_BASE_LOWER):
         raise MeanIneqError("the boundary sweep applies to the parameter-free base inequalities")
     if not 0.0 < lo <= hi <= 0.5:
         raise MeanIneqError("the boundary sweep needs a q-grid inside (0, 1/2]")
     rows = []
-    for q in axis.tolist():
-        low = check(tag, Configuration([0.0, 1.0], [q, 1.0 - q]))
-        high = check(tag, Configuration([0.0, 1.0], [1.0 - q, q]))
+    for q in axis:
+        low = inequalities.check(tag, means.Configuration([0.0, 1.0], [q, 1.0 - q]))
+        high = inequalities.check(tag, means.Configuration([0.0, 1.0], [1.0 - q, q]))
         rows.append([q, low.residual, high.residual])
     return {"columns": ["q", "residual_min_on_zero", "residual_min_on_unit"], "rows": rows}
 
@@ -287,15 +315,11 @@ _SWEEPS = {
 def _exec_sweep(options: dict):
     sweep = _lookup(_SWEEPS, options, "quantity", "sweep", "sweep quantity")
     lo, hi, count = _grid_triplet(_required(options, "grid"))
-    if not np.isfinite([lo, hi]).all():
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise MeanIneqError(f"grid ends must be finite (got {lo}, {hi})")
     if not 1 <= count <= _MAX_GRID_ROWS:
         raise MeanIneqError(f"grid count must lie between 1 and {_MAX_GRID_ROWS}")
-    return sweep(options, lo, hi, np.linspace(lo, hi, count)), EXIT_OK
-
-
-_INEQ_HELP = "inequality tag, with its stated hypotheses: " + "; ".join(
-    f"{id.value} ({tag.hypotheses})" for id, tag in _CATALOG.items())
+    return sweep(options, lo, hi, _linspace(lo, hi, count)), EXIT_OK
 
 
 class _Kind(NamedTuple):
@@ -315,7 +339,7 @@ _SWITCH = _Kind({"action": "store_true", "default": None}, (bool,), "true or fal
 _OPTIONS = {
     "x": (_NUMBERS, {"help": "comma-separated samples"}),
     "q": (_NUMBERS, {"help": "comma-separated weights (sum within 1e-6 of 1)"}),
-    "ineq": (_STRING, {"help": _INEQ_HELP}),
+    "ineq": (_STRING, {"help": "inequality tag, with its stated hypotheses: "}),
     "triple": (_NUMBERS, {"help": "three comma-separated mean orders"}),
     "alpha": (_NUMBER, {"help": "comparison exponent"}),
     "r": (_NUMBER, {"help": "mean order, or the tag's order parameter"}),
@@ -358,6 +382,19 @@ _COMMANDS = {
 }
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """Help whose --ineq entry lists the catalog, rendered only when help is printed.
+
+    Building the parser then does not load ``inequalities``.
+    """
+
+    def _get_help_string(self, action: argparse.Action) -> str:
+        if action.dest != "ineq":
+            return super()._get_help_string(action)
+        return action.help + "; ".join(f"{id.value} ({tag.hypotheses})"
+                                       for id, tag in inequalities._CATALOG.items())
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", help="write the report here instead of stdout")
@@ -372,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
     for name, command in _COMMANDS.items():
         # no prefix matching: sharpness --r would otherwise be read as --restarts
-        p = sub.add_parser(name, parents=[common], help=command.help, allow_abbrev=False)
+        p = sub.add_parser(name, parents=[common], help=command.help, allow_abbrev=False,
+                           formatter_class=_HelpFormatter)
         for key in command.options:
             kind, flag = _OPTIONS[key]
             p.add_argument("--" + key.replace("_", "-"), dest=key, **kind.flag, **flag)

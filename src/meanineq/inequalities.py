@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from ._tables import with_table
-from .errors import DegenerateInput, DomainError
+from .errors import DegenerateInput, DomainError, _is_tolerance, _real
 from .means import (
     DEFAULT_ABS_FLOOR,
     DEFAULT_REL_TOL,
@@ -42,8 +42,6 @@ from .means import (
     DeltaParams,
     _Means,
     _RowMeans,
-    _is_tolerance,
-    _real,
     order_triple,
 )
 from .thresholds import r0_value

@@ -71,12 +71,11 @@ scores +inf.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInput, DomainError
+from .errors import ConfigError, DegenerateInput, DomainError, _real, _to_float
 
 __all__ = ["DEFAULT_ABS_FLOOR", "DEFAULT_REL_TOL", "Configuration", "DeltaParams", "MeanValue",
            "c_constant", "delta", "log_power_mean", "mean_value", "order_triple", "power_mean",
@@ -92,37 +91,6 @@ DEFAULT_ABS_FLOOR = 1e-12
 _EXPM1_BAND = 0.05
 
 _WEIGHT_SUM_TOL = 1e-12
-
-
-def _is_real(value) -> bool:
-    """Whether ``value`` is a real number; a bool is not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _to_float(value: numbers.Real) -> float:
-    """A real number as a float; an integer past the float range reads as +-inf."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
-def _real(value, what: str) -> float:
-    """``value`` read as a float, or :class:`DomainError` naming ``what``; a float passes as is."""
-    if type(value) is float:
-        return value
-    if not _is_real(value):
-        raise DomainError(f"{what} must be a real number, got {value!r}")
-    return _to_float(value)
-
-
-def _is_tolerance(value) -> bool:
-    """Whether ``value`` is a real number, finite and >= 0; a float skips the ABC check."""
-    if type(value) is not float:
-        if not _is_real(value):
-            return False
-        value = _to_float(value)
-    return 0.0 <= value < math.inf
 
 
 class _record_entry:

@@ -43,8 +43,7 @@ from typing import Callable
 import numpy as np
 
 from ._tables import with_table
-from .errors import DomainError
-from .means import _is_real, _is_tolerance, _to_float
+from .errors import DomainError, _is_real, _is_tolerance, _to_float
 from .thresholds import (
     _a_r_at_one, _log_gap_over_t, alpha_threshold_lower, alpha_threshold_upper, r0_value,
 )

@@ -51,7 +51,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _real
 from .inequalities import _CATALOG, InequalityId, relative_residuals, resolve_params
 from .means import (
     Configuration, ConfigurationBatch, DeltaParams, _Means, delta_rows, log_power_mean,
@@ -189,6 +189,7 @@ def sharpness_probe(
     id = InequalityId(id)
     if id not in (InequalityId.DIANANDA_UPPER, InequalityId.DIANANDA_LOWER):
         raise DomainError("sharpness probes apply to the two general three-mean bounds")
+    q_target = _real(q_target, "q_target")
     if not 0.0 < q_target <= 0.5:
         raise DomainError("q_target must lie in (0, 1/2]")
     resolved = resolve_params(id, triple=triple, alpha=alpha)
@@ -445,6 +446,11 @@ def finite_difference_probe(
     minimum); weight-parameter: 1/2 < r <= 2, and it takes no a).
     """
     claim = ProbeClaim(claim)
+    r = _real(r, "r")
+    if a is not None:
+        a = _real(a, "a")
+        if not math.isfinite(a):
+            raise DomainError(f"a must be finite, got {a!r}")
     if config.x[0] <= 0.0:
         raise DomainError("finite-difference probes need x_1 > 0")
     takes_a, in_range, message = _PROBE_RANGES[claim]

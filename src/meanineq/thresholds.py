@@ -32,7 +32,9 @@ bound is proved.
 
 All solvers use plain bisection on brackets whose sign change is
 guaranteed by monotonicity.  Everything here is a pure function, safe for
-concurrent use.
+concurrent use.  The solvers are scalar Python; numpy is imported inside
+the array kernels (:func:`a_r_values` and the two it calls) only, so a
+caller that solves thresholds never loads it.
 
 The minimum of a_r over [0, 1] is a_r(1), in closed form.  Both ratios in
 a_r are unchanged under t -> 1/t, so a_r(t) = a_r(1/t) and t = 1 is always
@@ -64,8 +66,6 @@ import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -216,11 +216,15 @@ def _a_r_at_one(r: float) -> float:
 
 def _log1p_over(x: np.ndarray) -> np.ndarray:
     """log1p(x)/x, with its limit 1 at x = 0."""
+    import numpy as np
+
     return np.where(x == 0.0, 1.0, np.log1p(x) / x)
 
 
 def _log_gap_over_t(r, t):
     """ln[(1+t)^{r-1}(1-t)/(1-t^r)] / t as p + w phi(t w), over arrays of r > 1, t in [0, 1]."""
+    import numpy as np
+
     # In place where the bits allow: the certificate grids spend their time here.
     with np.errstate(divide="ignore", invalid="ignore"):
         lnt = np.log(t)
@@ -240,6 +244,8 @@ def _log_gap_over_t(r, t):
 
 def a_r_values(r: float, t: np.ndarray) -> np.ndarray:
     """Vectorized a_r(t) over an array of t in [0, 1], with limit endpoints."""
+    import numpy as np
+
     _check_profile_r(r)
     t = np.array(t, dtype=float, ndmin=1)
     if not np.all((t >= 0.0) & (t <= 1.0)):
@@ -254,7 +260,7 @@ def a_r_values(r: float, t: np.ndarray) -> np.ndarray:
 
 def a_r_fn(r: float, t: float) -> float:
     """The profile a_r(t) at a single point (limit values at t = 0 and 1)."""
-    return float(a_r_values(r, np.asarray([t]))[0])
+    return float(a_r_values(r, [t])[0])
 
 
 def min_a_r(r: float) -> tuple[float, float]:

@@ -1,10 +1,12 @@
 import csv
 import io
 import json
+import math
 import re
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from meanineq import MeanIneqError, cli
@@ -423,6 +425,25 @@ class TestDeterminismAndPlumbing:
         code, out, err = invoke(["--config", str(cfg)], capsys)
         assert (code, out, err) == (2, "", f"meanineq: error: {message}\n")
 
+    @pytest.mark.parametrize("payload, argv", [
+        ({"command": "mean", "options": {"x": [1, 2], "q": [0.5, 0.5], "r": 10**400}},
+         ["mean", "--x", "1,2", "--q", "0.5,0.5", "--r=inf"]),
+        ({"command": "mean", "options": {"x": [1, 2], "q": [0.5, 0.5], "r": -10**400}},
+         ["mean", "--x", "1,2", "--q", "0.5,0.5", "--r=-inf"]),
+        ({"command": "check", "options": {"ineq": "diananda-base-upper", "x": [1, 2],
+                                          "q": [0.5, 0.5], "tol": 10**400}},
+         ["check", "--ineq", "diananda-base-upper", "--x", "1,2", "--q", "0.5,0.5",
+          "--tol=inf"]),
+    ], ids=["mean-r", "mean-negative-r", "check-tol"])
+    def test_config_integer_past_the_float_range_reads_as_inf(self, payload, argv, tmp_path,
+                                                              capsys):
+        # each used to end in an OverflowError traceback, exit 1
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(payload))
+        want = invoke(argv, capsys)
+        assert want[:2] == (2, "") and "must be finite" in want[2]
+        assert invoke(["--config", str(cfg)], capsys) == want
+
     def test_tolerance_env_var(self, capsys, monkeypatch):
         # a loose tolerance reclassifies a small positive residual as equality
         argv = ["check", "--ineq", "diananda-base-lower", "--x", "1,1.2",
@@ -445,8 +466,10 @@ class TestDeterminismAndPlumbing:
         assert "rel_tol and abs_floor must be finite and >= 0" in err
 
     def test_imports_without_docstrings(self):
-        # under -OO every __doc__ is None; the catalog tables are rendered into them
-        proc = run_fresh(["-OO", "-c", "import meanineq.cli"])
+        # under -OO every __doc__ is None; the catalog tables are rendered into
+        # them, in modules whose bodies run on first use
+        proc = run_fresh(["-OO", "-c", "import meanineq.cli\n"
+                          "meanineq.check, meanineq.aux_sign_check, meanineq.SearchBudget"])
         assert proc.returncode == 0, proc.stderr
 
     def test_commands_run_only_the_submodules_they_use(self):
@@ -731,3 +754,96 @@ def test_csv_leaves_a_missing_value_empty(capsys):
     assert [cells[key] for key in ("lhs", "rhs", "residual", "residual_rel", "status")] == [
         "", "", "", "", "Degenerate"]
     assert json.loads(invoke(argv, capsys)[1])["lhs"] is None
+
+
+# Which of numpy and the lazily registered submodules a group of commands,
+# run in one fresh interpreter, executes.
+THRESHOLD_RUNS = [["threshold", "--which", "r0"], ["threshold", "--which", "t1", "--r", "1.5"],
+                  ["threshold", "--which", "t2", "--r", "2.5"],
+                  ["threshold", "--which", "alpha-upper", "--r", "1.5"],
+                  ["threshold", "--which", "alpha-lower", "--r", "3.5"],
+                  ["threshold", "--which", "min-a", "--r", "1.5"],
+                  ["sweep", "--quantity", "alpha-threshold", "--grid", "1.5,6,12"]]
+IMPORT_GRAPH = {
+    "threshold-and-alpha-sweep": (THRESHOLD_RUNS, []),
+    "mean": ([["mean", "--x", "1,4", "--q", "0.5,0.5", "--r", "0.5"]],
+             ["numpy", "meanineq.means"]),
+    "check": ([["check", "--ineq", "diananda-base-upper", "--x", "1,4", "--q", "0.5,0.5"]],
+              ["numpy", "meanineq.means", "meanineq.inequalities"]),
+    "hunt": ([["hunt", "--ineq", "mg-sigma-upper", "--r", "6", "--budget", "50"]],
+             ["numpy", "meanineq.means", "meanineq.inequalities", "meanineq.search"]),
+}
+
+
+@pytest.mark.parametrize("runs, executed", IMPORT_GRAPH.values(), ids=IMPORT_GRAPH)
+def test_import_graph(runs, executed):
+    # no command runs proof_aux, only hunt and sharpness run search, and the
+    # threshold solvers and the alpha-threshold sweep run without numpy
+    script = (
+        "import contextlib, io, sys, types\n"
+        "import meanineq.cli as cli\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.run(argv) in (0, 1), argv\n"
+        "watched = ('numpy', 'meanineq.means', 'meanineq.inequalities', 'meanineq.proof_aux',\n"
+        "           'meanineq.search')\n"
+        "print([name for name in watched if type(sys.modules.get(name)) is types.ModuleType])\n"
+    )
+    proc = run_fresh(["-c", script], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{executed}\n"
+
+
+class TestSweepAxis:
+    """The sweep's axis, computed without numpy, is ``np.linspace`` bit for bit."""
+
+    @staticmethod
+    def assert_linspace(lo, hi, count):
+        got = cli._linspace(lo, hi, count)
+        assert all(type(v) is float for v in got)
+        assert [v.hex() for v in got] == [v.hex() for v in np.linspace(lo, hi, count).tolist()]
+
+    @pytest.mark.parametrize("lo, hi, count", [
+        (0.0, 1.0, 1), (2.5, -7.0, 1), (-0.0, 0.0, 1), (0.0, -0.0, 3),
+        (1.5, 1.5, 1), (1.5, 1.5, 7), (-2.0, -2.0, 4),
+        (-3.0, -1.0, 9), (-1.0, 2.0, 10), (1.0, -2.0, 11), (6.0, 2.05, 24), (-1.0, -3.0, 4),
+        (0.0, 1e-320, 9), (5e-324, 1e-323, 7), (0.0, 5e-324, 1000), (-5e-324, 5e-324, 3),
+        (1e-300, 2e-300, 1000), (2.2250738585072014e-308, 2.225073858507203e-308, 50),
+        (1.2, 1.2000000000000002, 5), (0.3, 0.30000000000000004, 17), (0.1, 0.5, 13),
+        (2.1, 6.0, 100_001),
+    ])
+    def test_cases(self, lo, hi, count):
+        self.assert_linspace(lo, hi, count)
+
+    def test_seeded(self):
+        rng = np.random.default_rng(20241019)
+        for _ in range(2000):
+            scale = 10.0 ** rng.integers(-323, 308)
+            lo, hi = (float(v) for v in rng.uniform(-1.0, 1.0, 2) * scale)
+            if rng.random() < 0.2:
+                hi = lo + float(rng.integers(-3, 4)) * 5e-324
+            self.assert_linspace(lo, hi, int(rng.integers(1, 300)))
+
+    @pytest.mark.parametrize("argv", [
+        ["--quantity", "alpha-threshold", "--grid", "2.1,6,24"],
+        ["--quantity", "alpha-threshold", "--grid", "1.01,1.99,7"],
+        ["--quantity", "alpha-threshold", "--grid", "5.5,2.5,1"],
+        ["--quantity", "a-r-profile", "--r", "1.5", "--grid", "0,1,101"],
+        ["--quantity", "a-r-profile", "--r", "3.25", "--grid", "0,1e-320,9"],
+        ["--quantity", "a-r-profile", "--r", "1.05", "--grid", "0.3,0.30000000000000004,17"],
+        ["--quantity", "residual-boundary", "--grid", "0.1,0.5,13"],
+        ["--quantity", "residual-boundary", "--ineq", "diananda-base-lower",
+         "--grid", "0.2,0.2,3"],
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_reports_equal_those_on_the_numpy_axis(self, argv, fmt, capsys):
+        # the sweep functions on np.linspace's axis, as the reports were made before
+        code, out, err = invoke(["sweep", *argv, "--format", fmt], capsys)
+        assert (code, err) == (0, "")
+        args = cli.build_parser().parse_args(["sweep", *argv])
+        options = cli._run_config_from_args(args).options
+        lo, hi, count = cli._grid_triplet(options["grid"])
+        sweep = cli._SWEEPS[options["quantity"]][0]
+        payload = sweep(options, lo, hi, np.linspace(lo, hi, count).tolist())
+        text = cli._to_csv(payload) if fmt == "csv" else json.dumps(payload, indent=2) + "\n"
+        assert out == text

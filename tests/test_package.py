@@ -12,8 +12,13 @@ import meanineq
 
 from conftest import run_fresh
 
-EAGER = ("errors", "means", "inequalities", "thresholds")
-LAZY = ("proof_aux", "search")
+# How the package gives out each module's names: star-imported by ``import
+# meanineq``; bound from the module's __all__ when its body first runs; or
+# forwarded from the module on every access, as listed in _LAZY_NAMES.
+IMPORTED = ("errors", "thresholds")
+BOUND_ON_FIRST_USE = ("means", "inequalities")
+FORWARDED = ("proof_aux", "search")
+DECLARING_ALL = IMPORTED + BOUND_ON_FIRST_USE
 # The public names a module offers that the package does not re-export: the batch forms.
 MODULE_ONLY = {
     "means": ("ConfigurationBatch", "log_power_mean_rows", "delta_rows"),
@@ -22,9 +27,9 @@ MODULE_ONLY = {
 
 
 def exported(module_name: str) -> list[str]:
-    """The names the package re-exports from one of its modules, without running a lazy body."""
+    """The names the package re-exports from a module, without running a forwarded body."""
     module = getattr(meanineq, module_name)
-    if module_name in EAGER:
+    if module_name in DECLARING_ALL:
         return list(module.__all__)
     return [name for name, owner in meanineq._LAZY_NAMES.items() if owner is module]
 
@@ -72,6 +77,40 @@ def test_forwarded_names_follow_their_module(module, name, monkeypatch):
     assert name not in vars(meanineq)
 
 
+def test_bound_names_are_the_defining_modules_objects():
+    # after first use, a name of means or inequalities is a plain package
+    # attribute, read without __getattr__, as when the package star-imported them
+    meanineq.check
+    for name, module in (("check", "inequalities"), ("Configuration", "means"),
+                         ("InequalityId", "inequalities")):
+        assert vars(meanineq)[name] is vars(sys.modules[f"meanineq.{module}"])[name]
+    for module_name in BOUND_ON_FIRST_USE:
+        module = sys.modules[f"meanineq.{module_name}"]
+        assert all(vars(meanineq)[name] is vars(module)[name] for name in module.__all__)
+
+
+def test_bare_import_runs_neither_means_nor_numpy():
+    script = (
+        "import sys, types\n"
+        "def executed(name):  # a registered module whose body has not run reads False\n"
+        "    return type(sys.modules.get(name)) is types.ModuleType\n"
+        "import meanineq\n"
+        "watched = ('numpy', 'meanineq.means', 'meanineq.inequalities')\n"
+        "print([name for name in watched if executed(name)], 'check' in vars(meanineq))\n"
+        "from meanineq.means import Configuration\n"
+        "print([name for name in watched if executed(name)], 'Configuration' in vars(meanineq))\n"
+        "print(meanineq.check.__module__, 'check' in vars(meanineq))\n"
+    )
+    proc = run_fresh(["-c", script], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[] False",
+        # a body run from outside the package binds its names all the same
+        "['numpy', 'meanineq.means'] True",
+        "meanineq.inequalities True",
+    ]
+
+
 def test_a_second_thread_waits_for_the_first_use():
     # the first read of search runs its body, slowed down here; a read from
     # another thread meanwhile must wait for the whole body
@@ -110,23 +149,24 @@ def test_a_second_thread_waits_for_the_first_use():
 class TestDeclarations:
     """Each public name is declared once, where it is defined, and none goes undeclared."""
 
-    @pytest.mark.parametrize("module_name", EAGER)
-    def test_eager_names_are_defined_in_their_module(self, module_name):
+    @pytest.mark.parametrize("module_name", DECLARING_ALL)
+    def test_all_names_are_defined_in_their_module(self, module_name):
         module = getattr(meanineq, module_name)
         for name in module.__all__:
             assert name in vars(module), name
             assert getattr(vars(module)[name], "__module__", module.__name__) == module.__name__
 
-    def test_lazy_names_are_defined_in_their_module(self):
+    def test_forwarded_names_are_defined_in_their_module(self):
         for name, module in meanineq._LAZY_NAMES.items():
             assert getattr(module, name).__module__ == module.__name__, name
 
     def test_no_name_is_declared_twice(self):
-        declared = [name for module_name in (*EAGER, *LAZY) for name in exported(module_name)]
+        declared = [name for module_name in (*DECLARING_ALL, *FORWARDED)
+                    for name in exported(module_name)]
         assert [n for n, k in collections.Counter(declared).items() if k > 1] == []
         assert sorted(meanineq.__all__) == sorted(declared)
 
-    @pytest.mark.parametrize("module_name", EAGER + LAZY)
+    @pytest.mark.parametrize("module_name", DECLARING_ALL + FORWARDED)
     def test_public_classes_and_functions_are_declared(self, module_name):
         module = sys.modules[f"meanineq.{module_name}"]
         public = {name for name, value in vars(module).items()
@@ -145,7 +185,7 @@ def test_readme_module_table():
             rows[match[1]] = tuple(sorted(re.findall(r"`(\w+)`", cell)) for cell in cells)
     assert rows == {module_name: (sorted(exported(module_name)),
                                   sorted(MODULE_ONLY.get(module_name, ())))
-                    for module_name in EAGER + LAZY}
+                    for module_name in DECLARING_ALL + FORWARDED}
 
 
 def test_every_private_module_name_is_used():

@@ -66,6 +66,18 @@ class TestSharpnessProbe:
         with pytest.raises(DomainError):
             sharpness_probe(InequalityId.DIANANDA_UPPER, triple=TRIPLE, q_target=0.6)
 
+    @pytest.mark.parametrize("q_target, message", [
+        ("a", "q_target must be a real number, got 'a'"),
+        (True, "q_target must be a real number, got True"),
+        (None, "q_target must be a real number, got None"),
+        (10**400, "q_target must lie in (0, 1/2]"),
+    ], ids=["string", "bool", "none", "past-float-range"])
+    def test_q_target_is_read_as_a_real_number(self, q_target, message):
+        # a string used to raise TypeError from the range comparison
+        with pytest.raises(DomainError) as info:
+            sharpness_probe(InequalityId.DIANANDA_UPPER, triple=TRIPLE, q_target=q_target)
+        assert str(info.value) == message
+
     def test_min_weight_pinning(self):
         report = sharpness_probe(InequalityId.DIANANDA_UPPER, triple=TRIPLE, alpha=1.0,
                                  q_target=0.2, budget=SearchBudget(max_evals=3000, seed=5))
@@ -564,6 +576,28 @@ class TestFiniteDifferenceProbes:
         cfg = Configuration([1.0, 1e200], [0.5, 0.5])
         with pytest.raises(DomainError, match="^the ratio functional is past the float range"):
             finite_difference_probe(ProbeClaim.SMALLEST_SAMPLE_SLOPE, cfg, r=1.5, a=100.0)
+
+    @pytest.mark.parametrize("claim, r, a, message", [
+        (ProbeClaim.SMALLEST_SAMPLE_SLOPE, "1", 0.05, "r must be a real number, got '1'"),
+        (ProbeClaim.WEIGHT_PARAM_SLOPE, None, None, "r must be a real number, got None"),
+        (ProbeClaim.LARGEST_SAMPLE_SLOPE, 3.0, "0.1", "a must be a real number, got '0.1'"),
+        (ProbeClaim.SMALLEST_SAMPLE_SLOPE, 1.5, 10**400, "a must be finite, got inf"),
+        (ProbeClaim.SMALLEST_SAMPLE_SLOPE, 1.5, math.inf, "a must be finite, got inf"),
+        (ProbeClaim.LARGEST_SAMPLE_SLOPE, 3.0, math.nan, "a must be finite, got nan"),
+    ], ids=["string-r", "none-r", "string-a", "a-past-float-range", "infinite-a", "nan-a"])
+    def test_parameters_are_read_as_real_numbers(self, claim, r, a, message):
+        # '1' and a string a used to raise TypeError, 10**400 OverflowError,
+        # and a = inf passed the smallest-sample range test
+        with pytest.raises(DomainError) as info:
+            finite_difference_probe(claim, self.CFG, r=r, a=a)
+        assert str(info.value) == message
+
+    def test_integer_parameters_read_as_their_floats(self):
+        for claim, r, a in ((ProbeClaim.SMALLEST_SAMPLE_SLOPE, 2, 0.05),
+                            (ProbeClaim.LARGEST_SAMPLE_SLOPE, 3, 0.1),
+                            (ProbeClaim.WEIGHT_PARAM_SLOPE, 1, None)):
+            assert finite_difference_probe(claim, self.CFG, r=r, a=a) == \
+                finite_difference_probe(claim, self.CFG, r=float(r), a=a)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
