@@ -8,26 +8,22 @@ functions of the underlying proofs over their claimed domains, and
 searches configuration space to confirm sharpness and locate
 counterexamples beyond the proven validity frontiers.
 
-Each exported name is declared once, in the ``__all__`` of the module that
-defines it (``errors``, ``means``, ``inequalities``, ``thresholds``) or in
-``_LAZY_NAMES`` (``proof_aux``, ``search``); the package's ``__all__`` joins them.
+Each exported name is declared once: in the ``__all__`` of ``errors`` and
+``thresholds``, which ``import meanineq`` star-imports, or in the package's
+``_LAZY_NAMES`` for the other four submodules; the package's ``__all__``
+joins them.
 
 ``import meanineq`` runs ``errors`` and ``thresholds`` only, and neither
-imports numpy.  The other four submodules load on first use: the package
-registers each in ``sys.modules`` and binds it as a package attribute, but
-its body runs only when one of its attributes is first read.  They differ
-in how the package gives out their names:
-
-* ``means`` and ``inequalities`` (numpy and the catalog) are *bound on
-  first use*: when one of their bodies runs, the names of its ``__all__``
-  are bound in the package namespace, so ``meanineq.check`` and
-  ``meanineq.Configuration`` are plain attribute reads from then on.  A
-  package attribute not bound yet (``__all__`` included) is served by
-  ``__getattr__``, which first runs both bodies.
-* ``proof_aux`` (the certificate sweeps) and ``search`` (the sharpness
-  probe and the counterexample hunts) are *forwarded*: ``__getattr__``
-  reads each of their names from the submodule on every access, as
-  ``meanineq.aux_sign_check`` or ``meanineq.counterexample_hunt``.
+imports numpy.  The other four submodules (``means``, ``inequalities``,
+``proof_aux`` and ``search``) load on first use: the package registers each
+in ``sys.modules`` and binds it as a package attribute, but its body runs
+only when one of its attributes is first read.  When a body runs, from
+wherever it is read, the module's names in ``_LAZY_NAMES`` are bound in the
+package namespace, so ``meanineq.check`` and ``meanineq.SearchBudget`` are
+plain attribute reads from then on.  Before that, ``__getattr__`` serves a
+name of the table by reading it from its module, which runs that body
+alone; any other name is an ``AttributeError`` at once, so ``hasattr``,
+``dir(meanineq)`` and ``from meanineq import cli`` run no body.
 
 A CLI command then runs only what it uses: ``threshold`` and the
 alpha-threshold ``sweep`` import no numpy, ``mean`` runs ``means`` alone,
@@ -71,9 +67,9 @@ class _Unloaded(types.ModuleType):
                 _running.add(id(self))
                 try:
                     types.ModuleType.__getattribute__(self, "__spec__").loader.exec_module(self)
-                    if self in (means, inequalities):  # bound on first use
-                        namespace = types.ModuleType.__getattribute__(self, "__dict__")
-                        globals().update((name, namespace[name]) for name in namespace["__all__"])
+                    namespace = types.ModuleType.__getattribute__(self, "__dict__")
+                    globals().update((name, namespace[name])
+                                     for name, module in _LAZY_NAMES.items() if module is self)
                 finally:
                     _running.discard(id(self))
                 self.__class__ = types.ModuleType
@@ -94,32 +90,30 @@ inequalities = _register_lazily("inequalities")
 proof_aux = _register_lazily("proof_aux")
 search = _register_lazily("search")
 
-# The names re-exported from the forwarded submodules.  They are read from
-# the submodule on every access and never cached here, so whatever the
-# submodule binds at that moment (a test's or a tracer's stand-in, say)
-# is what the package gives out.
+# The names each lazily loaded submodule exports, bound here when its body runs.
 _LAZY_NAMES = {
+    **dict.fromkeys(("DEFAULT_ABS_FLOOR", "DEFAULT_REL_TOL", "Configuration", "DeltaParams",
+                     "MeanValue", "c_constant", "delta", "log_power_mean", "mean_value",
+                     "order_triple", "power_mean", "variance_sigma"), means),
+    **dict.fromkeys(("CheckReport", "CheckStatus", "InequalityId", "check",
+                     "equality_witness"), inequalities),
     **dict.fromkeys(("AuxFunctionId", "GridAxis", "SignCheckReport", "aux_eval",
                      "aux_sign_check", "claimed_bound"), proof_aux),
     **dict.fromkeys(("ProbeClaim", "SearchBudget", "SearchReport", "counterexample_hunt",
                      "finite_difference_probe", "sharpness_probe"), search),
 }
 
+__all__ = [*errors.__all__,
+           *[name for name, module in _LAZY_NAMES.items() if module in (means, inequalities)],
+           *thresholds.__all__,
+           *[name for name, module in _LAZY_NAMES.items() if module in (proof_aux, search)]]
+
 
 def __getattr__(name: str):
-    module = _LAZY_NAMES.get(name)
-    if module is not None:
-        return getattr(module, name)
-    # Not bound yet: reading the two __all__ runs means and inequalities,
-    # whose bodies bind their names here.
-    namespace = globals()
-    namespace.setdefault("__all__", [*errors.__all__, *means.__all__, *inequalities.__all__,
-                                     *thresholds.__all__, *_LAZY_NAMES])
-    if name not in namespace:
+    if name not in _LAZY_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return namespace[name]
+    return getattr(_LAZY_NAMES[name], name)  # runs the body, which binds the name here
 
 
 def __dir__() -> list[str]:
-    __getattr__("__all__")  # runs means and inequalities, which bind their names
-    return sorted({*globals(), *_LAZY_NAMES})
+    return sorted({*globals(), *__all__})

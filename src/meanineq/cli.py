@@ -27,8 +27,9 @@ as +-inf, which the command then refuses with its usual message.
 
 A command loads only the modules it runs.  This module imports no numpy,
 and reads ``means``, ``inequalities`` and ``search`` as module attributes
-when a command runs, so the package's lazy registration leaves them
-unexecuted until then (see ``meanineq/__init__.py``).  ``threshold`` and
+when a command runs: the package registers them without running their
+bodies, and a body runs, binding its names in the package, only on its
+first attribute read (see ``meanineq/__init__.py``).  ``threshold`` and
 ``sweep --quantity alpha-threshold`` therefore run without numpy: the
 sweep's axis is computed in Python floats equal to ``np.linspace`` bit
 for bit, and the ``--ineq`` catalog listing is rendered only when help is
@@ -480,10 +481,10 @@ def run(argv: list[str] | None = None) -> int:
             if key not in command.options:
                 raise MeanIneqError(f"{run_config.command} takes no option {key!r}")
         payload, code = command.execute(run_config.options)
+        _emit(payload, run_config)
     except (MeanIneqError, OSError, ValueError, KeyError) as exc:
         print(f"meanineq: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(payload, run_config)
     return code
 
 

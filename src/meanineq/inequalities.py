@@ -46,8 +46,6 @@ from .means import (
 )
 from .thresholds import r0_value
 
-__all__ = ["CheckReport", "CheckStatus", "InequalityId", "check", "equality_witness"]
-
 _HYPOTHESIS_SLACK = 1e-12
 
 

@@ -77,10 +77,6 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateInput, DomainError, _real, _to_float
 
-__all__ = ["DEFAULT_ABS_FLOOR", "DEFAULT_REL_TOL", "Configuration", "DeltaParams", "MeanValue",
-           "c_constant", "delta", "log_power_mean", "mean_value", "order_triple", "power_mean",
-           "variance_sigma"]
-
 # Default tolerances for equality/validity judgments; callers may override
 # per call.  Relative tolerance applies to max(|lhs|, |rhs|, 1).
 DEFAULT_REL_TOL = 1e-9

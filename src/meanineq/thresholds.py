@@ -67,7 +67,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainError
+from .errors import DomainError, _real
 
 __all__ = ["ThresholdResult", "a_r_fn", "a_r_values", "alpha_threshold_lower",
            "alpha_threshold_upper", "bisect", "gap_exponent_lower", "gap_exponent_upper",
@@ -106,6 +106,11 @@ class ThresholdResult:
         }
 
 
+def _check_bracket(lo: float, hi: float) -> None:
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise DomainError(f"bracket [{lo}, {hi}] must be finite with lo <= hi")
+
+
 def bisect(
     f: Callable[[float], float],
     lo: float,
@@ -120,8 +125,7 @@ def bisect(
     f(value).  Raises DomainError when the bracket is not finite with
     lo <= hi, or when f(lo) and f(hi) are NaN or do not straddle 0.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise DomainError(f"bracket [{lo}, {hi}] must be finite with lo <= hi")
+    _check_bracket(lo, hi)
     flo = f(lo)
     fhi = f(hi)
     if math.isnan(flo) or math.isnan(fhi):
@@ -166,8 +170,10 @@ def golden_section_min(
     """Golden-section refinement of a minimum inside [lo, hi].
 
     Tracks the best point actually evaluated (including the endpoints), so
-    a minimum sitting on the bracket edge is never lost.
+    a minimum sitting on the bracket edge is never lost.  Raises DomainError
+    when the bracket is not finite with lo <= hi.
     """
+    _check_bracket(lo, hi)
     best_t, best_f = lo, f(lo)
     fhi = f(hi)
     if fhi < best_f:
@@ -197,9 +203,12 @@ def golden_section_min(
     return best_t, best_f
 
 
-def _check_profile_r(r: float) -> None:
+def _profile_r(r) -> float:
+    """r read as a real number; DomainError unless it is finite and > 1."""
+    r = _real(r, "r")
     if not 1.0 < r < math.inf:
         raise DomainError(f"the profile needs a finite r > 1 (got {r})")
+    return r
 
 
 def _log_gap_at_one(r: float) -> float:
@@ -246,7 +255,7 @@ def a_r_values(r: float, t: np.ndarray) -> np.ndarray:
     """Vectorized a_r(t) over an array of t in [0, 1], with limit endpoints."""
     import numpy as np
 
-    _check_profile_r(r)
+    r = _profile_r(r)
     t = np.array(t, dtype=float, ndmin=1)
     if not np.all((t >= 0.0) & (t <= 1.0)):
         raise DomainError("t must lie in [0, 1]")
@@ -255,7 +264,7 @@ def a_r_values(r: float, t: np.ndarray) -> np.ndarray:
         u = np.expm1((r - 1.0) * np.log(t)) / (1.0 + t)
         den = (r - 1.0) * _log1p_over(t) - u * _log1p_over(t * u)
         a = np.abs(_log_gap_over_t(r, t)) / den
-    return np.where(t == 1.0, _a_r_at_one(float(r)), a)
+    return np.where(t == 1.0, _a_r_at_one(r), a)
 
 
 def a_r_fn(r: float, t: float) -> float:
@@ -269,8 +278,7 @@ def min_a_r(r: float) -> tuple[float, float]:
     a_r(t) = a_r(1/t) makes t = 1 stationary; that it is the global minimum
     is verified at high precision over the r in use (module docstring).
     """
-    _check_profile_r(r)
-    return 1.0, _a_r_at_one(float(r))
+    return 1.0, _a_r_at_one(_profile_r(r))
 
 
 # Scalar quotients, not the array kernel: bisect calls them thousands of times, at interior roots.
@@ -293,6 +301,7 @@ def solve_t1(r: float) -> ThresholdResult:
     negative one while the right side increases from 0, so the clipped
     bracket is guaranteed to straddle the root.
     """
+    r = _real(r, "r")
     if not 1.0 < r < 2.0:
         raise DomainError(f"t1 is defined for 1 < r < 2 (got {r})")
     return bisect(
@@ -302,6 +311,7 @@ def solve_t1(r: float) -> ThresholdResult:
 
 def solve_t2(r: float) -> ThresholdResult:
     """The unique t in (0, 1) equalizing the two sides of the t2 equation."""
+    r = _real(r, "r")
     if not 2.0 < r < 3.0:
         raise DomainError(f"t2 is defined for 2 < r < 3 (got {r})")
     return bisect(
@@ -311,18 +321,21 @@ def solve_t2(r: float) -> ThresholdResult:
 
 def gap_exponent_upper(r: float) -> float:
     """a1(r) = (2 - r - t1^{r-1}) / r, the proven-safe upward alpha margin."""
+    r = _real(r, "r")
     t1 = solve_t1(r).value
     return (2.0 - r - t1 ** (r - 1.0)) / r
 
 
 def gap_exponent_lower(r: float) -> float:
     """a2(r) = (r - 2 - t2) / r, the proven-safe downward alpha margin."""
+    r = _real(r, "r")
     t2 = solve_t2(r).value
     return (r - 2.0 - t2) / r
 
 
 def alpha_threshold_upper(r: float) -> float:
     """Largest proven alpha for the upper three-mean bound at {1, 1/r, 0}, 1 < r < 2."""
+    r = _real(r, "r")
     if not 1.0 < r < 2.0:
         raise DomainError(f"the upper threshold needs 1 < r < 2 (got {r})")
     return 1.0 + gap_exponent_upper(r)
@@ -334,6 +347,7 @@ def alpha_threshold_lower(r: float) -> float:
     Piecewise: 1 - a2(r) on (2, 3), 1 - 1/(3r) on [3, 4), 1 - (r-2)/r^2 on
     [4, inf).
     """
+    r = _real(r, "r")
     if not 2.0 < r < math.inf:
         raise DomainError(f"the lower threshold needs a finite r > 2 (got {r})")
     if r < 3.0:

@@ -351,6 +351,18 @@ class TestDeterminismAndPlumbing:
         assert out == ""
         assert json.loads(target.read_text())["value"] == pytest.approx(0.6598, abs=1e-3)
 
+    @pytest.mark.parametrize("argv", [
+        ["threshold", "--which", "r0"],
+        # a Violated outcome: a write error must not exit 1, the Violated code
+        ["check", "--ineq", "mg-sigma-upper", "--r", "6", "--x", "1,5", "--q", "0.999,0.001"],
+    ])
+    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    def test_unwritable_output_exits_two(self, argv, target, tmp_path, capsys):
+        code, out, err = invoke([*argv, "--output", str(tmp_path / target)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("meanineq: error: [Errno ")
+        assert str(tmp_path) in err
+
     def test_run_config_round_trip(self):
         rc = RunConfig(command="mean", options={"x": "1,4", "q": "0.5,0.5", "r": 0.5},
                        output=None, format="json")

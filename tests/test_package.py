@@ -13,12 +13,10 @@ import meanineq
 from conftest import run_fresh
 
 # How the package gives out each module's names: star-imported by ``import
-# meanineq``; bound from the module's __all__ when its body first runs; or
-# forwarded from the module on every access, as listed in _LAZY_NAMES.
+# meanineq`` from the module's __all__; or, for a lazily loaded module, listed
+# in _LAZY_NAMES and bound in the package when the module's body runs.
 IMPORTED = ("errors", "thresholds")
-BOUND_ON_FIRST_USE = ("means", "inequalities")
-FORWARDED = ("proof_aux", "search")
-DECLARING_ALL = IMPORTED + BOUND_ON_FIRST_USE
+LAZY = ("means", "inequalities", "proof_aux", "search")
 # The public names a module offers that the package does not re-export: the batch forms.
 MODULE_ONLY = {
     "means": ("ConfigurationBatch", "log_power_mean_rows", "delta_rows"),
@@ -27,9 +25,9 @@ MODULE_ONLY = {
 
 
 def exported(module_name: str) -> list[str]:
-    """The names the package re-exports from a module, without running a forwarded body."""
+    """The names the package re-exports from a module, without running its body."""
     module = getattr(meanineq, module_name)
-    if module_name in DECLARING_ALL:
+    if module_name in IMPORTED:
         return list(module.__all__)
     return [name for name, owner in meanineq._LAZY_NAMES.items() if owner is module]
 
@@ -57,36 +55,56 @@ def test_unknown_attribute_is_the_standard_error():
     assert not hasattr(meanineq, "no_such_name")
 
 
-@pytest.mark.parametrize("module, name", [
-    ("search", "counterexample_hunt"),
-    ("proof_aux", "aux_sign_check"),
+def test_unknown_names_run_no_body():
+    # importlib probes hasattr(meanineq, "cli") before it imports the
+    # submodule; none of these reads may run numpy or a lazily loaded body
+    script = (
+        "import sys, types\n"
+        "def executed(name):  # a registered module whose body has not run reads False\n"
+        "    return type(sys.modules.get(name)) is types.ModuleType\n"
+        "watched = ('numpy', 'meanineq.means', 'meanineq.inequalities',\n"
+        "           'meanineq.proof_aux', 'meanineq.search')\n"
+        "import meanineq\n"
+        "from meanineq import cli\n"
+        "print(cli.__name__, [name for name in watched if executed(name)])\n"
+        "print(hasattr(meanineq, 'nope'), [name for name in watched if executed(name)])\n"
+        "print(len(dir(meanineq)) > len(meanineq.__all__),\n"
+        "      [name for name in watched if executed(name)])\n"
+        "meanineq.Configuration\n"
+        "print([name for name in watched if executed(name)])\n"
+    )
+    proc = run_fresh(["-c", script], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "meanineq.cli []",
+        "False []",
+        "True []",
+        "['numpy', 'meanineq.means']",
+    ]
+
+
+@pytest.mark.parametrize("module_name, statement", [
+    ("means", "from meanineq.means import Configuration"),
+    ("inequalities", "from meanineq.inequalities import check"),
+    ("proof_aux", "from meanineq.proof_aux import aux_sign_check"),
+    ("search", "from meanineq.search import SearchBudget"),
 ])
-def test_forwarded_names_follow_their_module(module, name, monkeypatch):
-    # a name cached in the package would outlive a stand-in installed in the
-    # submodule (by a test or a tracer), or keep one after it is removed
-    original = getattr(meanineq, name)
-    assert name not in vars(meanineq)
-
-    def stand_in(*args, **kwargs):
-        raise AssertionError("not called")
-
-    monkeypatch.setattr(f"meanineq.{module}.{name}", stand_in)
-    assert getattr(meanineq, name) is stand_in
-    monkeypatch.undo()
-    assert getattr(meanineq, name) is original
-    assert name not in vars(meanineq)
-
-
-def test_bound_names_are_the_defining_modules_objects():
-    # after first use, a name of means or inequalities is a plain package
-    # attribute, read without __getattr__, as when the package star-imported them
-    meanineq.check
-    for name, module in (("check", "inequalities"), ("Configuration", "means"),
-                         ("InequalityId", "inequalities")):
-        assert vars(meanineq)[name] is vars(sys.modules[f"meanineq.{module}"])[name]
-    for module_name in BOUND_ON_FIRST_USE:
-        module = sys.modules[f"meanineq.{module_name}"]
-        assert all(vars(meanineq)[name] is vars(module)[name] for name in module.__all__)
+def test_a_body_run_binds_its_table_names(module_name, statement):
+    # a body run from outside the package binds every name of the module's
+    # table as a plain package attribute, the module's own object
+    script = (
+        "import sys\n"
+        "import meanineq\n"
+        f"module = sys.modules['meanineq.{module_name}']\n"
+        "names = [name for name, owner in meanineq._LAZY_NAMES.items() if owner is module]\n"
+        "print(len(names), [name for name in names if name in vars(meanineq)])\n"
+        f"{statement}\n"
+        "print([name for name in names if vars(meanineq).get(name) is not vars(module)[name]])\n"
+    )
+    proc = run_fresh(["-c", script], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    count = sum(owner is getattr(meanineq, module_name) for owner in meanineq._LAZY_NAMES.values())
+    assert proc.stdout.splitlines() == [f"{count} []", "[]"]
 
 
 def test_bare_import_runs_neither_means_nor_numpy():
@@ -125,16 +143,19 @@ def test_a_second_thread_waits_for_the_first_use():
         "    run_body(module)\n"
         "loader.exec_module = slow_body\n"
         "out = []\n"
-        "def read(who):\n"
+        "def read(who, get):\n"
         "    try:\n"
-        "        out.append((who, meanineq.search.SearchBudget.__name__))\n"
+        "        out.append((who, get().__name__))\n"
         "    except AttributeError as exc:\n"
         "        out.append((who, str(exc)))\n"
-        "def second():\n"
+        "def second():  # the package binds the names before the first read returns\n"
         "    started.wait(10)\n"
-        "    read('second')\n"
+        "    read('second', lambda: meanineq.SearchBudget)\n"
+        "    read('second', lambda: meanineq.search.SearchBudget)\n"
+        "    out.append(('second', str('SearchBudget' in vars(meanineq))))\n"
         "threads = [threading.Thread(target=second),\n"
-        "           threading.Thread(target=read, args=('first',))]\n"
+        "           threading.Thread(target=read,\n"
+        "                            args=('first', lambda: meanineq.search.SearchBudget))]\n"
         "for t in threads:\n"
         "    t.start()\n"
         "for t in threads:\n"
@@ -143,30 +164,27 @@ def test_a_second_thread_waits_for_the_first_use():
     )
     proc = run_fresh(["-c", script], timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[('first', 'SearchBudget'), ('second', 'SearchBudget')]\n"
+    assert proc.stdout == ("[('first', 'SearchBudget'), ('second', 'SearchBudget'), "
+                           "('second', 'SearchBudget'), ('second', 'True')]\n")
 
 
 class TestDeclarations:
     """Each public name is declared once, where it is defined, and none goes undeclared."""
 
-    @pytest.mark.parametrize("module_name", DECLARING_ALL)
+    @pytest.mark.parametrize("module_name", IMPORTED + LAZY)
     def test_all_names_are_defined_in_their_module(self, module_name):
         module = getattr(meanineq, module_name)
-        for name in module.__all__:
+        for name in exported(module_name):
             assert name in vars(module), name
             assert getattr(vars(module)[name], "__module__", module.__name__) == module.__name__
 
-    def test_forwarded_names_are_defined_in_their_module(self):
-        for name, module in meanineq._LAZY_NAMES.items():
-            assert getattr(module, name).__module__ == module.__name__, name
-
     def test_no_name_is_declared_twice(self):
-        declared = [name for module_name in (*DECLARING_ALL, *FORWARDED)
+        declared = [name for module_name in (*IMPORTED, *LAZY)
                     for name in exported(module_name)]
         assert [n for n, k in collections.Counter(declared).items() if k > 1] == []
         assert sorted(meanineq.__all__) == sorted(declared)
 
-    @pytest.mark.parametrize("module_name", DECLARING_ALL + FORWARDED)
+    @pytest.mark.parametrize("module_name", IMPORTED + LAZY)
     def test_public_classes_and_functions_are_declared(self, module_name):
         module = sys.modules[f"meanineq.{module_name}"]
         public = {name for name, value in vars(module).items()
@@ -185,8 +203,14 @@ def test_readme_module_table():
             rows[match[1]] = tuple(sorted(re.findall(r"`(\w+)`", cell)) for cell in cells)
     assert rows == {module_name: (sorted(exported(module_name)),
                                   sorted(MODULE_ONLY.get(module_name, ())))
-                    for module_name in DECLARING_ALL + FORWARDED}
+                    for module_name in IMPORTED + LAZY}
 
+
+
+def test_pyproject_declares_the_packages_version():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"]["version"] == meanineq.__version__
 
 def test_every_private_module_name_is_used():
     # A helper left behind by a refactor is dead code: every module-level

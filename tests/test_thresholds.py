@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -114,6 +115,55 @@ class TestGoldenSection:
         assert (t, f) == (0.29988341868848617, 1.3591202194282161e-08)
         t, f = golden_section_min(lambda u: math.cos(5.0 * u), 0.25, 1.0, xtol=1e-3)
         assert (t, f) == (0.628153994626696, -0.9999996615984524)
+
+
+    @pytest.mark.parametrize("lo, hi", [
+        (math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf), (1.0, 0.0),
+    ])
+    def test_bracket_must_be_finite_and_ordered(self, lo, hi):
+        calls = []
+        with pytest.raises(DomainError, match=r"must be finite with lo <= hi"):
+            golden_section_min(lambda u: calls.append(u) or u * u, lo, hi)
+        assert calls == []
+
+
+# Every public function of an order r, with an r inside its range.
+R_READERS = {
+    min_a_r: 1.5, a_r_values: 1.5, a_r_fn: 1.5, solve_t1: 1.5, solve_t2: 2.5,
+    gap_exponent_upper: 1.5, gap_exponent_lower: 2.5,
+    alpha_threshold_upper: 1.5, alpha_threshold_lower: 2.5,
+}
+
+
+def _at_r(fn, r):
+    """``fn`` at order r; the profile functions also take a point t."""
+    return fn(r, [0.5]) if fn is a_r_values else fn(r, 0.5) if fn is a_r_fn else fn(r)
+
+
+@pytest.mark.parametrize("fn", R_READERS, ids=lambda fn: fn.__name__)
+class TestOrderIsReadAsARealNumber:
+    @pytest.mark.parametrize("bad", ["1.5", True, None, 1j])
+    def test_non_real_order_is_a_domain_error(self, fn, bad):
+        with pytest.raises(DomainError, match=r"^r must be a real number, got "):
+            _at_r(fn, bad)
+
+    def test_integer_past_the_float_range_reads_as_inf(self, fn):
+        with pytest.raises(DomainError, match=r"\(got inf\)$"):
+            _at_r(fn, 10**400)
+
+    def test_a_real_order_gives_its_floats_value(self, fn):
+        expected = _at_r(fn, R_READERS[fn])
+        for same in (np.float64(R_READERS[fn]), Fraction(R_READERS[fn])):
+            value = _at_r(fn, same)
+            if isinstance(expected, np.ndarray):
+                assert value.tobytes() == expected.tobytes()
+            else:
+                assert value == expected
+
+
+def test_the_profile_names_its_range():
+    with pytest.raises(DomainError, match=r"^the profile needs a finite r > 1 \(got inf\)$"):
+        min_a_r(10**400)
 
 
 class TestProfile:
