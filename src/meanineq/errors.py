@@ -1,14 +1,26 @@
-"""Exception types shared across the library, and the rule for reading a real number.
+"""Exception types shared across the library, and the rule for reading arguments.
 
-A real number is a ``numbers.Real`` that is not a bool; it is read as a
-float, and an integer past the float range reads as +-inf, so that the
-range check that follows refuses it with its own message instead of an
-``OverflowError``.  The rule needs no numpy, so the CLI reads its
-run-configuration files by it without loading the numeric modules.
+Every public entry reads its numeric arguments through the readers here,
+and no other module imports ``numbers``:
+
+* ``_real``: a ``numbers.Real`` that is not a bool, read as a finite
+  float; an integer past the float range reads as +-inf and is refused;
+* ``_integer``: a ``numbers.Integral`` that is not a bool, of at most 64
+  bits (a seed's width), read as an int;
+* ``_reals``: what ``numpy.asarray`` makes an array of kind f, i or u,
+  with no bool element (numpy reads one as 0 or 1), read as float64.
+
+Each raises :class:`DomainError` naming the argument, in one form:
+``<name> must be a finite real number, got <value>``, ``<name> must be an
+integer of at most 64 bits, got <value>`` or ``<name> must be real
+numbers, got <value>``.  A range test that follows, such as r > 1, is the
+caller's.  This module imports no numpy; the CLI reads the numbers of its
+run-configuration files with ``_to_float``, without loading numpy.
 """
 
 import math
 import numbers
+import reprlib
 
 __all__ = ["ConfigError", "DegenerateInput", "DomainError", "MeanIneqError"]
 
@@ -29,11 +41,6 @@ class DegenerateInput(MeanIneqError):
     """Raised when an expression degenerates to 0/0 (e.g. constant samples)."""
 
 
-def _is_real(value) -> bool:
-    """Whether ``value`` is a real number; a bool is not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _to_float(value: numbers.Real) -> float:
     """A real number as a float; an integer past the float range reads as +-inf."""
     try:
@@ -43,18 +50,33 @@ def _to_float(value: numbers.Real) -> float:
 
 
 def _real(value, what: str) -> float:
-    """``value`` read as a float, or :class:`DomainError` naming ``what``; a float passes as is."""
-    if type(value) is float:
-        return value
-    if not _is_real(value):
-        raise DomainError(f"{what} must be a real number, got {value!r}")
-    return _to_float(value)
-
-
-def _is_tolerance(value) -> bool:
-    """Whether ``value`` is a real number, finite and >= 0; a float skips the ABC check."""
-    if type(value) is not float:
-        if not _is_real(value):
-            return False
+    """``value`` read as a finite float, or :class:`DomainError` naming ``what``."""
+    if type(value) is not float and isinstance(value, numbers.Real) and type(value) is not bool:
         value = _to_float(value)
-    return 0.0 <= value < math.inf
+    if type(value) is not float or not math.isfinite(value):
+        raise DomainError(f"{what} must be a finite real number, got {reprlib.repr(value)}")
+    return value
+
+
+def _integer(value, what: str) -> int:
+    """``value`` read as an int of at most 64 bits, or :class:`DomainError` naming ``what``."""
+    # an int skips the ABC check, which costs about 0.4 us
+    if type(value) is int or type(value) is not bool and isinstance(value, numbers.Integral):
+        if int(value).bit_length() <= 64:
+            return int(value)
+    raise DomainError(f"{what} must be an integer of at most 64 bits, got {reprlib.repr(value)}")
+
+
+def _reals(values, what: str):
+    """``values`` read as a float64 array (a float64 ndarray is not copied),
+    or :class:`DomainError` naming ``what``."""
+    import numpy as np
+
+    try:
+        array = np.asarray(values)
+    except ValueError:  # ragged nesting: refused below as an object array
+        array = np.asarray(values, dtype=object)
+    if array.dtype.kind not in "fiu" or values is not array and not {
+            bool, np.bool_}.isdisjoint(map(type, np.asarray(values, dtype=object).flat)):
+        raise DomainError(f"{what} must be real numbers, got {reprlib.repr(values)}")
+    return array.astype(float, copy=False)

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from ._tables import with_table
-from .errors import DegenerateInput, DomainError, _is_tolerance, _real
+from .errors import DegenerateInput, DomainError, _real
 from .means import (
     DEFAULT_ABS_FLOOR,
     DEFAULT_REL_TOL,
@@ -119,13 +119,6 @@ def _need_param(value, name: str, tag: InequalityId):
     return value
 
 
-def _finite_param(value, name: str, tag: InequalityId) -> float:
-    value = _real(_need_param(value, name, tag), name)
-    if not math.isfinite(value):
-        raise DomainError(f"{tag.value} needs a finite {name} (got {value})")
-    return value
-
-
 def _triple_params(tag, triple, alpha, r, s) -> dict:
     triple = _need_param(triple, "triple", tag)
     try:
@@ -133,7 +126,7 @@ def _triple_params(tag, triple, alpha, r, s) -> dict:
     except (TypeError, ValueError):
         raise DomainError(f"{tag.value} needs a triple of three orders (got {triple!r})") from None
     r, s, t = order_triple(a, b, c)
-    alpha = _finite_param(1.0 if alpha is None else alpha, "alpha", tag)
+    alpha = 1.0 if alpha is None else _real(alpha, "alpha")
     # not a hypothesis: C((1-q)^alpha) and C(q^alpha) need an argument in (0, 1)
     if not alpha > 0.0:
         raise DomainError("the exponent alpha must be positive")
@@ -145,15 +138,15 @@ def _no_params(tag, triple, alpha, r, s) -> dict:
 
 
 def _order_params(tag, triple, alpha, r, s) -> dict:
-    r = _finite_param(r, "r", tag)
+    r = _real(_need_param(r, "r", tag), "r")
     if r == 0.0:
         raise DomainError("the mean order r must be nonzero")
     return {"r": r}
 
 
 def _pair_params(tag, triple, alpha, r, s) -> dict:
-    r = _finite_param(r, "r", tag)
-    s = _finite_param(s, "s", tag)
+    r = _real(_need_param(r, "r", tag), "r")
+    s = _real(_need_param(s, "s", tag), "s")
     if not r > s:
         raise DomainError("the mean-difference bounds need r > s")
     return {"r": r, "s": s}
@@ -167,7 +160,7 @@ _TAKES = {_triple_params: ("triple", "alpha"), _no_params: (), _order_params: ("
 def _diananda(upper: bool, m, p):
     r, s, t = p["triple"]
     alpha = p["alpha"]
-    d = m.delta(DeltaParams(r, s, t, alpha))
+    d = m.delta(DeltaParams._resolved(r, s, t, alpha))
     if upper:
         return d, m.bound(r, s, t, m.pow(1.0 - m.q, alpha))
     return m.bound(r, s, t, m.pow(m.q, alpha)), d
@@ -239,7 +232,7 @@ def _two_point(min_on_zero: bool, config: Configuration, r, tol: float) -> bool:
 
 def _half_mean_var_point(config: Configuration, r, tol: float) -> bool:
     """r = 1, n = 2 and q = 1/2."""
-    return (r is not None and abs(_real(r, "r") - 1.0) <= tol and config.n == 2
+    return (r is not None and abs(r - 1.0) <= tol and config.n == 2
             and abs(config.min_weight - 0.5) <= tol)
 
 
@@ -410,9 +403,9 @@ def check(
     stated parameter-range hypotheses are skipped and the raw residual is
     reported, which is how regimes beyond the proven frontier are probed.
     """
-    rel_tol = DEFAULT_REL_TOL if rel_tol is None else rel_tol
-    abs_floor = DEFAULT_ABS_FLOOR if abs_floor is None else abs_floor
-    if not (_is_tolerance(rel_tol) and _is_tolerance(abs_floor)):
+    rel_tol = DEFAULT_REL_TOL if rel_tol is None else _real(rel_tol, "rel_tol")
+    abs_floor = DEFAULT_ABS_FLOOR if abs_floor is None else _real(abs_floor, "abs_floor")
+    if not (rel_tol >= 0.0 and abs_floor >= 0.0):
         raise DomainError(f"rel_tol and abs_floor must be finite and >= 0 "
                           f"(got {rel_tol}, {abs_floor})")
     id, tag = _entry(id)
@@ -442,4 +435,6 @@ def equality_witness(id: InequalityId, config: Configuration, *, r=None,
     """Whether the configuration matches a documented equality case of the tag:
     constant samples, or the case its catalog entry holds (``_Tag.witness``)."""
     witness = _entry(id)[1].witness
+    r = None if r is None else _real(r, "r")
+    tol = _real(tol, "tol")
     return config.is_constant or (witness is not None and witness(config, r, tol))

@@ -14,11 +14,12 @@ arithmetic mean ``A = M_1``, the three-mean difference ratio
 comparison constant ``C_{r,s,t}(x)`` that bounds the ratio in terms of the
 minimum weight alone.
 
-A :class:`Configuration` validates its input once: each of x and q becomes
-one new float64 array, one-dimensional, of equal length and at least two
+A :class:`Configuration` validates its input once: x and q are read as
+arrays of real numbers, one-dimensional, of equal length and at least two
 entries; then, on Python floats (exact, and cheaper than numpy calls on a
 few entries), the entries must be finite, samples >= 0, weights > 0 with a
-``math.fsum`` within 1e-12 of 1, and a stable sort orders them by sample.
+``math.fsum`` within 1e-12 of 1, and a stable sort, whose gather makes
+each array's one new copy, orders them by sample.
 
 All operations are pure functions of immutable inputs and are safe for
 unrestricted concurrent use.  Power sums are shifted by their largest
@@ -75,7 +76,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInput, DomainError, _real, _to_float
+from .errors import ConfigError, DegenerateInput, DomainError, _real, _reals
 
 # Default tolerances for equality/validity judgments; callers may override
 # per call.  Relative tolerance applies to max(|lhs|, |rhs|, 1).
@@ -125,8 +126,8 @@ class Configuration:
     q_weights: np.ndarray
 
     def __post_init__(self) -> None:
-        x = np.array(self.x, dtype=float)
-        q = np.array(self.q_weights, dtype=float)
+        x = _reals(self.x, "samples")
+        q = _reals(self.q_weights, "weights")
         if x.ndim != 1 or q.ndim != 1:
             raise ConfigError("samples and weights must be one-dimensional")
         if x.shape != q.shape:
@@ -189,11 +190,12 @@ class Configuration:
 
     def scaled(self, c: float) -> "Configuration":
         """The configuration with every sample multiplied by ``c > 0``."""
+        c = _real(c, "scale factor")
         if not c > 0:
             raise ConfigError("scale factor must be positive")
-        # a product past the float range (inf, or NaN at 0 * inf) is refused as not finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            return Configuration(_to_float(c) * self.x, self.q_weights)
+        # a product past the float range is refused as not finite
+        with np.errstate(over="ignore"):
+            return Configuration(c * self.x, self.q_weights)
 
     def __reduce__(self):
         # pickle and copy rebuild through validation: arrays that come back
@@ -206,7 +208,7 @@ class Configuration:
     @classmethod
     def from_json_dict(cls, payload: dict) -> "Configuration":
         try:
-            return cls(np.asarray(payload["x"]), np.asarray(payload["q"]))
+            return cls(payload["x"], payload["q"])
         except KeyError as exc:
             raise ConfigError(f"configuration JSON needs key {exc}") from exc
 
@@ -216,7 +218,7 @@ class Configuration:
 
 @dataclass(frozen=True)
 class DeltaParams:
-    """Parameters (r, s, t, alpha) of the three-mean ratio; r, s, t distinct."""
+    """Parameters (r, s, t, alpha) of the three-mean ratio, kept as floats; r, s, t distinct."""
 
     r: float
     s: float
@@ -224,12 +226,17 @@ class DeltaParams:
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.r == self.s or self.r == self.t or self.s == self.t:
+        r, s, t, alpha = (_real(getattr(self, name), name) for name in ("r", "s", "t", "alpha"))
+        if r == s or r == t or s == t:
             raise DomainError("the orders r, s, t must be mutually distinct")
-        if not math.isfinite(self.r + self.s + self.t + self.alpha):  # one test for all four
-            for name in ("r", "s", "t", "alpha"):
-                if not math.isfinite(getattr(self, name)):
-                    raise DomainError(f"{name} must be finite")
+        vars(self).update(r=r, s=s, t=t, alpha=alpha)
+
+    @classmethod
+    def _resolved(cls, r: float, s: float, t: float, alpha: float) -> "DeltaParams":
+        """Parameters that a catalog entry has already read and checked, not read again."""
+        params = cls.__new__(cls)
+        vars(params).update(r=r, s=s, t=t, alpha=alpha)
+        return params
 
     def ordered(self) -> "DeltaParams":
         """The same parameters with the orders rearranged descending."""
@@ -251,14 +258,12 @@ class MeanValue:
     def __post_init__(self) -> None:
         if self.convention not in ("plain", "log"):
             raise DomainError(f"unknown convention {self.convention!r}")
-        if not math.isfinite(self.value):
-            raise DomainError("MeanValue requires a finite value")
+        vars(self)["value"] = _real(self.value, "value")
 
 
 def log_power_mean(config: Configuration, r: float) -> float:
     """ln M_r(x; q); -inf when the mean is 0 (zero samples at r <= 0)."""
-    if not math.isfinite(r):
-        raise DomainError("the order r must be finite; infinite orders are unsupported")
+    r = _real(r, "r")
     if r == 0.0:
         return config._log_geometric_mean
     if r == 0.5:
@@ -387,6 +392,11 @@ def c_constant(r: float, s: float, t: float, xarg: float) -> float:
     defined for 0 < xarg < 1, where it exceeds 1.  Raises
     :class:`DegenerateInput` when ``xarg ** (1/s - 1/r)`` rounds to 1.
     """
+    return _c_constant(_real(r, "r"), _real(s, "s"), _real(t, "t"), _real(xarg, "xarg"))
+
+
+def _c_constant(r: float, s: float, t: float, xarg: float) -> float:
+    """:func:`c_constant` of floats already read; the catalog's bounds call it."""
     if not (r > s > t >= 0):
         raise DomainError(f"orders must satisfy r > s > t >= 0 (got {(r, s, t)})")
     if not 0.0 < xarg < 1.0:
@@ -478,8 +488,7 @@ def _map_or_nan(fn, *columns: np.ndarray) -> np.ndarray:
 
 def log_power_mean_rows(batch: ConfigurationBatch, r: float) -> np.ndarray:
     """:func:`log_power_mean` of every row."""
-    if not math.isfinite(r):
-        raise DomainError("the order r must be finite; infinite orders are unsupported")
+    r = _real(r, "r")
     q = batch.q_weights
     # Padding may overflow here; a row's own terms are at most its weights.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -504,8 +513,6 @@ def delta_rows(batch: ConfigurationBatch, params: DeltaParams) -> np.ndarray:
 def order_triple(a: float, b: float, c: float) -> tuple[float, float, float]:
     """Rearrange three distinct, finite, nonnegative real orders descending as (r, s, t)."""
     orders = (_real(a, "an order"), _real(b, "an order"), _real(c, "an order"))
-    if not all(map(math.isfinite, orders)):
-        raise DomainError(f"the triple's orders must be finite (got {orders})")
     r, s, t = sorted(orders, reverse=True)
     if r == s or s == t:
         raise DomainError(f"orders must be mutually distinct (got {orders})")
@@ -543,7 +550,7 @@ class _Means:
     def delta(self, params: DeltaParams) -> float:
         return delta(self.config, params)
 
-    bound = staticmethod(c_constant)
+    bound = staticmethod(_c_constant)
 
     @staticmethod
     def pow(base: float, exponent: float) -> float:
@@ -588,7 +595,7 @@ class _RowMeans:
         return delta_rows(self.batch, params)
 
     def bound(self, r: float, s: float, t: float, xarg: np.ndarray) -> np.ndarray:
-        return _map_or_nan(lambda x: c_constant(r, s, t, x), xarg)
+        return _map_or_nan(lambda x: _c_constant(r, s, t, x), xarg)
 
     @staticmethod
     def pow(base: np.ndarray, exponent: float) -> np.ndarray:

@@ -14,15 +14,12 @@ grid is one 1-D axis per argument, shaped so that the axes broadcast against
 each other (an open mesh); an argument that depends on another, such as the
 core functions' a tied to r, shares that argument's axis.  Default and
 custom grids take the same path.  A tag with an admissibility condition
-marks its admissible points with one broadcast mask.  When at most half of
-the grid's points are admissible, the grid is cut to them before anything
-is evaluated: the run of axes that the mask varies over becomes one axis
-listing the admissible combinations in C order.  A grid that is mostly
-admissible is evaluated whole and its inadmissible points are skipped,
-since gathering it would cost more than it saves, and a mask that keeps
-every point is dropped.  The three-sample default grid is declared as the
-plain open mesh and cut this way once, when it is built, since only 27,060
-of its 61 million points are admissible.
+marks its admissible points with one broadcast mask, and a grid with an
+inadmissible point is cut to its admissible points before anything is
+evaluated: the run of axes that the mask varies over becomes one axis
+listing the admissible combinations in C order.  The three-sample default
+grid is declared as the plain open mesh and cut this way once, when it is
+built, since only 27,060 of its 61 million points are admissible.
 The function is evaluated in blocks of about 2^17 points along the grid's
 longest axis, so that its temporaries stay in cache, and the worst
 admissible point is reported.  That is the point ``np.argmin`` would pick
@@ -35,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -43,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from ._tables import with_table
-from .errors import DomainError, _is_real, _is_tolerance, _to_float
+from .errors import DomainError, _integer, _real
 from .thresholds import (
     _a_r_at_one, _log_gap_over_t, alpha_threshold_lower, alpha_threshold_upper, r0_value,
 )
@@ -68,11 +64,6 @@ class AuxFunctionId(str, Enum):
     THREE_SAMPLE_LOWER = "three-sample-lower"
 
 
-def _is_positive_int(value) -> bool:
-    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= 1)
-
-
 @dataclass(frozen=True)
 class GridAxis:
     """One axis of a rectangular check grid.
@@ -90,15 +81,12 @@ class GridAxis:
     log: bool = False
 
     def __post_init__(self):
-        if not (_is_real(self.lo) and _is_real(self.hi)):
-            raise DomainError(f"axis bounds must be numbers, got [{self.lo!r}, {self.hi!r}]")
+        vars(self).update(lo=_real(self.lo, "lo"), hi=_real(self.hi, "hi"),
+                          count=_integer(self.count, "count"))
         for key in ("open_lo", "open_hi", "log"):
             if not isinstance(getattr(self, key), bool):
                 raise DomainError(f"{key} must be true or false, got {getattr(self, key)!r}")
-        vars(self).update(lo=_to_float(self.lo), hi=_to_float(self.hi))
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise DomainError(f"axis bounds must be finite, got [{self.lo}, {self.hi}]")
-        if not _is_positive_int(self.count):
+        if self.count < 1:
             raise DomainError(f"axis count must be a positive integer, got {self.count!r}")
         if self.log and not (self.lo > 0.0 and self.hi > 0.0):
             raise DomainError(f"a log axis needs lo > 0 and hi > 0, got [{self.lo}, {self.hi}]")
@@ -419,14 +407,12 @@ def aux_eval(id: AuxFunctionId, args: tuple) -> float:
     """The raw value of one catalog function at one argument tuple."""
     id = AuxFunctionId(id)
     entry = _CATALOG[id]
-    if len(args) != len(entry.args):
-        raise DomainError(f"{id.value} takes arguments {entry.args}, got {len(args)}")
-    if not all(map(_is_real, args)):
-        raise DomainError(f"{id.value} takes real numbers, got {tuple(args)!r}")
-    vals = tuple(map(_to_float, args))
+    if not isinstance(args, (tuple, list)) or len(args) != len(entry.args):
+        raise DomainError(f"{id.value} takes arguments {entry.args}, got {args!r}")
+    vals = tuple(_real(v, f"{id.value} argument {name}") for v, name in zip(args, entry.args))
     in_domain, takes = entry.takes
-    if not (all(map(math.isfinite, vals)) and in_domain(*vals)):
-        raise DomainError(f"{id.value} takes finite {takes}, got {vals}")
+    if not in_domain(*vals):
+        raise DomainError(f"{id.value} takes {takes}, got {vals}")
     arrays = tuple(np.asarray([v]) for v in vals)
     return float(entry.fn(*arrays)[0])
 
@@ -452,9 +438,10 @@ def aux_sign_check(
     AllSatisfy when the claimed bound holds at every point within
     ``tolerance`` (absolute).
     """
-    if not _is_tolerance(tolerance):
+    tolerance, max_points = _real(tolerance, "tolerance"), _integer(max_points, "max_points")
+    if tolerance < 0.0:
         raise DomainError(f"tolerance must be finite and >= 0 (got {tolerance})")
-    if not _is_positive_int(max_points):
+    if max_points < 1:
         raise DomainError(f"max_points must be a positive integer, got {max_points!r}")
     id = AuxFunctionId(id)
     entry = _CATALOG[id]
@@ -464,23 +451,19 @@ def aux_sign_check(
         axes, desc = _custom_axes(entry, grid, max_points)
     args = entry.complete(axes)
     shape = np.broadcast_shapes(*(a.shape for a in args))
-    mask, count = None, math.prod(shape)
+    count = math.prod(shape)
     if entry.admissible is not None:
-        # Counted on the mask's own shape; a mask that keeps every point is dropped.
-        admissible = entry.admissible(*args)
-        kept = int(np.count_nonzero(admissible))
-        count = kept * (count // admissible.size)
-        if kept < admissible.size:
-            mask = np.broadcast_to(admissible, shape)
+        admissible = entry.admissible(*args)  # counted on the mask's own shape
+        count = int(np.count_nonzero(admissible)) * (count // admissible.size)
     if count == 0:
         raise DomainError("the grid contains no admissible points")
     if count > max_points:
         raise DomainError(f"grid has {count} points, above the cap {max_points}")
-    if mask is not None and 2 * count <= mask.size:
-        # A sparse grid: evaluate its admissible points alone, in the same order.
+    if count < math.prod(shape):
+        # Evaluate the admissible points alone, in the same order.
         axes = _admissible_axes(axes, admissible)
         args = entry.complete(axes)
-        shape, mask = np.broadcast_shapes(*(a.shape for a in args)), None
+        shape = np.broadcast_shapes(*(a.shape for a in args))
     # Blocks along the longest axis: a term that does not involve the
     # blocked axis is recomputed in every block, so keep the blocks few.
     axis = max(range(len(shape)), key=shape.__getitem__)
@@ -489,21 +472,13 @@ def aux_sign_check(
     for start in range(0, shape[axis], step):
         block = (slice(None),) * axis + (slice(start, start + step),)
         sub = entry.complete(tuple(a if a.shape[axis] == 1 else a[block] for a in axes))
-        # Inadmissible points of an uncut grid are evaluated too, and may
-        # overflow or divide by zero.
+        # A custom grid may reach points that overflow or divide by zero.
         with np.errstate(all="ignore"):
             values = entry.fn(*sub)
         size = min(step, shape[axis] - start)
         values = np.broadcast_to(values, shape[:axis] + (size,) + shape[axis + 1:])
         margins = values - entry.bound if entry.claim == "ge" else entry.bound - values
-        if mask is None:
-            j = np.argmin(margins)
-        else:
-            kept = np.flatnonzero(mask[block])
-            if kept.size == 0:
-                continue
-            j = kept[np.argmin(margins.ravel()[kept])]
-        local = np.unravel_index(j, margins.shape)
+        local = np.unravel_index(np.argmin(margins), margins.shape)
         margin = float(margins[local])
         at = local[:axis] + (start + local[axis],) + local[axis + 1:]
         # np.argmin's order over the whole grid: NaN first, then the

@@ -44,14 +44,13 @@ only when some were degenerate.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice
 
 import numpy as np
 
-from .errors import DomainError, _real
+from .errors import DomainError, _integer, _real
 from .inequalities import _CATALOG, InequalityId, relative_residuals, resolve_params
 from .means import (
     Configuration, ConfigurationBatch, DeltaParams, _Means, delta_rows, log_power_mean,
@@ -82,11 +81,13 @@ class SearchBudget:
     restarts: int = 20
 
     def __post_init__(self) -> None:
-        lo, hi = self.n_range
-        for name, value in (("max_evals", self.max_evals), ("seed", self.seed),
-                            ("restarts", self.restarts), ("n_range", lo), ("n_range", hi)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
+        try:
+            lo, hi = self.n_range
+        except (TypeError, ValueError):
+            raise DomainError(f"n_range must be two integers, got {self.n_range!r}") from None
+        lo, hi = _integer(lo, "n_range"), _integer(hi, "n_range")
+        vars(self).update(n_range=(lo, hi), **{name: _integer(getattr(self, name), name)
+                                               for name in ("max_evals", "seed", "restarts")})
         if self.max_evals < 1:
             raise DomainError("max_evals must be at least 1")
         if not 0 <= self.seed < 2**64:
@@ -277,14 +278,13 @@ def counterexample_hunt(
             rngs.append(_stream(budget.seed, n, k))
             allowances.append(min(per_restart, left))
             left -= allowances[-1]
-    used, f, at = _descend(id, params, sizes, rngs, allowances)
+    used, f, at_x, at_q = _descend(id, params, sizes, rngs, allowances)
     best = int(np.argmin(f))  # the first restart of the lowest score
     best_rel = float(f[best])
-    batch, row = at[best]
     verdict = "ViolationFound" if best_rel < -VIOLATION_REL_TOL else "NoViolationFound"
     return SearchReport(
         verdict=verdict,
-        best_config=batch.row(row),
+        best_config=Configuration(at_x[best, :sizes[best]], at_q[best, :sizes[best]]),
         best_residual=best_rel,
         evals_used=int(used.sum()),
         seed=budget.seed,
@@ -308,7 +308,7 @@ def _descend(id, params, sizes, rngs, allowances):
 
     One descent per stream, of the sample size in ``sizes``, each run to
     its entry in ``allowances``; returns the evaluations each used, its
-    score and the (batch, row) of its point.  A sequential descent sweeps
+    score, and its point as rows of (x, q) arrays.  A sequential descent sweeps
     the coordinates in a fresh random order, tries +step then -step on
     each, moves at the first trial that improves and goes on to the next
     coordinate, and halves the step after a sweep without a move.  Here
@@ -331,7 +331,7 @@ def _descend(id, params, sizes, rngs, allowances):
         u[k, :n] = rng.uniform(-math.log(50.0), math.log(50.0), n)
         u[k, width:width + n] = rng.normal(0.0, 1.5, n)
     batch, f = _evaluate(id, params, u, sizes)
-    at = [(batch, k) for k in range(len(rngs))]
+    at_x, at_q = batch.x, batch.q_weights
     used = np.ones(len(rngs), dtype=int)
     cap = np.array(allowances)
     step = np.full(len(rngs), _STEP0)
@@ -362,8 +362,8 @@ def _descend(id, params, sizes, rngs, allowances):
         u[k_hit] = points[h, first[h]]
         f[k_hit] = f_t[j]
         moved[k_hit] = True
-        for k, row in zip(k_hit.tolist(), j.tolist()):
-            at[k] = (batch, row)
+        at_x[k_hit] = batch.x[j]
+        at_q[k_hit] = batch.q_weights[j]
         pos[idx] += 1
         swept = idx[pos[idx] == dims[idx]]
         step[swept[~moved[swept]]] *= 0.5
@@ -374,7 +374,7 @@ def _descend(id, params, sizes, rngs, allowances):
             perm[k, :dims_of[k]] = rngs[k].permutation(dims_of[k])
         pos[again] = 0
         moved[again] = False
-    return used, f, at
+    return used, f, at_x, at_q
 
 
 class ProbeClaim(str, Enum):
@@ -447,10 +447,7 @@ def finite_difference_probe(
     """
     claim = ProbeClaim(claim)
     r = _real(r, "r")
-    if a is not None:
-        a = _real(a, "a")
-        if not math.isfinite(a):
-            raise DomainError(f"a must be finite, got {a!r}")
+    a = None if a is None else _real(a, "a")
     if config.x[0] <= 0.0:
         raise DomainError("finite-difference probes need x_1 > 0")
     takes_a, in_range, message = _PROBE_RANGES[claim]

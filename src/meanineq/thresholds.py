@@ -67,7 +67,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainError, _real
+from .errors import DomainError, _integer, _real, _reals
 
 __all__ = ["ThresholdResult", "a_r_fn", "a_r_values", "alpha_threshold_lower",
            "alpha_threshold_upper", "bisect", "gap_exponent_lower", "gap_exponent_upper",
@@ -106,9 +106,12 @@ class ThresholdResult:
         }
 
 
-def _check_bracket(lo: float, hi: float) -> None:
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+def _bracket(lo, hi, xtol, max_iter) -> tuple[float, float, float, int]:
+    """A solver's bracket ends, tolerance and iteration cap, read; lo <= hi."""
+    lo, hi = _real(lo, "lo"), _real(hi, "hi")
+    if not lo <= hi:
         raise DomainError(f"bracket [{lo}, {hi}] must be finite with lo <= hi")
+    return lo, hi, _real(xtol, "xtol"), _integer(max_iter, "max_iter")
 
 
 def bisect(
@@ -125,7 +128,7 @@ def bisect(
     f(value).  Raises DomainError when the bracket is not finite with
     lo <= hi, or when f(lo) and f(hi) are NaN or do not straddle 0.
     """
-    _check_bracket(lo, hi)
+    lo, hi, xtol, max_iter = _bracket(lo, hi, xtol, max_iter)
     flo = f(lo)
     fhi = f(hi)
     if math.isnan(flo) or math.isnan(fhi):
@@ -173,7 +176,7 @@ def golden_section_min(
     a minimum sitting on the bracket edge is never lost.  Raises DomainError
     when the bracket is not finite with lo <= hi.
     """
-    _check_bracket(lo, hi)
+    lo, hi, xtol, max_iter = _bracket(lo, hi, xtol, max_iter)
     best_t, best_f = lo, f(lo)
     fhi = f(hi)
     if fhi < best_f:
@@ -206,7 +209,7 @@ def golden_section_min(
 def _profile_r(r) -> float:
     """r read as a real number; DomainError unless it is finite and > 1."""
     r = _real(r, "r")
-    if not 1.0 < r < math.inf:
+    if not r > 1.0:
         raise DomainError(f"the profile needs a finite r > 1 (got {r})")
     return r
 
@@ -256,7 +259,7 @@ def a_r_values(r: float, t: np.ndarray) -> np.ndarray:
     import numpy as np
 
     r = _profile_r(r)
-    t = np.array(t, dtype=float, ndmin=1)
+    t = np.atleast_1d(_reals(t, "t"))
     if not np.all((t >= 0.0) & (t <= 1.0)):
         raise DomainError("t must lie in [0, 1]")
     # At t = 0, ln t = -inf carries the formula to its limit |r-2|/r; t = 1 is 0/0.
@@ -348,7 +351,7 @@ def alpha_threshold_lower(r: float) -> float:
     [4, inf).
     """
     r = _real(r, "r")
-    if not 2.0 < r < math.inf:
+    if not r > 2.0:
         raise DomainError(f"the lower threshold needs a finite r > 2 (got {r})")
     if r < 3.0:
         return 1.0 - gap_exponent_lower(r)

@@ -92,7 +92,7 @@ class TestCheckCommand:
                                  "--x", "1,2", "--q", "0.5,0.5"], capsys)
         assert code == 2
         assert out == ""
-        assert "needs a finite r" in err
+        assert "r must be a finite real number, got inf" in err
 
     def test_ineq_help_lists_the_catalog(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "2000")  # one line per option: no wrap at hyphens
@@ -180,7 +180,7 @@ class TestThresholdCommand:
     # an infinite order has no threshold: 1 - (r - 2) / r^2 is inf / inf there
     @pytest.mark.parametrize("argv, message", [
         (["threshold", "--which", "alpha-lower", "--r", "inf"],
-         "the lower threshold needs a finite r > 2 (got inf)"),
+         "r must be a finite real number, got inf"),
         (["sweep", "--quantity", "alpha-threshold", "--grid", "2.5,inf,3"],
          "grid ends must be finite (got 2.5, inf)"),
     ])
@@ -230,7 +230,7 @@ class TestSearchCommands:
                                  "--budget", "300", "--seed", "1"], capsys)
         assert code == 2
         assert out == ""
-        assert err == "meanineq: error: mix-variance-upper needs a finite r (got inf)\n"
+        assert err == "meanineq: error: r must be a finite real number, got inf\n"
 
     @pytest.mark.parametrize("flag, message", [
         ("--budget", "max_evals must be at least 1"),
@@ -453,7 +453,7 @@ class TestDeterminismAndPlumbing:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(payload))
         want = invoke(argv, capsys)
-        assert want[:2] == (2, "") and "must be finite" in want[2]
+        assert want[:2] == (2, "") and "must be a finite real number, got " in want[2]
         assert invoke(["--config", str(cfg)], capsys) == want
 
     def test_tolerance_env_var(self, capsys, monkeypatch):
@@ -466,16 +466,20 @@ class TestDeterminismAndPlumbing:
         code, out, _ = invoke(argv, capsys)
         assert json.loads(out)["status"] == "Equality"
 
-    @pytest.mark.parametrize("bad", ["nan", "-1", "inf"])
-    def test_bad_tolerance_is_a_usage_error(self, bad, capsys, monkeypatch):
+    @pytest.mark.parametrize("bad, message", [
+        ("nan", "rel_tol must be a finite real number, got nan"),
+        ("-1", "rel_tol and abs_floor must be finite and >= 0"),
+        ("inf", "rel_tol must be a finite real number, got inf"),
+    ], ids=["nan", "-1", "inf"])
+    def test_bad_tolerance_is_a_usage_error(self, bad, message, capsys, monkeypatch):
         argv = ["check", "--ineq", "diananda-base-lower", "--x", "1,1", "--q", "0.5,0.5"]
         code, out, err = invoke(argv + ["--tol", bad], capsys)
         assert (code, out) == (2, "")
-        assert "rel_tol and abs_floor must be finite and >= 0" in err
+        assert message in err
         monkeypatch.setenv("MEANINEQ_TOL", bad)
         code, out, err = invoke(argv, capsys)
         assert (code, out) == (2, "")
-        assert "rel_tol and abs_floor must be finite and >= 0" in err
+        assert message in err
 
     def test_imports_without_docstrings(self):
         # under -OO every __doc__ is None; the catalog tables are rendered into

@@ -238,3 +238,16 @@ def test_every_private_module_name_is_used():
             elif isinstance(node, ast.Attribute):
                 used[node.attr] += 1
     assert [f"{module}: {name}" for module, name in defined if not used[name]] == []
+
+
+def test_only_errors_knows_what_a_number_is():
+    # The argument rule lives in meanineq.errors alone: no other module
+    # imports ``numbers`` to test a value's type on its own.
+    importers = []
+    for path in sorted(Path(meanineq.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "numbers" in names:
+                importers.append(path.name)
+    assert importers == ["errors.py"]

@@ -92,12 +92,15 @@ class TestAuxEval:
         (AuxFunctionId.THREE_SAMPLE_LOWER, (-math.inf, 0.3, 0.3, 0.4, 1.0)),
     ])
     def test_non_finite_arguments_rejected(self, tag, args):
-        with pytest.raises(DomainError, match=f"{tag.value} takes finite"):
+        with pytest.raises(DomainError,
+                           match=f"^{tag.value} argument .* must be a finite real number, got "):
             aux_eval(tag, args)
 
     @pytest.mark.parametrize("arg, message", [
-        ("a", "takes real numbers"), (1j, "takes real numbers"), (True, "takes real numbers"),
-        (10**400, r"takes finite .*got \(inf, 1.5\)"),
+        ("a", "argument x must be a finite real number, got 'a'"),
+        (1j, "argument x must be a finite real number, got 1j"),
+        (True, "argument x must be a finite real number, got True"),
+        (10**400, "argument x must be a finite real number, got inf"),
     ], ids=["text", "complex", "bool", "past-float-range"])
     def test_non_real_arguments_rejected(self, arg, message):
         # These used to raise ValueError, TypeError and OverflowError, and a
@@ -136,7 +139,7 @@ class TestDefaultSignChecks:
     @pytest.mark.parametrize("tolerance", [True, "1e-10", 1e-10j, None])
     def test_tolerance_must_be_a_number(self, tolerance):
         # True used to run with tolerance 1.
-        with pytest.raises(DomainError, match=r"^tolerance must be finite and >= 0 \(got "):
+        with pytest.raises(DomainError, match="^tolerance must be a finite real number, got "):
             aux_sign_check(AuxFunctionId.EXPONENT_MARGIN, tolerance=tolerance)
 
     @pytest.mark.parametrize("tolerance", [math.nan, -1.0, math.inf])
@@ -206,9 +209,11 @@ class TestCustomGrids:
     @pytest.mark.parametrize("max_points", [math.nan, None, 0, 2.5, True])
     def test_max_points_must_be_a_positive_integer(self, max_points):
         # A NaN cap used to turn the cap off, and None raised a bare TypeError.
-        with pytest.raises(DomainError, match="max_points must be a positive integer"):
+        message = ("^max_points must be a positive integer, got 0$" if max_points == 0
+                   else "^max_points must be an integer of at most 64 bits, got ")
+        with pytest.raises(DomainError, match=message):
             aux_sign_check(AuxFunctionId.EXPONENT_MARGIN, max_points=max_points)
-        with pytest.raises(DomainError, match="max_points must be a positive integer"):
+        with pytest.raises(DomainError, match=message):
             aux_sign_check(
                 AuxFunctionId.EXPONENT_MARGIN,
                 grid={"x": GridAxis(0.75, 1.0, 2), "r": GridAxis(1.0, 2.0, 2)},
@@ -246,15 +251,15 @@ class TestCustomGrids:
         # json.loads reads a 401-digit literal as this int; float() of it
         # used to raise OverflowError.
         axis = {"lo": 0.75, "hi": 10**400, "count": 5}
-        with pytest.raises(DomainError, match=r"^axis bounds must be finite, got \[0.75, inf\]$"):
+        with pytest.raises(DomainError, match="^hi must be a finite real number, got inf$"):
             GridAxis.from_json_dict(axis)
-        with pytest.raises(DomainError, match="^axis 'x': axis bounds must be finite"):
+        with pytest.raises(DomainError, match="^axis 'x': hi must be a finite real number"):
             aux_sign_check(AuxFunctionId.EXPONENT_MARGIN, grid={"x": axis, "r": GridAxis(1, 2, 2)})
 
     @pytest.mark.parametrize("args, message", [
-        ((True, 2.0, 3), r"^axis bounds must be numbers, got \[True, 2.0\]$"),
-        (("a", 1.0, 5), r"^axis bounds must be numbers, got \['a', 1.0\]$"),
-        ((0.75, 10**400, 5), r"^axis bounds must be finite, got \[0.75, inf\]$"),
+        ((True, 2.0, 3), "^lo must be a finite real number, got True$"),
+        (("a", 1.0, 5), "^lo must be a finite real number, got 'a'$"),
+        ((0.75, 10**400, 5), "^hi must be a finite real number, got inf$"),
         ((0.0, 1.0, 5, 1), "^open_lo must be true or false, got 1$"),
     ], ids=["bool", "text", "past-float-range", "int-flag"])
     def test_constructor_checks_bounds_and_flags(self, args, message):
@@ -288,7 +293,7 @@ class TestCustomGrids:
         (0.75, "'x' must be a GridAxis or a JSON object, got float"),
         ({"hi": 1.0, "count": 5}, r"'x': .*missing \['lo'\]"),
         ({"lo": 0.75, "hi": 1.0}, r"'x': .*missing \['count'\]"),
-        ({"lo": "a", "hi": 1.0, "count": 5}, "'x': axis bounds must be numbers"),
+        ({"lo": "a", "hi": 1.0, "count": 5}, "'x': lo must be a finite real number"),
         ({"lo": 0.75, "hi": 1.0, "count": 5, "log": "no"}, "'x': log must be true or false"),
         ({"lo": 0.75, "hi": 1.0, "count": 5, "open_lo": "false"},
          "'x': open_lo must be true or false"),
@@ -381,8 +386,7 @@ _THREE_SAMPLE_96 = {"y": GridAxis(1.0, 2.0, 1), "q1": GridAxis(0.31, 0.35, 100),
 # p >= r keeps 171,600 of 960,000 points.
 _SHIFTED_SPARSE = {"r": GridAxis(2.0, 6.0, 40), "p": GridAxis(1.1, 4.0, 40),
                    "s": GridAxis(0.0, 1.0, 20), "z": GridAxis(1.01, 50.0, 30, log=True)}
-# p >= r keeps 486,600 of 900,000 points, so the grid is swept whole, in
-# blocks along r; the blocks with r > 6.5 hold no admissible point.
+# p >= r keeps 486,600 of 900,000 points; no point with r > 6.5 is admissible.
 _SHIFTED_MOSTLY = {"r": GridAxis(1.1, 9.0, 200, log=True), "p": GridAxis(1.1, 6.5, 150),
                    "s": GridAxis(0.0, 1.0, 5), "z": GridAxis(1.01, 100.0, 6, log=True)}
 # r = 2 is inadmissible: half of the first grid, one r value in 201 of the second.
@@ -392,15 +396,15 @@ _LINEAR_GAP_MOST = {"r": GridAxis(1.0, 3.0, 201), "a": GridAxis(0.0, 0.05, 10),
                     "t": GridAxis(0.0, 1.0, 100)}
 
 # Masked grids, with the number of points the sweep evaluates: the
-# admissible ones alone when at most half of the grid is admissible.
+# admissible ones alone.
 _MASKED_CASES = [
     ("three-sample-lower", _THREE_SAMPLE_SEED1, 55_440),
     ("three-sample-lower", _dense_three_sample(0.22678935703870873, 0.4026594471233721,
                                                1.317303593961744), 40_360),
-    ("three-sample-lower", _THREE_SAMPLE_96, 10**6),
+    ("three-sample-lower", _THREE_SAMPLE_96, 962_278),
     ("shifted-ratio-monotone", _SHIFTED_SPARSE, 171_600),
     ("linear-gap-bound", _LINEAR_GAP_HALF, 1_000),
-    ("linear-gap-bound", _LINEAR_GAP_MOST, 201_000),
+    ("linear-gap-bound", _LINEAR_GAP_MOST, 200_000),
 ]
 _MASKED_IDS = ["three-sample-seed1", "three-sample-seed2", "three-sample-96pct",
                "shifted-ratio-sparse", "linear-gap-half", "linear-gap-most"]
@@ -444,7 +448,7 @@ class TestBlockedSweeps:
         if grid is _THREE_SAMPLE_96:
             assert report["points_checked"] == 962_278
 
-    def test_blocks_without_admissible_points_are_skipped(self):
+    def test_mostly_admissible_grid_is_cut_with_the_same_report(self):
         tag = "shifted-ratio-monotone"
         report = aux_sign_check(tag, grid=_SHIFTED_MOSTLY).to_json_dict()
         expected = _whole_grid_report(tag, _SHIFTED_MOSTLY, DEFAULT_SIGN_TOL)
@@ -470,8 +474,8 @@ class TestBlockedSweeps:
         assert peak <= 2 * 2**20
 
     def test_masked_parity_fuzz(self):
-        # Random custom grids over the three masked tags, on both sides of
-        # the half-admissible share at which the sweep starts to cut.
+        # Random custom grids over the three masked tags, at most and more
+        # than half of their points admissible.
         rng = np.random.default_rng(21)
         shares = []
         for _ in range(100):

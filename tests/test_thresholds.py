@@ -117,12 +117,16 @@ class TestGoldenSection:
         assert (t, f) == (0.628153994626696, -0.9999996615984524)
 
 
-    @pytest.mark.parametrize("lo, hi", [
-        (math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf), (1.0, 0.0),
-    ])
-    def test_bracket_must_be_finite_and_ordered(self, lo, hi):
+    @pytest.mark.parametrize("lo, hi, message", [
+        (math.nan, 1.0, "^lo must be a finite real number, got nan$"),
+        (0.0, math.nan, "^hi must be a finite real number, got nan$"),
+        (-math.inf, 1.0, "^lo must be a finite real number, got -inf$"),
+        (0.0, math.inf, "^hi must be a finite real number, got inf$"),
+        (1.0, 0.0, r"must be finite with lo <= hi"),
+    ], ids=["nan-1.0", "0.0-nan", "-inf-1.0", "0.0-inf", "1.0-0.0"])
+    def test_bracket_must_be_finite_and_ordered(self, lo, hi, message):
         calls = []
-        with pytest.raises(DomainError, match=r"must be finite with lo <= hi"):
+        with pytest.raises(DomainError, match=message):
             golden_section_min(lambda u: calls.append(u) or u * u, lo, hi)
         assert calls == []
 
@@ -144,11 +148,11 @@ def _at_r(fn, r):
 class TestOrderIsReadAsARealNumber:
     @pytest.mark.parametrize("bad", ["1.5", True, None, 1j])
     def test_non_real_order_is_a_domain_error(self, fn, bad):
-        with pytest.raises(DomainError, match=r"^r must be a real number, got "):
+        with pytest.raises(DomainError, match=r"^r must be a finite real number, got "):
             _at_r(fn, bad)
 
     def test_integer_past_the_float_range_reads_as_inf(self, fn):
-        with pytest.raises(DomainError, match=r"\(got inf\)$"):
+        with pytest.raises(DomainError, match=r"^r must be a finite real number, got inf$"):
             _at_r(fn, 10**400)
 
     def test_a_real_order_gives_its_floats_value(self, fn):
@@ -162,8 +166,10 @@ class TestOrderIsReadAsARealNumber:
 
 
 def test_the_profile_names_its_range():
-    with pytest.raises(DomainError, match=r"^the profile needs a finite r > 1 \(got inf\)$"):
+    with pytest.raises(DomainError, match=r"^r must be a finite real number, got inf$"):
         min_a_r(10**400)
+    with pytest.raises(DomainError, match=r"^the profile needs a finite r > 1 \(got 0.5\)$"):
+        min_a_r(0.5)
 
 
 class TestProfile:
@@ -321,7 +327,7 @@ class TestAlphaThresholds:
             alpha_threshold_lower(2.0)
 
     def test_lower_needs_a_finite_order(self):
-        with pytest.raises(DomainError, match="finite r > 2"):
+        with pytest.raises(DomainError, match="^r must be a finite real number, got inf$"):
             alpha_threshold_lower(math.inf)
 
     def test_solved_margin_never_beats_profile_minimum(self):
