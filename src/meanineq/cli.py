@@ -133,7 +133,11 @@ def _grid_triplet(text: str) -> tuple[float, float, int]:
     parts = str(text).split(",")
     if len(parts) != 3:
         raise MeanIneqError("--grid expects lo,hi,count")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        return float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise MeanIneqError(
+            f"--grid expects numbers lo,hi and an integer count, got {text!r}") from None
 
 
 def _linspace(lo: float, hi: float, count: int) -> list[float]:
@@ -201,7 +205,10 @@ def _tolerance(options: dict) -> float | None:
     if options.get("tol") is not None:
         return float(options["tol"])
     env = os.environ.get(_TOL_ENV)
-    return float(env) if env else None
+    try:
+        return float(env) if env else None
+    except ValueError:
+        raise MeanIneqError(f"{_TOL_ENV} must be a number, got {env!r}") from None
 
 
 def _exec_mean(options: dict):

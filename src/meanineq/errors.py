@@ -14,7 +14,9 @@ Each raises :class:`DomainError` naming the argument, in one form:
 ``<name> must be a finite real number, got <value>``, ``<name> must be an
 integer of at most 64 bits, got <value>`` or ``<name> must be real
 numbers, got <value>``.  A range test that follows, such as r > 1, is the
-caller's.  This module imports no numpy; the CLI reads the numbers of its
+caller's.  A message shows a caller's value by ``_show``, reprlib's
+abbreviation, which names an int too long for ``repr`` by its bit length.
+This module imports no numpy; the CLI reads the numbers of its
 run-configuration files with ``_to_float``, without loading numpy.
 """
 
@@ -41,6 +43,17 @@ class DegenerateInput(MeanIneqError):
     """Raised when an expression degenerates to 0/0 (e.g. constant samples)."""
 
 
+class _Shower(reprlib.Repr):
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:  # more digits than int-to-str conversion allows
+            return f"<int of {x.bit_length()} bits>"
+
+
+_show = _Shower().repr
+
+
 def _to_float(value: numbers.Real) -> float:
     """A real number as a float; an integer past the float range reads as +-inf."""
     try:
@@ -54,7 +67,7 @@ def _real(value, what: str) -> float:
     if type(value) is not float and isinstance(value, numbers.Real) and type(value) is not bool:
         value = _to_float(value)
     if type(value) is not float or not math.isfinite(value):
-        raise DomainError(f"{what} must be a finite real number, got {reprlib.repr(value)}")
+        raise DomainError(f"{what} must be a finite real number, got {_show(value)}")
     return value
 
 
@@ -64,7 +77,7 @@ def _integer(value, what: str) -> int:
     if type(value) is int or type(value) is not bool and isinstance(value, numbers.Integral):
         if int(value).bit_length() <= 64:
             return int(value)
-    raise DomainError(f"{what} must be an integer of at most 64 bits, got {reprlib.repr(value)}")
+    raise DomainError(f"{what} must be an integer of at most 64 bits, got {_show(value)}")
 
 
 def _reals(values, what: str):
@@ -78,5 +91,5 @@ def _reals(values, what: str):
         array = np.asarray(values, dtype=object)
     if array.dtype.kind not in "fiu" or values is not array and not {
             bool, np.bool_}.isdisjoint(map(type, np.asarray(values, dtype=object).flat)):
-        raise DomainError(f"{what} must be real numbers, got {reprlib.repr(values)}")
+        raise DomainError(f"{what} must be real numbers, got {_show(values)}")
     return array.astype(float, copy=False)

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from ._tables import with_table
-from .errors import DegenerateInput, DomainError, _real
+from .errors import DegenerateInput, DomainError, _real, _show
 from .means import (
     DEFAULT_ABS_FLOOR,
     DEFAULT_REL_TOL,
@@ -124,7 +124,8 @@ def _triple_params(tag, triple, alpha, r, s) -> dict:
     try:
         a, b, c = triple
     except (TypeError, ValueError):
-        raise DomainError(f"{tag.value} needs a triple of three orders (got {triple!r})") from None
+        raise DomainError(
+            f"{tag.value} needs a triple of three orders (got {_show(triple)})") from None
     r, s, t = order_triple(a, b, c)
     alpha = 1.0 if alpha is None else _real(alpha, "alpha")
     # not a hypothesis: C((1-q)^alpha) and C(q^alpha) need an argument in (0, 1)
@@ -197,12 +198,8 @@ def _cartwright_field(upper: bool, m, p):
 
 
 def _mg_sigma(upper: bool, m, p):
-    r = p["r"]
-    diff = m.mean(r) - m.mean(0.0)
-    sigma = m.sigma()
-    if upper:
-        return diff, m.div(r * sigma, 2.0 * m.x1())
-    return m.div(r * sigma, 2.0 * m.xn()), diff
+    """The Cartwright-Field sides at s = 0, where M_s = G; r - 0 is r, so the bits are the same."""
+    return _cartwright_field(upper, m, {"r": p["r"], "s": 0.0})
 
 
 def _half_mean(upper: bool, m, p):

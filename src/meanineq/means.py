@@ -76,7 +76,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInput, DomainError, _real, _reals
+from .errors import ConfigError, DegenerateInput, DomainError, _real, _reals, _show
 
 # Default tolerances for equality/validity judgments; callers may override
 # per call.  Relative tolerance applies to max(|lhs|, |rhs|, 1).
@@ -257,7 +257,7 @@ class MeanValue:
 
     def __post_init__(self) -> None:
         if self.convention not in ("plain", "log"):
-            raise DomainError(f"unknown convention {self.convention!r}")
+            raise DomainError(f"unknown convention {_show(self.convention)}")
         vars(self)["value"] = _real(self.value, "value")
 
 
@@ -317,7 +317,7 @@ def mean_value(config: Configuration, r: float, convention: str = "plain") -> Me
         if not math.isfinite(lv):
             raise DomainError("log convention undefined for a zero mean")
         return MeanValue(lv, "log")
-    raise DomainError(f"unknown convention {convention!r}")
+    raise DomainError(f"unknown convention {_show(convention)}")
 
 
 def variance_sigma(config: Configuration) -> float:

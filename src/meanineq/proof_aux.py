@@ -32,14 +32,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 
 from ._tables import with_table
-from .errors import DomainError, _integer, _real
+from .errors import DomainError, _integer, _real, _show
 from .thresholds import (
     _a_r_at_one, _log_gap_over_t, alpha_threshold_lower, alpha_threshold_upper, r0_value,
 )
@@ -85,7 +85,7 @@ class GridAxis:
                           count=_integer(self.count, "count"))
         for key in ("open_lo", "open_hi", "log"):
             if not isinstance(getattr(self, key), bool):
-                raise DomainError(f"{key} must be true or false, got {getattr(self, key)!r}")
+                raise DomainError(f"{key} must be true or false, got {_show(getattr(self, key))}")
         if self.count < 1:
             raise DomainError(f"axis count must be a positive integer, got {self.count!r}")
         if self.log and not (self.lo > 0.0 and self.hi > 0.0):
@@ -107,9 +107,9 @@ class GridAxis:
         if missing:
             raise DomainError(f"a JSON axis needs 'lo', 'hi' and 'count', missing {missing}")
         flags = {key: payload.get(key, False) for key in ("open_lo", "open_hi", "log")}
-        unknown = sorted(set(payload) - {"lo", "hi", "count", *flags}, key=str)
+        unknown = sorted(set(payload) - {"lo", "hi", "count", *flags}, key=_show)
         if unknown:
-            raise DomainError(f"a JSON axis has unknown keys {unknown}")
+            raise DomainError(f"a JSON axis has unknown keys {_show(unknown)}")
         return cls(lo=payload["lo"], hi=payload["hi"], count=payload["count"], **flags)
 
 
@@ -126,15 +126,7 @@ class SignCheckReport:
     points_checked: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "id": self.id.value,
-            "domain": self.domain,
-            "worst_point": self.worst_point,
-            "worst_value": self.worst_value,
-            "margin": self.margin,
-            "verdict": self.verdict,
-            "points_checked": self.points_checked,
-        }
+        return {**asdict(self), "id": self.id.value}
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +400,7 @@ def aux_eval(id: AuxFunctionId, args: tuple) -> float:
     id = AuxFunctionId(id)
     entry = _CATALOG[id]
     if not isinstance(args, (tuple, list)) or len(args) != len(entry.args):
-        raise DomainError(f"{id.value} takes arguments {entry.args}, got {args!r}")
+        raise DomainError(f"{id.value} takes arguments {entry.args}, got {_show(args)}")
     vals = tuple(_real(v, f"{id.value} argument {name}") for v, name in zip(args, entry.args))
     in_domain, takes = entry.takes
     if not in_domain(*vals):
@@ -549,7 +541,7 @@ def _grid_axis(name: str, axis) -> GridAxis:
 def _custom_axes(entry: _CatalogEntry, grid: dict, max_points: int):
     names = entry.grid_names
     if set(grid) != set(names):
-        raise DomainError(f"grid has axes {tuple(grid)}, but this tag takes {names}")
+        raise DomainError(f"grid has axes {_show(tuple(grid))}, but this tag takes {names}")
     axes = [_grid_axis(name, grid[name]) for name in names]
     # Count before building any points, so that a refused grid allocates nothing.
     total = math.prod(int(axis.count) for axis in axes)

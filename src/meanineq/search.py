@@ -15,10 +15,11 @@ Three capabilities live here:
   ranges are bypassed (force evaluation), which is how regimes beyond a
   proven validity frontier are probed.
 
-* :func:`finite_difference_probe` numerically estimates the partial
-  derivatives whose signs drive the reduction arguments (derivative of
-  the upper/lower ratio functionals in the extreme samples, and of the
-  variance-corrected half-mean gap in its weight parameter).
+* :func:`finite_difference_probe` returns, in closed form, the exact
+  slopes whose signs drive the reduction arguments (of the upper/lower
+  ratio functionals in the extreme samples, and of the variance-corrected
+  half-mean gap in its weight parameter); its name is kept from when it
+  took finite differences.
 
 Searches are deterministic functions of (problem, budget): every restart
 derives its own random stream from (seed, n, restart index), so a
@@ -50,7 +51,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .errors import DomainError, _integer, _real
+from .errors import DomainError, _integer, _real, _show
 from .inequalities import _CATALOG, InequalityId, relative_residuals, resolve_params
 from .means import (
     Configuration, ConfigurationBatch, DeltaParams, _Means, delta_rows, log_power_mean,
@@ -84,7 +85,7 @@ class SearchBudget:
         try:
             lo, hi = self.n_range
         except (TypeError, ValueError):
-            raise DomainError(f"n_range must be two integers, got {self.n_range!r}") from None
+            raise DomainError(f"n_range must be two integers, got {_show(self.n_range)}") from None
         lo, hi = _integer(lo, "n_range"), _integer(hi, "n_range")
         vars(self).update(n_range=(lo, hi), **{name: _integer(getattr(self, name), name)
                                                for name in ("max_evals", "seed", "restarts")})
@@ -378,7 +379,7 @@ def _descend(id, params, sizes, rngs, allowances):
 
 
 class ProbeClaim(str, Enum):
-    """Monotonicity claims checked by finite differences."""
+    """Monotonicity claims checked by the sign of a slope."""
 
     SMALLEST_SAMPLE_SLOPE = "smallest-sample-slope"
     LARGEST_SAMPLE_SLOPE = "largest-sample-slope"
@@ -399,36 +400,27 @@ _PROBE_RANGES = {
 }
 
 
-def _ratio_functional(config: Configuration, r: float, a: float, upper: bool) -> float:
-    """The upper (weight base 1 - q, exponent (1 + a) r) or lower (q, (1 - a) r) ratio functional.
+def _ratio_slope(config: Configuration, r: float, a: float, upper: bool) -> float:
+    """The upper or lower ratio functional's slope in the smallest or largest sample.
 
-    That is (A^p - base^{(r-1)p/r} M_r^p) / G^p, homogeneous of degree 0 in
-    x, so it is taken as (A/G)^p - base^{(r-1)p/r} (M_r/G)^p from the
-    log-means, where the powers of the means themselves would overflow.
+    The functional (A^p - b^{(r-1)p/r} M_r^p) / G^p, with b = 1 - q and p = (1 + a) r
+    (upper) or b = q and p = (1 - a) r (lower), is T_1 - T_2 with T_1 = (A/G)^p and
+    T_2 = b^{(r-1)p/r} (M_r/G)^p, taken from the log-means, where the means' powers
+    would overflow.  With d ln A = q_i/A, d ln G = q_i/x_i and d ln M_r =
+    (q_i/x_i) (x_i/M_r)^r, its slope is p T_1 (d ln A - d ln G) - p T_2 (d ln M_r - d ln G).
     """
     q = config.min_weight
-    p = (1.0 + a) * r if upper else (1.0 - a) * r
-    base = 1.0 - q if upper else q
-    lg = log_power_mean(config, 0.0)
+    i, p, base = (0, (1.0 + a) * r, 1.0 - q) if upper else (-1, (1.0 - a) * r, q)
+    lg, la, lr = (log_power_mean(config, s) for s in (0.0, 1.0, r))
+    xi, qi = float(config.x[i]), float(config.q_weights[i])
+    lx = math.log(xi)
     try:
-        return (math.exp(p * (log_power_mean(config, 1.0) - lg))
-                - math.exp((r - 1.0) * p / r * math.log(base)
-                           + p * (log_power_mean(config, r) - lg)))
+        t1 = math.exp(p * (la - lg))
+        t2 = math.exp((r - 1.0) * p / r * math.log(base) + p * (lr - lg))
     except OverflowError:
         raise DomainError("the ratio functional is past the float range here") from None
-
-
-def _half_mean_gap_functional(config: Configuration, r: float, qp: float) -> float:
-    sides = _CATALOG[InequalityId.HALF_MEAN_VAR_UPPER].sides
-    lhs, rhs = sides(_Means(config, qp), {"r": r})
-    return lhs - rhs
-
-
-def _richardson(f, v0: float, h: float) -> float:
-    def central(hh: float) -> float:
-        return (f(v0 + hh) - f(v0 - hh)) / (2.0 * hh)
-
-    return (4.0 * central(h / 2.0) - central(h)) / 3.0
+    # d ln A - d ln G = (q_i/x_i) (x_i/A - 1), and likewise for M_r
+    return p * qi * (t1 * math.expm1(lx - la) - t2 * math.expm1(r * (lx - lr))) / xi
 
 
 def finite_difference_probe(
@@ -438,12 +430,15 @@ def finite_difference_probe(
     r: float,
     a: float | None = None,
 ) -> float:
-    """Richardson-refined central difference of a proof-driving derivative.
+    """The exact slope of a proof-driving functional, in closed form from the log-means.
 
-    The caller asserts the sign; the claims hold for parameters inside the
+    The public name is kept from when this was a finite difference.  The
+    caller asserts the sign; the claims hold for parameters inside the
     corresponding proven ranges (upper: 1 < r <= 2 with a below the
     profile minimum; lower: r >= 2 with a below min(1 - 1/r, profile
-    minimum); weight-parameter: 1/2 < r <= 2, and it takes no a).
+    minimum); weight-parameter: 1/2 < r <= 2, and it takes no a).  Where
+    the functional's two terms nearly cancel (samples many orders of
+    magnitude apart), the slope is rounding noise and its sign unsettled.
     """
     claim = ProbeClaim(claim)
     r = _real(r, "r")
@@ -456,16 +451,9 @@ def finite_difference_probe(
     if not in_range(r, a):
         raise DomainError(message)
     if claim is ProbeClaim.WEIGHT_PARAM_SLOPE:
-        qp = config.min_weight
-        return _richardson(lambda v: _half_mean_gap_functional(config, r, v), qp, 1e-6 * qp)
-    upper = claim is ProbeClaim.SMALLEST_SAMPLE_SLOPE
-    i = 0 if upper else -1
-    x = config.x.copy()
-    q = config.q_weights
-
-    def f(v: float) -> float:
-        xs = x.copy()
-        xs[i] = v
-        return _ratio_functional(Configuration(xs, q), r, a, upper)
-
-    return _richardson(f, float(x[i]), 1e-6 * float(x[i]))
+        # half-mean-var-upper's lhs - rhs, M_{1/2} - w M_r - (1 - w) G - (1/2 - r w) sigma/(2 x_1)
+        # with w = q^{2-1/r}, has the slope w' (G - M_r + r sigma / (2 x_1)) in q
+        m = _Means(config, config.min_weight)
+        return ((2.0 - 1.0 / r) * m.q ** (1.0 - 1.0 / r)
+                * (m.mean(0.0) - m.mean(r) + r * m.sigma() / (2.0 * m.x1())))
+    return _ratio_slope(config, r, a, claim is ProbeClaim.SMALLEST_SAMPLE_SLOPE)

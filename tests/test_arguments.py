@@ -24,8 +24,9 @@ from meanineq import (
     log_power_mean, mean_value, min_a_r, order_triple, power_mean, r0_value, sharpness_probe,
     solve_r0, solve_t1, solve_t2, variance_sigma,
 )
+from meanineq.errors import _show
 
-HOSTILE = ("1.5", True, None, 1j, 10**400, -10**400, math.nan, math.inf)
+HOSTILE = ("1.5", True, None, 1j, 10**400, -10**400, 10**5000, math.nan, math.inf)
 
 CFG = Configuration([1.0, 4.0], [0.25, 0.75])
 HALF = Configuration([1.0, 4.0], [0.5, 0.5])
@@ -182,7 +183,7 @@ def test_hostile_argument_raises_a_library_error(row, arg, element):
         exc = _outcome(row.call, {**row.args, arg: value})
         accepted_default = value is None and arg in row.optional
         if not isinstance(exc, MeanIneqError) and not (accepted_default and exc is None):
-            wrong.append(f"{value!r:.40}: {'accepted' if exc is None else repr(exc)}")
+            wrong.append(f"{_show(value)}: {'accepted' if exc is None else repr(exc)}")
     assert wrong == []
 
 
@@ -190,3 +191,33 @@ def test_hostile_argument_raises_a_library_error(row, arg, element):
 def test_named_hostile_call_raises_a_library_error(call):
     with pytest.raises(MeanIneqError):
         call()
+
+
+# 10**5000 has more digits than ``repr`` writes for an int; these messages
+# used to raise ValueError while echoing it.
+@pytest.mark.parametrize("call, message", [
+    (lambda: SearchBudget(max_evals=10**5000),
+     "max_evals must be an integer of at most 64 bits, got <int of 16610 bits>"),
+    (lambda: GridAxis(0, 1, 10**5000),
+     "count must be an integer of at most 64 bits, got <int of 16610 bits>"),
+    (lambda: Configuration([10**5000, 1], [0.5, 0.5]),
+     "samples must be real numbers, got [<int of 16610 bits>, 1]"),
+    (lambda: SearchBudget(n_range=10**5000),
+     "n_range must be two integers, got <int of 16610 bits>"),
+    (lambda: GridAxis(0, 1, 3, log=10**5000),
+     "log must be true or false, got <int of 16610 bits>"),
+    (lambda: aux_eval("exponent-margin", 10**5000),
+     "exponent-margin takes arguments ('x', 'r'), got <int of 16610 bits>"),
+    (lambda: check("diananda-upper", CFG, triple=10**5000),
+     "diananda-upper needs a triple of three orders (got <int of 16610 bits>)"),
+    (lambda: MeanValue(1.0, 10**5000), "unknown convention <int of 16610 bits>"),
+    (lambda: GridAxis.from_json_dict({"lo": 0, "hi": 1, "count": 3, 10**5000: 1}),
+     "a JSON axis has unknown keys [<int of 16610 bits>]"),
+    (lambda: aux_sign_check("exponent-margin", {10**5000: None}),
+     "grid has axes (<int of 16610 bits>,), but this tag takes ('x', 'r')"),
+], ids=["max_evals", "count", "samples", "n_range", "log-flag", "aux-args", "triple",
+        "convention", "axis-key", "grid-key"])
+def test_an_integer_too_long_to_print_is_named_by_its_bits(call, message):
+    with pytest.raises(MeanIneqError) as info:
+        call()
+    assert str(info.value) == message

@@ -718,21 +718,33 @@ def execute(argv):
     return cli._COMMANDS[run_config.command].execute(run_config.options)
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["mean", "--x", "1,a", "--q", "0.5,0.5", "--r", "1"], "could not parse number list '1,a'"),
-    (["sweep", "--quantity", "alpha-threshold", "--grid", "1,2"], "--grid expects lo,hi,count"),
-    (["mean", "--r", "1"], "both --x and --q are required"),
+@pytest.mark.parametrize("argv, message, env", [
+    (["mean", "--x", "1,a", "--q", "0.5,0.5", "--r", "1"], "could not parse number list '1,a'",
+     {}),
+    (["sweep", "--quantity", "alpha-threshold", "--grid", "1,2"], "--grid expects lo,hi,count",
+     {}),
+    (["mean", "--r", "1"], "both --x and --q are required", {}),
     (["check", "--ineq", "diananda-upper", "--triple", "1,2", "--x", "1,4", "--q", "0.5,0.5"],
-     "--triple expects three comma-separated orders"),
+     "--triple expects three comma-separated orders", {}),
     (["sweep", "--quantity", "a-r-profile", "--r", "1.5", "--grid", "0,2,3"],
-     "the profile sweep needs a t-grid inside [0, 1]"),
+     "the profile sweep needs a t-grid inside [0, 1]", {}),
     (["sweep", "--quantity", "residual-boundary", "--ineq", "diananda-upper",
-      "--grid", "0.1,0.5,3"], "the boundary sweep applies to the parameter-free base inequalities"),
+      "--grid", "0.1,0.5,3"], "the boundary sweep applies to the parameter-free base inequalities",
+     {}),
     (["sweep", "--quantity", "residual-boundary", "--grid", "0,0.5,3"],
-     "the boundary sweep needs a q-grid inside (0, 1/2]"),
+     "the boundary sweep needs a q-grid inside (0, 1/2]", {}),
+    # these three used to print only Python's own ValueError, naming no option
+    (["sweep", "--quantity", "alpha-threshold", "--grid", "1.5,1.6,1e3"],
+     "--grid expects numbers lo,hi and an integer count, got '1.5,1.6,1e3'", {}),
+    (["sweep", "--quantity", "alpha-threshold", "--grid", "a,1,3"],
+     "--grid expects numbers lo,hi and an integer count, got 'a,1,3'", {}),
+    (["check", "--ineq", "diananda-upper", "--triple", "1,0.5,0", "--x", "1,4", "--q", "0.5,0.5"],
+     "MEANINEQ_TOL must be a number, got 'abc'", {"MEANINEQ_TOL": "abc"}),
 ], ids=["number-list", "grid-pair", "no-configuration", "triple-pair", "profile-grid",
-        "boundary-tag", "boundary-grid"])
-def test_malformed_options_are_named(argv, message, capsys):
+        "boundary-tag", "boundary-grid", "grid-count", "grid-end", "tolerance-env"])
+def test_malformed_options_are_named(argv, message, env, capsys, monkeypatch):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
     with pytest.raises(MeanIneqError) as info:
         execute(argv)
     assert (type(info.value), str(info.value)) == (MeanIneqError, message)

@@ -1,5 +1,5 @@
-"""Power means, the a_r profile and the two-point gaps against mpmath oracles,
-and small-order verdicts.
+"""Power means, the a_r profile, the two-point gaps and the probes' slopes
+against mpmath oracles, and small-order verdicts.
 
 The power-mean oracle normalizes the weights by their exact sum:
 configurations accept weights that sum to 1 within 1e-12, and M_r is the
@@ -17,6 +17,7 @@ from meanineq import (
     CheckStatus,
     Configuration,
     DeltaParams,
+    ProbeClaim,
     a_r_fn,
     a_r_values,
     alpha_threshold_lower,
@@ -24,6 +25,7 @@ from meanineq import (
     aux_eval,
     check,
     delta,
+    finite_difference_probe,
     log_power_mean,
     min_a_r,
     power_mean,
@@ -267,3 +269,88 @@ def test_binomial_chain_matches_the_oracle():
                 err = abs(aux_eval(AuxFunctionId.BINOMIAL_CHAIN, (r, t)) - want) / lead
             worst = max(worst, float(err))
     assert worst <= 2e-15, worst
+
+
+def _oracle_means(x, q):
+    """x and the normalized weights as mpf, with A and G; at the caller's precision."""
+    x = [mp.mpf(v) for v in x]
+    total = mp.fsum(q)
+    q = [mp.mpf(w) / total for w in q]
+    return (x, q, mp.fsum(w * v for v, w in zip(x, q)),
+            mp.exp(mp.fsum(w * mp.log(v) for v, w in zip(x, q))))
+
+
+def oracle_sample_slope(x, q, r, a, upper):
+    """The ratio functional's slope in the smallest (upper) or largest sample, at 80 digits."""
+    i = 0 if upper else len(x) - 1
+
+    def functional(v):
+        xs, qs, A, G = _oracle_means([*x[:i], v, *x[i + 1:]], q)
+        p = (1 + mp.mpf(a)) * r if upper else (1 - mp.mpf(a)) * r
+        base = 1 - min(qs) if upper else min(qs)
+        M = mp.fsum(w * v**r for v, w in zip(xs, qs)) ** (1 / mp.mpf(r))
+        return (A / G) ** p - base ** ((r - 1) * p / r) * (M / G) ** p
+
+    with mp.workdps(80):
+        return mp.diff(functional, mp.mpf(x[i]))
+
+
+def oracle_weight_slope(x, q, r):
+    """The slope of half-mean-var-upper's lhs - rhs in its weight parameter, at 80 digits."""
+    with mp.workdps(80):
+        xs, qs, A, G = _oracle_means(x, q)
+        r = mp.mpf(r)
+        half = mp.fsum(w * mp.sqrt(v) for v, w in zip(xs, qs)) ** 2
+        M = mp.fsum(w * v**r for v, w in zip(xs, qs)) ** (1 / r)
+        sigma = mp.fsum(w * (v - A) ** 2 for v, w in zip(xs, qs))
+
+        def functional(qp):
+            w = qp ** (2 - 1 / r)
+            return half - w * M - (1 - w) * G - (mp.mpf(1) / 2 - r * w) * sigma / (2 * xs[0])
+
+        return mp.diff(functional, min(qs))
+
+
+def _slope_error(got, want):
+    return float(abs(got - want) / abs(want))
+
+
+def test_probe_slopes_match_the_oracle():
+    # 4.6e-14 (samples) and 1.6e-10 (weight) relative at worst; the
+    # Richardson-refined differences they replace were off by up to 6.6e-7
+    # and 5.6e-3 on this set
+    rng = np.random.default_rng(1807)
+    worst_sample = worst_weight = 0.0
+    for i in range(60):
+        n = 2 + i % 4
+        cfg = Configuration(np.exp(rng.normal(0.0, 0.8, n)), rng.dirichlet(np.ones(n)))
+        x, q = cfg.x.tolist(), cfg.q_weights.tolist()
+        for claim, r, a in ((ProbeClaim.SMALLEST_SAMPLE_SLOPE, rng.uniform(1.05, 2.0),
+                             rng.uniform(0.01, 0.3)),
+                            (ProbeClaim.LARGEST_SAMPLE_SLOPE, rng.uniform(2.0, 4.0),
+                             rng.uniform(0.01, 0.4))):
+            r, a = float(r), float(a)
+            got = finite_difference_probe(claim, cfg, r=r, a=a)
+            want = oracle_sample_slope(x, q, r, a, claim is ProbeClaim.SMALLEST_SAMPLE_SLOPE)
+            worst_sample = max(worst_sample, _slope_error(got, want))
+        r = float(rng.uniform(0.55, 2.0))
+        got = finite_difference_probe(ProbeClaim.WEIGHT_PARAM_SLOPE, cfg, r=r)
+        worst_weight = max(worst_weight, _slope_error(got, oracle_weight_slope(x, q, r)))
+    assert worst_sample <= 1e-12, worst_sample
+    assert worst_weight <= 1e-9, worst_weight
+
+
+@pytest.mark.parametrize("claim, x, q, r, bound", [
+    (ProbeClaim.SMALLEST_SAMPLE_SLOPE, [1.0, 2.0, 3.0], [0.2, 0.3, 0.5], 1.5, 5.4e-15),
+    (ProbeClaim.SMALLEST_SAMPLE_SLOPE, [1.0, 1.001, 1.002], [0.2, 0.3, 0.5], 1.5, 4.6e-12),
+    (ProbeClaim.SMALLEST_SAMPLE_SLOPE, [1.0, 1e6], [0.5, 0.5], 1.5, 3.9e-8),
+    (ProbeClaim.LARGEST_SAMPLE_SLOPE, [1.0, 2.0, 3.0], [0.2, 0.3, 0.5], 3.0, 2.7e-15),
+    (ProbeClaim.LARGEST_SAMPLE_SLOPE, [1.0, 1.0001], [0.4, 0.6], 3.0, 1.1e-10),
+], ids=["smallest-spread", "smallest-clustered", "smallest-wide", "largest-spread",
+        "largest-clustered"])
+def test_probe_slope_cases(claim, x, q, r, bound):
+    # a = 0.1; the Richardson-refined differences were off by 9.0e-9, 1.7e-7,
+    # 1.6e-2, 2.5e-10 and 8.7e-6 relative here
+    got = finite_difference_probe(claim, Configuration(x, q), r=r, a=0.1)
+    want = oracle_sample_slope(x, q, r, 0.1, claim is ProbeClaim.SMALLEST_SAMPLE_SLOPE)
+    assert _slope_error(got, want) <= bound

@@ -583,10 +583,21 @@ class TestFiniteDifferenceProbes:
         # at the scale 1e200 the means' powers used to raise OverflowError
         value = finite_difference_probe(claim, self.CFG, r=r, a=a)
         scaled = finite_difference_probe(claim, self.CFG.scaled(1e200), r=r, a=a)
-        assert scaled * 1e200 == pytest.approx(value, rel=1e-5)
+        assert scaled * 1e200 == pytest.approx(value, rel=1e-11)
         assert math.isfinite(finite_difference_probe(
             ProbeClaim.SMALLEST_SAMPLE_SLOPE, Configuration([1.0, 1e200], [0.5, 0.5]), r=1.5,
             a=0.1))
+
+    def test_a_probe_builds_no_configuration(self, monkeypatch):
+        # the slopes are read off the configuration's log-means; a finite
+        # difference used to build four perturbed configurations per call
+        built = []
+        monkeypatch.setattr(Configuration, "__post_init__", lambda cfg: built.append(cfg))
+        for claim, r, a in ((ProbeClaim.SMALLEST_SAMPLE_SLOPE, 1.5, 0.05),
+                            (ProbeClaim.LARGEST_SAMPLE_SLOPE, 3.0, 0.1),
+                            (ProbeClaim.WEIGHT_PARAM_SLOPE, 1.0, None)):
+            finite_difference_probe(claim, self.CFG, r=r, a=a)
+        assert built == []
 
     def test_ratio_functional_past_the_float_range_is_refused(self):
         cfg = Configuration([1.0, 1e200], [0.5, 0.5])
