@@ -202,13 +202,21 @@ def _required(options: dict, key: str, where: str = ""):
 
 
 def _tolerance(options: dict) -> float | None:
-    if options.get("tol") is not None:
-        return float(options["tol"])
-    env = os.environ.get(_TOL_ENV)
-    try:
-        return float(env) if env else None
-    except ValueError:
-        raise MeanIneqError(f"{_TOL_ENV} must be a number, got {env!r}") from None
+    """--tol, else MEANINEQ_TOL, refused under its own name unless finite and >= 0."""
+    name, tol = "--tol", options.get("tol")
+    if tol is None:
+        name, env = _TOL_ENV, os.environ.get(_TOL_ENV)
+        if not env:
+            return None
+        try:
+            tol = float(env)
+        except ValueError:
+            raise MeanIneqError(f"{_TOL_ENV} must be a number, got {env!r}") from None
+    if not math.isfinite(tol):
+        raise MeanIneqError(f"{name} must be a finite real number, got {tol}")
+    if tol < 0.0:
+        raise MeanIneqError(f"{name} must be >= 0, got {tol}")
+    return tol
 
 
 def _exec_mean(options: dict):
@@ -489,7 +497,7 @@ def run(argv: list[str] | None = None) -> int:
                 raise MeanIneqError(f"{run_config.command} takes no option {key!r}")
         payload, code = command.execute(run_config.options)
         _emit(payload, run_config)
-    except (MeanIneqError, OSError, ValueError, KeyError) as exc:
+    except (MeanIneqError, OSError, ValueError) as exc:
         print(f"meanineq: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return code

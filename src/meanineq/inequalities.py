@@ -113,14 +113,7 @@ class CheckReport:
 # The catalog: one entry per tag.
 
 
-def _need_param(value, name: str, tag: InequalityId):
-    if value is None:
-        raise DomainError(f"{tag.value} requires parameter {name!r}")
-    return value
-
-
 def _triple_params(tag, triple, alpha, r, s) -> dict:
-    triple = _need_param(triple, "triple", tag)
     try:
         a, b, c = triple
     except (TypeError, ValueError):
@@ -139,21 +132,21 @@ def _no_params(tag, triple, alpha, r, s) -> dict:
 
 
 def _order_params(tag, triple, alpha, r, s) -> dict:
-    r = _real(_need_param(r, "r", tag), "r")
+    r = _real(r, "r")
     if r == 0.0:
         raise DomainError("the mean order r must be nonzero")
     return {"r": r}
 
 
 def _pair_params(tag, triple, alpha, r, s) -> dict:
-    r = _real(_need_param(r, "r", tag), "r")
-    s = _real(_need_param(s, "s", tag), "s")
+    r = _real(r, "r")
+    s = _real(s, "s")
     if not r > s:
         raise DomainError("the mean-difference bounds need r > s")
     return {"r": r, "s": s}
 
 
-# The parameters each resolver reads; a tag refuses any other.
+# The parameters each resolver reads, all required but alpha; a tag refuses any other.
 _TAKES = {_triple_params: ("triple", "alpha"), _no_params: (), _order_params: ("r",),
           _pair_params: ("r", "s")}
 
@@ -237,8 +230,10 @@ def _half_mean_var_point(config: Configuration, r, tol: float) -> bool:
 class _Tag:
     """A catalog entry: parameters, claim, stated hypotheses, and the two sides.
 
-    ``params`` resolves and checks the parameters the formula needs and
-    ``resolve`` refuses others, even under ``force``.  ``claim`` is the
+    ``resolve`` reads triple, alpha, r and s, in that order, against
+    ``_TAKES[params]`` and refuses the first that is taken but missing
+    (alpha may be left out) or given but not taken, even under ``force``;
+    ``params`` then resolves and checks the values.  ``claim`` is the
     inequality as documented, ``stated`` its stated parameter range and
     ``in_range`` the test of that range, skipped under ``force`` like
     ``positive_min`` (x_1 > 0).  ``sides`` maps a means record and the
@@ -261,12 +256,13 @@ class _Tag:
         return ", ".join(h for h in (self.stated, x1) if h) or "none"
 
     def resolve(self, id, triple, alpha, r, s, force: bool) -> dict:
-        keys = _TAKES[self.params]
-        given = (triple is not None) + (alpha is not None) + (r is not None) + (s is not None)
-        if given > len(keys):
-            named = {"triple": triple, "alpha": alpha, "r": r, "s": s}
-            extra = next(k for k, v in named.items() if v is not None and k not in keys)
-            raise DomainError(f"{id.value} takes no parameter {extra!r}")
+        takes = _TAKES[self.params]
+        for name, value in (("triple", triple), ("alpha", alpha), ("r", r), ("s", s)):
+            if value is None:
+                if name in takes and name != "alpha":
+                    raise DomainError(f"{id.value} requires parameter {name!r}")
+            elif name not in takes:
+                raise DomainError(f"{id.value} takes no parameter {name!r}")
         params = self.params(id, triple, alpha, r, s)
         if not force and self.in_range is not None and not self.in_range(params):
             raise DomainError(f"{id.value} is stated for {self.stated}")
@@ -430,8 +426,11 @@ def check(
 def equality_witness(id: InequalityId, config: Configuration, *, r=None,
                      tol: float = 1e-12) -> bool:
     """Whether the configuration matches a documented equality case of the tag:
-    constant samples, or the case its catalog entry holds (``_Tag.witness``)."""
-    witness = _entry(id)[1].witness
+    constant samples, or the case its catalog entry holds (``_Tag.witness``).
+    A tag whose ``_TAKES`` entry has no r refuses ``r``, as in :func:`check`."""
+    id, tag = _entry(id)
+    if r is not None and "r" not in _TAKES[tag.params]:
+        raise DomainError(f"{id.value} takes no parameter 'r'")
     r = None if r is None else _real(r, "r")
     tol = _real(tol, "tol")
-    return config.is_constant or (witness is not None and witness(config, r, tol))
+    return config.is_constant or (tag.witness is not None and tag.witness(config, r, tol))

@@ -112,6 +112,11 @@ class TestCheckCommand:
           "--alpha", "2"], "mg-sigma-upper takes no parameter 'alpha'"),
         (["hunt", "--ineq", "mg-sigma-upper", "--r", "2.5", "--s", "1", "--budget", "300"],
          "mg-sigma-upper takes no parameter 's'"),
+        # a tag given only some of its own parameters used to accept, and ignore, these two
+        (["check", "--ineq", "diananda-upper", "--triple", "1,0.5,0", "--x", "1,4", "--q", ".5,.5",
+          "--r", "5"], "diananda-upper takes no parameter 'r'"),
+        (["hunt", "--ineq", "diananda-upper", "--triple", "1,0.5,0", "--r", "5", "--budget", "50"],
+         "diananda-upper takes no parameter 'r'"),
         (["sharpness", "--ineq", "diananda-upper", "--triple", "1,0.5,0", "--q-target", "0.2",
           "--alpha", "1", "--budget", "50"], None),
     ])
@@ -466,20 +471,21 @@ class TestDeterminismAndPlumbing:
         code, out, _ = invoke(argv, capsys)
         assert json.loads(out)["status"] == "Equality"
 
+    # each message names the flag or the variable the value came from
     @pytest.mark.parametrize("bad, message", [
-        ("nan", "rel_tol must be a finite real number, got nan"),
-        ("-1", "rel_tol and abs_floor must be finite and >= 0"),
-        ("inf", "rel_tol must be a finite real number, got inf"),
+        ("nan", "must be a finite real number, got nan"),
+        ("-1", "must be >= 0, got -1.0"),
+        ("inf", "must be a finite real number, got inf"),
     ], ids=["nan", "-1", "inf"])
     def test_bad_tolerance_is_a_usage_error(self, bad, message, capsys, monkeypatch):
         argv = ["check", "--ineq", "diananda-base-lower", "--x", "1,1", "--q", "0.5,0.5"]
         code, out, err = invoke(argv + ["--tol", bad], capsys)
         assert (code, out) == (2, "")
-        assert message in err
+        assert f"--tol {message}" in err
         monkeypatch.setenv("MEANINEQ_TOL", bad)
         code, out, err = invoke(argv, capsys)
         assert (code, out) == (2, "")
-        assert message in err
+        assert f"MEANINEQ_TOL {message}" in err
 
     def test_imports_without_docstrings(self):
         # under -OO every __doc__ is None; the catalog tables are rendered into
@@ -740,8 +746,14 @@ def execute(argv):
      "--grid expects numbers lo,hi and an integer count, got 'a,1,3'", {}),
     (["check", "--ineq", "diananda-upper", "--triple", "1,0.5,0", "--x", "1,4", "--q", "0.5,0.5"],
      "MEANINEQ_TOL must be a number, got 'abc'", {"MEANINEQ_TOL": "abc"}),
+    # these two used to name the library's rel_tol, not the variable
+    (["check", "--ineq", "diananda-upper", "--triple", "1,0.5,0", "--x", "1,4", "--q", "0.5,0.5"],
+     "MEANINEQ_TOL must be a finite real number, got inf", {"MEANINEQ_TOL": "inf"}),
+    (["check", "--ineq", "diananda-upper", "--triple", "1,0.5,0", "--x", "1,4", "--q", "0.5,0.5"],
+     "MEANINEQ_TOL must be >= 0, got -1.0", {"MEANINEQ_TOL": "-1"}),
 ], ids=["number-list", "grid-pair", "no-configuration", "triple-pair", "profile-grid",
-        "boundary-tag", "boundary-grid", "grid-count", "grid-end", "tolerance-env"])
+        "boundary-tag", "boundary-grid", "grid-count", "grid-end", "tolerance-env",
+        "tolerance-env-inf", "tolerance-env-negative"])
 def test_malformed_options_are_named(argv, message, env, capsys, monkeypatch):
     for key, value in env.items():
         monkeypatch.setenv(key, value)

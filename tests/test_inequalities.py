@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import pickle
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +209,49 @@ class TestHypotheses:
         with pytest.raises(DomainError, match="^mg-sigma-upper requires parameter 'r'$"):
             check(InequalityId.MG_SIGMA_UPPER, cfg, s=0.5)
 
+    def _refusal(self, tag, given) -> str | None:
+        """The rule's message for the parameters ``given``, or None if it accepts them.
+
+        It reads triple, alpha, r and s in that order and names the first one
+        the tag takes but is missing (alpha may be left out) or is given but
+        the tag does not take.
+        """
+        takes = self.TAKES.get(tag, ("r",))
+        for key in self.VALUES:
+            if key in given and key not in takes:
+                return f"{tag.value} takes no parameter '{key}'"
+            if key not in given and key in takes and key != "alpha":
+                return f"{tag.value} requires parameter '{key}'"
+        return None
+
+    # every subset of the four parameters, on every tag; among them the
+    # Diananda tags' {triple, r} and {triple, s} were accepted with the extra
+    # one ignored, and the Cartwright-Field tags' {alpha, r} named s
+    @pytest.mark.parametrize("given", [
+        keys for n in range(5) for keys in combinations(("triple", "alpha", "r", "s"), n)],
+        ids=lambda keys: "+".join(keys) or "none")
+    @pytest.mark.parametrize("tag", list(InequalityId))
+    def test_the_parameter_rule(self, tag, given, monkeypatch):
+        cfg = Configuration([1.0, 2.0, 4.0], [0.25, 0.25, 0.5])
+        params = {key: self.VALUES[key] for key in given}
+        budget = SearchBudget(max_evals=10)
+        message = self._refusal(tag, given)
+        if message is None:
+            report = check(tag, cfg, force=True, **params)
+            assert report.params == resolve_params(tag, force=True, **params)
+            assert counterexample_hunt(tag, budget=budget, **params).evals_used <= 10
+            return
+
+        def no_evaluation(*args):
+            raise AssertionError("the hunt evaluated before it refused")
+
+        monkeypatch.setattr("meanineq.search.relative_residuals", no_evaluation)
+        for call in (lambda: check(tag, cfg, force=True, **params),
+                     lambda: resolve_params(tag, force=True, **params),
+                     lambda: counterexample_hunt(tag, budget=budget, **params)):
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                call()
+
     def test_tolerances_must_be_finite_and_nonnegative(self):
         cfg = Configuration([1.0, 1.0], [0.5, 0.5])
         for bad in (math.nan, math.inf, -1.0):
@@ -374,6 +418,18 @@ class TestEqualityWitness:
         cfg = Configuration([0.0, 1.0], [0.25, 0.75])
         assert equality_witness(InequalityId.DIANANDA_UPPER, cfg)
         assert equality_witness(InequalityId.MG_SIGMA_UPPER, cfg, r=1.0) is False
+
+    @pytest.mark.parametrize("tag", list(InequalityId))
+    def test_r_is_refused_by_a_tag_that_does_not_take_it(self, tag):
+        # diananda-upper used to accept r=5 and report this configuration a witness
+        cfg = Configuration([0.0, 1.0], [0.3, 0.7])
+        if "r" in TestHypotheses.TAKES.get(tag, ("r",)):
+            assert equality_witness(tag, cfg, r=1.0) is False
+        else:
+            with pytest.raises(DomainError, match=f"^{tag.value} takes no parameter 'r'$"):
+                equality_witness(tag, cfg, r=5)
+            assert equality_witness(tag, cfg) is (tag is InequalityId.DIANANDA_UPPER
+                                                  or tag is InequalityId.DIANANDA_BASE_UPPER)
 
     @pytest.mark.parametrize("q", [0.1, 0.3, 0.5])
     def test_base_bounds_two_point_configs(self, q):

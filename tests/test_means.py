@@ -466,6 +466,8 @@ class TestConstruction:
         ([1.0, 2.0], ["a", 0.5], DomainError, "weights must be real numbers, got ['a', 0.5]"),
         ([True, False], [0.25, 0.75], DomainError,
          "samples must be real numbers, got [True, False]"),
+        ([[1, 2], [3]], [0.5, 0.5], DomainError,
+         "samples must be real numbers, got [[1, 2], [3]]"),
     ])
     def test_invalid_inputs(self, x, q, error, message):
         with pytest.raises(error) as info:
@@ -574,6 +576,12 @@ class TestMeansRecord:
         assert set(vars(cfg)) == {
             "x", "q_weights", "min_weight", "_log_x", "_sigma",
             "_log_geometric_mean", "_log_half_mean", "_log_arithmetic_mean"}
+
+    def test_an_entry_read_on_the_class_is_its_descriptor(self):
+        entry = Configuration.min_weight
+        assert entry is vars(Configuration)["min_weight"]
+        assert entry.__doc__ == ("The minimum weight, the single quantity the sharp constants"
+                                 " depend on.")
 
     def test_scaled_has_its_own_record(self):
         cfg = Configuration([1.0, 4.0, 9.0], [0.2, 0.3, 0.5])

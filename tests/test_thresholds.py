@@ -211,6 +211,10 @@ class TestProfile:
             a_r_fn(1.5, math.nan)
         with pytest.raises(DomainError):
             a_r_values(1.5, np.array([0.0, math.nan, 1.0]))
+        # ragged nesting, which numpy refuses to make an array of floats
+        with pytest.raises(DomainError,
+                           match=r"^t must be real numbers, got \[\[0\.1\], \[0\.2, 0\.3\]\]$"):
+            a_r_values(1.5, [[0.1], [0.2, 0.3]])
 
     def test_vectorized_matches_scalar(self):
         ts = np.linspace(0.0, 1.0, 11)
