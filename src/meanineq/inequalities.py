@@ -427,10 +427,13 @@ def equality_witness(id: InequalityId, config: Configuration, *, r=None,
                      tol: float = 1e-12) -> bool:
     """Whether the configuration matches a documented equality case of the tag:
     constant samples, or the case its catalog entry holds (``_Tag.witness``).
-    A tag whose ``_TAKES`` entry has no r refuses ``r``, as in :func:`check`."""
+    A tag whose ``_TAKES`` entry has no r refuses ``r``, as in :func:`check`,
+    and a negative ``tol`` is refused."""
     id, tag = _entry(id)
     if r is not None and "r" not in _TAKES[tag.params]:
         raise DomainError(f"{id.value} takes no parameter 'r'")
     r = None if r is None else _real(r, "r")
     tol = _real(tol, "tol")
+    if tol < 0.0:
+        raise DomainError(f"tol must be finite and >= 0 (got {tol})")
     return config.is_constant or (tag.witness is not None and tag.witness(config, r, tol))

@@ -36,10 +36,11 @@ live restart the +step and -step trials of its next coordinate.  A
 restart moves at its first improving trial, as the sequential descent
 does; a -step trial after an improving +step was computed speculatively
 and is not counted, so verdicts, ``evals_used`` and best configurations
-stay those of the sequential descent.  A probe reads the samples of one n
-as one lazy stream, its restarts' draws in turn, each from its own random
-stream; a batch takes as many as the budget has left, and more follow
-only when some were degenerate.
+stay those of the sequential descent.  A descent's point is its log
+coordinates alone.  A probe reads the samples of one n as one lazy
+stream, its restarts' draws in turn, each from its own random stream; a
+batch takes as many as the budget has left, and more follow only when
+some were degenerate.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -68,8 +69,10 @@ _LOG_CLIP = 40.0
 _STEP0 = 0.6
 _MIN_STEP = 1e-7
 
-# Draws of the free weights before a pinned-weight sample gives up.
+# Draws of the free weights before a pinned-weight sample gives up, and the
+# chance of one draw pinning the weight below which a probe skips a size.
 _PINNED_TRIES = 200
+_MIN_PIN_CHANCE = 1e-5
 
 
 @dataclass(frozen=True)
@@ -153,21 +156,20 @@ def _pinned_weights(rng, n: int, q_target: float):
     return None
 
 
-def _probe_samples(rng, n: int, q_target: float, count: int):
-    """One restart's sample draws, skipping those with relative spread below 10%."""
-    xs, ws = [], []
-    for _ in range(count):
-        w = _pinned_weights(rng, n, q_target)
-        if w is None:
-            break
-        x = sorted(rng.random(n).tolist())
-        if rng.random() < 0.5:
-            x[0] = 0.0
-        if x[-1] - x[0] < 0.1 * x[-1] or x[-1] <= 0.0:
-            continue
-        xs.append(x)
-        ws.append(w)
-    return xs, ws
+def _probe_samples(seed: int, n: int, q_target: float, per_restart: int, restarts: int):
+    """A size's draws, restart after restart, each from its own stream and ending
+    early if its weights give up; draws with relative spread below 10% are skipped."""
+    for k in range(restarts):
+        rng = _stream(seed, n, k)
+        for _ in range(per_restart):
+            w = _pinned_weights(rng, n, q_target)
+            if w is None:
+                break
+            x = sorted(rng.random(n).tolist())
+            if rng.random() < 0.5:
+                x[0] = 0.0
+            if x[-1] - x[0] >= 0.1 * x[-1] and x[-1] > 0.0:
+                yield x, w
 
 
 def sharpness_probe(
@@ -205,17 +207,14 @@ def sharpness_probe(
     evals = 1
     lo_n, hi_n = budget.n_range
     feasible = [n for n in range(lo_n, hi_n + 1) if q_target <= 1.0 / n + 1e-12]
-    weight_total = sum(feasible) or 1
+    weight_total = sum(feasible)
+    c = (q_target - 1e-12) / (1.0 - q_target)  # a free weight's least share of 1 - q_target
     for n in feasible:
-        if n >= 3 and n * q_target >= 1.0 - 1e-12:
-            # The other n - 1 weights share 1 - q_target, so they all reach
-            # q_target only if they are all equal: no draw pins the weight,
-            # and every restart of this n would come back empty.
+        # the chance that the n - 1 flat Dirichlet weights of one draw all reach c
+        if max(0.0, 1.0 - (n - 1) * c) ** (n - 2) < _MIN_PIN_CHANCE:
             continue
         per_restart = max(1, budget.max_evals * n // weight_total // budget.restarts)
-        samples = chain.from_iterable(
-            zip(*_probe_samples(_stream(budget.seed, n, k), n, q_target, per_restart))
-            for k in range(budget.restarts))
+        samples = _probe_samples(budget.seed, n, q_target, per_restart, budget.restarts)
         # Each sample counts at most once, so take as many as the budget has
         # left; more only if some were degenerate and left it unspent.
         while chunk := list(islice(samples, budget.max_evals - evals)):
@@ -255,9 +254,10 @@ def counterexample_hunt(
     in log coordinates (multiplicative moves keep samples positive and
     weights normalized) with step halving once no move improves.  Returns
     ViolationFound when the best relative residual clears the safety
-    margin; otherwise the most adverse configuration seen.  Parameters are
-    checked once, before any evaluation; a configuration the check cannot
-    score (a bound argument out of range, a degenerate ratio) scores +inf.
+    margin; otherwise the most adverse configuration seen, rebuilt from
+    its log coordinates.  Parameters are checked once, before any
+    evaluation; a configuration the check cannot score (a bound argument
+    out of range, a degenerate ratio) scores +inf.
     """
     id = InequalityId(id)
     params = resolve_params(id, triple=triple, alpha=alpha, r=r, s=s, force=True)
@@ -279,47 +279,48 @@ def counterexample_hunt(
             rngs.append(_stream(budget.seed, n, k))
             allowances.append(min(per_restart, left))
             left -= allowances[-1]
-    used, f, at_x, at_q = _descend(id, params, sizes, rngs, allowances)
+    used, f, u = _descend(id, params, sizes, rngs, allowances)
     best = int(np.argmin(f))  # the first restart of the lowest score
     best_rel = float(f[best])
     verdict = "ViolationFound" if best_rel < -VIOLATION_REL_TOL else "NoViolationFound"
     return SearchReport(
         verdict=verdict,
-        best_config=Configuration(at_x[best, :sizes[best]], at_q[best, :sizes[best]]),
+        best_config=_batch(u[best:best + 1], sizes[best:best + 1]).row(0),
         best_residual=best_rel,
         evals_used=int(used.sum()),
         seed=budget.seed,
     )
 
 
-def _evaluate(id, params, u: np.ndarray, sizes: np.ndarray):
-    """The batch of configurations at log coordinates ``u`` (one row each) and their scores.
-
-    Row i holds ``sizes[i]`` log samples in its first half and as many
-    weight logits in its second; the rest is padding.
-    """
+def _batch(u: np.ndarray, sizes) -> ConfigurationBatch:
+    """The configurations at log coordinates ``u``: row i holds ``sizes[i]`` log
+    samples in its first half and as many weight logits in its second, then padding."""
     width = u.shape[1] // 2
     u = np.clip(u, -_LOG_CLIP, _LOG_CLIP)
-    batch = ConfigurationBatch.from_log_coordinates(u[:, :width], u[:, width:], sizes)
-    return batch, relative_residuals(id, batch, params)
+    return ConfigurationBatch.from_log_coordinates(u[:, :width], u[:, width:], sizes)
+
+
+def _evaluate(id, params, u: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The scores of the configurations at log coordinates ``u`` (see :func:`_batch`)."""
+    return relative_residuals(id, _batch(u, sizes), params)
 
 
 def _descend(id, params, sizes, rngs, allowances):
     """Coordinate descent with adaptive step halving in log coordinates.
 
-    One descent per stream, of the sample size in ``sizes``, each run to
-    its entry in ``allowances``; returns the evaluations each used, its
-    score, and its point as rows of (x, q) arrays.  A sequential descent sweeps
-    the coordinates in a fresh random order, tries +step then -step on
-    each, moves at the first trial that improves and goes on to the next
-    coordinate, and halves the step after a sweep without a move.  Here
-    all descents, whatever their size, advance in lockstep, one coordinate
-    per step: one padded batch evaluates, for every live descent, the two
-    trials of its next coordinate from its current point.  If +step
-    improves, the descent moves there and counts one trial; the -step
-    trial was computed speculatively and is not counted.  Otherwise it
-    counts both trials (at most its remaining allowance) and moves to
-    -step if that improves.  So counts, moves and results equal the
+    One descent per stream, of the sample size in ``sizes``, each run to its
+    entry in ``allowances``; returns the evaluations each used, its score,
+    and its point as log coordinates (a row as :func:`_batch` reads it).  A
+    sequential descent sweeps the coordinates in a fresh random order, tries
+    +step then -step on each, moves at the first trial that improves and
+    goes on to the next coordinate, and halves the step after a sweep
+    without a move.  Here all descents, whatever their size, advance in
+    lockstep, one coordinate per step: one padded batch evaluates, for every
+    live descent, the two trials of its next coordinate from its current
+    point.  If +step improves, the descent moves there and counts one trial;
+    the -step trial was computed speculatively and is not counted.
+    Otherwise it counts both trials (at most its remaining allowance) and
+    moves to -step if that improves.  So counts, moves and results equal the
     sequential descent's.
     """
     sizes = np.array(sizes)
@@ -331,8 +332,7 @@ def _descend(id, params, sizes, rngs, allowances):
     for k, (rng, n) in enumerate(zip(rngs, sizes.tolist())):
         u[k, :n] = rng.uniform(-math.log(50.0), math.log(50.0), n)
         u[k, width:width + n] = rng.normal(0.0, 1.5, n)
-    batch, f = _evaluate(id, params, u, sizes)
-    at_x, at_q = batch.x, batch.q_weights
+    f = _evaluate(id, params, u, sizes)
     used = np.ones(len(rngs), dtype=int)
     cap = np.array(allowances)
     step = np.full(len(rngs), _STEP0)
@@ -351,7 +351,7 @@ def _descend(id, params, sizes, rngs, allowances):
         points = np.repeat(u[idx, None], 2, axis=1)   # trial 0: +step, trial 1: -step
         points[rows, 0, coord] += step[idx]
         points[rows, 1, coord] -= step[idx]
-        batch, f_t = _evaluate(id, params, points.reshape(-1, 2 * width), np.repeat(size, 2))
+        f_t = _evaluate(id, params, points.reshape(-1, 2 * width), np.repeat(size, 2))
         better = f_t.reshape(-1, 2) < f[idx, None]
         first = np.where(better[:, 0], 0, np.where(better[:, 1], 1, 2))
         count = np.minimum(2, cap[idx] - used[idx])
@@ -363,8 +363,6 @@ def _descend(id, params, sizes, rngs, allowances):
         u[k_hit] = points[h, first[h]]
         f[k_hit] = f_t[j]
         moved[k_hit] = True
-        at_x[k_hit] = batch.x[j]
-        at_q[k_hit] = batch.q_weights[j]
         pos[idx] += 1
         swept = idx[pos[idx] == dims[idx]]
         step[swept[~moved[swept]]] *= 0.5
@@ -375,7 +373,7 @@ def _descend(id, params, sizes, rngs, allowances):
             perm[k, :dims_of[k]] = rngs[k].permutation(dims_of[k])
         pos[again] = 0
         moved[again] = False
-    return used, f, at_x, at_q
+    return used, f, u
 
 
 class ProbeClaim(str, Enum):

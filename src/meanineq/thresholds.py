@@ -107,11 +107,16 @@ class ThresholdResult:
 
 
 def _bracket(lo, hi, xtol, max_iter) -> tuple[float, float, float, int]:
-    """A solver's bracket ends, tolerance and iteration cap, read; lo <= hi."""
+    """A solver's bracket ends, tolerance and iteration cap, read; lo <= hi, the rest >= 0."""
     lo, hi = _real(lo, "lo"), _real(hi, "hi")
     if not lo <= hi:
         raise DomainError(f"bracket [{lo}, {hi}] must be finite with lo <= hi")
-    return lo, hi, _real(xtol, "xtol"), _integer(max_iter, "max_iter")
+    xtol, max_iter = _real(xtol, "xtol"), _integer(max_iter, "max_iter")
+    if xtol < 0.0:
+        raise DomainError(f"xtol must be finite and >= 0 (got {xtol})")
+    if max_iter < 0:
+        raise DomainError(f"max_iter must be >= 0 (got {max_iter})")
+    return lo, hi, xtol, max_iter
 
 
 def bisect(
@@ -126,7 +131,8 @@ def bisect(
 
     Returns the midpoint of the final bracket together with the residual
     f(value).  Raises DomainError when the bracket is not finite with
-    lo <= hi, or when f(lo) and f(hi) are NaN or do not straddle 0.
+    lo <= hi, when xtol or max_iter is negative, or when f(lo) and f(hi)
+    are NaN or do not straddle 0.
     """
     lo, hi, xtol, max_iter = _bracket(lo, hi, xtol, max_iter)
     flo = f(lo)
@@ -174,7 +180,8 @@ def golden_section_min(
 
     Tracks the best point actually evaluated (including the endpoints), so
     a minimum sitting on the bracket edge is never lost.  Raises DomainError
-    when the bracket is not finite with lo <= hi.
+    when the bracket is not finite with lo <= hi, or when xtol or max_iter
+    is negative.
     """
     lo, hi, xtol, max_iter = _bracket(lo, hi, xtol, max_iter)
     best_t, best_f = lo, f(lo)

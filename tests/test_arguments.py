@@ -17,9 +17,9 @@ import pytest
 
 import meanineq
 from meanineq import (
-    Configuration, DeltaParams, GridAxis, MeanIneqError, MeanValue, SearchBudget, a_r_fn,
-    a_r_values, alpha_threshold_lower, alpha_threshold_upper, aux_eval, aux_sign_check, bisect,
-    c_constant, check, claimed_bound, counterexample_hunt, delta, equality_witness,
+    Configuration, DeltaParams, DomainError, GridAxis, MeanIneqError, MeanValue, SearchBudget,
+    a_r_fn, a_r_values, alpha_threshold_lower, alpha_threshold_upper, aux_eval, aux_sign_check,
+    bisect, c_constant, check, claimed_bound, counterexample_hunt, delta, equality_witness,
     finite_difference_probe, gap_exponent_lower, gap_exponent_upper, golden_section_min,
     log_power_mean, mean_value, min_a_r, order_triple, power_mean, r0_value, sharpness_probe,
     solve_r0, solve_t1, solve_t2, variance_sigma,
@@ -221,3 +221,30 @@ def test_an_integer_too_long_to_print_is_named_by_its_bits(call, message):
     with pytest.raises(MeanIneqError) as info:
         call()
     assert str(info.value) == message
+
+
+# Each was accepted before: a negative tolerance made equality_witness answer
+# False where the default answers True, and the solvers returned a point.
+@pytest.mark.parametrize("call, message", [
+    (lambda: equality_witness("diananda-base-upper", Configuration([0, 1], [0.3, 0.7]), tol=-1),
+     "tol must be finite and >= 0 (got -1.0)"),
+    (lambda: bisect(lambda x: x - 0.3, 0, 1, max_iter=-3), "max_iter must be >= 0 (got -3)"),
+    (lambda: bisect(lambda x: x - 0.3, 0, 1, xtol=-1e-13),
+     "xtol must be finite and >= 0 (got -1e-13)"),
+    (lambda: golden_section_min(_parabola, 0, 1, xtol=-1.0),
+     "xtol must be finite and >= 0 (got -1.0)"),
+    (lambda: golden_section_min(_parabola, 0, 1, max_iter=-1), "max_iter must be >= 0 (got -1)"),
+], ids=["witness-tol", "bisect-max_iter", "bisect-xtol", "golden-xtol", "golden-max_iter"])
+def test_a_negative_tolerance_or_iteration_cap_is_refused(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_zero_tolerance_and_iteration_cap_are_accepted():
+    assert equality_witness("diananda-base-upper", Configuration([0, 1], [0.3, 0.7]))
+    assert equality_witness("diananda-base-upper", Configuration([0, 1], [0.3, 0.7]), tol=0.0)
+    assert bisect(lambda x: x - 0.3, 0, 1, xtol=0.0, max_iter=0).iterations == 0
+    # no iteration: the best of the two ends and the first two interior points
+    assert golden_section_min(_parabola, 0, 1, xtol=0.0, max_iter=0)[0] == pytest.approx(
+        (3.0 - math.sqrt(5.0)) / 2.0)

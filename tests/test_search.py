@@ -23,7 +23,7 @@ from meanineq import (
 )
 from meanineq import search
 from meanineq.means import DeltaParams
-from meanineq.search import _pinned_weights, _probe_samples, _stream
+from meanineq.search import _pinned_weights, _stream
 
 TRIPLE = (1.0, 0.5, 0.0)
 
@@ -374,10 +374,18 @@ def sequential_probe(id, q_target, budget, triple=TRIPLE, alpha=1.0, degenerate=
         for k in range(budget.restarts):
             if evals >= budget.max_evals:
                 break
-            xs, ws = _probe_samples(_stream(budget.seed, n, k), n, q_target, per_restart)
-            for x, w in zip(xs, ws):
+            rng = _stream(budget.seed, n, k)
+            for _ in range(per_restart):
                 if evals >= budget.max_evals:
                     break
+                w = _pinned_weights(rng, n, q_target)
+                if w is None:
+                    break
+                x = sorted(rng.random(n).tolist())
+                if rng.random() < 0.5:
+                    x[0] = 0.0
+                if x[-1] - x[0] < 0.1 * x[-1] or x[-1] <= 0.0:
+                    continue
                 cfg = Configuration(x, w)
                 try:
                     d = delta(cfg, params)
@@ -451,6 +459,25 @@ class TestBatchedProbe:
 
         monkeypatch.setattr(search, "_stream", recording)
         budget = SearchBudget(max_evals=100, seed=1, n_range=(n, n), restarts=restarts)
+        report = sharpness_probe(InequalityId.DIANANDA_UPPER, triple=TRIPLE, q_target=q_target,
+                                 budget=budget)
+        assert drawn == []
+        assert report.evals_used == 1
+
+    @pytest.mark.parametrize("q_target", [1 / 3 - 1e-9, 1 / 3 - 1e-6])
+    def test_sizes_that_almost_never_pin_the_weight_draw_no_restart(self, q_target,
+                                                                   monkeypatch):
+        # both free weights reach q_target with chance about 4.5e-9 or 4.5e-6
+        # a draw, below search._MIN_PIN_CHANCE
+        drawn = []
+        stream = search._stream
+
+        def recording(seed, n, k):
+            drawn.append((n, k))
+            return stream(seed, n, k)
+
+        monkeypatch.setattr(search, "_stream", recording)
+        budget = SearchBudget(max_evals=100, n_range=(3, 3), restarts=1000)
         report = sharpness_probe(InequalityId.DIANANDA_UPPER, triple=TRIPLE, q_target=q_target,
                                  budget=budget)
         assert drawn == []
@@ -543,6 +570,27 @@ class TestSpeculation:
                                      budget=SearchBudget(max_evals=max_evals))
         assert report.evals_used == max_evals
         assert sum(scored) == rows
+
+
+class TestLogCoordinateRows:
+    @pytest.mark.parametrize("scale", [1.5, 20.0])
+    def test_each_row_equals_its_one_row_batch(self, scale):
+        # the hunt rebuilds its winner alone from the row the descent scored
+        rng = np.random.default_rng(29)
+        for width in range(2, 9):
+            sizes = rng.integers(2, width + 1, 60)
+            u = rng.normal(0.0, 5.0, (60, 2 * width))  # the padding too
+            for i, n in enumerate(sizes.tolist()):
+                u[i, :n] = rng.uniform(-40.0, 40.0, n)
+                u[i, width:width + n] = rng.normal(0.0, scale, n)
+            batch = search._batch(u, sizes)
+            for i, n in enumerate(sizes.tolist()):
+                row = batch.row(i)
+                own = np.concatenate([u[i, :n], u[i, width:width + n]])
+                for alone in (search._batch(u[i:i + 1], sizes[i:i + 1]).row(0),
+                              search._batch(own[None], [n]).row(0)):
+                    assert alone.x.tobytes() == row.x.tobytes()
+                    assert alone.q_weights.tobytes() == row.q_weights.tobytes()
 
 
 class TestFiniteDifferenceProbes:
