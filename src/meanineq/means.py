@@ -47,15 +47,16 @@ callers racing to fill an entry compute and store the same float.
 arrays, row i holding its n_i samples first and padding after them, and
 :func:`log_power_mean_rows` and :func:`delta_rows` are the array forms of
 ln M_r and delta over it.  Row i of each is bit-identical to the scalar
-function on the i-th configuration: numpy's elementwise steps run on all
-rows at once, row maxima and minima see the padding as -inf or +inf, and
-sums and row-wise dots (the same BLAS dot as ``np.dot``) run on each run
-of equal-size rows cut to its size.  A padded sum or dot would not do:
-numpy's pairwise sum regroups its terms from 8 of them, and the BLAS dot
-from 16.  The scalar tail functions (``math.fsum``, ``math.log``,
-``math.log1p``, ``math.exp`` and the ratio after the three log-means) are
-applied row by row to the row's own entries, so the arithmetic of delta
-is written once.
+function on the i-th configuration.  ln x is taken once per batch and each
+elementwise step once for all rows: the scalar's ufuncs on the same floats.
+Row maxima and minima see the padding as -inf or +inf; up to 7 columns
+they, and the softmax sum over its zero padding, fold down the columns in
+numpy's own order.  Row-wise dots (``np.vecdot``, the BLAS dot of ``np.dot``)
+and power sums run on each run of equal-size rows cut to its size: numpy's
+pairwise sum regroups its terms from 8 of them, the BLAS dot from 16.  A
+run's sums take the scalar tail, ``math.fsum`` then ``math.log`` or
+``math.log1p`` mapped over its rows; ``math.exp`` and delta's ratio of the
+log-means go row by row, so the arithmetic of delta is written once.
 
 The catalog formulas read a formula record: ``_Means`` gives one
 configuration's quantities as floats and raises where a step fails;
@@ -73,6 +74,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
+from itertools import chain
+from operator import truediv
 
 import numpy as np
 
@@ -282,7 +286,7 @@ def _log_power_mean(config: Configuration, r: float) -> float:
     m = max(a.tolist())
     if math.isinf(m):
         return m / r
-    return _log_power_sum(m, _power_sum_terms(a - m, q, r).tolist(), q, r) / r
+    return (m + next(_power_sum_logs((_power_sum_terms(a - m, q, r).tolist(),), (q,), r))) / r
 
 
 def _power_sum_terms(d: np.ndarray, q: np.ndarray, r: float) -> np.ndarray:
@@ -290,13 +294,12 @@ def _power_sum_terms(d: np.ndarray, q: np.ndarray, r: float) -> np.ndarray:
     return q * (np.expm1(d) if abs(r) < _EXPM1_BAND else np.exp(d))
 
 
-def _log_power_sum(m: float, terms: list[float], q, r: float) -> float:
-    """m + ln sum_j q_j e^{d_j}; an infinite m is kept, and q is read only in the expm1 band."""
-    if math.isinf(m):
-        return m
+def _power_sum_logs(terms, q, r: float):
+    """ln sum_j q_ij e^{d_ij} for each row of floats ``terms``, lazily, by maps over ``math``
+    functions: no Python call per row.  q is read only in the expm1 band; NaN terms give NaN."""
     if abs(r) < _EXPM1_BAND:
-        return m + math.log1p(math.fsum(terms) / math.fsum(q))
-    return m + math.log(math.fsum(terms))
+        return map(math.log1p, map(truediv, map(math.fsum, terms), map(math.fsum, q)))
+    return map(math.log, map(math.fsum, terms))
 
 
 def power_mean(config: Configuration, r: float) -> float:
@@ -431,24 +434,28 @@ class ConfigurationBatch:
         batch = cls.__new__(cls)
         batch._set_sizes(sizes, logits.shape)
         logits = batch._fill(logits, -np.inf)
-        w = np.exp(logits - logits.max(axis=1, keepdims=True))
-        batch._sort(np.exp(logx), w / batch._per_size(lambda w: w.sum(axis=1), w)[:, None])
+        w = np.exp(logits - _row_reduce(np.maximum, logits)[:, None])  # 0.0 in the padding,
+        total = (_row_reduce(np.add, w) if logits.shape[1] <= _FOLD_WIDTH  # which a fold adds last
+                 else batch._per_size(lambda w: w.sum(axis=1), w))
+        batch._sort(np.exp(logx), w / total[:, None])
         return batch
 
     def _set_sizes(self, sizes, shape) -> None:
         rows, width = shape
-        self.sizes = np.full(rows, width) if sizes is None else np.asarray(sizes, dtype=int)
-        starts = [0, *((self.sizes[1:] != self.sizes[:-1]).nonzero()[0] + 1).tolist(), rows]
-        # each run of consecutive rows of one size, as (rows, size)
-        self._runs = [(slice(a, b), int(self.sizes[a]))
-                      for a, b in zip(starts, starts[1:]) if a < b]
-        self._padding = self.sizes[:, None] <= np.arange(width)
+        sizes = np.full(rows, width) if sizes is None else np.asarray(sizes, dtype=int)
+        self.sizes, self._runs, self._padding = _layout(sizes.tobytes(), width)
 
     def _sort(self, x: np.ndarray, q: np.ndarray) -> None:
         order = np.argsort(self._fill(x, np.inf), axis=1, kind="stable")
         rows = np.arange(len(x))[:, None]
         self.x = x[rows, order]
         self.q_weights = q[rows, order]
+
+    @_record_entry
+    def _log_x(self) -> np.ndarray:
+        """ln x, taken once for every order; -inf at a zero sample, padding as it falls."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(self.x)
 
     def _fill(self, a: np.ndarray, value: float) -> np.ndarray:
         """``a`` with the padding set to ``value``; a row's max or min then ignores it."""
@@ -470,9 +477,29 @@ class ConfigurationBatch:
         return Configuration(self.x[i, :n], self.q_weights[i, :n])
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.dot(a[i], b[i])`` for every row i, through the same BLAS dot."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+@lru_cache(maxsize=32)
+def _layout(sizes: bytes, width: int) -> tuple:
+    """The sizes, runs of consecutive rows of one size as (rows, size) and padding mask
+    of a batch, read-only; kept for the next batch of the same sizes, as in a hunt."""
+    sizes = np.frombuffer(sizes, dtype=int)
+    starts = [0, *((sizes[1:] != sizes[:-1]).nonzero()[0] + 1).tolist(), sizes.size]
+    runs = tuple((slice(a, b), int(sizes[a])) for a, b in zip(starts, starts[1:]) if a < b)
+    padding = sizes[:, None] <= np.arange(width)
+    padding.setflags(write=False)
+    return sizes, runs, padding
+
+
+# numpy reduces a row of up to 7 entries in order, as a fold down the columns does; from
+# 8 its pairwise sum regroups them, and from 9 its max or min may keep either zero of +-0.0.
+_FOLD_WIDTH = 7
+
+
+def _row_reduce(ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(a, axis=1)`` bit for bit, for ``np.add``, ``np.maximum`` or ``np.minimum``;
+    a fold down the columns of the contiguous transpose where that is exact, about 3x faster."""
+    if a.shape[1] > _FOLD_WIDTH:
+        return ufunc.reduce(a, axis=1)
+    return ufunc.reduce(np.ascontiguousarray(a.T), axis=0)
 
 
 def _map_or_nan(fn, *columns: np.ndarray) -> np.ndarray:
@@ -489,23 +516,25 @@ def _map_or_nan(fn, *columns: np.ndarray) -> np.ndarray:
 def log_power_mean_rows(batch: ConfigurationBatch, r: float) -> np.ndarray:
     """:func:`log_power_mean` of every row."""
     r = _real(r, "r")
-    q = batch.q_weights
+    q, logx = batch.q_weights, batch._log_x
+    if r == 0.0:
+        return batch._per_size(np.vecdot, q, logx)
     # Padding may overflow here; a row's own terms are at most its weights.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        logx = np.log(batch.x)
-        if r == 0.0:
-            return batch._per_size(_row_dots, q, logx)
+    with np.errstate(invalid="ignore", over="ignore"):
         a = r * logx
-        m = batch._fill(a, -np.inf).max(axis=1)
+        m = _row_reduce(np.maximum, batch._fill(a, -np.inf))
         terms = _power_sum_terms(a - m[:, None], q, r)
-    return np.array([_log_power_sum(mi, t, w, r) for rows, n in batch._runs for mi, t, w in zip(
-        m[rows].tolist(), terms[rows, :n].tolist(), q[rows, :n].tolist())], dtype=float) / r
+    logs = np.fromiter(chain.from_iterable(
+        _power_sum_logs(terms[rows, :n].tolist(), q[rows, :n], r) for rows, n in batch._runs),
+        float, len(m))
+    # an infinite m_i is the row's own log-sum, whose terms are NaN
+    return np.where(np.isinf(m), m, m + logs) / r
 
 
 def delta_rows(batch: ConfigurationBatch, params: DeltaParams) -> np.ndarray:
     """:func:`delta` of every row; NaN where it raises :class:`DegenerateInput`."""
     logs = (log_power_mean_rows(batch, p) for p in (params.r, params.s, params.t))
-    out = _map_or_nan(lambda lr, ls, lt: _delta_of_logs(lr, ls, lt, params.alpha), *logs)
+    out = _map_or_nan(partial(_delta_of_logs, alpha=params.alpha), *logs)
     out[batch.x[:, 0] == batch.x_n()] = np.nan
     return out
 
@@ -573,15 +602,16 @@ class _RowMeans:
 
     def __init__(self, batch: ConfigurationBatch) -> None:
         self.batch = batch
-        self.q = batch._fill(batch.q_weights, np.inf).min(axis=1)
+
+    q = _record_entry(lambda m: _row_reduce(np.minimum, m.batch._fill(m.batch.q_weights, np.inf)))
 
     def mean(self, r: float) -> np.ndarray:
         # math.exp row by row: np.exp rounds differently
-        return np.array(list(map(math.exp, log_power_mean_rows(self.batch, r).tolist())))
+        return np.fromiter(map(math.exp, log_power_mean_rows(self.batch, r).tolist()), float)
 
     def sigma(self) -> np.ndarray:
         def sigma(q, x):  # the two dots of Configuration._sigma, row by row
-            return _row_dots(q, (x - _row_dots(q, x)[:, None]) ** 2)
+            return np.vecdot(q, (x - np.vecdot(q, x)[:, None]) ** 2)
 
         return self.batch._per_size(sigma, self.batch.q_weights, self.batch.x)
 
@@ -595,7 +625,7 @@ class _RowMeans:
         return delta_rows(self.batch, params)
 
     def bound(self, r: float, s: float, t: float, xarg: np.ndarray) -> np.ndarray:
-        return _map_or_nan(lambda x: _c_constant(r, s, t, x), xarg)
+        return _map_or_nan(partial(_c_constant, r, s, t), xarg)
 
     @staticmethod
     def pow(base: np.ndarray, exponent: float) -> np.ndarray:

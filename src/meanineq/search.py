@@ -55,7 +55,7 @@ import numpy as np
 from .errors import DomainError, _integer, _real, _show
 from .inequalities import _CATALOG, InequalityId, relative_residuals, resolve_params
 from .means import (
-    Configuration, ConfigurationBatch, DeltaParams, _Means, delta_rows, log_power_mean,
+    Configuration, ConfigurationBatch, DeltaParams, _Means, _layout, delta_rows, log_power_mean,
 )
 
 # A hunt only declares a violation below this relative residual; the check
@@ -296,7 +296,7 @@ def _batch(u: np.ndarray, sizes) -> ConfigurationBatch:
     """The configurations at log coordinates ``u``: row i holds ``sizes[i]`` log
     samples in its first half and as many weight logits in its second, then padding."""
     width = u.shape[1] // 2
-    u = np.clip(u, -_LOG_CLIP, _LOG_CLIP)
+    u = u.clip(-_LOG_CLIP, _LOG_CLIP)
     return ConfigurationBatch.from_log_coordinates(u[:, :width], u[:, width:], sizes)
 
 
@@ -322,58 +322,63 @@ def _descend(id, params, sizes, rngs, allowances):
     Otherwise it counts both trials (at most its remaining allowance) and
     moves to -step if that improves.  So counts, moves and results equal the
     sequential descent's.
+
+    The state holds the live descents only, in order.  At step t a descent
+    of size n is at t mod 2n in its sweep: equal sizes sweep together.
     """
     sizes = np.array(sizes)
-    dims = 2 * sizes
-    dims_of = dims.tolist()
     width = int(sizes.max())
     # Row k: log samples in columns [0, n), weight logits in [width, width + n).
-    u = np.zeros((len(rngs), 2 * width))
+    u_out = np.zeros((len(rngs), 2 * width))
     for k, (rng, n) in enumerate(zip(rngs, sizes.tolist())):
-        u[k, :n] = rng.uniform(-math.log(50.0), math.log(50.0), n)
-        u[k, width:width + n] = rng.normal(0.0, 1.5, n)
-    f = _evaluate(id, params, u, sizes)
-    used = np.ones(len(rngs), dtype=int)
+        u_out[k, :n] = rng.uniform(-math.log(50.0), math.log(50.0), n)
+        u_out[k, width:width + n] = rng.normal(0.0, 1.5, n)
+    f_out = _evaluate(id, params, u_out, sizes)
     cap = np.array(allowances)
-    step = np.full(len(rngs), _STEP0)
-    pos = np.zeros(len(rngs), dtype=int)            # next coordinate slot in the sweep
-    moved = np.zeros(len(rngs), dtype=bool)         # whether the current sweep has moved
-    perm = np.zeros((len(rngs), 2 * width), dtype=int)
-    live = used < cap
-    for k in np.flatnonzero(live).tolist():
-        perm[k, :dims_of[k]] = rngs[k].permutation(dims_of[k])
-    while live.any():
-        idx = np.flatnonzero(live)
-        rows = np.arange(idx.size)
-        size = sizes[idx]
-        coord = perm[idx, pos[idx]]
-        coord += np.where(coord < size, 0, width - size)  # a logit's column
-        points = np.repeat(u[idx, None], 2, axis=1)   # trial 0: +step, trial 1: -step
-        points[rows, 0, coord] += step[idx]
-        points[rows, 1, coord] -= step[idx]
-        f_t = _evaluate(id, params, points.reshape(-1, 2 * width), np.repeat(size, 2))
-        better = f_t.reshape(-1, 2) < f[idx, None]
+    used = np.ones(len(rngs), dtype=int)
+    ids = np.flatnonzero(used < cap)
+    u, f, left = u_out[ids], f_out[ids], cap[ids] - 1
+    step = np.full(ids.size, _STEP0)
+    moved = np.zeros(ids.size, dtype=bool)              # whether the current sweep has moved
+    cols = np.zeros((ids.size, 2 * width), dtype=int)   # the current sweep's columns, in order
+    t, runs = 0, []
+    while True:
+        starts = [(rows, n) for rows, n in runs if t % (2 * n) == 0]
+        for rows, n in starts:                          # a sweep ended
+            step[rows][~moved[rows]] *= 0.5
+            moved[rows] = False
+        if t == 0 or starts or np.count_nonzero(left) < ids.size:
+            done = (left == 0) | (step <= _MIN_STEP)
+            if t == 0 or done.any():
+                k = ids[done]
+                used[k], f_out[k], u_out[k] = cap[k] - left[done], f[done], u[done]
+                ids, u, f, left, step, moved, cols = (
+                    a[~done] for a in (ids, u, f, left, step, moved, cols))
+                if not ids.size:
+                    return used, f_out, u_out
+                size = sizes[ids]
+                runs = _layout(size.tobytes(), width)[1]
+                starts = [(rows, n) for rows, n in runs if t % (2 * n) == 0]
+                rows_at, pairs = np.arange(ids.size), np.repeat(size, 2)
+        for rows, n in starts:                          # fresh coordinate orders
+            perms = np.array([rngs[k].permutation(2 * n) for k in ids[rows].tolist()])
+            cols[rows, :2 * n] = np.where(perms < n, perms, perms + (width - n))
+        points = np.repeat(u, 2, axis=0)                # row 2i: +step, row 2i + 1: -step
+        at = 4 * width * rows_at + cols[rows_at, t % (2 * size)]
+        flat = points.reshape(-1)
+        flat[at] += step
+        flat[at + 2 * width] -= step
+        f_t = _evaluate(id, params, points, pairs)
+        better = f_t.reshape(-1, 2) < f[:, None]
         first = np.where(better[:, 0], 0, np.where(better[:, 1], 1, 2))
-        count = np.minimum(2, cap[idx] - used[idx])
-        hit = first < count
-        used[idx] += np.where(hit, first + 1, count)
-        h = rows[hit]
-        j = 2 * h + first[h]                          # the batch row each hit moves to
-        k_hit = idx[h]
-        u[k_hit] = points[h, first[h]]
-        f[k_hit] = f_t[j]
-        moved[k_hit] = True
-        pos[idx] += 1
-        swept = idx[pos[idx] == dims[idx]]
-        step[swept[~moved[swept]]] *= 0.5
-        live[idx] = used[idx] < cap[idx]
-        live[swept] &= step[swept] > _MIN_STEP
-        again = swept[live[swept]]
-        for k in again.tolist():
-            perm[k, :dims_of[k]] = rngs[k].permutation(dims_of[k])
-        pos[again] = 0
-        moved[again] = False
-    return used, f, u
+        count = np.minimum(left, 2)
+        left -= np.minimum(first + 1, count)
+        h = np.flatnonzero(first < count)
+        j = 2 * h + first[h]                            # the batch row each hit moves to
+        u[h] = points[j]
+        f[h] = f_t[j]
+        moved[h] = True
+        t += 1
 
 
 class ProbeClaim(str, Enum):

@@ -533,8 +533,8 @@ BATCH_PARAMS = {
 }
 
 
-def _batch_groups():
-    """210 seeded configurations, 30 for each n = 2..8, as one batch per n.
+def _batch_groups(widest: int = 8):
+    """30 seeded configurations for each n = 2..widest, as one batch per n.
 
     Every fifth has a zero sample, every seventh is constant (a 0/0
     ratio), every eleventh ties its two smallest samples, and every
@@ -543,7 +543,7 @@ def _batch_groups():
     """
     rng = np.random.default_rng(20240811)
     groups = []
-    for n in range(2, 9):
+    for n in range(2, widest + 1):
         configs = []
         for i in range(30):
             x = np.exp(rng.normal(0.0, 2.0, n))
@@ -566,6 +566,7 @@ def _batch_groups():
 
 class TestBatchEvaluation:
     GROUPS = _batch_groups()
+    WIDE_GROUPS = _batch_groups(12)
 
     @staticmethod
     def assert_rows_equal_check(tag, groups):
@@ -593,13 +594,14 @@ class TestBatchEvaluation:
 
     @pytest.mark.parametrize("tag", list(InequalityId))
     def test_padded_rows_equal_check(self, tag):
-        # every size n = 2..8 in one batch, rows in a seeded order, samples
+        # every size n = 2..12 in one batch, rows in a seeded order, samples
         # descending (ties kept in order); padding that sorted first or
-        # entered a sum would show
-        configs = [cfg for group, _ in self.GROUPS for cfg in group]
+        # entered a sum would show, and so would a reduce that regroups its
+        # terms from 8 of them
+        configs = [cfg for group, _ in self.WIDE_GROUPS for cfg in group]
         configs = [configs[i] for i in np.random.default_rng(7).permutation(len(configs))]
-        x = np.full((len(configs), 8), -1.0)
-        q = np.full((len(configs), 8), np.nan)
+        x = np.full((len(configs), 12), -1.0)
+        q = np.full((len(configs), 12), np.nan)
         for i, cfg in enumerate(configs):
             descending = np.argsort(-cfg.x, kind="stable")
             x[i, :cfg.n] = cfg.x[descending]

@@ -6,6 +6,7 @@ import math
 import pickle
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from meanineq import (
     power_mean,
     variance_sigma,
 )
+from meanineq import means
 from meanineq.means import ConfigurationBatch, delta_rows, log_power_mean_rows
 
 from conftest import sample_config
@@ -264,6 +266,73 @@ class TestDeltaRows:
         batch = ConfigurationBatch([[1.0, 4.0]], [[0.5, 0.5]])
         with pytest.raises(DomainError, match="^r must be a finite real number, got inf$"):
             log_power_mean_rows(batch, math.inf)
+
+
+def _padded_rows(width):
+    """A seeded (B, width) batch's rows: -1.0 samples and NaN weights past each size."""
+    rng = np.random.default_rng([30, width])
+    sizes = rng.integers(2, width + 1, 120)
+    x = np.full((120, width), -1.0)
+    q = np.full((120, width), np.nan)
+    for i, n in enumerate(sizes.tolist()):
+        x[i, :n] = np.exp(rng.normal(0.0, 2.0, n))
+        if i % 4 == 0:
+            x[i, 0] = 0.0
+        w = rng.random(n)
+        q[i, :n] = w / w.sum()
+    return ConfigurationBatch(x, q, sizes)
+
+
+def _tricky(width):
+    """Seeded (B, width) arrays of NaN rows, +-0.0 ties and +-inf, and their padding."""
+    rng = np.random.default_rng([31, width])
+    picks = np.array([0.0, -0.0, 0.0, -0.0, 1.5, -2.0, np.inf, -np.inf, np.nan])
+    a = rng.choice(picks, (300, width))
+    a[:20] = np.nan
+    a[20:120] = rng.choice(picks[:4], (100, width))   # nothing but signed zeros
+    a[120:200] = rng.choice(picks[:6], (80, width))   # a zero tie for the max or min
+    return a
+
+
+class TestRowReductions:
+    """The batch path's reductions down the columns equal the numpy reduces they
+    replaced, bit for bit, and no RuntimeWarning escapes on padded rows."""
+
+    @pytest.mark.parametrize("width", range(2, 13))
+    def test_row_max_min_and_sum_equal_numpy(self, width):
+        a = _tricky(width)
+        batch = _padded_rows(width)
+        padded = [a] + [batch._fill(a[:120], fill) for fill in (-np.inf, np.inf)]
+        for b in padded:
+            for ufunc, reduce in ((np.maximum, b.max), (np.minimum, b.min), (np.add, b.sum)):
+                with np.errstate(invalid="ignore"):  # inf - inf in a sum
+                    want = reduce(axis=1)
+                    got = means._row_reduce(ufunc, b)
+                assert got.tobytes() == want.tobytes(), (ufunc, b)
+
+    @pytest.mark.parametrize("width", range(2, 13))
+    def test_softmax_weights_equal_each_rows_own(self, width):
+        # from_log_coordinates sums a row's weights with its padding's zeros
+        rng = np.random.default_rng([32, width])
+        sizes = rng.integers(2, width + 1, 200)
+        logits = rng.normal(0.0, 20.0, (200, width))
+        batch = ConfigurationBatch.from_log_coordinates(np.zeros((200, width)), logits, sizes)
+        for i, n in enumerate(sizes.tolist()):
+            w = np.exp(logits[i, :n] - logits[i, :n].max())
+            assert batch.q_weights[i, :n].tobytes() == (w / w.sum()).tobytes()
+
+    @pytest.mark.parametrize("width", range(2, 13))
+    def test_padded_rows_raise_no_warning(self, width):
+        from meanineq.inequalities import InequalityId, relative_residuals
+        batch = _padded_rows(width)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for r in (-3.0, 0.0, 0.01, 2.5):
+                log_power_mean_rows(batch, r)
+            delta_rows(batch, DeltaParams(2.0, 0.5, 0.0))
+            for tag, params in ((InequalityId.MG_SIGMA_UPPER, {"r": 2.5}),
+                                (InequalityId.HALF_MEAN_VAR_LOWER, {"r": 1.5})):
+                relative_residuals(tag, batch, params)
 
 
 class TestCConstant:

@@ -352,6 +352,44 @@ GOLDEN = {
         {"verdict": "SupremumGap", "best_residual": -1.7763568394002505e-15,
          "evals_used": 1954,
          "best_config": {"x": [0.0, 0.2311549086502307], "q": [0.3, 0.7]}}),
+    # Batches up to n = 12, past the widths where numpy's sums and reduces
+    # regroup their terms; recorded with per-size sums and numpy's row reduces.
+    "n9-12-mg-sigma-upper": (
+        lambda: counterexample_hunt(InequalityId.MG_SIGMA_UPPER, r=2.5,
+                                    budget=SearchBudget(max_evals=1500, n_range=(9, 12))),
+        {"verdict": "NoViolationFound", "best_residual": 0.8299901719110953,
+         "evals_used": 1460,
+         "best_config": {
+             "x": [0.07127490431874761, 0.0728797323180221, 0.07559562797420291,
+                   0.08403525272323398, 0.2679943042220816, 0.4034141234255665,
+                   0.588375347774557, 1.2671428711827981, 5.78928138511183],
+             "q": [0.004336112851440529, 0.003739542934570947, 0.0046220947354983855,
+                   0.8777595738975553, 0.011963479454021859, 0.0043340560235163505,
+                   0.02344045051500089, 0.0664828321151088, 0.003321857473286973]}}),
+    "n9-12-half-mean-var-lower": (
+        lambda: counterexample_hunt(InequalityId.HALF_MEAN_VAR_LOWER, r=2.1,
+                                    budget=SearchBudget(max_evals=1500, n_range=(9, 12))),
+        {"verdict": "NoViolationFound", "best_residual": 0.28972265838561856,
+         "evals_used": 1460,
+         "best_config": {
+             "x": [0.020414461692474222, 0.060263689472780636, 0.075738000670169,
+                   0.09381920208799402, 0.10767650190502658, 0.18756738632831063,
+                   0.3130241688106946, 0.356206252080773, 0.6865535126741694],
+             "q": [0.019499046564003253, 0.7279898260923281, 0.02121641672332339,
+                   0.18474670541771582, 0.004135591124282908, 0.004403910357610683,
+                   0.0157872198213156, 0.0019525111735783298, 0.02026877272584201]}}),
+    "probe-n2-10-upper": (
+        lambda: sharpness_probe(InequalityId.DIANANDA_UPPER, triple=TRIPLE, q_target=0.1,
+                                budget=SearchBudget(max_evals=2000, n_range=(2, 10))),
+        {"verdict": "SupremumGap", "best_residual": -5.329070518200751e-15,
+         "evals_used": 728,
+         "best_config": {"x": [0.0, 0.6037807861594441], "q": [0.1, 0.9]}}),
+    "probe-n2-10-lower": (
+        lambda: sharpness_probe(InequalityId.DIANANDA_LOWER, triple=TRIPLE, q_target=0.1,
+                                budget=SearchBudget(max_evals=2000, n_range=(2, 10))),
+        {"verdict": "SupremumGap", "best_residual": 0.0,
+         "evals_used": 728,
+         "best_config": {"x": [0.0, 1.0], "q": [0.9, 0.1]}}),
 }
 
 
@@ -577,7 +615,7 @@ class TestLogCoordinateRows:
     def test_each_row_equals_its_one_row_batch(self, scale):
         # the hunt rebuilds its winner alone from the row the descent scored
         rng = np.random.default_rng(29)
-        for width in range(2, 9):
+        for width in range(2, 13):
             sizes = rng.integers(2, width + 1, 60)
             u = rng.normal(0.0, 5.0, (60, 2 * width))  # the padding too
             for i, n in enumerate(sizes.tolist()):
