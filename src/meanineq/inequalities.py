@@ -149,8 +149,9 @@ def _pair_params(tag, triple, alpha, r, s) -> dict:
 # The parameters each resolver reads, all required but alpha; a tag refuses any other.
 _TAKES = {_triple_params: ("triple", "alpha"), _no_params: (), _order_params: ("r",),
           _pair_params: ("r", "s")}
+# Which of triple, alpha, r and s each resolver accepts as given, with or without alpha.
 _GIVEN = {fn: {tuple(n in takes and (n != "alpha" or a) for n in ("triple", "alpha", "r", "s"))
-               for a in (False, True)} for fn, takes in _TAKES.items()}  # given, alpha or not
+               for a in (False, True)} for fn, takes in _TAKES.items()}
 
 
 def _diananda(upper: bool, m, p):

@@ -54,9 +54,9 @@ they, and the softmax sum over its zero padding, fold down the columns in
 numpy's own order.  Row-wise dots (``np.vecdot``, the BLAS dot of ``np.dot``)
 and power sums run on each run of equal-size rows cut to its size: numpy's
 pairwise sum regroups its terms from 8 of them, the BLAS dot from 16.  A
-run's sums take the scalar tail, ``math.fsum`` then ``math.log`` or
-``math.log1p`` mapped over its rows; ``math.exp`` and delta's ratio of the
-log-means go row by row, so the arithmetic of delta is written once.
+run's rows go through the scalar tail (``math.fsum``, then ``math.log`` or
+``math.log1p``) by one ``map``; ``math.exp`` and delta's ratio of the
+log-means go row by row too, so the arithmetic of delta is written once.
 
 The catalog formulas read a formula record: ``_Means`` gives one
 configuration's quantities as floats and raises where a step fails;
@@ -75,8 +75,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain
-from operator import truediv
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -286,7 +285,7 @@ def _log_power_mean(config: Configuration, r: float) -> float:
     m = max(a.tolist())
     if math.isinf(m):
         return m / r
-    return (m + next(_power_sum_logs((_power_sum_terms(a - m, q, r).tolist(),), (q,), r))) / r
+    return (m + _power_sum_log(_power_sum_terms(a - m, q, r).tolist(), q, r)) / r
 
 
 def _power_sum_terms(d: np.ndarray, q: np.ndarray, r: float) -> np.ndarray:
@@ -294,12 +293,12 @@ def _power_sum_terms(d: np.ndarray, q: np.ndarray, r: float) -> np.ndarray:
     return q * (np.expm1(d) if abs(r) < _EXPM1_BAND else np.exp(d))
 
 
-def _power_sum_logs(terms, q, r: float):
-    """ln sum_j q_ij e^{d_ij} for each row of floats ``terms``, lazily, by maps over ``math``
-    functions: no Python call per row.  q is read only in the expm1 band; NaN terms give NaN."""
+def _power_sum_log(terms: list[float], q, r: float) -> float:
+    """ln sum_j q_j e^{d_j} from one row's floats ``terms``; q is read only in the expm1 band,
+    and NaN terms give NaN."""
     if abs(r) < _EXPM1_BAND:
-        return map(math.log1p, map(truediv, map(math.fsum, terms), map(math.fsum, q)))
-    return map(math.log, map(math.fsum, terms))
+        return math.log1p(math.fsum(terms) / math.fsum(q))
+    return math.log(math.fsum(terms))
 
 
 def power_mean(config: Configuration, r: float) -> float:
@@ -434,8 +433,9 @@ class ConfigurationBatch:
         batch = cls.__new__(cls)
         batch._set_sizes(sizes, logits.shape)
         logits = batch._fill(logits, -np.inf)
-        w = np.exp(logits - _row_reduce(np.maximum, logits)[:, None])  # 0.0 in the padding,
-        total = (_row_reduce(np.add, w) if logits.shape[1] <= _FOLD_WIDTH  # which a fold adds last
+        w = np.exp(logits - _row_reduce(np.maximum, logits)[:, None])
+        # a fold adds the padding's exact zeros after each row's own sum
+        total = (_row_reduce(np.add, w) if logits.shape[1] <= _FOLD_WIDTH
                  else batch._per_size(lambda w: w.sum(axis=1), w))
         batch._sort(np.exp(logx), w / total[:, None])
         return batch
@@ -524,9 +524,11 @@ def log_power_mean_rows(batch: ConfigurationBatch, r: float) -> np.ndarray:
         a = r * logx
         m = _row_reduce(np.maximum, batch._fill(a, -np.inf))
         terms = _power_sum_terms(a - m[:, None], q, r)
+    band = abs(r) < _EXPM1_BAND  # the tail reads a row's weights only in the expm1 band
     logs = np.fromiter(chain.from_iterable(
-        _power_sum_logs(terms[rows, :n].tolist(), q[rows, :n], r) for rows, n in batch._runs),
-        float, len(m))
+        map(_power_sum_log, terms[rows, :n].tolist(),
+            q[rows, :n].tolist() if band else repeat(None), repeat(r))
+        for rows, n in batch._runs), float, len(m))
     # an infinite m_i is the row's own log-sum, whose terms are NaN
     return np.where(np.isinf(m), m, m + logs) / r
 

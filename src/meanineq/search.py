@@ -343,8 +343,8 @@ def _descend(id, params, sizes, rngs, allowances):
     cols = np.zeros((ids.size, 2 * width), dtype=int)   # the current sweep's columns, in order
     t, runs = 0, []
     while True:
-        starts = [(rows, n) for rows, n in runs if t % (2 * n) == 0]
-        for rows, n in starts:                          # a sweep ended
+        starts = [(rows, n) for rows, n in runs if t % (2 * n) == 0]  # sweeps ending at t
+        for rows, n in starts:
             step[rows][~moved[rows]] *= 0.5
             moved[rows] = False
         if t == 0 or starts or np.count_nonzero(left) < ids.size:
