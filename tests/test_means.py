@@ -284,7 +284,8 @@ def _padded_rows(width):
 
 
 def _tricky(width):
-    """Seeded (B, width) arrays of NaN rows, +-0.0 ties and +-inf, and their padding."""
+    """A seeded (300, width) array: NaN rows, rows of signed zeros only, zero ties for the
+    max or min, and +-inf."""
     rng = np.random.default_rng([31, width])
     picks = np.array([0.0, -0.0, 0.0, -0.0, 1.5, -2.0, np.inf, -np.inf, np.nan])
     a = rng.choice(picks, (300, width))
