@@ -47,16 +47,15 @@ callers racing to fill an entry compute and store the same float.
 arrays, row i holding its n_i samples first and padding after them, and
 :func:`log_power_mean_rows` and :func:`delta_rows` are the array forms of
 ln M_r and delta over it.  Row i of each is bit-identical to the scalar
-function on the i-th configuration.  ln x is taken once per batch and each
-elementwise step once for all rows: the scalar's ufuncs on the same floats.
-Row maxima and minima see the padding as -inf or +inf; up to 7 columns
-they, and the softmax sum over its zero padding, fold down the columns in
-numpy's own order.  Row-wise dots (``np.vecdot``, the BLAS dot of ``np.dot``)
-and power sums run on each run of equal-size rows cut to its size: numpy's
-pairwise sum regroups its terms from 8 of them, the BLAS dot from 16.  A
-run's rows go through the scalar tail (``math.fsum``, then ``math.log`` or
-``math.log1p``) by one ``map``; ``math.exp`` and delta's ratio of the
-log-means go row by row too, so the arithmetic of delta is written once.
+function on the i-th configuration.  ln x is taken once per batch, and
+each elementwise step once for all rows, with the scalar's ufuncs.  Row
+maxima and minima see the padding as -inf or +inf; up to 7 columns they,
+and the softmax sum over its zero padding, fold down the columns in
+numpy's own order.  Dots (``np.vecdot``, the BLAS dot of ``np.dot``) and
+power sums run per run of equal-size rows cut to its size: numpy's pairwise
+sum regroups from 8 terms, the BLAS dot from 16.  A run's rows take the
+scalar tail (``math.fsum``, ``math.log`` or ``math.log1p``) in one ``map``;
+``math.exp`` and delta's ratio go row by row, so delta is written once.
 
 The catalog formulas read a formula record: ``_Means`` gives one
 configuration's quantities as floats and raises where a step fails;
@@ -76,6 +75,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, repeat
+from math import fsum, log, log1p
 
 import numpy as np
 
@@ -294,11 +294,10 @@ def _power_sum_terms(d: np.ndarray, q: np.ndarray, r: float) -> np.ndarray:
 
 
 def _power_sum_log(terms: list[float], q, r: float) -> float:
-    """ln sum_j q_j e^{d_j} from one row's floats ``terms``; q is read only in the expm1 band,
-    and NaN terms give NaN."""
+    """ln sum_j q_j e^{d_j} from one row's floats ``terms``; q is read only in the expm1 band."""
     if abs(r) < _EXPM1_BAND:
-        return math.log1p(math.fsum(terms) / math.fsum(q))
-    return math.log(math.fsum(terms))
+        return log1p(fsum(terms) / fsum(q))
+    return log(fsum(terms))
 
 
 def power_mean(config: Configuration, r: float) -> float:
@@ -443,13 +442,11 @@ class ConfigurationBatch:
     def _set_sizes(self, sizes, shape) -> None:
         rows, width = shape
         sizes = np.full(rows, width) if sizes is None else np.asarray(sizes, dtype=int)
-        self.sizes, self._runs, self._padding = _layout(sizes.tobytes(), width)
+        self.sizes, self._runs, self._padding, self._row_starts = _layout(sizes.tobytes(), width)
 
     def _sort(self, x: np.ndarray, q: np.ndarray) -> None:
-        order = np.argsort(self._fill(x, np.inf), axis=1, kind="stable")
-        rows = np.arange(len(x))[:, None]
-        self.x = x[rows, order]
-        self.q_weights = q[rows, order]
+        at = np.argsort(self._fill(x, np.inf), axis=1, kind="stable") + self._row_starts
+        self.x, self.q_weights = x.take(at), q.take(at)
 
     @_record_entry
     def _log_x(self) -> np.ndarray:
@@ -479,14 +476,15 @@ class ConfigurationBatch:
 
 @lru_cache(maxsize=32)
 def _layout(sizes: bytes, width: int) -> tuple:
-    """The sizes, runs of consecutive rows of one size as (rows, size) and padding mask
-    of a batch, read-only; kept for the next batch of the same sizes, as in a hunt."""
+    """The sizes, runs of consecutive rows of one size as (rows, size), padding mask and
+    flat row starts of a batch, read-only; kept for the next batch of the same sizes."""
     sizes = np.frombuffer(sizes, dtype=int)
     starts = [0, *((sizes[1:] != sizes[:-1]).nonzero()[0] + 1).tolist(), sizes.size]
     runs = tuple((slice(a, b), int(sizes[a])) for a, b in zip(starts, starts[1:]) if a < b)
-    padding = sizes[:, None] <= np.arange(width)
-    padding.setflags(write=False)
-    return sizes, runs, padding
+    arrays = sizes[:, None] <= np.arange(width), width * np.arange(sizes.size)[:, None]
+    for a in arrays:
+        a.setflags(write=False)
+    return sizes, runs, *arrays
 
 
 # numpy reduces a row of up to 7 entries in order, as a fold down the columns does; from
@@ -524,10 +522,9 @@ def log_power_mean_rows(batch: ConfigurationBatch, r: float) -> np.ndarray:
         a = r * logx
         m = _row_reduce(np.maximum, batch._fill(a, -np.inf))
         terms = _power_sum_terms(a - m[:, None], q, r)
-    band = abs(r) < _EXPM1_BAND  # the tail reads a row's weights only in the expm1 band
     logs = np.fromiter(chain.from_iterable(
-        map(_power_sum_log, terms[rows, :n].tolist(),
-            q[rows, :n].tolist() if band else repeat(None), repeat(r))
+        map(_power_sum_log, terms[rows, :n].tolist(),  # weights are read only in the band
+            q[rows, :n].tolist() if abs(r) < _EXPM1_BAND else repeat(None), repeat(r))
         for rows, n in batch._runs), float, len(m))
     # an infinite m_i is the row's own log-sum, whose terms are NaN
     return np.where(np.isinf(m), m, m + logs) / r
@@ -639,5 +636,7 @@ class _RowMeans:
     def div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
         """:meth:`_Means.div` row by row."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(den == 0.0, np.where(num == 0.0, 0.0, np.copysign(np.inf, num)),
-                            num / den)
+            out = num / den
+        if (zero := den == 0.0).any():
+            out[zero] = np.where(num[zero] == 0.0, 0.0, np.copysign(np.inf, num[zero]))
+        return out
