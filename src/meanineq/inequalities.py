@@ -149,9 +149,6 @@ def _pair_params(tag, triple, alpha, r, s) -> dict:
 # The parameters each resolver reads, all required but alpha; a tag refuses any other.
 _TAKES = {_triple_params: ("triple", "alpha"), _no_params: (), _order_params: ("r",),
           _pair_params: ("r", "s")}
-# Which of triple, alpha, r and s each resolver accepts as given, with or without alpha.
-_GIVEN = {fn: {tuple(n in takes and (n != "alpha" or a) for n in ("triple", "alpha", "r", "s"))
-               for a in (False, True)} for fn, takes in _TAKES.items()}
 
 
 def _diananda(upper: bool, m, p):
@@ -259,14 +256,13 @@ class _Tag:
         return ", ".join(h for h in (self.stated, x1) if h) or "none"
 
     def resolve(self, id, triple, alpha, r, s, force: bool) -> dict:
-        given = (triple is not None, alpha is not None, r is not None, s is not None)
-        if given not in _GIVEN[self.params]:  # name the first parameter at fault
-            takes = _TAKES[self.params]
-            for name, value in zip(("triple", "alpha", "r", "s"), given):
-                if not value and name in takes and name != "alpha":
+        takes = _TAKES[self.params]
+        for name, value in (("triple", triple), ("alpha", alpha), ("r", r), ("s", s)):
+            if value is None:
+                if name in takes and name != "alpha":
                     raise DomainError(f"{id.value} requires parameter {name!r}")
-                if value and name not in takes:
-                    raise DomainError(f"{id.value} takes no parameter {name!r}")
+            elif name not in takes:
+                raise DomainError(f"{id.value} takes no parameter {name!r}")
         params = self.params(id, triple, alpha, r, s)
         if not force and self.in_range is not None and not self.in_range(params):
             raise DomainError(f"{id.value} is stated for {self.stated}")

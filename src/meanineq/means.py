@@ -51,7 +51,7 @@ function on the i-th configuration.  ln x is taken once per batch, and
 each elementwise step once for all rows, with the scalar's ufuncs.  Row
 maxima and minima see the padding as -inf or +inf; up to 7 columns they,
 and the softmax sum over its zero padding, fold down the columns in
-numpy's own order.  Dots (``np.vecdot``, the BLAS dot of ``np.dot``) and
+numpy's own order.  Row dots (through matmul, the BLAS dot of ``np.dot``) and
 power sums run per run of equal-size rows cut to its size: numpy's pairwise
 sum regroups from 8 terms, the BLAS dot from 16.  A run's rows take the
 scalar tail (``math.fsum``, ``math.log`` or ``math.log1p``) in one ``map``;
@@ -73,9 +73,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain, repeat
-from math import fsum, log, log1p
 
 import numpy as np
 
@@ -296,8 +295,8 @@ def _power_sum_terms(d: np.ndarray, q: np.ndarray, r: float) -> np.ndarray:
 def _power_sum_log(terms: list[float], q, r: float) -> float:
     """ln sum_j q_j e^{d_j} from one row's floats ``terms``; q is read only in the expm1 band."""
     if abs(r) < _EXPM1_BAND:
-        return log1p(fsum(terms) / fsum(q))
-    return log(fsum(terms))
+        return math.log1p(math.fsum(terms) / math.fsum(q))
+    return math.log(math.fsum(terms))
 
 
 def power_mean(config: Configuration, r: float) -> float:
@@ -434,18 +433,22 @@ class ConfigurationBatch:
         logits = batch._fill(logits, -np.inf)
         w = np.exp(logits - _row_reduce(np.maximum, logits)[:, None])
         # a fold adds the padding's exact zeros after each row's own sum
-        total = (_row_reduce(np.add, w) if logits.shape[1] <= _FOLD_WIDTH
-                 else batch._per_size(lambda w: w.sum(axis=1), w))
+        total = _row_reduce(np.add, w, wide=lambda w: batch._per_size(lambda w: w.sum(axis=1), w))
         batch._sort(np.exp(logx), w / total[:, None])
         return batch
 
     def _set_sizes(self, sizes, shape) -> None:
         rows, width = shape
-        sizes = np.full(rows, width) if sizes is None else np.asarray(sizes, dtype=int)
-        self.sizes, self._runs, self._padding, self._row_starts = _layout(sizes.tobytes(), width)
+        self.sizes = np.full(rows, width) if sizes is None else np.asarray(sizes, dtype=int)
+        starts = [0, *((self.sizes[1:] != self.sizes[:-1]).nonzero()[0] + 1).tolist(), rows]
+        # each run of consecutive rows of one size, as (rows, size)
+        self._runs = [(slice(a, b), int(self.sizes[a]))
+                      for a, b in zip(starts, starts[1:]) if a < b]
+        self._padding = self.sizes[:, None] <= np.arange(width)
 
     def _sort(self, x: np.ndarray, q: np.ndarray) -> None:
-        at = np.argsort(self._fill(x, np.inf), axis=1, kind="stable") + self._row_starts
+        order = np.argsort(self._fill(x, np.inf), axis=1, kind="stable")
+        at = order + x.shape[1] * np.arange(len(x))[:, None]  # flat: one take per array
         self.x, self.q_weights = x.take(at), q.take(at)
 
     @_record_entry
@@ -474,17 +477,9 @@ class ConfigurationBatch:
         return Configuration(self.x[i, :n], self.q_weights[i, :n])
 
 
-@lru_cache(maxsize=32)
-def _layout(sizes: bytes, width: int) -> tuple:
-    """The sizes, runs of consecutive rows of one size as (rows, size), padding mask and
-    flat row starts of a batch, read-only; kept for the next batch of the same sizes."""
-    sizes = np.frombuffer(sizes, dtype=int)
-    starts = [0, *((sizes[1:] != sizes[:-1]).nonzero()[0] + 1).tolist(), sizes.size]
-    runs = tuple((slice(a, b), int(sizes[a])) for a, b in zip(starts, starts[1:]) if a < b)
-    arrays = sizes[:, None] <= np.arange(width), width * np.arange(sizes.size)[:, None]
-    for a in arrays:
-        a.setflags(write=False)
-    return sizes, runs, *arrays
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.dot(a[i], b[i])`` for every row i, through the same BLAS dot."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 # numpy reduces a row of up to 7 entries in order, as a fold down the columns does; from
@@ -492,11 +487,12 @@ def _layout(sizes: bytes, width: int) -> tuple:
 _FOLD_WIDTH = 7
 
 
-def _row_reduce(ufunc, a: np.ndarray) -> np.ndarray:
+def _row_reduce(ufunc, a: np.ndarray, wide=None) -> np.ndarray:
     """``ufunc.reduce(a, axis=1)`` bit for bit, for ``np.add``, ``np.maximum`` or ``np.minimum``;
-    a fold down the columns of the contiguous transpose where that is exact, about 3x faster."""
+    a fold down the columns of the contiguous transpose where that is exact, about 3x faster.
+    Past ``_FOLD_WIDTH`` columns it is numpy's row reduce, or ``wide(a)`` if given."""
     if a.shape[1] > _FOLD_WIDTH:
-        return ufunc.reduce(a, axis=1)
+        return ufunc.reduce(a, axis=1) if wide is None else wide(a)
     return ufunc.reduce(np.ascontiguousarray(a.T), axis=0)
 
 
@@ -516,7 +512,7 @@ def log_power_mean_rows(batch: ConfigurationBatch, r: float) -> np.ndarray:
     r = _real(r, "r")
     q, logx = batch.q_weights, batch._log_x
     if r == 0.0:
-        return batch._per_size(np.vecdot, q, logx)
+        return batch._per_size(_row_dots, q, logx)
     # Padding may overflow here; a row's own terms are at most its weights.
     with np.errstate(invalid="ignore", over="ignore"):
         a = r * logx
@@ -610,7 +606,7 @@ class _RowMeans:
 
     def sigma(self) -> np.ndarray:
         def sigma(q, x):  # the two dots of Configuration._sigma, row by row
-            return np.vecdot(q, (x - np.vecdot(q, x)[:, None]) ** 2)
+            return _row_dots(q, (x - _row_dots(q, x)[:, None]) ** 2)
 
         return self.batch._per_size(sigma, self.batch.q_weights, self.batch.x)
 
@@ -636,7 +632,5 @@ class _RowMeans:
     def div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
         """:meth:`_Means.div` row by row."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = num / den
-        if (zero := den == 0.0).any():
-            out[zero] = np.where(num[zero] == 0.0, 0.0, np.copysign(np.inf, num[zero]))
-        return out
+            return np.where(den == 0.0, np.where(num == 0.0, 0.0, np.copysign(np.inf, num)),
+                            num / den)

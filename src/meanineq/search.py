@@ -55,7 +55,7 @@ import numpy as np
 from .errors import DomainError, _integer, _real, _show
 from .inequalities import _CATALOG, InequalityId, relative_residuals, resolve_params
 from .means import (
-    Configuration, ConfigurationBatch, DeltaParams, _Means, _layout, delta_rows, log_power_mean,
+    Configuration, ConfigurationBatch, DeltaParams, _Means, delta_rows, log_power_mean,
 )
 
 # A hunt only declares a violation below this relative residual; the check
@@ -357,7 +357,8 @@ def _descend(id, params, sizes, rngs, allowances):
                 if not ids.size:
                     return used, f_out, u_out
                 size = sizes[ids]
-                runs = _layout(size.tobytes(), width)[1]
+                ends = [*(np.flatnonzero(np.diff(size)) + 1).tolist(), size.size]
+                runs = [(slice(a, b), int(size[a])) for a, b in zip([0, *ends], ends)]
                 starts = [(rows, n) for rows, n in runs if t % (2 * n) == 0]
                 rows_at, pairs = np.arange(ids.size), np.repeat(size, 2)
         for rows, n in starts:                          # fresh coordinate orders
