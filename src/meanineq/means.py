@@ -51,9 +51,9 @@ function on the i-th configuration.  ln x is taken once per batch, and
 each elementwise step once for all rows, with the scalar's ufuncs.  Row
 maxima and minima see the padding as -inf or +inf; up to 7 columns they,
 and the softmax sum over its zero padding, fold down the columns in
-numpy's own order.  Row dots (through matmul, the BLAS dot of ``np.dot``) and
-power sums run per run of equal-size rows cut to its size: numpy's pairwise
-sum regroups from 8 terms, the BLAS dot from 16.  A run's rows take the
+numpy's own order.  Row dots (matmul's BLAS dot, as ``np.dot``) and power
+sums run per run of equal-size rows cut to its size: numpy's pairwise sum
+regroups from 8 terms, the BLAS dot from 16.  A run's rows take the
 scalar tail (``math.fsum``, ``math.log`` or ``math.log1p``) in one ``map``;
 ``math.exp`` and delta's ratio go row by row, so delta is written once.
 
