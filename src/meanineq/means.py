@@ -448,8 +448,9 @@ class ConfigurationBatch:
 
     def _sort(self, x: np.ndarray, q: np.ndarray) -> None:
         order = np.argsort(self._fill(x, np.inf), axis=1, kind="stable")
-        at = order + x.shape[1] * np.arange(len(x))[:, None]  # flat: one take per array
-        self.x, self.q_weights = x.take(at), q.take(at)
+        rows = np.arange(len(x))[:, None]
+        self.x = x[rows, order]
+        self.q_weights = q[rows, order]
 
     @_record_entry
     def _log_x(self) -> np.ndarray:
