@@ -1,12 +1,13 @@
 """Weighted power-mean inequalities: evaluation, sharp thresholds, search.
 
 The library evaluates weighted power means and the three-mean difference
-ratio, checks a catalog of named mean inequalities with scale-free
-residuals, solves the sharp parameter thresholds behind them by bracketed
-root-finding and 1-D minimization, sweeps the scalar certificate
-functions of the underlying proofs over their claimed domains, and
-searches configuration space to confirm sharpness and locate
-counterexamples beyond the proven validity frontiers.
+ratio, checks a catalog of named mean inequalities with residuals
+relative to max(|lhs|, |rhs|, 1) (so a verdict can depend on the unit of
+x: ROADMAP direction 13), solves the sharp parameter thresholds behind
+them by bracketed root-finding and 1-D minimization, sweeps the scalar
+certificate functions of the underlying proofs over their claimed
+domains, and searches configuration space to confirm sharpness and
+locate counterexamples beyond the proven validity frontiers.
 
 Each exported name is declared once: in the ``__all__`` of ``errors`` and
 ``thresholds``, which ``import meanineq`` star-imports, or in the package's

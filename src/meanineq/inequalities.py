@@ -39,7 +39,6 @@ from .means import (
     DEFAULT_REL_TOL,
     Configuration,
     ConfigurationBatch,
-    DeltaParams,
     _Means,
     _RowMeans,
     order_triple,
@@ -152,9 +151,8 @@ _TAKES = {_triple_params: ("triple", "alpha"), _no_params: (), _order_params: ("
 
 
 def _diananda(upper: bool, m, p):
-    r, s, t = p["triple"]
-    alpha = p["alpha"]
-    d = m.delta(DeltaParams._resolved(r, s, t, alpha))
+    (r, s, t), alpha = p["triple"], p["alpha"]
+    d = m.delta(r, s, t, alpha)
     if upper:
         return d, m.bound(r, s, t, m.pow(1.0 - m.q, alpha))
     return m.bound(r, s, t, m.pow(m.q, alpha)), d
@@ -172,12 +170,14 @@ def _base(upper: bool, m, p):
 
 def _mix_variance(upper: bool, m, p):
     r = p["r"]
+    if math.isinf(inv_r := 1.0 / r):  # the order of M_{1/r}; a subnormal r overflows it
+        raise DomainError(f"1/r must be a finite real number, got {inv_r}")
     w = m.pow(m.q, r - 1.0) if upper else m.pow(1.0 - m.q, r - 1.0)
     a = m.mean(1.0)
     g = m.mean(0.0)
-    mm = m.mean(1.0 / r)
+    mm = m.mean(inv_r)
     combo = mm - w * a - (1.0 - w) * g
-    corr = m.div((1.0 / r - w) * m.sigma(), 2.0 * m.x1())
+    corr = m.div((inv_r - w) * m.sigma(), 2.0 * m.x1())
     return (combo, corr) if upper else (corr, combo)
 
 
@@ -392,9 +392,10 @@ def check(
 
     The residual is rhs - lhs with the sides oriented so that a
     nonnegative residual means the claim holds; residual_rel divides by
-    max(|lhs|, |rhs|, 1) so verdicts are scale-free.  With ``force`` the
-    stated parameter-range hypotheses are skipped and the raw residual is
-    reported, which is how regimes beyond the proven frontier are probed.
+    max(|lhs|, |rhs|, 1), so a verdict can depend on the unit of x
+    (ROADMAP direction 13).  With ``force`` the stated parameter-range
+    hypotheses are skipped and the raw residual is reported, which is how
+    regimes beyond the proven frontier are probed.
     """
     rel_tol = DEFAULT_REL_TOL if rel_tol is None else _real(rel_tol, "rel_tol")
     abs_floor = DEFAULT_ABS_FLOOR if abs_floor is None else _real(abs_floor, "abs_floor")
@@ -407,7 +408,7 @@ def check(
     if tag.positive_min and not force and config.x[0] <= 0.0:
         raise DomainError(f"{id.value} is stated for x_1 > 0")
     try:
-        lhs, rhs = tag.sides(_Means(config, q), params)
+        lhs, rhs = tag.sides(_Means(config), params)
     except DegenerateInput:
         lhs = rhs = math.nan
     residual = rhs - lhs

@@ -38,10 +38,9 @@ Each :class:`Configuration` carries a means record: the quantities that
 every catalog formula reads, computed on first use and then kept.  It
 holds ln x, the minimum weight, sigma and ln M_r at the fixed orders
 0, 1/2 and 1 (G, M_{1/2}, A), so it never grows; other orders are
-computed afresh on every call.  :func:`log_power_mean`, :func:`power_mean`,
-:func:`variance_sigma` and :func:`delta` read it.  Sharing is safe: the
-samples and weights are read-only, so a kept value cannot go stale, and
-callers racing to fill an entry compute and store the same float.
+computed afresh on every call.  Sharing is safe: the samples and weights
+are read-only, so a kept value cannot go stale, and callers racing to
+fill an entry compute and store the same float.
 
 :class:`ConfigurationBatch` holds B configurations as ``(B, width)``
 arrays, row i holding its n_i samples first and padding after them, and
@@ -57,16 +56,19 @@ regroups from 8 terms, the BLAS dot from 16.  A run's rows take the
 scalar tail (``math.fsum``, ``math.log`` or ``math.log1p``) in one ``map``;
 ``math.exp`` and delta's ratio go row by row, so delta is written once.
 
-The catalog formulas read a formula record: ``_Means`` gives one
-configuration's quantities as floats and raises where a step fails;
-``_RowMeans`` gives a batch's as (B,) arrays, NaN in a row that would
-raise.  ``_RowMeans`` maps the scalar steps (``math.exp``, the weight
-power of ``_Means``, :func:`c_constant`) over the rows and takes sigma
-by the rules above, so row i has the bits of ``_Means`` on the i-th
-configuration.  A weight power past the float range is +inf, as ``_exp``
-is for e^x, where ``**`` raises; the catalog side it enters is then NaN
-(inf - inf or inf * 0), which ``check`` reports Degenerate and a batch
-scores +inf.
+Formula records compute and public functions read.  A record is built
+from a configuration alone and trusts its arguments, plain floats that a
+public entry has read: ``_Means(config)`` gives one configuration's
+quantities as floats and raises where a step fails; ``_RowMeans(batch)``
+gives a batch's as (B,) arrays, NaN in a row that would raise.  Both give
+``q``, ``log_mean``, ``mean``, ``sigma``, ``x1``, ``xn``,
+``delta(r, s, t, alpha)``, ``bound``, ``pow`` and ``div``.  ``_RowMeans``
+maps the scalar steps (``math.exp``, the weight power of ``_Means``, the
+bound's constant) over the rows and takes sigma by the rules above, so
+row i has the bits of ``_Means`` on the i-th configuration.  A weight
+power past the float range is +inf, as ``_exp`` is for e^x, where ``**``
+raises; the catalog side it enters is then NaN (inf - inf or inf * 0),
+which ``check`` reports Degenerate and a batch scores +inf.
 """
 
 from __future__ import annotations
@@ -90,6 +92,8 @@ DEFAULT_ABS_FLOOR = 1e-12
 _EXPM1_BAND = 0.05
 
 _WEIGHT_SUM_TOL = 1e-12
+
+_FIXED_ORDERS = (0.0, 0.5, 1.0)
 
 
 class _record_entry:
@@ -185,10 +189,10 @@ class Configuration:
         a = float(np.dot(self.q_weights, self.x))
         return float(np.dot(self.q_weights, (self.x - a) ** 2))
 
-    # ln M_r at the record's fixed orders: G, M_{1/2} and A
-    _log_geometric_mean = _record_entry(lambda self: _log_power_mean(self, 0.0))
-    _log_half_mean = _record_entry(lambda self: _log_power_mean(self, 0.5))
-    _log_arithmetic_mean = _record_entry(lambda self: _log_power_mean(self, 1.0))
+    @_record_entry
+    def _fixed_log_means(self) -> dict[float, float]:
+        """ln M_r at the record's fixed orders 0, 1/2 and 1: G, M_{1/2} and A."""
+        return {r: _log_power_mean(self, r) for r in _FIXED_ORDERS}
 
     def scaled(self, c: float) -> "Configuration":
         """The configuration with every sample multiplied by ``c > 0``."""
@@ -233,13 +237,6 @@ class DeltaParams:
             raise DomainError("the orders r, s, t must be mutually distinct")
         vars(self).update(r=r, s=s, t=t, alpha=alpha)
 
-    @classmethod
-    def _resolved(cls, r: float, s: float, t: float, alpha: float) -> "DeltaParams":
-        """Parameters that a catalog entry has already read and checked, not read again."""
-        params = cls.__new__(cls)
-        vars(params).update(r=r, s=s, t=t, alpha=alpha)
-        return params
-
     def ordered(self) -> "DeltaParams":
         """The same parameters with the orders rearranged descending."""
         r, s, t = sorted((self.r, self.s, self.t), reverse=True)
@@ -265,14 +262,7 @@ class MeanValue:
 
 def log_power_mean(config: Configuration, r: float) -> float:
     """ln M_r(x; q); -inf when the mean is 0 (zero samples at r <= 0)."""
-    r = _real(r, "r")
-    if r == 0.0:
-        return config._log_geometric_mean
-    if r == 0.5:
-        return config._log_half_mean
-    if r == 1.0:
-        return config._log_arithmetic_mean
-    return _log_power_mean(config, r)
+    return _Means(config).log_mean(_real(r, "r"))
 
 
 def _log_power_mean(config: Configuration, r: float) -> float:
@@ -305,19 +295,17 @@ def power_mean(config: Configuration, r: float) -> float:
     For r = 0 this is the weighted geometric mean.  Zero samples give 0
     for r <= 0 and simply drop out of the power sum for r > 0.
     """
-    return math.exp(log_power_mean(config, r))
+    return _Means(config).mean(_real(r, "r"))
 
 
 def mean_value(config: Configuration, r: float, convention: str = "plain") -> MeanValue:
     """The mean under the requested reporting convention."""
-    if convention == "plain":
-        return MeanValue(power_mean(config, r), "plain")
-    if convention == "log":
-        lv = log_power_mean(config, r)
-        if not math.isfinite(lv):
-            raise DomainError("log convention undefined for a zero mean")
-        return MeanValue(lv, "log")
-    raise DomainError(f"unknown convention {_show(convention)}")
+    if convention not in ("plain", "log"):
+        raise DomainError(f"unknown convention {_show(convention)}")
+    lv = _Means(config).log_mean(_real(r, "r"))
+    if convention == "log" and not math.isfinite(lv):
+        raise DomainError("log convention undefined for a zero mean")
+    return MeanValue(math.exp(lv) if convention == "plain" else lv, convention)
 
 
 def variance_sigma(config: Configuration) -> float:
@@ -338,10 +326,7 @@ def delta(config: Configuration, params: DeltaParams) -> float:
     (M_t / M_s)^alpha for alpha > 0.  When M_s = M_t = 0 < M_r and
     alpha <= 0, both differences are infinite: :class:`DegenerateInput`.
     """
-    if config.is_constant:
-        raise DegenerateInput("the ratio is 0/0 when all samples are equal")
-    return _delta_of_logs(log_power_mean(config, params.r), log_power_mean(config, params.s),
-                          log_power_mean(config, params.t), params.alpha)
+    return _Means(config).delta(params.r, params.s, params.t, params.alpha)
 
 
 def _delta_of_logs(lr: float, ls: float, lt: float, alpha: float) -> float:
@@ -392,13 +377,14 @@ def c_constant(r: float, s: float, t: float, xarg: float) -> float:
     defined for 0 < xarg < 1, where it exceeds 1.  Raises
     :class:`DegenerateInput` when ``xarg ** (1/s - 1/r)`` rounds to 1.
     """
-    return _c_constant(_real(r, "r"), _real(s, "s"), _real(t, "t"), _real(xarg, "xarg"))
+    r, s, t, xarg = _real(r, "r"), _real(s, "s"), _real(t, "t"), _real(xarg, "xarg")
+    if not (r > s > t >= 0):
+        raise DomainError(f"orders must satisfy r > s > t >= 0 (got {(r, s, t)})")
+    return _c_constant(r, s, t, xarg)
 
 
 def _c_constant(r: float, s: float, t: float, xarg: float) -> float:
-    """:func:`c_constant` of floats already read; the catalog's bounds call it."""
-    if not (r > s > t >= 0):
-        raise DomainError(f"orders must satisfy r > s > t >= 0 (got {(r, s, t)})")
+    """:func:`c_constant` of floats already read at orders r > s > t >= 0; checks ``xarg``."""
     if not 0.0 < xarg < 1.0:
         raise DomainError(f"argument must lie strictly between 0 and 1 (got {xarg})")
     den = 1.0 - xarg ** (1.0 / s - 1.0 / r)
@@ -440,10 +426,7 @@ class ConfigurationBatch:
     def _set_sizes(self, sizes, shape) -> None:
         rows, width = shape
         self.sizes = np.full(rows, width) if sizes is None else np.asarray(sizes, dtype=int)
-        starts = [0, *((self.sizes[1:] != self.sizes[:-1]).nonzero()[0] + 1).tolist(), rows]
-        # each run of consecutive rows of one size, as (rows, size)
-        self._runs = [(slice(a, b), int(self.sizes[a]))
-                      for a, b in zip(starts, starts[1:]) if a < b]
+        self._runs = _size_runs(self.sizes)
         self._padding = self.sizes[:, None] <= np.arange(width)
 
     def _sort(self, x: np.ndarray, q: np.ndarray) -> None:
@@ -469,13 +452,15 @@ class ConfigurationBatch:
             out[rows] = fn(*(a[rows, :n] for a in arrays))
         return out
 
-    def x_n(self) -> np.ndarray:
-        """The largest sample of every row."""
-        return self.x[np.arange(len(self.x)), self.sizes - 1]
-
     def row(self, i: int) -> Configuration:
         n = self.sizes[i]
         return Configuration(self.x[i, :n], self.q_weights[i, :n])
+
+
+def _size_runs(sizes: np.ndarray) -> list[tuple[slice, int]]:
+    """Each run of consecutive rows of one size, as (rows, size)."""
+    starts = [0, *((sizes[1:] != sizes[:-1]).nonzero()[0] + 1).tolist(), len(sizes)]
+    return [(slice(a, b), int(sizes[a])) for a, b in zip(starts, starts[1:]) if a < b]
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -510,29 +495,12 @@ def _map_or_nan(fn, *columns: np.ndarray) -> np.ndarray:
 
 def log_power_mean_rows(batch: ConfigurationBatch, r: float) -> np.ndarray:
     """:func:`log_power_mean` of every row."""
-    r = _real(r, "r")
-    q, logx = batch.q_weights, batch._log_x
-    if r == 0.0:
-        return batch._per_size(_row_dots, q, logx)
-    # Padding may overflow here; a row's own terms are at most its weights.
-    with np.errstate(invalid="ignore", over="ignore"):
-        a = r * logx
-        m = _row_reduce(np.maximum, batch._fill(a, -np.inf))
-        terms = _power_sum_terms(a - m[:, None], q, r)
-    logs = np.fromiter(chain.from_iterable(
-        map(_power_sum_log, terms[rows, :n].tolist(),  # weights are read only in the band
-            q[rows, :n].tolist() if abs(r) < _EXPM1_BAND else repeat(None), repeat(r))
-        for rows, n in batch._runs), float, len(m))
-    # an infinite m_i is the row's own log-sum, whose terms are NaN
-    return np.where(np.isinf(m), m, m + logs) / r
+    return _RowMeans(batch).log_mean(_real(r, "r"))
 
 
 def delta_rows(batch: ConfigurationBatch, params: DeltaParams) -> np.ndarray:
     """:func:`delta` of every row; NaN where it raises :class:`DegenerateInput`."""
-    logs = (log_power_mean_rows(batch, p) for p in (params.r, params.s, params.t))
-    out = _map_or_nan(partial(_delta_of_logs, alpha=params.alpha), *logs)
-    out[batch.x[:, 0] == batch.x_n()] = np.nan
-    return out
+    return _RowMeans(batch).delta(params.r, params.s, params.t, params.alpha)
 
 
 def order_triple(a: float, b: float, c: float) -> tuple[float, float, float]:
@@ -547,33 +515,39 @@ def order_triple(a: float, b: float, c: float) -> tuple[float, float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Formula records: what a catalog formula reads.  The same formula runs on
-# the floats of one configuration and on the (B,) arrays of a batch.
+# Formula records: what a catalog formula reads (see the module docstring).
 
 
 class _Means:
     """One configuration's quantities as floats; errors raise."""
 
-    __slots__ = ("config", "q")
+    __slots__ = ("_config", "q")
 
-    def __init__(self, config: Configuration, q: float) -> None:
-        self.config = config
-        self.q = q
+    def __init__(self, config: Configuration) -> None:
+        self._config = config
+        self.q = config.min_weight
+
+    def log_mean(self, r: float) -> float:
+        if r in _FIXED_ORDERS:  # -0.0 too: it equals 0.0 and hashes alike
+            return self._config._fixed_log_means[r]
+        return _log_power_mean(self._config, r)
 
     def mean(self, r: float) -> float:
-        return math.exp(log_power_mean(self.config, r))
+        return math.exp(self.log_mean(r))
 
     def sigma(self) -> float:
-        return variance_sigma(self.config)
+        return self._config._sigma
 
     def x1(self) -> float:
-        return float(self.config.x[0])
+        return float(self._config.x[0])
 
     def xn(self) -> float:
-        return float(self.config.x[-1])
+        return float(self._config.x[-1])
 
-    def delta(self, params: DeltaParams) -> float:
-        return delta(self.config, params)
+    def delta(self, r: float, s: float, t: float, alpha: float) -> float:
+        if self._config.is_constant:
+            raise DegenerateInput("the ratio is 0/0 when all samples are equal")
+        return _delta_of_logs(self.log_mean(r), self.log_mean(s), self.log_mean(t), alpha)
 
     bound = staticmethod(_c_constant)
 
@@ -597,28 +571,47 @@ class _RowMeans:
     """A batch's quantities as (B,) arrays; NaN in a row that would raise."""
 
     def __init__(self, batch: ConfigurationBatch) -> None:
-        self.batch = batch
+        self._batch = batch
 
-    q = _record_entry(lambda m: _row_reduce(np.minimum, m.batch._fill(m.batch.q_weights, np.inf)))
+    q = _record_entry(lambda m: _row_reduce(np.minimum, m._batch._fill(m._batch.q_weights, np.inf)))
+
+    def log_mean(self, r: float) -> np.ndarray:
+        batch = self._batch
+        q, logx = batch.q_weights, batch._log_x
+        if r == 0.0:
+            return batch._per_size(_row_dots, q, logx)
+        # Padding may overflow here; a row's own terms are at most its weights.
+        with np.errstate(invalid="ignore", over="ignore"):
+            a = r * logx
+            m = _row_reduce(np.maximum, batch._fill(a, -np.inf))
+            terms = _power_sum_terms(a - m[:, None], q, r)
+        logs = np.fromiter(chain.from_iterable(
+            map(_power_sum_log, terms[rows, :n].tolist(),  # weights are read only in the band
+                q[rows, :n].tolist() if abs(r) < _EXPM1_BAND else repeat(None), repeat(r))
+            for rows, n in batch._runs), float, len(m))
+        # an infinite m_i is the row's own log-sum, whose terms are NaN
+        return np.where(np.isinf(m), m, m + logs) / r
 
     def mean(self, r: float) -> np.ndarray:
         # math.exp row by row: np.exp rounds differently
-        return np.fromiter(map(math.exp, log_power_mean_rows(self.batch, r).tolist()), float)
+        return np.fromiter(map(math.exp, self.log_mean(r).tolist()), float)
 
     def sigma(self) -> np.ndarray:
         def sigma(q, x):  # the two dots of Configuration._sigma, row by row
             return _row_dots(q, (x - _row_dots(q, x)[:, None]) ** 2)
 
-        return self.batch._per_size(sigma, self.batch.q_weights, self.batch.x)
+        return self._batch._per_size(sigma, self._batch.q_weights, self._batch.x)
 
     def x1(self) -> np.ndarray:
-        return self.batch.x[:, 0]
+        return self._batch.x[:, 0]
 
     def xn(self) -> np.ndarray:
-        return self.batch.x_n()
+        return self._batch.x[np.arange(len(self._batch.x)), self._batch.sizes - 1]
 
-    def delta(self, params: DeltaParams) -> np.ndarray:
-        return delta_rows(self.batch, params)
+    def delta(self, r: float, s: float, t: float, alpha: float) -> np.ndarray:
+        out = _map_or_nan(partial(_delta_of_logs, alpha=alpha), *map(self.log_mean, (r, s, t)))
+        out[self.x1() == self.xn()] = np.nan
+        return out
 
     def bound(self, r: float, s: float, t: float, xarg: np.ndarray) -> np.ndarray:
         return _map_or_nan(partial(_c_constant, r, s, t), xarg)

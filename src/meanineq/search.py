@@ -26,8 +26,8 @@ derives its own random stream from (seed, n, restart index), so a
 parallel execution order could not change the result.
 
 Both searches score configurations in batches (:func:`relative_residuals`
-and :func:`delta_rows`, bit-identical to ``check`` and ``delta`` row by
-row), and their results equal the sequential definition: restarts one
+and the batch record's delta, bit-identical to ``check`` and ``delta`` row
+by row), and their results equal the sequential definition: restarts one
 after another, one trial at a time.  A hunt fixes every restart's
 evaluation allowance before it starts any, and all its restarts, of
 every sample size n, run in one lockstep, one coordinate per step: each
@@ -54,9 +54,7 @@ import numpy as np
 
 from .errors import DomainError, _integer, _real, _show
 from .inequalities import _CATALOG, InequalityId, relative_residuals, resolve_params
-from .means import (
-    Configuration, ConfigurationBatch, DeltaParams, _Means, delta_rows, log_power_mean,
-)
+from .means import Configuration, ConfigurationBatch, _Means, _RowMeans, _size_runs
 
 # A hunt only declares a violation below this relative residual; the check
 # tolerance itself is far tighter, so a declared violation always
@@ -172,6 +170,14 @@ def _probe_samples(seed: int, n: int, q_target: float, per_restart: int, restart
                 yield x, w
 
 
+def _feasible_end(q_target: float, lo: int, hi: int) -> int:
+    """One past the last n in lo..hi with q_target <= 1/n + 1e-12, a test monotone in n."""
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if q_target <= 1.0 / mid + 1e-12 else (lo, mid - 1)
+    return lo
+
+
 def sharpness_probe(
     id: InequalityId,
     *,
@@ -197,19 +203,20 @@ def sharpness_probe(
     if not 0.0 < q_target <= 0.5:
         raise DomainError("q_target must lie in (0, 1/2]")
     resolved = resolve_params(id, triple=triple, alpha=alpha)
-    params = DeltaParams(*resolved["triple"], resolved["alpha"])
+    orders = (*resolved["triple"], resolved["alpha"])
     upper = id is InequalityId.DIANANDA_UPPER
     weights = [q_target, 1.0 - q_target] if upper else [1.0 - q_target, q_target]
     best_cfg = Configuration([0.0, 1.0], weights)
-    lhs, rhs = _CATALOG[id].sides(_Means(best_cfg, q_target), resolved)
+    lhs, rhs = _CATALOG[id].sides(_Means(best_cfg), resolved)
     best_delta, bound = (lhs, rhs) if upper else (rhs, lhs)
     boundary_gap = abs(bound - best_delta)
     evals = 1
-    lo_n, hi_n = budget.n_range
-    feasible = [n for n in range(lo_n, hi_n + 1) if q_target <= 1.0 / n + 1e-12]
-    weight_total = sum(feasible)
+    lo_n, end = budget.n_range[0], _feasible_end(q_target, *budget.n_range)
+    weight_total = (lo_n + end - 1) * (end - lo_n) // 2
     c = (q_target - 1e-12) / (1.0 - q_target)  # a free weight's least share of 1 - q_target
-    for n in feasible:
+    for n in range(lo_n, end):
+        if evals >= budget.max_evals:
+            break
         # the chance that the n - 1 flat Dirichlet weights of one draw all reach c
         if max(0.0, 1.0 - (n - 1) * c) ** (n - 2) < _MIN_PIN_CHANCE:
             continue
@@ -220,7 +227,7 @@ def sharpness_probe(
         while chunk := list(islice(samples, budget.max_evals - evals)):
             xs, ws = zip(*chunk)
             batch = ConfigurationBatch(np.array(xs), np.array(ws))
-            for i, d in enumerate(delta_rows(batch, params).tolist()):
+            for i, d in enumerate(_RowMeans(batch).delta(*orders).tolist()):
                 if math.isnan(d):  # degenerate
                     continue
                 evals += 1
@@ -262,10 +269,12 @@ def counterexample_hunt(
     id = InequalityId(id)
     params = resolve_params(id, triple=triple, alpha=alpha, r=r, s=s, force=True)
     lo_n, hi_n = budget.n_range
-    weight_total = sum(range(lo_n, hi_n + 1))
+    weight_total = (lo_n + hi_n) * (hi_n - lo_n + 1) // 2
     sizes, rngs, allowances = [], [], []
     left = budget.max_evals  # the evaluations not yet given to a restart
     for n in range(lo_n, hi_n + 1):
+        if not left:
+            break
         per_restart = max(2, budget.max_evals * n // weight_total // budget.restarts)
         # Sequentially a restart gets min(per_restart, max_evals - evals so
         # far); counting each earlier restart at its allowance gives the same.
@@ -300,11 +309,6 @@ def _batch(u: np.ndarray, sizes) -> ConfigurationBatch:
     return ConfigurationBatch.from_log_coordinates(u[:, :width], u[:, width:], sizes)
 
 
-def _evaluate(id, params, u: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The scores of the configurations at log coordinates ``u`` (see :func:`_batch`)."""
-    return relative_residuals(id, _batch(u, sizes), params)
-
-
 def _descend(id, params, sizes, rngs, allowances):
     """Coordinate descent with adaptive step halving in log coordinates.
 
@@ -333,7 +337,7 @@ def _descend(id, params, sizes, rngs, allowances):
     for k, (rng, n) in enumerate(zip(rngs, sizes.tolist())):
         u_out[k, :n] = rng.uniform(-math.log(50.0), math.log(50.0), n)
         u_out[k, width:width + n] = rng.normal(0.0, 1.5, n)
-    f_out = _evaluate(id, params, u_out, sizes)
+    f_out = relative_residuals(id, _batch(u_out, sizes), params)
     cap = np.array(allowances)
     used = np.ones(len(rngs), dtype=int)
     ids = np.flatnonzero(used < cap)
@@ -357,8 +361,7 @@ def _descend(id, params, sizes, rngs, allowances):
                 if not ids.size:
                     return used, f_out, u_out
                 size = sizes[ids]
-                ends = [*(np.flatnonzero(np.diff(size)) + 1).tolist(), size.size]
-                runs = [(slice(a, b), int(size[a])) for a, b in zip([0, *ends], ends)]
+                runs = _size_runs(size)
                 starts = [(rows, n) for rows, n in runs if t % (2 * n) == 0]
                 rows_at, pairs = np.arange(ids.size), np.repeat(size, 2)
         for rows, n in starts:                          # fresh coordinate orders
@@ -369,7 +372,7 @@ def _descend(id, params, sizes, rngs, allowances):
         flat = points.reshape(-1)
         flat[at] += step
         flat[at + 2 * width] -= step
-        f_t = _evaluate(id, params, points, pairs)
+        f_t = relative_residuals(id, _batch(points, pairs), params)
         better = f_t.reshape(-1, 2) < f[:, None]
         first = np.where(better[:, 0], 0, np.where(better[:, 1], 1, 2))
         count = np.minimum(left, 2)
@@ -413,9 +416,9 @@ def _ratio_slope(config: Configuration, r: float, a: float, upper: bool) -> floa
     would overflow.  With d ln A = q_i/A, d ln G = q_i/x_i and d ln M_r =
     (q_i/x_i) (x_i/M_r)^r, its slope is p T_1 (d ln A - d ln G) - p T_2 (d ln M_r - d ln G).
     """
-    q = config.min_weight
-    i, p, base = (0, (1.0 + a) * r, 1.0 - q) if upper else (-1, (1.0 - a) * r, q)
-    lg, la, lr = (log_power_mean(config, s) for s in (0.0, 1.0, r))
+    m = _Means(config)
+    i, p, base = (0, (1.0 + a) * r, 1.0 - m.q) if upper else (-1, (1.0 - a) * r, m.q)
+    lg, la, lr = map(m.log_mean, (0.0, 1.0, r))
     xi, qi = float(config.x[i]), float(config.q_weights[i])
     lx = math.log(xi)
     try:
@@ -457,7 +460,7 @@ def finite_difference_probe(
     if claim is ProbeClaim.WEIGHT_PARAM_SLOPE:
         # half-mean-var-upper's lhs - rhs, M_{1/2} - w M_r - (1 - w) G - (1/2 - r w) sigma/(2 x_1)
         # with w = q^{2-1/r}, has the slope w' (G - M_r + r sigma / (2 x_1)) in q
-        m = _Means(config, config.min_weight)
+        m = _Means(config)
         return ((2.0 - 1.0 / r) * m.q ** (1.0 - 1.0 / r)
                 * (m.mean(0.0) - m.mean(r) + r * m.sigma() / (2.0 * m.x1())))
     return _ratio_slope(config, r, a, claim is ProbeClaim.SMALLEST_SAMPLE_SLOPE)

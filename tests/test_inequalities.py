@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import pickle
@@ -14,6 +15,7 @@ from meanineq import (
     CheckReport,
     CheckStatus,
     Configuration,
+    DegenerateInput,
     DomainError,
     InequalityId,
     SearchBudget,
@@ -677,6 +679,57 @@ class TestBatchEvaluation:
         cfg = Configuration([1.0, 2.0], [0.5, 0.5])
         with pytest.raises(DomainError, match=r"^the mean-difference bounds need r > s$"):
             check(InequalityId.CARTWRIGHT_FIELD_UPPER, cfg, r=r, s=s, force=force)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: check("mix-variance-upper", Configuration([1, 2], [0.5, 0.5]), r=1e-310, force=True),
+    lambda: counterexample_hunt("mix-variance-lower", r=-1e-310,
+                                budget=SearchBudget(max_evals=40)),
+], ids=["check", "hunt"])
+def test_mix_variance_refuses_an_overflowing_inverse_order_by_name(run):
+    # M_{1/r} needs a finite 1/r; a subnormal r is a valid order, so the
+    # message names the derived order, on the scalar and the batch path alike
+    with pytest.raises(DomainError, match=r"^1/r must be a finite real number, got -?inf$"):
+        run()
+
+
+# What a catalog formula may read of a formula record; a record for another
+# number type (decimal, mpmath) implements the same names.
+RECORD_INTERFACE = {"q", "log_mean", "mean", "sigma", "x1", "xn", "delta", "bound", "pow", "div"}
+
+
+class _InterfaceOnly:
+    """A formula record seen through the record interface; any other name fails."""
+
+    def __init__(self, record):
+        object.__setattr__(self, "record", record)
+
+    def __getattribute__(self, name):
+        if name not in RECORD_INTERFACE:
+            raise AssertionError(f"a formula read {name!r} of its record")
+        return getattr(object.__getattribute__(self, "record"), name)
+
+
+class TestFormulaRecords:
+    @pytest.mark.parametrize("record", [means._Means, means._RowMeans])
+    def test_records_give_exactly_the_interface(self, record):
+        assert {name for name in dir(record) if not name.startswith("_")} == RECORD_INTERFACE
+        assert list(inspect.signature(record.delta).parameters) == ["self", "r", "s", "t",
+                                                                    "alpha"]
+
+    @pytest.mark.parametrize("tag", list(InequalityId))
+    def test_sides_read_only_the_interface(self, tag):
+        configs, batch = TestBatchEvaluation.GROUPS[2]
+        for params in BATCH_PARAMS[tag]:
+            resolved = resolve_params(tag, force=True, **params)
+            sides = inequalities._CATALOG[tag].sides
+            rows = sides(_InterfaceOnly(means._RowMeans(batch)), resolved)
+            assert all(len(side) == len(configs) for side in rows)
+            for cfg in configs:
+                try:
+                    sides(_InterfaceOnly(means._Means(cfg)), resolved)
+                except (DegenerateInput, DomainError):
+                    pass
 
 
 def _outcome(tag, cfg, params) -> str:

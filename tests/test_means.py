@@ -644,8 +644,8 @@ class TestMeansRecord:
         delta(cfg, DeltaParams(1.0, 0.5, 0.0))
         assert cfg.min_weight == 0.2
         assert set(vars(cfg)) == {
-            "x", "q_weights", "min_weight", "_log_x", "_sigma",
-            "_log_geometric_mean", "_log_half_mean", "_log_arithmetic_mean"}
+            "x", "q_weights", "min_weight", "_log_x", "_sigma", "_fixed_log_means"}
+        assert set(cfg._fixed_log_means) == {0.0, 0.5, 1.0}
 
     def test_an_entry_read_on_the_class_is_its_descriptor(self):
         entry = Configuration.min_weight

@@ -213,17 +213,21 @@ def test_pyproject_declares_the_packages_version():
     assert tomllib.loads(pyproject.read_text())["project"]["version"] == meanineq.__version__
 
 def test_every_private_module_name_is_used():
-    # A helper left behind by a refactor is dead code: every module-level
-    # private function, class or constant of the package is referenced in it
-    # somewhere besides its definition (a use, not an import alone).
+    # A helper left behind by a refactor is dead code: every private function,
+    # method, class and constant of the package, at module level or in a class
+    # body, is referenced in it somewhere besides its definition (a use, not an
+    # import alone).
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(Path(meanineq.__file__).parent.glob("*.py"))}
     defined = []
     for module, tree in trees.items():
-        for node in tree.body:
+        bodies = [tree.body, *(node.body for node in ast.walk(tree)
+                               if isinstance(node, ast.ClassDef))]
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and any(
+                    node in body for body in bodies):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 names = [t.id for t in targets if isinstance(t, ast.Name)]
             else:

@@ -21,7 +21,7 @@ from meanineq import (
     finite_difference_probe,
     sharpness_probe,
 )
-from meanineq import search
+from meanineq import means, search
 from meanineq.means import DeltaParams
 from meanineq.search import _pinned_weights, _stream
 
@@ -83,6 +83,22 @@ class TestSharpnessProbe:
         report = sharpness_probe(InequalityId.DIANANDA_UPPER, triple=TRIPLE, alpha=1.0,
                                  q_target=0.2, budget=SearchBudget(max_evals=3000, seed=5))
         assert report.best_config.min_weight == pytest.approx(0.2, abs=1e-12)
+
+
+@pytest.mark.parametrize("run", [
+    lambda n_range: counterexample_hunt(InequalityId.MG_SIGMA_UPPER, r=2.5,
+                                        budget=SearchBudget(max_evals=40, n_range=n_range)),
+    lambda n_range: sharpness_probe(InequalityId.DIANANDA_UPPER, triple=TRIPLE, q_target=1e-7,
+                                    budget=SearchBudget(max_evals=40, n_range=n_range)),
+], ids=["hunt", "probe"])
+def test_sizes_past_the_spent_budget_cost_nothing(run):
+    # 40 evaluations are spent at the smallest sizes; the sizes past them are
+    # summed in closed form and never visited
+    want = run((2, 10**6)).to_json_dict()
+    for n_max in (10**15, 2**64 - 1):
+        start = time.perf_counter()
+        assert run((2, n_max)).to_json_dict() == want
+        assert time.perf_counter() - start < 0.5
 
 
 class TestCounterexampleHunt:
@@ -458,19 +474,19 @@ class TestBatchedProbe:
 
     def test_degenerate_samples_leave_budget_to_later_restarts(self, monkeypatch):
         drawn = []
-        stream, delta_rows = search._stream, search.delta_rows
+        stream, row_delta = search._stream, means._RowMeans.delta
 
         def recording(seed, n, k):
             drawn.append((n, k))
             return stream(seed, n, k)
 
-        def marking(batch, params):
-            d = delta_rows(batch, params)
-            d[batch.x_n() > 0.8] = np.nan
+        def marking(m, r, s, t, alpha):
+            d = row_delta(m, r, s, t, alpha)
+            d[m.xn() > 0.8] = np.nan
             return d
 
         monkeypatch.setattr(search, "_stream", recording)
-        monkeypatch.setattr(search, "delta_rows", marking)
+        monkeypatch.setattr(means._RowMeans, "delta", marking)
         budget = SearchBudget(max_evals=12, seed=2, n_range=(2, 6), restarts=20)
         report = sharpness_probe(InequalityId.DIANANDA_UPPER, triple=TRIPLE, q_target=0.1,
                                  budget=budget)
@@ -570,40 +586,41 @@ class TestPinnedWeights:
 class TestSpeculation:
     def test_each_step_scores_at_most_two_rows_per_live_restart(self, monkeypatch):
         steps = []
-        evaluate = search._evaluate
+        evaluate = search.relative_residuals
 
-        def recording(id, params, u, sizes):
-            steps.append((u.copy(), sizes.copy()))
-            return evaluate(id, params, u, sizes)
+        def recording(id, batch, params):
+            padding = batch.sizes[:, None] <= np.arange(batch.x.shape[1])
+            steps.append((np.where(padding, np.nan, batch.x), batch.sizes.copy()))
+            return evaluate(id, batch, params)
 
-        monkeypatch.setattr(search, "_evaluate", recording)
+        monkeypatch.setattr(search, "relative_residuals", recording)
         run, want = GOLDEN["r2.5-violation"]
         assert run().evals_used == want["evals_used"]
         # one lockstep for n = 2, 3 and 4, where one descent per n in turn
         # would make 99 to 102 evaluation calls
         assert len(steps) <= 45
         assert any(len(set(sizes.tolist())) > 1 for _, sizes in steps[1:])
-        for u, sizes in steps:
-            # a restart's trials differ from its point, and so from each
-            # other, in at most 2 of the 2 n_max coordinates; distinct
-            # restarts share none
-            shared = (u[:, None, :] == u[None, :, :]).sum(axis=2) >= u.shape[1] - 2
-            shared &= sizes[:, None] == sizes[None, :]
+        for x, sizes in steps:
+            # a restart's trials step one log sample or one weight logit of
+            # its point, so they share all its samples but at most one;
+            # distinct restarts share none
+            shared = (x[:, None, :, None] == x[None, :, None, :]).any(axis=3).sum(axis=2)
+            shared = (shared >= sizes[:, None] - 1) & (sizes[:, None] == sizes[None, :])
             restarts = np.unique(shared.argmax(axis=1)).size
-            assert u.shape[0] <= 2 * restarts
+            assert x.shape[0] <= 2 * restarts
 
 
     @pytest.mark.parametrize("max_evals, rows", [(7, 10), (50, 75)])
     def test_small_budgets_score_only_counted_restarts(self, monkeypatch, max_evals, rows):
         # allowances are fixed before the lockstep, so no restart runs past its own
         scored = []
-        evaluate = search._evaluate
+        evaluate = search.relative_residuals
 
-        def counting(id, params, u, sizes):
-            scored.append(u.shape[0])
-            return evaluate(id, params, u, sizes)
+        def counting(id, batch, params):
+            scored.append(len(batch.sizes))
+            return evaluate(id, batch, params)
 
-        monkeypatch.setattr(search, "_evaluate", counting)
+        monkeypatch.setattr(search, "relative_residuals", counting)
         report = counterexample_hunt(InequalityId.MG_SIGMA_UPPER, r=2.5,
                                      budget=SearchBudget(max_evals=max_evals))
         assert report.evals_used == max_evals
