@@ -29,10 +29,13 @@ Both searches score configurations in batches (:func:`relative_residuals`
 and the batch record's delta, bit-identical to ``check`` and ``delta`` row
 by row), and their results equal the sequential definition: restarts one
 after another, one trial at a time.  A hunt fixes every restart's
-evaluation allowance before it starts any, and all its restarts, of
-every sample size n, run in one lockstep, one coordinate per step: each
-step scores one batch, padded to the largest n, that holds for every
-live restart the +step and -step trials of its next coordinate.  A
+evaluation allowance before it starts any, and runs its restarts in
+consecutive groups of bounded padded size.  A group's restarts, of every
+sample size n in it, run in one lockstep, one coordinate per step: each
+step scores one batch, padded to the group's largest n, that holds for
+every live restart the +step and -step trials of its next coordinate.
+Descents are independent and a row's score does not depend on the
+padding, so the grouping moves no report.  A
 restart moves at its first improving trial, as the sequential descent
 does; a -step trial after an improving +step was computed speculatively
 and is not counted, so verdicts, ``evals_used`` and best configurations
@@ -66,6 +69,11 @@ _LOG_CLIP = 40.0
 # Descent steps in log coordinates: the first, and the one a descent stops below.
 _STEP0 = 0.6
 _MIN_STEP = 1e-7
+
+# A hunt runs its restarts in consecutive lockstep groups, each padded to
+# at most this many floats of state (rows x 2 x the group's largest size),
+# or one restart; the first step's trial batch is twice the state.
+_GROUP_FLOATS = 1 << 18
 
 # Draws of the free weights before a pinned-weight sample gives up, and the
 # chance of one draw pinning the weight below which a probe skips a size.
@@ -262,15 +270,18 @@ def counterexample_hunt(
     weights normalized) with step halving once no move improves.  Returns
     ViolationFound when the best relative residual clears the safety
     margin; otherwise the most adverse configuration seen, rebuilt from
-    its log coordinates.  Parameters are checked once, before any
-    evaluation; a configuration the check cannot score (a bound argument
-    out of range, a degenerate ratio) scores +inf.
+    its log coordinates.  The restarts run in lockstep groups of at most
+    _GROUP_FLOATS padded floats of state each, consecutive in restart
+    order; the report is that of one lockstep over all of them.
+    Parameters are checked once, before any evaluation; a configuration
+    the check cannot score (a bound argument out of range, a degenerate
+    ratio) scores +inf.
     """
     id = InequalityId(id)
     params = resolve_params(id, triple=triple, alpha=alpha, r=r, s=s, force=True)
     lo_n, hi_n = budget.n_range
     weight_total = (lo_n + hi_n) * (hi_n - lo_n + 1) // 2
-    sizes, rngs, allowances = [], [], []
+    sizes, streams, allowances = [], [], []  # streams: each restart's (n, index)
     left = budget.max_evals  # the evaluations not yet given to a restart
     for n in range(lo_n, hi_n + 1):
         if not left:
@@ -285,20 +296,38 @@ def counterexample_hunt(
         # move: 0.6 / 2**23 < 1e-7), and every restart uses its allowance.
         for k in range(min(budget.restarts, -(-left // per_restart))):  # those with evaluations
             sizes.append(n)
-            rngs.append(_stream(budget.seed, n, k))
+            streams.append((n, k))
             allowances.append(min(per_restart, left))
             left -= allowances[-1]
-    used, f, u = _descend(id, params, sizes, rngs, allowances)
-    best = int(np.argmin(f))  # the first restart of the lowest score
+    used, scores, winners = 0, [], {}
+    for a, b in _groups(sizes):
+        rngs = [_stream(budget.seed, n, k) for n, k in streams[a:b]]
+        g_used, g_f, u = _descend(id, params, sizes[a:b], rngs, allowances[a:b])
+        k = int(np.argmin(g_f))  # the group's first restart of its lowest score
+        winners[a + k] = u[k:k + 1].copy(), sizes[a + k:a + k + 1]  # not a view of the state
+        used += int(g_used.sum())
+        scores.append(g_f)
+    f = np.concatenate(scores)
+    best = int(np.argmin(f))  # the first restart of the lowest score: its group's winner
     best_rel = float(f[best])
     verdict = "ViolationFound" if best_rel < -VIOLATION_REL_TOL else "NoViolationFound"
     return SearchReport(
         verdict=verdict,
-        best_config=_batch(u[best:best + 1], sizes[best:best + 1]).row(0),
+        best_config=_batch(*winners[best]).row(0),
         best_residual=best_rel,
-        evals_used=int(used.sum()),
+        evals_used=used,
         seed=budget.seed,
     )
+
+
+def _groups(sizes):
+    """Consecutive (start, stop) runs of the nondecreasing ``sizes``, each a
+    single restart or of at most _GROUP_FLOATS padded floats, rows x 2 x its last size."""
+    a = 0
+    for b in range(1, len(sizes) + 1):
+        if b == len(sizes) or (b + 1 - a) * 2 * sizes[b] > _GROUP_FLOATS:
+            yield a, b
+            a = b
 
 
 def _batch(u: np.ndarray, sizes) -> ConfigurationBatch:

@@ -30,8 +30,8 @@ a2 = (r - 2 - t2)/r (piecewise continued by 1 - 1/(3r) on [3, 4) and
 the smallest mean order for which the variance-corrected half-mean upper
 bound is proved.
 
-All solvers use plain bisection on brackets whose sign change is
-guaranteed by monotonicity.  Everything here is a pure function, safe for
+All solvers use plain bisection; ``_root`` sets the bracket of both
+implicit equations.  Everything here is a pure function, safe for
 concurrent use.  The solvers are scalar Python; numpy is imported inside
 the array kernels (:func:`a_r_values` and the two it calls) only, so a
 caller that solves thresholds never loads it.
@@ -76,8 +76,8 @@ __all__ = ["ThresholdResult", "a_r_fn", "a_r_values", "alpha_threshold_lower",
 _LN2 = math.log(2.0)
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Interior brackets are clipped here; defining equations degenerate at the
-# endpoints of their r-ranges.
+# The t1 and t2 brackets end this far inside (0, 1), or nearer 0 close to
+# r = 2 (see _root); at t = 1 the equations' quotients are 0/0.
 _BRACKET_CLIP = 1e-12
 
 BISECT_XTOL = 1e-13
@@ -304,43 +304,41 @@ def _t2_gap(r: float, t: float) -> float:
     return lhs - rhs
 
 
-def solve_t1(r: float) -> ThresholdResult:
-    """The unique t in (0, 1) equalizing the two sides of the t1 equation.
+def _root(gap, r, lo: float, hi: float, what: str) -> tuple[float, ThresholdResult]:
+    """r, read once and refused with ``what`` unless lo < r < hi, and the root of gap(r, t).
 
-    For 1 < r < 2 the left side decreases from a positive value to a
-    negative one while the right side increases from 0, so the clipped
-    bracket is guaranteed to straddle the root.
+    Both gaps equal |r - 2| > 0 at t = 0 and are negative at t = 1 - clip,
+    and near r = 2 the root is about |r - 2|.  So the bracket
+    [min(clip, |r - 2|/4), 1 - clip] straddles the root at every r in range;
+    where |r - 2| >= 4 clip it is [clip, 1 - clip].
     """
     r = _real(r, "r")
-    if not 1.0 < r < 2.0:
-        raise DomainError(f"t1 is defined for 1 < r < 2 (got {r})")
-    return bisect(
-        lambda t: _t1_gap(r, t), _BRACKET_CLIP, 1.0 - _BRACKET_CLIP
-    )
+    if not lo < r < hi:
+        raise DomainError(f"{what} (got {r})")
+    t0 = min(_BRACKET_CLIP, abs(r - 2.0) / 4.0)
+    return r, bisect(lambda t: gap(r, t), t0, 1.0 - _BRACKET_CLIP)
+
+
+def solve_t1(r: float) -> ThresholdResult:
+    """The unique t in (0, 1) equalizing the two sides of the t1 equation, 1 < r < 2."""
+    return _root(_t1_gap, r, 1.0, 2.0, "t1 is defined for 1 < r < 2")[1]
 
 
 def solve_t2(r: float) -> ThresholdResult:
-    """The unique t in (0, 1) equalizing the two sides of the t2 equation."""
-    r = _real(r, "r")
-    if not 2.0 < r < 3.0:
-        raise DomainError(f"t2 is defined for 2 < r < 3 (got {r})")
-    return bisect(
-        lambda t: _t2_gap(r, t), _BRACKET_CLIP, 1.0 - _BRACKET_CLIP
-    )
+    """The unique t in (0, 1) equalizing the two sides of the t2 equation, 2 < r < 3."""
+    return _root(_t2_gap, r, 2.0, 3.0, "t2 is defined for 2 < r < 3")[1]
 
 
 def gap_exponent_upper(r: float) -> float:
     """a1(r) = (2 - r - t1^{r-1}) / r, the proven-safe upward alpha margin."""
-    r = _real(r, "r")
-    t1 = solve_t1(r).value
-    return (2.0 - r - t1 ** (r - 1.0)) / r
+    r, t1 = _root(_t1_gap, r, 1.0, 2.0, "t1 is defined for 1 < r < 2")
+    return (2.0 - r - t1.value ** (r - 1.0)) / r
 
 
 def gap_exponent_lower(r: float) -> float:
     """a2(r) = (r - 2 - t2) / r, the proven-safe downward alpha margin."""
-    r = _real(r, "r")
-    t2 = solve_t2(r).value
-    return (r - 2.0 - t2) / r
+    r, t2 = _root(_t2_gap, r, 2.0, 3.0, "t2 is defined for 2 < r < 3")
+    return (r - 2.0 - t2.value) / r
 
 
 def alpha_threshold_upper(r: float) -> float:

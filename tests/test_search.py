@@ -627,6 +627,38 @@ class TestSpeculation:
         assert sum(scored) == rows
 
 
+class TestGroupedHunt:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("tag, params", [
+        (InequalityId.MG_SIGMA_UPPER, dict(r=2.5)),
+        (InequalityId.MG_SIGMA_LOWER, dict(r=3.5)),
+        (InequalityId.DIANANDA_UPPER, dict(triple=TRIPLE, alpha=2.0)),
+    ])
+    def test_groups_give_the_one_group_report(self, tag, params, seed, monkeypatch):
+        # descents are independent and a row's score does not depend on the
+        # padding, so cutting the restarts into groups moves no report
+        groups = []
+        descend = search._descend
+
+        def recording(id, params, sizes, rngs, allowances):
+            groups.append(sizes)
+            return descend(id, params, sizes, rngs, allowances)
+
+        monkeypatch.setattr(search, "_descend", recording)
+        budget = SearchBudget(max_evals=3000, seed=seed, n_range=(2, 12))
+        whole = json.dumps(counterexample_hunt(tag, budget=budget, **params).to_json_dict())
+        [sizes] = groups
+        # 72 groups, of at most 12 restarts at n = 2 and 2 at n = 12; four of
+        # these six winners come from the second group
+        monkeypatch.setattr(search, "_GROUP_FLOATS", 2 * 12 * 2)
+        groups.clear()
+        grouped = json.dumps(counterexample_hunt(tag, budget=budget, **params).to_json_dict())
+        assert len(groups) >= 3
+        assert all(len(g) * 2 * max(g) <= 2 * 12 * 2 for g in groups)
+        assert [n for g in groups for n in g] == sizes
+        assert grouped == whole
+
+
 class TestLogCoordinateRows:
     @pytest.mark.parametrize("scale", [1.5, 20.0])
     def test_each_row_equals_its_one_row_batch(self, scale):

@@ -23,6 +23,7 @@ from meanineq import (
     solve_t1,
     solve_t2,
 )
+from meanineq.cli import run
 
 
 def t1_equation_sides(r, t):
@@ -307,6 +308,66 @@ class TestImplicitEquations:
         for bad in (1.5, 2.0, 3.0):
             with pytest.raises(DomainError):
                 solve_t2(bad)
+
+
+class TestSolvedThresholdBits:
+    # sha256 of repr([(t.value, t.residual, gap exponent, alpha threshold), ...]) over
+    # the 1999 interior points of np.linspace(1, 2, 2001) (t1) and (2, 3) (t2).
+    # A new bracket or stopping rule for t1 and t2 must keep these bits.
+    T1_SHA256 = "eecbd507a0f7a1afcfc8454c81e99f62b66a75414f2eef164b1d3d9e66ac9a0b"
+    T2_SHA256 = "744fd462fff49f8e053a1bc98a373b624807c30a5f3c7c5ae31dfe0563897924"
+
+    @pytest.mark.parametrize("solve, gap, alpha, lo, digest", [
+        (solve_t1, gap_exponent_upper, alpha_threshold_upper, 1.0, T1_SHA256),
+        (solve_t2, gap_exponent_lower, alpha_threshold_lower, 2.0, T2_SHA256),
+    ], ids=["t1", "t2"])
+    def test_digest(self, solve, gap, alpha, lo, digest):
+        solved = []
+        for r in np.linspace(lo, lo + 1.0, 2001)[1:-1].tolist():
+            t = solve(r)
+            solved.append((t.value, t.residual, gap(r), alpha(r)))
+        assert hashlib.sha256(repr(solved).encode()).hexdigest() == digest
+
+
+# Every public function with an open range in r, and the range's ends.
+OPEN_RANGES = [
+    (solve_t1, 1.0, 2.0), (gap_exponent_upper, 1.0, 2.0), (alpha_threshold_upper, 1.0, 2.0),
+    (solve_t2, 2.0, 3.0), (gap_exponent_lower, 2.0, 3.0), (alpha_threshold_lower, 2.0, math.inf),
+    (min_a_r, 1.0, math.inf), (a_r_fn, 1.0, math.inf),
+]
+
+
+def _edges():
+    """(fn, end, r): the float next to each finite end, and that end 1e-13 inside."""
+    for fn, lo, hi in OPEN_RANGES:
+        for end, inner in ((lo, hi), (hi, lo)):
+            if math.isfinite(end):
+                for r in (math.nextafter(end, inner), end + math.copysign(1e-13, inner - end)):
+                    yield pytest.param(fn, end, r, id=f"{fn.__name__}-{r!r}")
+
+
+class TestRangeEdges:
+    @pytest.mark.parametrize("fn, end, r", _edges())
+    def test_nothing_raises_next_to_an_end(self, fn, end, r):
+        value = _at_r(fn, r)
+        # near r = 1 both sides of the t1 equation are O(r - 1) and their
+        # difference is rounding noise, so only the call is checked there
+        if fn in (solve_t1, solve_t2) and not (fn is solve_t1 and end == 1.0):
+            assert 0.0 < value.value < 1.0
+            assert abs(value.residual) <= 1e-12
+        # bisection stops at width 1e-13, so the side of 1 (or 0) is not settled
+        if fn in (alpha_threshold_upper, alpha_threshold_lower) and end == 2.0:
+            assert abs(value - 1.0) <= 1e-13
+        if fn in (gap_exponent_upper, gap_exponent_lower) and end == 2.0:
+            assert abs(value) <= 1e-13
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--quantity", "alpha-threshold", "--grid", "2.0000000000000004,6,3"],
+        ["threshold", "--which", "alpha-upper", "--r", "1.9999999999999998"],
+    ], ids=["sweep-alpha-threshold", "threshold-alpha-upper"])
+    def test_commands_next_to_two_succeed(self, argv, capsys):
+        assert run(argv) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestAlphaThresholds:
