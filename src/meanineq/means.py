@@ -300,8 +300,6 @@ def power_mean(config: Configuration, r: float) -> float:
 
 def mean_value(config: Configuration, r: float, convention: str = "plain") -> MeanValue:
     """The mean under the requested reporting convention."""
-    if convention not in ("plain", "log"):
-        raise DomainError(f"unknown convention {_show(convention)}")
     lv = _Means(config).log_mean(_real(r, "r"))
     if convention == "log" and not math.isfinite(lv):
         raise DomainError("log convention undefined for a zero mean")

@@ -40,9 +40,7 @@ import numpy as np
 
 from ._tables import with_table
 from .errors import DomainError, _integer, _real, _show
-from .thresholds import (
-    _a_r_at_one, _log_gap_over_t, alpha_threshold_lower, alpha_threshold_upper, r0_value,
-)
+from .thresholds import _log_gap_over_t, gap_exponent_lower, gap_exponent_upper, min_a_r, r0_value
 
 DEFAULT_SIGN_TOL = 1e-10
 MAX_GRID_POINTS = 1_000_000
@@ -227,7 +225,7 @@ def _core_axes(upper: bool):
     # a is tied to r, so it shares r's (R, 1) column.
     lo, hi = (1.05, 1.95) if upper else (2.05, 5.0)
     rs = np.linspace(lo, hi, 19)
-    avals = np.array([_a_r_at_one(r) for r in rs.tolist()])
+    avals = np.array([min_a_r(r)[1] for r in rs.tolist()])
     if not upper:
         avals = np.minimum(1.0 - 1.0 / rs, avals)
     axes = (rs[:, None], avals[:, None], np.linspace(0.0, 1.0, 501)[None, :])
@@ -238,8 +236,7 @@ def _core_axes(upper: bool):
 
 def _linear_gap_axes():
     rs = np.concatenate([np.linspace(1.02, 1.98, 25), np.linspace(2.02, 2.98, 25)])
-    avals = [alpha_threshold_upper(r) - 1.0 if r < 2.0 else 1.0 - alpha_threshold_lower(r)
-             for r in rs]
+    avals = [gap_exponent_upper(r) if r < 2.0 else gap_exponent_lower(r) for r in rs.tolist()]
     axes = (rs[:, None], np.array(avals)[:, None], np.linspace(0.0, 1.0, 401)[None, :])
     return axes, "r in (1, 2) and (2, 3), 25 each, a = solved gap exponent, t in [0, 1] x401"
 

@@ -40,10 +40,11 @@ restart moves at its first improving trial, as the sequential descent
 does; a -step trial after an improving +step was computed speculatively
 and is not counted, so verdicts, ``evals_used`` and best configurations
 stay those of the sequential descent.  A descent's point is its log
-coordinates alone.  A probe reads the samples of one n as one lazy
-stream, its restarts' draws in turn, each from its own random stream; a
-batch takes as many as the budget has left, and more follow only when
-some were degenerate.
+coordinates alone; a hunt builds a configuration only from a group's
+first lowest score below its winner's.  A probe reads the samples of
+one n as one lazy stream, its restarts' draws in turn, each from its own
+random stream; a batch takes as many as the budget has left, and more
+follow only when some were degenerate.
 """
 
 from __future__ import annotations
@@ -272,7 +273,8 @@ def counterexample_hunt(
     margin; otherwise the most adverse configuration seen, rebuilt from
     its log coordinates.  The restarts run in lockstep groups of at most
     _GROUP_FLOATS padded floats of state each, consecutive in restart
-    order; the report is that of one lockstep over all of them.
+    order, and a group's first lowest score replaces the winner only if
+    lower; so the report is that of one lockstep over all of them.
     Parameters are checked once, before any evaluation; a configuration
     the check cannot score (a bound argument out of range, a degenerate
     ratio) scores +inf.
@@ -281,7 +283,7 @@ def counterexample_hunt(
     params = resolve_params(id, triple=triple, alpha=alpha, r=r, s=s, force=True)
     lo_n, hi_n = budget.n_range
     weight_total = (lo_n + hi_n) * (hi_n - lo_n + 1) // 2
-    sizes, streams, allowances = [], [], []  # streams: each restart's (n, index)
+    sizes, indices, allowances = [], [], []  # indices: each restart's index within its n
     left = budget.max_evals  # the evaluations not yet given to a restart
     for n in range(lo_n, hi_n + 1):
         if not left:
@@ -296,24 +298,22 @@ def counterexample_hunt(
         # move: 0.6 / 2**23 < 1e-7), and every restart uses its allowance.
         for k in range(min(budget.restarts, -(-left // per_restart))):  # those with evaluations
             sizes.append(n)
-            streams.append((n, k))
+            indices.append(k)
             allowances.append(min(per_restart, left))
             left -= allowances[-1]
-    used, scores, winners = 0, [], {}
+    used, best_rel, best_cfg = 0, math.inf, None
     for a, b in _groups(sizes):
-        rngs = [_stream(budget.seed, n, k) for n, k in streams[a:b]]
+        rngs = [_stream(budget.seed, n, k) for n, k in zip(sizes[a:b], indices[a:b])]
         g_used, g_f, u = _descend(id, params, sizes[a:b], rngs, allowances[a:b])
-        k = int(np.argmin(g_f))  # the group's first restart of its lowest score
-        winners[a + k] = u[k:k + 1].copy(), sizes[a + k:a + k + 1]  # not a view of the state
         used += int(g_used.sum())
-        scores.append(g_f)
-    f = np.concatenate(scores)
-    best = int(np.argmin(f))  # the first restart of the lowest score: its group's winner
-    best_rel = float(f[best])
+        k = int(np.argmin(g_f))  # the group's first restart of its lowest score
+        if best_cfg is None or g_f[k] < best_rel:  # an earlier group keeps a tie
+            best_rel = float(g_f[k])
+            best_cfg = _batch(u[k:k + 1], sizes[a + k:a + k + 1]).row(0)
     verdict = "ViolationFound" if best_rel < -VIOLATION_REL_TOL else "NoViolationFound"
     return SearchReport(
         verdict=verdict,
-        best_config=_batch(*winners[best]).row(0),
+        best_config=best_cfg,
         best_residual=best_rel,
         evals_used=used,
         seed=budget.seed,

@@ -330,13 +330,15 @@ def solve_t2(r: float) -> ThresholdResult:
 
 
 def gap_exponent_upper(r: float) -> float:
-    """a1(r) = (2 - r - t1^{r-1}) / r, the proven-safe upward alpha margin."""
+    """a1(r) = (2 - r - t1^{r-1}) / r, the proven-safe upward alpha margin.  Near r = 2,
+    where a1 is about (r - 2)^2/2, only absolute accuracy holds, to about 1.4e-14."""
     r, t1 = _root(_t1_gap, r, 1.0, 2.0, "t1 is defined for 1 < r < 2")
     return (2.0 - r - t1.value ** (r - 1.0)) / r
 
 
 def gap_exponent_lower(r: float) -> float:
-    """a2(r) = (r - 2 - t2) / r, the proven-safe downward alpha margin."""
+    """a2(r) = (r - 2 - t2) / r, the proven-safe downward alpha margin.  Near r = 2,
+    where a2 is about (r - 2)^2/2, only absolute accuracy holds, to about 1.4e-14."""
     r, t2 = _root(_t2_gap, r, 2.0, 3.0, "t2 is defined for 2 < r < 3")
     return (r - 2.0 - t2.value) / r
 

@@ -20,12 +20,12 @@ from meanineq import (
     ProbeClaim,
     a_r_fn,
     a_r_values,
-    alpha_threshold_lower,
-    alpha_threshold_upper,
     aux_eval,
     check,
     delta,
     finite_difference_probe,
+    gap_exponent_lower,
+    gap_exponent_upper,
     log_power_mean,
     min_a_r,
     power_mean,
@@ -229,7 +229,7 @@ GAP_TS = [0.0, 1e-300, 5e-324, *(1.0 - 10.0**-k for k in range(2, 16)),
 
 
 def _solved_gap_exponent(r):
-    return alpha_threshold_upper(r) - 1.0 if r < 2.0 else 1.0 - alpha_threshold_lower(r)
+    return gap_exponent_upper(r) if r < 2.0 else gap_exponent_lower(r)
 
 
 @pytest.mark.parametrize("tag, rs", [
@@ -252,6 +252,34 @@ def test_gaps_match_the_oracle(tag, rs):
             err = abs(aux_eval(tag, (r, a, t)) - want) / gap
             worst = max(worst, float(err))
     assert worst <= 4e-15, worst
+
+
+def oracle_gap_exponent(r, upper):
+    """a1(r) (upper) or a2(r) at 50 digits, from the root of its gap equation, for r near 2."""
+    with mp.workdps(50):
+        r = mp.mpf(r)
+        if upper:
+            def gap(t):
+                return 2 - r - t ** (r - 1) - (1 - t**r) / ((1 + t) ** (r - 1) * (1 - t)) + 1
+        else:
+            def gap(t):
+                return r - 2 - t - (1 + t) ** (r - 1) * (1 - t) / (1 - t**r) + 1
+        d = abs(r - 2)
+        t = mp.findroot(gap, (d / 4, 4 * d), solver="anderson")  # the root is about |r - 2|
+        return ((2 - r - t ** (r - 1)) if upper else (r - 2 - t)) / r
+
+
+def test_gap_exponents_near_two_match_the_oracle():
+    # Near r = 2 every term of the gap equations, and of a1's numerator, is
+    # about |r - 2|, while a1 and a2 are about (r - 2)^2/2.  So only absolute
+    # accuracy holds: at most 1.4e-14 here, which is a relative error of
+    # 1.6e-8 at |r - 2| = 1e-3 and a wrong sign at 1e-7.
+    worst = 0.0
+    for d in np.geomspace(1e-15, 1e-2, 20).tolist():
+        for fn, r, upper in ((gap_exponent_upper, 2.0 - d, True),
+                             (gap_exponent_lower, 2.0 + d, False)):
+            worst = max(worst, float(abs(fn(r) - oracle_gap_exponent(r, upper))))
+    assert worst <= 5e-14, worst
 
 
 def test_binomial_chain_matches_the_oracle():

@@ -15,6 +15,9 @@ from meanineq import (
     aux_eval,
     aux_sign_check,
     claimed_bound,
+    gap_exponent_lower,
+    gap_exponent_upper,
+    min_a_r,
     r0_value,
 )
 from meanineq import proof_aux
@@ -154,6 +157,28 @@ class TestDefaultSignChecks:
         a = aux_sign_check(AuxFunctionId.ENVELOPE_HI_WEIGHT).to_json_dict()
         b = aux_sign_check(AuxFunctionId.ENVELOPE_HI_WEIGHT).to_json_dict()
         assert a == b
+
+
+class TestDefaultGridColumns:
+    """Each default grid's a column is the value its description names, bit for bit."""
+
+    def test_linear_gap_a_is_the_solved_gap_exponent(self):
+        # alpha_threshold_upper(r) - 1 and 1 - alpha_threshold_lower(r)
+        # differ from it in the low bits at 48 of these 50 r
+        rs, a, _ = proof_aux._default_axes(AuxFunctionId.LINEAR_GAP_BOUND)[0]
+        want = [gap_exponent_upper(r) if r < 2.0 else gap_exponent_lower(r)
+                for r in rs.ravel().tolist()]
+        assert a.shape == (50, 1)
+        assert a.ravel().tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("tag", [AuxFunctionId.CORE_UPPER, AuxFunctionId.CORE_LOWER])
+    def test_core_a_is_the_profile_minimum(self, tag):
+        rs, a, _ = proof_aux._default_axes(tag)[0]
+        want = [min_a_r(r)[1] for r in rs.ravel().tolist()]
+        if tag is AuxFunctionId.CORE_LOWER:
+            want = [min(1.0 - 1.0 / r, v) for r, v in zip(rs.ravel().tolist(), want)]
+        assert a.shape == (19, 1)
+        assert a.ravel().tobytes() == np.array(want).tobytes()
 
 
 class TestCustomGrids:
@@ -600,7 +625,7 @@ _GOLDEN_DEFAULT = [
     {'id': 'core-upper', 'domain': 'r in [1.05, 1.95] x19 with a tied to the closed-form profile minimum a_r(1), t in [0, 1] x501', 'worst_point': {'r': 1.05, 'a': 0.4077865578279588, 't': 0.0}, 'worst_value': 0.0, 'margin': 0.0, 'verdict': 'AllSatisfy', 'points_checked': 9519},
     {'id': 'core-lower', 'domain': 'r in [2.05, 5.0] x19 with a tied to the closed-form profile minimum a_r(1), t in [0, 1] x501', 'worst_point': {'r': 4.016666666666667, 'a': 0.33502804178294704, 't': 1.0}, 'worst_value': -4.440892098500626e-16, 'margin': -4.440892098500626e-16, 'verdict': 'AllSatisfy', 'points_checked': 9519},
     {'id': 'shifted-ratio-monotone', 'domain': 'r in [1.1, 4] x12, p in [1.1, 8] x14 (p >= r), s in [0, 1] x21, z in (1, 100] x16 log', 'worst_point': {'r': 1.1, 'p': 1.1, 's': 1.0, 'z': 100.0}, 'worst_value': 0.000990099009900991, 'margin': 0.000990099009900991, 'verdict': 'AllSatisfy', 'points_checked': 44352},
-    {'id': 'linear-gap-bound', 'domain': 'r in (1, 2) and (2, 3), 25 each, a = solved gap exponent, t in [0, 1] x401', 'worst_point': {'r': 1.02, 'a': 0.004732945994024407, 't': 0.0}, 'worst_value': 0.0, 'margin': 0.0, 'verdict': 'AllSatisfy', 'points_checked': 20050},
+    {'id': 'linear-gap-bound', 'domain': 'r in (1, 2) and (2, 3), 25 each, a = solved gap exponent, t in [0, 1] x401', 'worst_point': {'r': 1.02, 'a': 0.004732945994024502, 't': 0.0}, 'worst_value': 0.0, 'margin': 0.0, 'verdict': 'AllSatisfy', 'points_checked': 20050},
     {'id': 'binomial-chain', 'domain': 'r in [4, 8] x81, t in [0, 1] x500', 'worst_point': {'r': 4.0, 't': 0.0}, 'worst_value': 0.0, 'margin': 0.0, 'verdict': 'AllSatisfy', 'points_checked': 40500},
     {'id': 'growth-ratio-monotone', 'domain': 'r in [2, 4] x81, t in (0, 1) x500', 'worst_point': {'r': 2.0, 't': 0.001}, 'worst_value': 0.0009945797432108962, 'margin': 0.0009945797432108962, 'verdict': 'AllSatisfy', 'points_checked': 40500},
     {'id': 'envelope-hi-weight', 'domain': 'q in (0, 1/2] x200, r in [r0, 1] x50', 'worst_point': {'q': 0.5, 'r': 1.0}, 'worst_value': 0.5, 'margin': 0.0, 'verdict': 'AllSatisfy', 'points_checked': 10000},

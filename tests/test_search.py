@@ -658,6 +658,36 @@ class TestGroupedHunt:
         assert [n for g in groups for n in g] == sizes
         assert grouped == whole
 
+    def test_an_earlier_group_wins_a_tie(self, monkeypatch):
+        # Fixed scores: the lowest, -1, is tied between groups 1 and 3, and
+        # every restart's point is a distinct row.
+        calls = []
+
+        def fixed(id, params, sizes, rngs, allowances):
+            g, rows = len(calls), len(sizes)
+            used = np.arange(1, rows + 1) + 10 * g
+            f = np.full(rows, 0.5)
+            f[1] = -0.5
+            if g in (1, 3):
+                f[2 if g == 1 else 0] = -1.0
+            u = np.zeros((rows, 2 * max(sizes)))
+            u[:, 0] = g + 0.1 * np.arange(rows)
+            calls.append((used, u))
+            return used, f, u
+
+        monkeypatch.setattr(search, "_descend", fixed)
+        monkeypatch.setattr(search, "_GROUP_FLOATS", 4 * 2 * 2)  # four restarts of n = 2
+        report = counterexample_hunt(InequalityId.MG_SIGMA_UPPER, r=2.5, budget=SearchBudget(
+            max_evals=3000, n_range=(2, 2)))
+        assert len(calls) == 5
+        assert report.best_residual == -1.0
+        assert report.evals_used == sum(int(used.sum()) for used, _ in calls)
+        for g, row, wins in ((1, 2, True), (3, 0, False)):
+            cfg = search._batch(calls[g][1][row:row + 1], [2]).row(0)
+            same = (cfg.x.tobytes(), cfg.q_weights.tobytes()) == (
+                report.best_config.x.tobytes(), report.best_config.q_weights.tobytes())
+            assert same == wins
+
 
 class TestLogCoordinateRows:
     @pytest.mark.parametrize("scale", [1.5, 20.0])
