@@ -17,9 +17,10 @@ Each tag is one entry of a catalog table: how its parameters resolve, its
 claim and stated hypotheses (the table above is rendered from them), and
 its (lhs, rhs) formula, written once over a formula record.  The records
 come from :mod:`meanineq.means`: :func:`check` evaluates the formula on
-the floats of one configuration (``_Means``); :func:`relative_residuals`
-evaluates it on the arrays of a :class:`ConfigurationBatch`
-(``_RowMeans``), with the same result row by row.
+the floats of one configuration (its record ``config._means``);
+:func:`relative_residuals` evaluates it on the arrays of a
+:class:`ConfigurationBatch` (``_RowMeans``), with the same result row by
+row.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .means import (
     DEFAULT_REL_TOL,
     Configuration,
     ConfigurationBatch,
-    _Means,
     _RowMeans,
     order_triple,
 )
@@ -408,7 +408,7 @@ def check(
     if tag.positive_min and not force and config.x[0] <= 0.0:
         raise DomainError(f"{id.value} is stated for x_1 > 0")
     try:
-        lhs, rhs = tag.sides(_Means(config), params)
+        lhs, rhs = tag.sides(config._means, params)
     except DegenerateInput:
         lhs = rhs = math.nan
     residual = rhs - lhs

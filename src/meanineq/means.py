@@ -34,41 +34,41 @@ far below the largest.  At r = 40, x = (1, 2), q = (1 - 1e-10, 1e-10),
 against mpmath at 60 digits, ln M_r has relative error 2.7e-17 by the
 plain form and 1.7e-8 by the expm1 form.
 
-Each :class:`Configuration` carries a means record: the quantities that
-every catalog formula reads, computed on first use and then kept.  It
-holds ln x, the minimum weight, sigma and ln M_r at the fixed orders
-0, 1/2 and 1 (G, M_{1/2}, A), so it never grows; other orders are
-computed afresh on every call.  Sharing is safe: the samples and weights
-are read-only, so a kept value cannot go stale, and callers racing to
-fill an entry compute and store the same float.
+Below |r| = 2^-969, where r ln x may leave the normal range (|ln x| >=
+2^-53 for x != 1), ln M_r is taken as ln G, within |r| (ln x_n - ln x_1)^2
+/ 8 < 6e-287 (with a zero sample and r > 0, ln M_r < -2^916 and ln G =
+-inf: M_r is 0 either way).
 
-:class:`ConfigurationBatch` holds B configurations as ``(B, width)``
+Configurations and batches hold data; formula records compute and keep.
+A configuration's record, ``config._means``, is the ``_Means`` built on
+first use over its two read-only arrays (not over the configuration,
+which would make a reference cycle); ``_RowMeans(batch)`` is a batch's.
+Each keeps what it derives on first use: ln x and the minimum weight,
+and for ``_Means`` sigma and ln M_r at the fixed orders 0, 1/2 and 1 (G,
+M_{1/2}, A), so a record never grows.  Sharing is safe: the arrays are
+read-only, and callers racing to fill an entry store the same value.
+Both trust their arguments, plain floats that a public entry has read,
+and give ``q``, ``log_mean``, ``mean``, ``sigma``, ``x1``, ``xn``,
+``delta(r, s, t, alpha)``, ``bound``, ``pow`` and ``div``: ``_Means`` as
+floats, raising where a step fails, and ``_RowMeans`` as (B,) arrays,
+NaN in a row that would raise.  A mean or a weight power past the float
+range is +inf, where ``math.exp`` and ``**`` raise; the catalog side it
+enters is then NaN, which ``check`` reports Degenerate and a batch
+scores +inf.
+
+A :class:`ConfigurationBatch` holds B configurations as ``(B, width)``
 arrays, row i holding its n_i samples first and padding after them, and
-:func:`log_power_mean_rows` and :func:`delta_rows` are the array forms of
-ln M_r and delta over it.  Row i of each is bit-identical to the scalar
-function on the i-th configuration.  ln x is taken once per batch, and
-each elementwise step once for all rows, with the scalar's ufuncs.  Row
-maxima and minima see the padding as -inf or +inf; up to 7 columns they,
-and the softmax sum over its zero padding, fold down the columns in
-numpy's own order.  Row dots (matmul's BLAS dot, as ``np.dot``) and power
-sums run per run of equal-size rows cut to its size: numpy's pairwise sum
-regroups from 8 terms, the BLAS dot from 16.  A run's rows take the
-scalar tail (``math.fsum``, ``math.log`` or ``math.log1p``) in one ``map``;
-``math.exp`` and delta's ratio go row by row, so delta is written once.
-
-Formula records compute and public functions read.  A record is built
-from a configuration alone and trusts its arguments, plain floats that a
-public entry has read: ``_Means(config)`` gives one configuration's
-quantities as floats and raises where a step fails; ``_RowMeans(batch)``
-gives a batch's as (B,) arrays, NaN in a row that would raise.  Both give
-``q``, ``log_mean``, ``mean``, ``sigma``, ``x1``, ``xn``,
-``delta(r, s, t, alpha)``, ``bound``, ``pow`` and ``div``.  ``_RowMeans``
-maps the scalar steps (``math.exp``, the weight power of ``_Means``, the
-bound's constant) over the rows and takes sigma by the rules above, so
-row i has the bits of ``_Means`` on the i-th configuration.  A weight
-power past the float range is +inf, as ``_exp`` is for e^x, where ``**``
-raises; the catalog side it enters is then NaN (inf - inf or inf * 0),
-which ``check`` reports Degenerate and a batch scores +inf.
+row i of each ``_RowMeans`` value has the bits of ``_Means`` on the i-th
+configuration.  Each elementwise step runs once for all rows with the
+scalar's ufuncs.  Row maxima and minima see the padding as -inf or +inf;
+up to 7 columns they, and the softmax sum over its zero padding, fold
+down the columns in numpy's own order.  Row dots (matmul's BLAS dot, as
+``np.dot``) and power sums run per run of equal-size rows cut to its
+size: numpy's pairwise sum regroups from 8 terms, the BLAS dot from 16.
+A run's rows take the scalar tail (``math.fsum``, ``math.log`` or
+``math.log1p``) in one ``map``; ``math.exp``, the weight power, the
+bound's constant and delta's ratio go row by row, so each is written
+once.
 """
 
 from __future__ import annotations
@@ -94,6 +94,8 @@ _EXPM1_BAND = 0.05
 _WEIGHT_SUM_TOL = 1e-12
 
 _FIXED_ORDERS = (0.0, 0.5, 1.0)
+
+_TINY_ORDER = 2.0**-969  # below this |r|, ln M_r is taken as ln G (module docstring)
 
 
 class _record_entry:
@@ -163,7 +165,7 @@ class Configuration:
     @_record_entry
     def min_weight(self) -> float:
         """The minimum weight, the single quantity the sharp constants depend on."""
-        return min(self.q_weights.tolist())
+        return self._means.q
 
     @property
     def is_strict(self) -> bool:
@@ -174,25 +176,10 @@ class Configuration:
     def is_constant(self) -> bool:
         return bool(self.x[0] == self.x[-1])
 
-    # The rest of the means record (see the module docstring).
-
     @_record_entry
-    def _log_x(self) -> np.ndarray:
-        """ln x_i, read-only; -inf at a zero sample."""
-        with np.errstate(divide="ignore"):
-            logx = np.log(self.x)
-        logx.setflags(write=False)
-        return logx
-
-    @_record_entry
-    def _sigma(self) -> float:
-        a = float(np.dot(self.q_weights, self.x))
-        return float(np.dot(self.q_weights, (self.x - a) ** 2))
-
-    @_record_entry
-    def _fixed_log_means(self) -> dict[float, float]:
-        """ln M_r at the record's fixed orders 0, 1/2 and 1: G, M_{1/2} and A."""
-        return {r: _log_power_mean(self, r) for r in _FIXED_ORDERS}
+    def _means(self) -> "_Means":
+        """The means record (see the module docstring)."""
+        return _Means(self)
 
     def scaled(self, c: float) -> "Configuration":
         """The configuration with every sample multiplied by ``c > 0``."""
@@ -262,13 +249,13 @@ class MeanValue:
 
 def log_power_mean(config: Configuration, r: float) -> float:
     """ln M_r(x; q); -inf when the mean is 0 (zero samples at r <= 0)."""
-    return _Means(config).log_mean(_real(r, "r"))
+    return config._means.log_mean(_real(r, "r"))
 
 
-def _log_power_mean(config: Configuration, r: float) -> float:
-    """:func:`log_power_mean` computed afresh, for a finite order r."""
-    q, logx = config.q_weights, config._log_x
-    if r == 0.0:
+def _log_power_mean(q: np.ndarray, logx: np.ndarray, r: float) -> float:
+    """:func:`log_power_mean` computed afresh from q and ln x, for a finite order r;
+    ln G below |r| = ``_TINY_ORDER`` (see the module docstring)."""
+    if abs(r) < _TINY_ORDER:
         return float(np.dot(q, logx))
     a = r * logx
     m = max(a.tolist())
@@ -295,20 +282,20 @@ def power_mean(config: Configuration, r: float) -> float:
     For r = 0 this is the weighted geometric mean.  Zero samples give 0
     for r <= 0 and simply drop out of the power sum for r > 0.
     """
-    return _Means(config).mean(_real(r, "r"))
+    return config._means.mean(_real(r, "r"))
 
 
 def mean_value(config: Configuration, r: float, convention: str = "plain") -> MeanValue:
     """The mean under the requested reporting convention."""
-    lv = _Means(config).log_mean(_real(r, "r"))
+    lv = config._means.log_mean(_real(r, "r"))
     if convention == "log" and not math.isfinite(lv):
         raise DomainError("log convention undefined for a zero mean")
-    return MeanValue(math.exp(lv) if convention == "plain" else lv, convention)
+    return MeanValue(_exp(lv) if convention == "plain" else lv, convention)
 
 
 def variance_sigma(config: Configuration) -> float:
     """The weighted variance sum_i q_i (x_i - A)^2; zero iff all samples tie."""
-    return config._sigma
+    return config._means.sigma()
 
 
 def delta(config: Configuration, params: DeltaParams) -> float:
@@ -324,7 +311,7 @@ def delta(config: Configuration, params: DeltaParams) -> float:
     (M_t / M_s)^alpha for alpha > 0.  When M_s = M_t = 0 < M_r and
     alpha <= 0, both differences are infinite: :class:`DegenerateInput`.
     """
-    return _Means(config).delta(params.r, params.s, params.t, params.alpha)
+    return config._means.delta(params.r, params.s, params.t, params.alpha)
 
 
 def _delta_of_logs(lr: float, ls: float, lt: float, alpha: float) -> float:
@@ -433,12 +420,6 @@ class ConfigurationBatch:
         self.x = x[rows, order]
         self.q_weights = q[rows, order]
 
-    @_record_entry
-    def _log_x(self) -> np.ndarray:
-        """ln x, taken once for every order; -inf at a zero sample, padding as it falls."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(self.x)
-
     def _fill(self, a: np.ndarray, value: float) -> np.ndarray:
         """``a`` with the padding set to ``value``; a row's max or min then ignores it."""
         return np.where(self._padding, value, a)
@@ -491,16 +472,6 @@ def _map_or_nan(fn, *columns: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=float)
 
 
-def log_power_mean_rows(batch: ConfigurationBatch, r: float) -> np.ndarray:
-    """:func:`log_power_mean` of every row."""
-    return _RowMeans(batch).log_mean(_real(r, "r"))
-
-
-def delta_rows(batch: ConfigurationBatch, params: DeltaParams) -> np.ndarray:
-    """:func:`delta` of every row; NaN where it raises :class:`DegenerateInput`."""
-    return _RowMeans(batch).delta(params.r, params.s, params.t, params.alpha)
-
-
 def order_triple(a: float, b: float, c: float) -> tuple[float, float, float]:
     """Rearrange three distinct, finite, nonnegative real orders descending as (r, s, t)."""
     orders = (_real(a, "an order"), _real(b, "an order"), _real(c, "an order"))
@@ -519,31 +490,51 @@ def order_triple(a: float, b: float, c: float) -> tuple[float, float, float]:
 class _Means:
     """One configuration's quantities as floats; errors raise."""
 
-    __slots__ = ("_config", "q")
-
     def __init__(self, config: Configuration) -> None:
-        self._config = config
-        self.q = config.min_weight
+        self._x, self._q_weights = config.x, config.q_weights  # not config: no cycle
+
+    q = _record_entry(lambda m: min(m._q_weights.tolist()))
+
+    @_record_entry
+    def _log_x(self) -> np.ndarray:
+        """ln x_i, read-only; -inf at a zero sample."""
+        with np.errstate(divide="ignore"):
+            logx = np.log(self._x)
+        logx.setflags(write=False)
+        return logx
+
+    @_record_entry
+    def _sigma(self) -> float:
+        a = float(np.dot(self._q_weights, self._x))
+        return float(np.dot(self._q_weights, (self._x - a) ** 2))
+
+    @_record_entry
+    def _fixed_log_means(self) -> dict[float, float]:
+        """ln M_r at the record's fixed orders 0, 1/2 and 1: G, M_{1/2} and A."""
+        return {r: _log_power_mean(self._q_weights, self._log_x, r) for r in _FIXED_ORDERS}
 
     def log_mean(self, r: float) -> float:
         if r in _FIXED_ORDERS:  # -0.0 too: it equals 0.0 and hashes alike
-            return self._config._fixed_log_means[r]
-        return _log_power_mean(self._config, r)
+            return self._fixed_log_means[r]
+        return _log_power_mean(self._q_weights, self._log_x, r)
 
     def mean(self, r: float) -> float:
-        return math.exp(self.log_mean(r))
+        try:
+            return math.exp(self.log_mean(r))
+        except OverflowError:
+            return math.inf
 
     def sigma(self) -> float:
-        return self._config._sigma
+        return self._sigma
 
     def x1(self) -> float:
-        return float(self._config.x[0])
+        return float(self._x[0])
 
     def xn(self) -> float:
-        return float(self._config.x[-1])
+        return float(self._x[-1])
 
     def delta(self, r: float, s: float, t: float, alpha: float) -> float:
-        if self._config.is_constant:
+        if self.x1() == self.xn():
             raise DegenerateInput("the ratio is 0/0 when all samples are equal")
         return _delta_of_logs(self.log_mean(r), self.log_mean(s), self.log_mean(t), alpha)
 
@@ -573,10 +564,16 @@ class _RowMeans:
 
     q = _record_entry(lambda m: _row_reduce(np.minimum, m._batch._fill(m._batch.q_weights, np.inf)))
 
+    @_record_entry
+    def _log_x(self) -> np.ndarray:
+        """ln x, taken once for every order; -inf at a zero sample, padding as it falls."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(self._batch.x)
+
     def log_mean(self, r: float) -> np.ndarray:
         batch = self._batch
-        q, logx = batch.q_weights, batch._log_x
-        if r == 0.0:
+        q, logx = batch.q_weights, self._log_x
+        if abs(r) < _TINY_ORDER:
             return batch._per_size(_row_dots, q, logx)
         # Padding may overflow here; a row's own terms are at most its weights.
         with np.errstate(invalid="ignore", over="ignore"):
@@ -592,10 +589,14 @@ class _RowMeans:
 
     def mean(self, r: float) -> np.ndarray:
         # math.exp row by row: np.exp rounds differently
-        return np.fromiter(map(math.exp, self.log_mean(r).tolist()), float)
+        logs = self.log_mean(r).tolist()
+        try:
+            return np.fromiter(map(math.exp, logs), float)
+        except OverflowError:
+            return np.array([_exp(v) for v in logs])
 
     def sigma(self) -> np.ndarray:
-        def sigma(q, x):  # the two dots of Configuration._sigma, row by row
+        def sigma(q, x):  # the two dots of _Means._sigma, row by row
             return _row_dots(q, (x - _row_dots(q, x)[:, None]) ** 2)
 
         return self._batch._per_size(sigma, self._batch.q_weights, self._batch.x)

@@ -58,7 +58,7 @@ import numpy as np
 
 from .errors import DomainError, _integer, _real, _show
 from .inequalities import _CATALOG, InequalityId, relative_residuals, resolve_params
-from .means import Configuration, ConfigurationBatch, _Means, _RowMeans, _size_runs
+from .means import Configuration, ConfigurationBatch, _RowMeans, _size_runs
 
 # A hunt only declares a violation below this relative residual; the check
 # tolerance itself is far tighter, so a declared violation always
@@ -216,7 +216,7 @@ def sharpness_probe(
     upper = id is InequalityId.DIANANDA_UPPER
     weights = [q_target, 1.0 - q_target] if upper else [1.0 - q_target, q_target]
     best_cfg = Configuration([0.0, 1.0], weights)
-    lhs, rhs = _CATALOG[id].sides(_Means(best_cfg), resolved)
+    lhs, rhs = _CATALOG[id].sides(best_cfg._means, resolved)
     best_delta, bound = (lhs, rhs) if upper else (rhs, lhs)
     boundary_gap = abs(bound - best_delta)
     evals = 1
@@ -445,7 +445,7 @@ def _ratio_slope(config: Configuration, r: float, a: float, upper: bool) -> floa
     would overflow.  With d ln A = q_i/A, d ln G = q_i/x_i and d ln M_r =
     (q_i/x_i) (x_i/M_r)^r, its slope is p T_1 (d ln A - d ln G) - p T_2 (d ln M_r - d ln G).
     """
-    m = _Means(config)
+    m = config._means
     i, p, base = (0, (1.0 + a) * r, 1.0 - m.q) if upper else (-1, (1.0 - a) * r, m.q)
     lg, la, lr = map(m.log_mean, (0.0, 1.0, r))
     xi, qi = float(config.x[i]), float(config.q_weights[i])
@@ -489,7 +489,7 @@ def finite_difference_probe(
     if claim is ProbeClaim.WEIGHT_PARAM_SLOPE:
         # half-mean-var-upper's lhs - rhs, M_{1/2} - w M_r - (1 - w) G - (1/2 - r w) sigma/(2 x_1)
         # with w = q^{2-1/r}, has the slope w' (G - M_r + r sigma / (2 x_1)) in q
-        m = _Means(config)
+        m = config._means
         return ((2.0 - 1.0 / r) * m.q ** (1.0 - 1.0 / r)
                 * (m.mean(0.0) - m.mean(r) + r * m.sigma() / (2.0 * m.x1())))
     return _ratio_slope(config, r, a, claim is ProbeClaim.SMALLEST_SAMPLE_SLOPE)

@@ -355,7 +355,8 @@ def alpha_threshold_lower(r: float) -> float:
     """Smallest proven alpha for the lower three-mean bound at {1, 1/r, 0}, r > 2.
 
     Piecewise: 1 - a2(r) on (2, 3), 1 - 1/(3r) on [3, 4), 1 - (r-2)/r^2 on
-    [4, inf).
+    [4, inf).  Where r^2 passes the float range (r above about 1.34e154),
+    (r-2)/r^2 < 2^-54 and the value rounds to 1.
     """
     r = _real(r, "r")
     if not r > 2.0:
@@ -364,7 +365,10 @@ def alpha_threshold_lower(r: float) -> float:
         return 1.0 - gap_exponent_lower(r)
     if r < 4.0:
         return 1.0 - 1.0 / (3.0 * r)
-    return 1.0 - (r - 2.0) / r**2
+    try:
+        return 1.0 - (r - 2.0) / r**2
+    except OverflowError:
+        return 1.0
 
 
 def solve_r0() -> ThresholdResult:

@@ -30,6 +30,13 @@ class TestMeanCommand:
         assert code == 0
         assert out == "2.25\n"
 
+    @pytest.mark.parametrize("r", ["5e-324", "-5e-324", "1e-310"])
+    def test_a_subnormal_order_gives_the_geometric_mean(self, r, capsys):
+        # --r 5e-324 printed e^2 = 7.38905609893065, from r ln x_n rounded to a subnormal
+        argv = ["mean", "--x", "1,4,9", "--q", ".2,.3,.5"]
+        assert invoke([*argv, f"--r={r}"], capsys) == invoke([*argv, "--r=0"], capsys) \
+            == (0, "4.547149699531195\n", "")
+
     def test_weight_normalization_within_tolerance(self, capsys):
         code, out, _ = invoke(
             ["mean", "--x", "1,4", "--q", "0.5000001,0.4999998", "--r", "1"], capsys
@@ -181,6 +188,17 @@ class TestThresholdCommand:
             assert code == 2, argv
             assert out == ""
             assert "finite" in err
+
+    @pytest.mark.parametrize("argv, value", [
+        (["threshold", "--which", "alpha-lower", "--r", "1e300"], {"r": 1e300, "value": 1.0}),
+        (["sweep", "--quantity", "alpha-threshold", "--grid", "3,1e300,3"],
+         {"columns": ["r", "alpha"], "rows": [[3.0, 1.0 - 1.0 / 9.0], [5e299, 1.0], [1e300, 1.0]]}),
+    ])
+    def test_alpha_lower_past_where_r_squared_overflows(self, argv, value, capsys):
+        # these printed an OverflowError traceback and exited 1, the violation code
+        code, out, err = invoke(argv, capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == value
 
     # an infinite order has no threshold: 1 - (r - 2) / r^2 is inf / inf there
     @pytest.mark.parametrize("argv, message", [

@@ -1,10 +1,12 @@
 import copy
 import dataclasses
+import gc
 import hashlib
 import inspect
 import json
 import math
 import pickle
+import weakref
 from itertools import combinations
 from pathlib import Path
 
@@ -16,12 +18,15 @@ from meanineq import (
     CheckStatus,
     Configuration,
     DegenerateInput,
+    DeltaParams,
     DomainError,
     InequalityId,
     SearchBudget,
     check,
     counterexample_hunt,
+    delta,
     equality_witness,
+    mean_value,
     power_mean,
     r0_value,
     sharpness_probe,
@@ -673,6 +678,26 @@ class TestBatchEvaluation:
         batch = ConfigurationBatch(cfg.x[None], cfg.q_weights[None])
         assert relative_residuals(tag, batch, params).tolist() == [math.inf]
 
+    @pytest.mark.parametrize("tag, params", [
+        (InequalityId.DIANANDA_BASE_UPPER, {}),
+        (InequalityId.HALF_MEAN_UPPER, {"r": 2.0}),
+        (InequalityId.MG_SIGMA_UPPER, {"r": 1.5}),
+    ])
+    def test_mean_past_the_float_range_is_degenerate(self, tag, params):
+        # weights summing to 1 + 5e-13, which a configuration accepts, put M_1
+        # past the float range; check used to raise OverflowError from math.exp
+        huge = Configuration([1.7976931348623157e308] * 2, [0.5, 0.5 + 5e-13])
+        plain = Configuration([1.0, 3.0], [0.25, 0.75])
+        with np.errstate(over="ignore"):  # sigma overflows too (ROADMAP direction 13)
+            rep = check(tag, huge, **params)
+        assert rep.status is CheckStatus.DEGENERATE
+        assert math.isnan(rep.residual)
+        # the overflowing row takes the batch's slow path; the other keeps its bits
+        batch = ConfigurationBatch(np.array([huge.x, plain.x]),
+                                   np.array([huge.q_weights, plain.q_weights]))
+        rows = relative_residuals(tag, batch, resolve_params(tag, **params)).tolist()
+        assert rows == [math.inf, check(tag, plain, **params).residual_rel]
+
     @pytest.mark.parametrize("force", [False, True])
     @pytest.mark.parametrize("r, s", [(1.0, 1.0), (1.0, 2.0)])
     def test_mean_difference_bounds_need_r_above_s(self, r, s, force):
@@ -774,13 +799,35 @@ class TestSharedMeansRecord:
                         assert _outcome(tag, shared, params[tag]) == \
                             _outcome(tag, fresh, params[tag]), (tag, cfg)
 
+    # parameters inside each tag's hypotheses
+    INSIDE = {
+        InequalityId.DIANANDA_UPPER: dict(triple=(1, 0.6, 0), alpha=1.2),
+        InequalityId.DIANANDA_LOWER: dict(triple=(1, 0.3, 0), alpha=0.5),
+        InequalityId.DIANANDA_BASE_UPPER: {},
+        InequalityId.DIANANDA_BASE_LOWER: {},
+        InequalityId.MIX_VARIANCE_UPPER: dict(r=3.0),
+        InequalityId.MIX_VARIANCE_LOWER: dict(r=1.5),
+        InequalityId.CARTWRIGHT_FIELD_LOWER: dict(r=1.5, s=0.5),
+        InequalityId.CARTWRIGHT_FIELD_UPPER: dict(r=1.0, s=0.0),
+        InequalityId.MG_SIGMA_LOWER: dict(r=2.0),
+        InequalityId.MG_SIGMA_UPPER: dict(r=1.5),
+        InequalityId.HALF_MEAN_LOWER: dict(r=0.7),
+        InequalityId.HALF_MEAN_UPPER: dict(r=2.0),
+        InequalityId.HALF_MEAN_VAR_UPPER: dict(r=0.8),
+        InequalityId.HALF_MEAN_VAR_LOWER: dict(r=1.5),
+    }
+
+    def _serve_every_tag(self, cfg):
+        for tag in InequalityId:
+            assert check(tag, cfg, **self.INSIDE[tag]).status is CheckStatus.HOLDS
+
     def test_shared_orders_and_logs_are_computed_once(self, monkeypatch):
         orders = []
         compute = means._log_power_mean
 
-        def recording(config, r):
+        def recording(q, logx, r):
             orders.append(r)
-            return compute(config, r)
+            return compute(q, logx, r)
 
         class CountingLog:
             """numpy as the means module sees it, counting np.log calls."""
@@ -796,27 +843,40 @@ class TestSharedMeansRecord:
 
         monkeypatch.setattr(means, "_log_power_mean", recording)
         monkeypatch.setattr(means, "np", CountingLog())
-        cfg = Configuration([0.5, 1.0, 2.0, 7.0], [0.1, 0.2, 0.3, 0.4])
-        inside = {  # parameters inside each tag's hypotheses
-            InequalityId.DIANANDA_UPPER: dict(triple=(1, 0.6, 0), alpha=1.2),
-            InequalityId.DIANANDA_LOWER: dict(triple=(1, 0.3, 0), alpha=0.5),
-            InequalityId.DIANANDA_BASE_UPPER: {},
-            InequalityId.DIANANDA_BASE_LOWER: {},
-            InequalityId.MIX_VARIANCE_UPPER: dict(r=3.0),
-            InequalityId.MIX_VARIANCE_LOWER: dict(r=1.5),
-            InequalityId.CARTWRIGHT_FIELD_LOWER: dict(r=1.5, s=0.5),
-            InequalityId.CARTWRIGHT_FIELD_UPPER: dict(r=1.0, s=0.0),
-            InequalityId.MG_SIGMA_LOWER: dict(r=2.0),
-            InequalityId.MG_SIGMA_UPPER: dict(r=1.5),
-            InequalityId.HALF_MEAN_LOWER: dict(r=0.7),
-            InequalityId.HALF_MEAN_UPPER: dict(r=2.0),
-            InequalityId.HALF_MEAN_VAR_UPPER: dict(r=0.8),
-            InequalityId.HALF_MEAN_VAR_LOWER: dict(r=1.5),
-        }
-        for tag in InequalityId:
-            assert check(tag, cfg, **inside[tag]).status is CheckStatus.HOLDS
+        self._serve_every_tag(Configuration([0.5, 1.0, 2.0, 7.0], [0.1, 0.2, 0.3, 0.4]))
         assert sorted(r for r in orders if r in (0.0, 0.5, 1.0)) == [0.0, 0.5, 1.0]
         assert CountingLog.calls == 1
+
+    def test_one_record_serves_every_reader(self, monkeypatch):
+        built = []
+        init = means._Means.__init__
+
+        def counting(record, *args):
+            built.append(record)
+            init(record, *args)
+
+        monkeypatch.setattr(means._Means, "__init__", counting)
+        cfg = Configuration([0.5, 1.0, 2.0, 7.0], [0.1, 0.2, 0.3, 0.4])
+        self._serve_every_tag(cfg)
+        for r in (0.0, 2.5):
+            log_power_mean(cfg, r)
+            power_mean(cfg, r)
+            mean_value(cfg, r)
+        variance_sigma(cfg)
+        delta(cfg, DeltaParams(1.0, 0.5, 0.0))
+        assert built == [cfg._means]
+        assert set(vars(cfg)) == {"x", "q_weights", "min_weight", "_means"}
+
+    def test_a_served_configuration_is_freed_by_refcount(self):
+        cfg = Configuration([0.5, 1.0, 2.0, 7.0], [0.1, 0.2, 0.3, 0.4])
+        self._serve_every_tag(cfg)
+        record = weakref.ref(cfg._means)
+        gc.disable()
+        try:
+            del cfg
+            assert record() is None  # a reference cycle would keep it until a collection
+        finally:
+            gc.enable()
 
 
 def _scalar_configs():

@@ -27,7 +27,7 @@ from meanineq import (
     variance_sigma,
 )
 from meanineq import means
-from meanineq.means import ConfigurationBatch, delta_rows, log_power_mean_rows
+from meanineq.means import ConfigurationBatch, _RowMeans
 
 from conftest import sample_config
 
@@ -108,6 +108,19 @@ class TestPowerMean:
             g = power_mean(cfg, 0.0)
             for r in (1e-6, -1e-6):
                 assert power_mean(cfg, r) == pytest.approx(g, rel=1e-5)
+
+    def test_mean_past_the_float_range(self):
+        # weights summing to 1 + 5e-13 put M_1 past the float range, where
+        # these raised a bare OverflowError ("math range error")
+        cfg = Configuration([1.7976931348623157e308] * 2, [0.5, 0.5 + 5e-13])
+        assert power_mean(cfg, 1.0) == math.inf
+        with pytest.raises(DomainError, match="^value must be a finite real number, got inf$"):
+            mean_value(cfg, 1.0)
+        assert mean_value(cfg, 1.0, "log").value == log_power_mean(cfg, 1.0) > math.log(2**1024)
+        rows = _RowMeans(ConfigurationBatch(np.array([cfg.x, [1.0, 3.0]]),
+                                            np.array([cfg.q_weights, [0.25, 0.75]])))
+        assert rows.mean(1.0).tolist() == [
+            math.inf, power_mean(Configuration([1.0, 3.0], [0.25, 0.75]), 1.0)]
 
     def test_infinite_order_rejected(self):
         cfg = Configuration([1.0, 2.0], [0.5, 0.5])
@@ -210,7 +223,7 @@ class TestDelta:
                 delta(cfg, DeltaParams(1.0, 0.0, -1.0, alpha))
         assert delta(cfg, DeltaParams(1.0, 0.0, -1.0, 2.0)) == 1.0
         batch = ConfigurationBatch(np.array([[0.0, 1.0]]), np.array([[0.5, 0.5]]), [2])
-        assert np.isnan(delta_rows(batch, DeltaParams(1.0, 0.0, -1.0, -2.0))).all()
+        assert np.isnan(_RowMeans(batch).delta(1.0, 0.0, -1.0, -2.0)).all()
 
     def test_log_convention_at_alpha_zero(self):
         cfg = Configuration([1.0, 4.0, 9.0], [0.2, 0.5, 0.3])
@@ -256,16 +269,11 @@ class TestDeltaRows:
         for r, s, t in itertools.permutations(orders, 3):
             for alpha in self.ALPHAS:
                 params = DeltaParams(r, s, t, alpha)
-                rows = [repr(v) for v in delta_rows(batch, params).tolist()]
+                rows = [repr(v) for v in _RowMeans(batch).delta(r, s, t, alpha).tolist()]
                 want = [_delta_outcome(cfg, params) for cfg in configs]
                 assert rows == want, params
                 outcomes.update(v if v in ("nan", "inf", "0.0", "1.0") else "finite" for v in want)
         assert outcomes == {"nan", "inf", "0.0", "1.0", "finite"}
-
-    def test_infinite_order_rejected(self):
-        batch = ConfigurationBatch([[1.0, 4.0]], [[0.5, 0.5]])
-        with pytest.raises(DomainError, match="^r must be a finite real number, got inf$"):
-            log_power_mean_rows(batch, math.inf)
 
 
 def _padded_rows(width):
@@ -328,9 +336,10 @@ class TestRowReductions:
         batch = _padded_rows(width)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            rows = _RowMeans(batch)
             for r in (-3.0, 0.0, 0.01, 2.5):
-                log_power_mean_rows(batch, r)
-            delta_rows(batch, DeltaParams(2.0, 0.5, 0.0))
+                rows.log_mean(r)
+            rows.delta(2.0, 0.5, 0.0, 1.0)
             for tag, params in ((InequalityId.MG_SIGMA_UPPER, {"r": 2.5}),
                                 (InequalityId.HALF_MEAN_VAR_LOWER, {"r": 1.5})):
                 relative_residuals(tag, batch, params)
@@ -643,9 +652,12 @@ class TestMeansRecord:
         variance_sigma(cfg)
         delta(cfg, DeltaParams(1.0, 0.5, 0.0))
         assert cfg.min_weight == 0.2
-        assert set(vars(cfg)) == {
-            "x", "q_weights", "min_weight", "_log_x", "_sigma", "_fixed_log_means"}
-        assert set(cfg._fixed_log_means) == {0.0, 0.5, 1.0}
+        assert set(vars(cfg)) == {"x", "q_weights", "min_weight", "_means"}
+        record = cfg._means
+        assert set(vars(record)) == {
+            "_x", "_q_weights", "q", "_log_x", "_sigma", "_fixed_log_means"}
+        assert record._x is cfg.x and record._q_weights is cfg.q_weights
+        assert set(record._fixed_log_means) == {0.0, 0.5, 1.0}
 
     def test_an_entry_read_on_the_class_is_its_descriptor(self):
         entry = Configuration.min_weight

@@ -30,7 +30,7 @@ from meanineq import (
     min_a_r,
     power_mean,
 )
-from meanineq.means import _EXPM1_BAND
+from meanineq.means import _EXPM1_BAND, ConfigurationBatch, _RowMeans
 
 EDGE = [math.nextafter(_EXPM1_BAND, 0.0), _EXPM1_BAND, math.nextafter(_EXPM1_BAND, 1.0)]
 ORDERS = ([s * r for r in (1e-12, 1e-9, 1.01e-8, 1e-6, 1e-4, 1e-2, 0.3, *EDGE)
@@ -75,6 +75,43 @@ def test_log_power_mean_matches_the_oracle():
             err = float(abs(got - want)) / max(1.0, float(abs(want)))
             worst[r] = max(worst.get(r, 0.0), err)
     assert max(worst.values()) <= 1e-14, worst
+
+
+def oracle_log_power_mean_expm1(x, q, r):
+    """ln M_r at 50 digits as log1p(sum q expm1(r ln x)) / r, for positive samples: the
+    direct form loses everything to cancellation at orders far below 1e-50."""
+    with mp.workdps(50):
+        total = mp.fsum(q)
+        r = mp.mpf(r)
+        s = mp.fsum(mp.mpf(w) / total * mp.expm1(r * mp.log(v)) for v, w in zip(x, q))
+        return mp.log1p(s) / r
+
+
+CUTOFF = 2.0**-969
+TINY_ORDERS = [s * r for r in (5e-324, 1e-320, 1e-310, 2.0**-1000, math.nextafter(CUTOFF, 0.0),
+                               CUTOFF, math.nextafter(CUTOFF, 1.0), 2.0**-960)
+               for s in (1.0, -1.0)]
+
+
+def test_log_power_mean_at_tiny_orders_matches_the_oracle():
+    # r ln x_n used to round in the subnormal range, so at r = 5e-324 ln M_r
+    # came out as ln x_n's neighbourhood (e^2 for x = 1, 4, 9), off by 0.5;
+    # below the cutoff the order is taken as 0, within 6e-287 of the truth
+    configs = [cfg for cfg in _configs() if cfg.x[0] > 0.0]
+    width = max(cfg.n for cfg in configs)
+    x = np.full((len(configs), width), -1.0)
+    q = np.full((len(configs), width), np.nan)
+    for i, cfg in enumerate(configs):
+        x[i, :cfg.n], q[i, :cfg.n] = cfg.x, cfg.q_weights
+    rows = _RowMeans(ConfigurationBatch(x, q, [cfg.n for cfg in configs]))
+    worst = 0.0
+    for r in TINY_ORDERS:
+        got = [log_power_mean(cfg, r) for cfg in configs]
+        assert rows.log_mean(r).tolist() == got, r
+        for cfg, value in zip(configs, got):
+            want = oracle_log_power_mean_expm1(cfg.x.tolist(), cfg.q_weights.tolist(), r)
+            worst = max(worst, float(abs(value - want)) / max(1.0, float(abs(want))))
+    assert worst <= 1e-14
 
 
 def test_plain_power_sum_outside_the_band_at_a_lopsided_weight():

@@ -19,7 +19,7 @@ IMPORTED = ("errors", "thresholds")
 LAZY = ("means", "inequalities", "proof_aux", "search")
 # The public names a module offers that the package does not re-export: the batch forms.
 MODULE_ONLY = {
-    "means": ("ConfigurationBatch", "log_power_mean_rows", "delta_rows"),
+    "means": ("ConfigurationBatch",),
     "inequalities": ("resolve_params", "relative_residuals"),
 }
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -390,6 +391,13 @@ class TestAlphaThresholds:
             alpha_threshold_upper(2.0)
         with pytest.raises(DomainError):
             alpha_threshold_lower(2.0)
+
+    @pytest.mark.parametrize("r", [1e154, math.sqrt(sys.float_info.max), 1e155, 1e300,
+                                   sys.float_info.max])
+    def test_lower_is_one_where_r_squared_overflows(self, r):
+        # past about 1.34e154, 1 - (r - 2) / r**2 raised OverflowError from r**2;
+        # (r - 2) / r^2 < 2^-54 there, and the formula already rounds to 1 below
+        assert alpha_threshold_lower(r) == 1.0
 
     def test_lower_needs_a_finite_order(self):
         with pytest.raises(DomainError, match="^r must be a finite real number, got inf$"):
