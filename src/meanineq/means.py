@@ -36,8 +36,10 @@ plain form and 1.7e-8 by the expm1 form.
 
 Below |r| = 2^-969, where r ln x may leave the normal range (|ln x| >=
 2^-53 for x != 1), ln M_r is taken as ln G, within |r| (ln x_n - ln x_1)^2
-/ 8 < 6e-287 (with a zero sample and r > 0, ln M_r < -2^916 and ln G =
--inf: M_r is 0 either way).
+/ 8 < 6e-287.  A zero sample at r > 0 keeps the power sum: there ln G is
+-inf, while ln M_r is about ln(1 - w) / r for the zeros' weight w,
+finite down to r near w / 2^1024, and the rounding of r ln x_i reaches
+only its last digits.
 
 Configurations and batches hold data; formula records compute and keep.
 A configuration's record, ``config._means``, is the ``_Means`` built on
@@ -254,8 +256,8 @@ def log_power_mean(config: Configuration, r: float) -> float:
 
 def _log_power_mean(q: np.ndarray, logx: np.ndarray, r: float) -> float:
     """:func:`log_power_mean` computed afresh from q and ln x, for a finite order r;
-    ln G below |r| = ``_TINY_ORDER`` (see the module docstring)."""
-    if abs(r) < _TINY_ORDER:
+    ln G below |r| = ``_TINY_ORDER`` but for a zero sample at r > 0 (module docstring)."""
+    if abs(r) < _TINY_ORDER and (r <= 0.0 or logx[0] > -math.inf):
         return float(np.dot(q, logx))
     a = r * logx
     m = max(a.tolist())
@@ -519,10 +521,7 @@ class _Means:
         return _log_power_mean(self._q_weights, self._log_x, r)
 
     def mean(self, r: float) -> float:
-        try:
-            return math.exp(self.log_mean(r))
-        except OverflowError:
-            return math.inf
+        return _exp(self.log_mean(r))
 
     def sigma(self) -> float:
         return self._sigma
@@ -573,7 +572,8 @@ class _RowMeans:
     def log_mean(self, r: float) -> np.ndarray:
         batch = self._batch
         q, logx = batch.q_weights, self._log_x
-        if abs(r) < _TINY_ORDER:
+        tiny = abs(r) < _TINY_ORDER
+        if tiny and (r <= 0.0 or not (self.x1() == 0.0).any()):
             return batch._per_size(_row_dots, q, logx)
         # Padding may overflow here; a row's own terms are at most its weights.
         with np.errstate(invalid="ignore", over="ignore"):
@@ -584,16 +584,17 @@ class _RowMeans:
             map(_power_sum_log, terms[rows, :n].tolist(),  # weights are read only in the band
                 q[rows, :n].tolist() if abs(r) < _EXPM1_BAND else repeat(None), repeat(r))
             for rows, n in batch._runs), float, len(m))
-        # an infinite m_i is the row's own log-sum, whose terms are NaN
-        return np.where(np.isinf(m), m, m + logs) / r
+        # an infinite m_i is the row's own log-sum, whose terms are NaN; a
+        # zero-sample row's may leave the float range at a tiny r, as the scalar's does
+        with np.errstate(over="ignore"):
+            out = np.where(np.isinf(m), m, m + logs) / r
+        if tiny:  # r > 0: rows without a zero sample take ln G
+            out = np.where(self.x1() == 0.0, out, batch._per_size(_row_dots, q, logx))
+        return out
 
     def mean(self, r: float) -> np.ndarray:
         # math.exp row by row: np.exp rounds differently
-        logs = self.log_mean(r).tolist()
-        try:
-            return np.fromiter(map(math.exp, logs), float)
-        except OverflowError:
-            return np.array([_exp(v) for v in logs])
+        return np.fromiter(map(_exp, self.log_mean(r).tolist()), float)
 
     def sigma(self) -> np.ndarray:
         def sigma(q, x):  # the two dots of _Means._sigma, row by row
