@@ -483,10 +483,38 @@ def _emit(payload, run_config: RunConfig) -> None:
         sys.stdout.write(text)
 
 
+def _is_numbers(token: str) -> bool:
+    """Whether each comma-separated part of ``token`` reads as a float."""
+    try:
+        for part in token.split(","):
+            float(part)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """``argv`` with ``--flag -1e-3`` as ``--flag=-1e-3``, for each flag that takes a value.
+
+    argparse reads a token that starts with ``-`` as a flag unless it looks
+    like a plain negative number, so an exponent (``-1e-3``) or a list
+    (``-1,1,3``) would otherwise be refused as a missing value.
+    """
+    flags = {"--" + key.replace("_", "-") for key, (kind, _) in _OPTIONS.items()
+             if kind is not _SWITCH}
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in flags and token.startswith("-") and _is_numbers(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def run(argv: list[str] | None = None) -> int:
     """Parse arguments, execute exactly one command, write one report."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         run_config = _run_config_from_args(args)
         command = _COMMANDS.get(run_config.command)

@@ -42,21 +42,20 @@ finite down to r near w / 2^1024, and the rounding of r ln x_i reaches
 only its last digits.
 
 Configurations and batches hold data; formula records compute and keep.
-A configuration's record, ``config._means``, is the ``_Means`` built on
-first use over its two read-only arrays (not over the configuration,
+A configuration's record, ``config._means``, is the ``_Means`` built
+with it over its two read-only arrays (not over the configuration,
 which would make a reference cycle); ``_RowMeans(batch)`` is a batch's.
-Each keeps what it derives on first use: ln x and the minimum weight,
-and for ``_Means`` sigma and ln M_r at the fixed orders 0, 1/2 and 1 (G,
-M_{1/2}, A), so a record never grows.  Sharing is safe: the arrays are
-read-only, and callers racing to fill an entry store the same value.
-Both trust their arguments, plain floats that a public entry has read,
-and give ``q``, ``log_mean``, ``mean``, ``sigma``, ``x1``, ``xn``,
-``delta(r, s, t, alpha)``, ``bound``, ``pow`` and ``div``: ``_Means`` as
-floats, raising where a step fails, and ``_RowMeans`` as (B,) arrays,
-NaN in a row that would raise.  A mean or a weight power past the float
-range is +inf, where ``math.exp`` and ``**`` raise; the catalog side it
-enters is then NaN, which ``check`` reports Degenerate and a batch
-scores +inf.
+Each computes what it keeps when it is built: ``_Means`` the minimum
+weight, ln x, sigma and ln M_r at the fixed orders 0, 1/2 and 1 (G,
+M_{1/2}, A), ``_RowMeans`` ln x.  A record is then never written again,
+so it can be shared freely.  Both trust their arguments, plain floats
+that a public entry has read, and give ``q``, ``log_mean``, ``mean``,
+``sigma``, ``x1``, ``xn``, ``delta(r, s, t, alpha)``, ``bound``, ``pow``
+and ``div``: ``_Means`` as floats, raising where a step fails, and
+``_RowMeans`` as (B,) arrays, NaN in a row that would raise.  A mean, a
+weight power or sigma past the float range is +inf, where ``math.exp``
+and ``**`` would raise and numpy would warn; a catalog side that is then
+NaN is reported Degenerate by ``check`` and scores +inf in a batch.
 
 A :class:`ConfigurationBatch` holds B configurations as ``(B, width)``
 arrays, row i holding its n_i samples first and padding after them, and
@@ -100,36 +99,14 @@ _FIXED_ORDERS = (0.0, 0.5, 1.0)
 _TINY_ORDER = 2.0**-969  # below this |r|, ln M_r is taken as ln G (module docstring)
 
 
-class _record_entry:
-    """A means-record entry: computed on first access, then kept.
-
-    The value is stored in the instance ``__dict__``, where it shadows this
-    non-data descriptor, so later reads never reach it.  Unlike
-    ``functools.cached_property`` before Python 3.12 it takes no lock:
-    callers racing to fill an entry compute and store the same value.
-    """
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.__doc__ = compute.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.compute(instance)
-        return value
-
-
 @dataclass(frozen=True, eq=False)
 class Configuration:
     """A sorted vector of nonnegative samples with positive weights summing to 1.
 
     Samples are sorted ascending on construction (weights are permuted
     along with them); ties are allowed and recorded via :attr:`is_strict`.
-    Arrays are made read-only so instances are immutable.
+    Arrays are made read-only so instances are immutable.  ``min_weight``
+    is the minimum weight, the single quantity the sharp constants depend on.
     """
 
     x: np.ndarray
@@ -159,15 +136,12 @@ class Configuration:
         x.setflags(write=False)
         q.setflags(write=False)
         vars(self).update(x=x, q_weights=q)
+        means = _Means(self)
+        vars(self).update(min_weight=means.q, _means=means)
 
     @property
     def n(self) -> int:
         return int(self.x.size)
-
-    @_record_entry
-    def min_weight(self) -> float:
-        """The minimum weight, the single quantity the sharp constants depend on."""
-        return self._means.q
 
     @property
     def is_strict(self) -> bool:
@@ -177,11 +151,6 @@ class Configuration:
     @property
     def is_constant(self) -> bool:
         return bool(self.x[0] == self.x[-1])
-
-    @_record_entry
-    def _means(self) -> "_Means":
-        """The means record (see the module docstring)."""
-        return _Means(self)
 
     def scaled(self, c: float) -> "Configuration":
         """The configuration with every sample multiplied by ``c > 0``."""
@@ -492,28 +461,19 @@ def order_triple(a: float, b: float, c: float) -> tuple[float, float, float]:
 class _Means:
     """One configuration's quantities as floats; errors raise."""
 
+    __slots__ = ("_x", "_q_weights", "q", "_log_x", "_sigma", "_fixed_log_means", "__weakref__")
+
     def __init__(self, config: Configuration) -> None:
-        self._x, self._q_weights = config.x, config.q_weights  # not config: no cycle
-
-    q = _record_entry(lambda m: min(m._q_weights.tolist()))
-
-    @_record_entry
-    def _log_x(self) -> np.ndarray:
-        """ln x_i, read-only; -inf at a zero sample."""
-        with np.errstate(divide="ignore"):
-            logx = np.log(self._x)
-        logx.setflags(write=False)
-        return logx
-
-    @_record_entry
-    def _sigma(self) -> float:
-        a = float(np.dot(self._q_weights, self._x))
-        return float(np.dot(self._q_weights, (self._x - a) ** 2))
-
-    @_record_entry
-    def _fixed_log_means(self) -> dict[float, float]:
-        """ln M_r at the record's fixed orders 0, 1/2 and 1: G, M_{1/2} and A."""
-        return {r: _log_power_mean(self._q_weights, self._log_x, r) for r in _FIXED_ORDERS}
+        x, q = self._x, self._q_weights = config.x, config.q_weights  # not config: no cycle
+        self.q = min(q.tolist())
+        # ln 0 is -inf; sigma past the float range is +inf
+        with np.errstate(divide="ignore", over="ignore"):
+            logx = self._log_x = np.log(x)
+            logx.setflags(write=False)
+            a = float(np.dot(q, x))
+            self._sigma = float(np.dot(q, (x - a) ** 2))
+            # ln M_r at the fixed orders 0, 1/2 and 1: G, M_{1/2} and A
+            self._fixed_log_means = {r: _log_power_mean(q, logx, r) for r in _FIXED_ORDERS}
 
     def log_mean(self, r: float) -> float:
         if r in _FIXED_ORDERS:  # -0.0 too: it equals 0.0 and hashes alike
@@ -560,14 +520,13 @@ class _RowMeans:
 
     def __init__(self, batch: ConfigurationBatch) -> None:
         self._batch = batch
-
-    q = _record_entry(lambda m: _row_reduce(np.minimum, m._batch._fill(m._batch.q_weights, np.inf)))
-
-    @_record_entry
-    def _log_x(self) -> np.ndarray:
-        """ln x, taken once for every order; -inf at a zero sample, padding as it falls."""
+        # -inf at a zero sample, padding as it falls
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(self._batch.x)
+            self._log_x = np.log(batch.x)
+
+    @property
+    def q(self) -> np.ndarray:
+        return _row_reduce(np.minimum, self._batch._fill(self._batch.q_weights, np.inf))
 
     def log_mean(self, r: float) -> np.ndarray:
         batch = self._batch
@@ -600,7 +559,8 @@ class _RowMeans:
         def sigma(q, x):  # the two dots of _Means._sigma, row by row
             return _row_dots(q, (x - _row_dots(q, x)[:, None]) ** 2)
 
-        return self._batch._per_size(sigma, self._batch.q_weights, self._batch.x)
+        with np.errstate(over="ignore"):  # +inf past the float range, as the scalar's
+            return self._batch._per_size(sigma, self._batch.q_weights, self._batch.x)
 
     def x1(self) -> np.ndarray:
         return self._batch.x[:, 0]

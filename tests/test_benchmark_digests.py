@@ -5,6 +5,8 @@ Each digest hashes one seeded round's outputs, so a change that moves a
 seeded bit of a check, hunt, probe, certificate or threshold fails here,
 and its new value must be listed when it is updated.  The cli-session
 workload spawns processes and is left to the benchmark itself.
+``perfbench/tracing.py`` is loaded the same way, and its tracer is built
+but not installed: every public name it traces must still exist.
 """
 
 import importlib.util
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 DIGESTS = {
     "check-sweep": ("a59a87ce42b88f56", "5eab365bc255d26a", "328affbf5b291d64"),
@@ -22,9 +24,9 @@ DIGESTS = {
 }
 
 
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+def _load(name: str):
+    """``perfbench/<name>.py`` loaded by path as ``perfbench_<name>``, writing no bytecode."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up by name
     write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
@@ -32,8 +34,14 @@ def workloads():
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = write_bytecode
+    return module
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    module = _load("workloads")
     yield module.WORKLOADS
-    del sys.modules[spec.name]
+    del sys.modules[module.__name__]
 
 
 @pytest.mark.parametrize("name, seed, digest", [
@@ -44,3 +52,16 @@ def test_a_round_reproduces_its_digest(workloads, name, seed, digest):
     verdict = workload.verify(workload.run_round())
     assert verdict.failed == 0
     assert verdict.digest == digest
+
+
+def test_every_traced_target_resolves():
+    # a renamed public name fails here, not first in a traced benchmark run
+    tracing = _load("tracing")
+    try:
+        init = tracing.meanineq.Configuration.__init__
+        patched = {(owner, key) for owner, key, _, _ in tracing.Tracer()._patches}
+        assert tracing.meanineq.Configuration.__init__ is init  # built, not installed
+        for _, module, attr in tracing.TARGETS:
+            assert (sys.modules[module], attr) in patched, (module, attr)
+    finally:
+        del sys.modules[tracing.__name__]

@@ -50,6 +50,29 @@ class TestMeanCommand:
         assert "refusing to normalize" in err
 
 
+class TestNegativeValues:
+    """A value starting with "-" reads as the value of the flag before it."""
+
+    def test_an_exponent_reads_as_with_an_equals_sign(self, capsys):
+        argv = ["mean", "--x", "1,4,9", "--q", ".2,.3,.5"]
+        assert invoke([*argv, "--r", "-1e-3"], capsys) == invoke([*argv, "--r=-1e-3"], capsys) \
+            == (0, "4.545565502562452\n", "")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--quantity", "a-r-profile", "--r", "1.5", "--grid", "-1,1,3"],
+         "the profile sweep needs a t-grid inside [0, 1]"),
+        (["mean", "--x", "-1,2", "--q", ".5,.5", "--r", "1"], "samples must be nonnegative"),
+    ])
+    def test_a_negative_list_reaches_the_library(self, argv, message, capsys):
+        assert invoke(argv, capsys) == (2, "", f"meanineq: error: {message}\n")
+
+    def test_a_flag_after_a_flag_is_still_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["mean", "--r", "--x", "1"])
+        assert exc.value.code == 2
+        assert "argument --r: expected one argument" in capsys.readouterr().err
+
+
 class TestCheckCommand:
     ARGV = [
         "check", "--ineq", "diananda-upper", "--triple", "1,0.5,0", "--alpha", "1",
@@ -560,6 +583,12 @@ class TestDeterminismAndPlumbing:
                           "--r", "1e-9", "--budget", "300"])
         assert (proc.returncode, proc.stderr) == (0, "")
         assert json.loads(proc.stdout)["verdict"] == "NoViolationFound"
+
+    def test_sigma_past_the_float_range_prints_no_warning(self):
+        proc = run_fresh(["-m", "meanineq.cli", "check", "--ineq", "mg-sigma-lower",
+                          "--r", "1.5", "--x", "1,1e200", "--q", "0.5,0.5"])
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert json.loads(proc.stdout)["id"] == "mg-sigma-lower"
 
     def test_entry_point_installed(self):
         proc = run_fresh(["-m", "meanineq.cli"], input="")

@@ -879,6 +879,33 @@ class TestSharedMeansRecord:
             gc.enable()
 
 
+class TestRecordConstruction:
+    def test_each_configuration_builds_one_record(self, monkeypatch):
+        built = []
+        init = means._Means.__init__
+
+        def counting(record, config):
+            built.append(record)
+            init(record, config)
+
+        monkeypatch.setattr(means._Means, "__init__", counting)
+        configs, _ = TestBatchEvaluation.GROUPS[2]
+        shared = [Configuration(cfg.x, cfg.q_weights) for cfg in configs]
+        for cfg in shared:
+            for tag in InequalityId:
+                _outcome(tag, cfg, BATCH_PARAMS[tag][0])
+            for r in (0.0, 0.5, 2.5):
+                log_power_mean(cfg, r)
+                power_mean(cfg, r)
+                mean_value(cfg, r)
+            variance_sigma(cfg)
+            try:
+                delta(cfg, DeltaParams(1.0, 0.5, 0.0))
+            except DegenerateInput:
+                pass
+        assert built == [cfg._means for cfg in shared]
+
+
 def _scalar_configs():
     """112 seeded configurations, 16 for each n = 2..8.
 

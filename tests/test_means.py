@@ -146,6 +146,17 @@ class TestVariance:
                 c * c * variance_sigma(cfg), rel=1e-12
             )
 
+    def test_past_the_float_range_is_inf_without_a_warning(self):
+        # (x - A)^2 overflows; construction and check used to warn "overflow encountered in square"
+        from meanineq.inequalities import check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = Configuration([1.0, 1e200], [0.5, 0.5])
+            assert variance_sigma(cfg) == math.inf
+            check("mg-sigma-lower", cfg, r=1.5)
+            batch = ConfigurationBatch([[1.0, 1e200], [1.0, 4.0]], [[0.5, 0.5], [0.5, 0.5]])
+            assert _RowMeans(batch).sigma().tolist() == [math.inf, 2.25]
+
 
 class TestDelta:
     PARAMS = DeltaParams(1.0, 0.5, 0.0, 1.0)
@@ -331,6 +342,12 @@ class TestRowReductions:
             assert batch.q_weights[i, :n].tobytes() == (w / w.sum()).tobytes()
 
     @pytest.mark.parametrize("width", range(2, 13))
+    def test_row_minimum_weight_is_each_rows_min(self, width):
+        batch = _padded_rows(width)  # NaN weights past each size
+        want = [min(batch.q_weights[i, :n].tolist()) for i, n in enumerate(batch.sizes.tolist())]
+        assert _RowMeans(batch).q.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("width", range(2, 13))
     def test_padded_rows_raise_no_warning(self, width):
         from meanineq.inequalities import InequalityId, relative_residuals
         batch = _padded_rows(width)
@@ -488,7 +505,7 @@ def _construction_outcome(x, q) -> bytes:
         cfg = Configuration(x, q)
     except ConfigError as exc:
         return f"ConfigError: {exc}".encode()
-    assert set(vars(cfg)) == {"x", "q_weights"}
+    assert set(vars(cfg)) == {"x", "q_weights", "min_weight", "_means"}
     return b"|".join([cfg.x.tobytes(), cfg.q_weights.tobytes(), repr((
         cfg.x.dtype.str, cfg.q_weights.dtype.str, cfg.x.flags.writeable,
         cfg.q_weights.flags.writeable, cfg.x.flags.c_contiguous,
@@ -645,25 +662,32 @@ class TestMeansRecord:
                     r = RECORD_ORDERS[i]
                     assert _values(shared, r) == _values(Configuration(x, q), r), (x, q, r)
 
+    def test_a_configuration_is_built_with_its_record(self):
+        cfg = Configuration([0.5, 1.0, 2.0], [0.2, 0.3, 0.5])
+        assert set(vars(cfg)) == {"x", "q_weights", "min_weight", "_means"}
+        assert cfg.min_weight == cfg._means.q == 0.2
+
     def test_the_record_has_a_fixed_set_of_entries(self):
         cfg = Configuration([0.5, 1.0, 2.0], [0.2, 0.3, 0.5])
+        record = cfg._means
+        assert means._Means.__slots__ == (
+            "_x", "_q_weights", "q", "_log_x", "_sigma", "_fixed_log_means", "__weakref__")
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.extra = 1.0
         for r in np.linspace(-5.0, 5.0, 101).tolist() + RECORD_ORDERS:
             log_power_mean(cfg, r)
         variance_sigma(cfg)
         delta(cfg, DeltaParams(1.0, 0.5, 0.0))
-        assert cfg.min_weight == 0.2
         assert set(vars(cfg)) == {"x", "q_weights", "min_weight", "_means"}
-        record = cfg._means
-        assert set(vars(record)) == {
-            "_x", "_q_weights", "q", "_log_x", "_sigma", "_fixed_log_means"}
+        assert cfg._means is record
         assert record._x is cfg.x and record._q_weights is cfg.q_weights
         assert set(record._fixed_log_means) == {0.0, 0.5, 1.0}
+        assert not record._log_x.flags.writeable
 
-    def test_an_entry_read_on_the_class_is_its_descriptor(self):
-        entry = Configuration.min_weight
-        assert entry is vars(Configuration)["min_weight"]
-        assert entry.__doc__ == ("The minimum weight, the single quantity the sharp constants"
-                                 " depend on.")
+    def test_min_weight_is_documented(self):
+        assert ("``min_weight`` is the minimum weight, the single quantity the sharp constants"
+                " depend on.") in " ".join(Configuration.__doc__.split())
 
     def test_scaled_has_its_own_record(self):
         cfg = Configuration([1.0, 4.0, 9.0], [0.2, 0.3, 0.5])
@@ -681,7 +705,9 @@ class TestMeansRecord:
         cfg = Configuration([0.0, 1.0, 3.0], [0.3, 0.3, 0.4])
         before = [_values(cfg, r) for r in RECORD_ORDERS]
         twin = clone(cfg)
-        assert set(vars(twin)) == {"x", "q_weights"}
+        assert set(vars(twin)) == {"x", "q_weights", "min_weight", "_means"}
+        assert twin._means is not cfg._means
+        assert twin._means._x is twin.x and twin._means._q_weights is twin.q_weights
         with pytest.raises(ValueError):
             twin.x[0] = 5.0
         with pytest.raises(ValueError):
