@@ -33,23 +33,25 @@ first attribute read (see ``meanineq/__init__.py``).  ``threshold`` and
 ``sweep --quantity alpha-threshold`` therefore run without numpy: the
 sweep's axis is computed in Python floats equal to ``np.linspace`` bit
 for bit, and the ``--ineq`` catalog listing is rendered only when help is
-printed.
+printed.  Nor does that path load ``dataclasses`` (which imports
+``inspect``, about 7 ms of a fresh start), ``typing`` or ``csv``:
+``RunConfig`` and ``ThresholdResult`` are ``errors._Record``s, the option
+and command tables are namedtuples, annotations are strings, and ``csv``
+is imported for ``--format csv`` only.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from . import inequalities, means, search
-from .errors import MeanIneqError, _to_float
+from .errors import MeanIneqError, _Record, _to_float
 from .thresholds import (
     alpha_threshold_lower,
     alpha_threshold_upper,
@@ -67,17 +69,16 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Record):
     """One parsed run: a command plus its options; round-trips through JSON."""
 
-    command: str
-    options: dict = field(default_factory=dict)
-    output: str | None = None
-    format: str = "json"
+    def __init__(self, command: str, options: dict | None = None, output: str | None = None,
+                 format: str = "json") -> None:
+        vars(self).update(command=command, options={} if options is None else options,
+                          output=output, format=format)
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {**vars(self), "options": dict(self.options)}
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "RunConfig":
@@ -338,10 +339,9 @@ def _exec_sweep(options: dict):
     return sweep(options, lo, hi, _linspace(lo, hi, count)), EXIT_OK
 
 
-class _Kind(NamedTuple):
-    flag: dict  # argparse keywords of the flag
-    json: tuple  # the JSON types a run configuration may give the option
-    what: str  # their name, in messages and in the README's option table
+# flag: argparse keywords of the flag; json: the JSON types a run configuration
+# may give the option; what: their name, in messages and in the README's option table
+_Kind = namedtuple("_Kind", "flag json what")
 
 
 _NUMBER = _Kind({"type": float}, (float, int), "a number")
@@ -374,10 +374,8 @@ _OPTIONS = {
 }
 
 
-class _Command(NamedTuple):
-    help: str
-    execute: Callable[[dict], tuple]  # options -> (report, exit code)
-    options: tuple  # the keys of _OPTIONS it takes
+# execute: options -> (report, exit code); options: the keys of _OPTIONS it takes
+_Command = namedtuple("_Command", "help execute options")
 
 
 _CONFIG = ("x", "q")
@@ -459,6 +457,8 @@ def _csv_cell(value) -> str:
 
 
 def _to_csv(payload) -> str:
+    import csv  # here, not at the top: only --format csv needs it
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     if isinstance(payload, dict) and "columns" in payload and "rows" in payload:

@@ -1,4 +1,5 @@
-"""Exception types shared across the library, and the rule for reading arguments.
+"""Exception types shared across the library, the rule for reading arguments,
+and ``_Record``, the base of the records that the numpy-free path builds.
 
 Every public entry reads its numeric arguments through the readers here,
 and no other module imports ``numbers``:
@@ -52,6 +53,27 @@ class _Shower(reprlib.Repr):
 
 
 _show = _Shower().repr
+
+
+class _Record:
+    """An immutable record, a frozen dataclass without ``dataclasses``: its fields are
+    its instance dict, which a subclass's ``__init__`` sets with one update."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
 
 
 def _to_float(value: numbers.Real) -> float:

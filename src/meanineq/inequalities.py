@@ -26,10 +26,10 @@ row.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable
 
 import numpy as np
 

@@ -64,10 +64,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
-from .errors import DomainError, _integer, _real, _reals
+from .errors import DomainError, _integer, _real, _Record, _reals
 
 __all__ = ["ThresholdResult", "a_r_fn", "a_r_values", "alpha_threshold_lower",
            "alpha_threshold_upper", "bisect", "gap_exponent_lower", "gap_exponent_upper",
@@ -86,15 +85,13 @@ BISECT_MAX_ITER = 200
 _GOLDEN_MAX_ITER = 200
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(_Record):
     """A solved scalar threshold with its bracket and defining residual."""
 
-    value: float
-    bracket: tuple[float, float]
-    residual: float
-    iterations: int
-    low_confidence: bool = False
+    def __init__(self, value: float, bracket: tuple[float, float], residual: float,
+                 iterations: int, low_confidence: bool = False) -> None:
+        vars(self).update(value=value, bracket=bracket, residual=residual,
+                          iterations=iterations, low_confidence=low_confidence)
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,7 +1,9 @@
+import copy
 import csv
 import io
 import json
 import math
+import pickle
 import re
 import tracemalloc
 from pathlib import Path
@@ -9,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from meanineq import MeanIneqError, cli
+from meanineq import MeanIneqError, cli, solve_r0
 from meanineq.cli import RunConfig, run
 from meanineq.inequalities import _CATALOG
 
@@ -879,6 +881,86 @@ def test_import_graph(runs, executed):
     proc = run_fresh(["-c", script], timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{executed}\n"
+
+
+def test_numpy_free_start_imports_no_dataclasses_inspect_typing_or_csv():
+    # dataclasses imports inspect, about 7 ms of a fresh start, and csv serves
+    # --format csv only; diffed against the start, as site may import typing
+    script = (
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "import meanineq.cli as cli\n"
+        "cli.build_parser()\n"
+        f"for argv in {THRESHOLD_RUNS!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.run(argv) == 0, argv\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'csv'} & (set(sys.modules) - before)))\n"
+    )
+    proc = run_fresh(["-c", script], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+# The two records a numpy-free command builds: a maker, and the repr and the
+# JSON form that they had as frozen dataclasses.
+RECORDS = {
+    "ThresholdResult": (
+        solve_r0,
+        "ThresholdResult(value=0.6597671758852641, bracket=(0.6597671758852357, "
+        "0.6597671758852925), residual=-5.684341886080801e-13, iterations=43, "
+        "low_confidence=False)",
+        {"value": 0.6597671758852641, "lo": 0.6597671758852357, "hi": 0.6597671758852925,
+         "residual": -5.684341886080801e-13, "iterations": 43}),
+    "RunConfig": (
+        lambda: RunConfig(command="mean", options={"x": [1.0, 4.0], "r": 0.5}, format="csv"),
+        "RunConfig(command='mean', options={'x': [1.0, 4.0], 'r': 0.5}, output=None, "
+        "format='csv')",
+        {"command": "mean", "options": {"x": [1.0, 4.0], "r": 0.5}, "output": None,
+         "format": "csv"}),
+}
+
+
+@pytest.mark.parametrize("make, text, payload", RECORDS.values(), ids=RECORDS)
+class TestRecords:
+    def test_repr_and_json_form(self, make, text, payload):
+        record = make()
+        assert repr(record) == text
+        assert record.to_json_dict() == payload
+
+    def test_equal_values_give_equal_records(self, make, text, payload):
+        first, second = make(), make()
+        assert first is not second
+        assert first == second and not first != second
+        assert first != tuple(vars(first).values()) and first != text
+        if isinstance(first, RunConfig):
+            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                hash(first)  # its options are a dict, as they were
+        else:
+            assert hash(first) == hash(second) == hash(tuple(vars(first).values()))
+
+    def test_fields_are_read_only(self, make, text, payload):
+        record = make()
+        for name in [*vars(record), "new"]:
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+                delattr(record, name)
+        assert repr(record) == text
+
+    def test_pickle_and_copy_round_trip(self, make, text, payload):
+        record = make()
+        copies = [pickle.loads(pickle.dumps(record, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in [*copies, copy.copy(record), copy.deepcopy(record)]:
+            assert type(other) is type(record)
+            assert other == record and repr(other) == text
+
+    def test_the_json_form_is_a_copy(self, make, text, payload):
+        record = make()
+        form = record.to_json_dict()
+        for value in [form, *(v for v in form.values() if isinstance(v, dict))]:
+            value.clear()
+        assert record.to_json_dict() == payload and repr(record) == text
 
 
 class TestSweepAxis:

@@ -9,6 +9,7 @@ import pytest
 from meanineq import (
     AuxFunctionId,
     DomainError,
+    ThresholdResult,
     a_r_fn,
     a_r_values,
     alpha_threshold_lower,
@@ -309,6 +310,16 @@ class TestImplicitEquations:
         for bad in (1.5, 2.0, 3.0):
             with pytest.raises(DomainError):
                 solve_t2(bad)
+
+
+def test_a_threshold_result_is_built_by_position_or_keyword():
+    by_position = ThresholdResult(0.5, (0.25, 0.75), -1e-13, 7)
+    by_keyword = ThresholdResult(iterations=7, residual=-1e-13, bracket=(0.25, 0.75), value=0.5)
+    assert by_position == by_keyword and by_position.low_confidence is False
+    assert ThresholdResult(0.5, (0.25, 0.75), -1e-13, 7, True).low_confidence is True
+    assert ThresholdResult(0.5, (0.25, 0.75), -1e-13, 7, True) != by_position
+    assert repr(by_keyword) == ("ThresholdResult(value=0.5, bracket=(0.25, 0.75), "
+                                "residual=-1e-13, iterations=7, low_confidence=False)")
 
 
 class TestSolvedThresholdBits:
