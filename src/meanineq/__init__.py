@@ -31,9 +31,11 @@ alpha-threshold ``sweep`` import no numpy, ``mean`` runs ``means`` alone,
 and only ``hunt`` and ``sharpness`` run ``search``.  The submodules are
 registered, not imported on demand, so that code which looks them up in
 ``sys.modules`` right after ``import meanineq``, such as a tracer that
-wraps their functions, finds them.  Until a body has run, the module's
-type is a subclass of ``types.ModuleType``; the first read runs it under a
-lock, so a second thread waits for it instead of reading a half-run module.
+wraps their functions, finds them.  The names a body binds in the package
+when it runs are what a tracer built afterwards patches there, so binding
+them on first read would hide them from it.  Until a body has run, the
+module's type is a subclass of ``types.ModuleType``; the first read runs it
+under a lock, so a second thread waits instead of reading a half-run module.
 """
 
 import importlib.util

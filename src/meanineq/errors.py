@@ -1,5 +1,5 @@
 """Exception types shared across the library, the rule for reading arguments,
-and ``_Record``, the base of the records that the numpy-free path builds.
+and ``_Record``, the base of every record with a hand-written ``__init__``.
 
 Every public entry reads its numeric arguments through the readers here,
 and no other module imports ``numbers``:
@@ -57,7 +57,9 @@ _show = _Shower().repr
 
 class _Record:
     """An immutable record, a frozen dataclass without ``dataclasses``: its fields are
-    its instance dict, which a subclass's ``__init__`` sets with one update."""
+    its instance dict, which a subclass's ``__init__`` sets with one update.  A record
+    whose ``__init__`` the package writes by hand is an ``_Record``; one whose
+    ``__init__`` is generated stays a frozen dataclass."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

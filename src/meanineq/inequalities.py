@@ -34,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from ._tables import with_table
-from .errors import DegenerateInput, DomainError, _real, _show
+from .errors import DegenerateInput, DomainError, _real, _Record, _show
 from .means import (
     DEFAULT_ABS_FLOOR,
     DEFAULT_REL_TOL,
@@ -74,21 +74,11 @@ class CheckStatus(str, Enum):
     DEGENERATE = "Degenerate"
 
 
-@dataclass(frozen=True, init=False)
-class CheckReport:
+class CheckReport(_Record):
     """One inequality evaluation, oriented so residual >= 0 means it holds."""
 
-    id: InequalityId
-    params: dict
-    lhs: float
-    rhs: float
-    residual: float
-    residual_rel: float
-    status: CheckStatus
-    q_used: float
-
-    def __init__(self, id, params, lhs, rhs, residual, residual_rel, status, q_used) -> None:
-        # one dict update: the generated frozen __init__ pays object.__setattr__ per field
+    def __init__(self, id: InequalityId, params: dict, lhs: float, rhs: float, residual: float,
+                 residual_rel: float, status: CheckStatus, q_used: float) -> None:
         vars(self).update(id=id, params=params, lhs=lhs, rhs=rhs, residual=residual,
                           residual_rel=residual_rel, status=status, q_used=q_used)
 
@@ -98,7 +88,7 @@ class CheckReport:
 
         return {
             "id": self.id.value,
-            "params": self.params,
+            "params": dict(self.params),
             "lhs": _num(self.lhs),
             "rhs": _num(self.rhs),
             "residual": _num(self.residual),
@@ -137,6 +127,13 @@ def _order_params(tag, triple, alpha, r, s) -> dict:
     return {"r": r}
 
 
+def _inverse_order_params(tag, triple, alpha, r, s) -> dict:
+    params = _order_params(tag, triple, alpha, r, s)
+    if math.isinf(inv_r := 1.0 / params["r"]):  # M_{1/r}'s order; a subnormal r overflows it
+        raise DomainError(f"1/r must be a finite real number, got {inv_r}")
+    return params
+
+
 def _pair_params(tag, triple, alpha, r, s) -> dict:
     r = _real(r, "r")
     s = _real(s, "s")
@@ -147,7 +144,7 @@ def _pair_params(tag, triple, alpha, r, s) -> dict:
 
 # The parameters each resolver reads, all required but alpha; a tag refuses any other.
 _TAKES = {_triple_params: ("triple", "alpha"), _no_params: (), _order_params: ("r",),
-          _pair_params: ("r", "s")}
+          _inverse_order_params: ("r",), _pair_params: ("r", "s")}
 
 
 def _diananda(upper: bool, m, p):
@@ -169,9 +166,7 @@ def _base(upper: bool, m, p):
 
 
 def _mix_variance(upper: bool, m, p):
-    r = p["r"]
-    if math.isinf(inv_r := 1.0 / r):  # the order of M_{1/r}; a subnormal r overflows it
-        raise DomainError(f"1/r must be a finite real number, got {inv_r}")
+    r, inv_r = p["r"], 1.0 / p["r"]  # finite: _inverse_order_params refuses a subnormal r
     w = m.pow(m.q, r - 1.0) if upper else m.pow(1.0 - m.q, r - 1.0)
     a = m.mean(1.0)
     g = m.mean(0.0)
@@ -285,11 +280,11 @@ _CATALOG: dict[InequalityId, _Tag] = {
     _I.DIANANDA_BASE_LOWER: _Tag(_no_params, partial(_base, False), "q A + (1-q) G <= M_{1/2}",
                                  witness=partial(_two_point, False)),
     _I.MIX_VARIANCE_UPPER: _Tag(
-        _order_params, partial(_mix_variance, True),
+        _inverse_order_params, partial(_mix_variance, True),
         "M_{1/r} - q^{r-1} A - (1-q^{r-1}) G <= (1/r - q^{r-1}) sigma / (2 x_1)",
         "r >= 2", lambda p: p["r"] >= 2.0, positive_min=True),
     _I.MIX_VARIANCE_LOWER: _Tag(
-        _order_params, partial(_mix_variance, False),
+        _inverse_order_params, partial(_mix_variance, False),
         "(1/r - (1-q)^{r-1}) sigma / (2 x_1) <= M_{1/r} - (1-q)^{r-1} A - (1-(1-q)^{r-1}) G",
         "1 < r <= 2", lambda p: 1.0 < p["r"] <= 2.0, positive_min=True),
     _I.CARTWRIGHT_FIELD_LOWER: _Tag(

@@ -5,15 +5,18 @@ Each digest hashes one seeded round's outputs, so a change that moves a
 seeded bit of a check, hunt, probe, certificate or threshold fails here,
 and its new value must be listed when it is updated.  The cli-session
 workload spawns processes and is left to the benchmark itself.
-``perfbench/tracing.py`` is loaded the same way, and its tracer is built
-but not installed: every public name it traces must still exist.
+``perfbench/tracing.py`` runs in a fresh interpreter, as ``run.py --trace 1``
+runs it, so what its tracer needs of the package's loader shows there.
 """
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import run_fresh
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -54,14 +57,41 @@ def test_a_round_reproduces_its_digest(workloads, name, seed, digest):
     assert verdict.digest == digest
 
 
+# As run.py --trace 1: the tracer is built while search's body has not run,
+# the first round is untraced, and then a round runs traced.
+TRACED_RUN = """
+import sys
+sys.path.insert(0, {perfbench!r})
+import meanineq
+from tracing import TARGETS, Tracer
+
+search = sys.modules.get("meanineq.search")  # read without running its body
+assert search is None or "counterexample_hunt" not in object.__getattribute__(search, "__dict__")
+tracer = Tracer()
+originals = {{(module, attr): getattr(sys.modules[module], attr) for _, module, attr in TARGETS}}
+cfg = meanineq.Configuration([1.0, 2.0, 4.0], [0.25, 0.25, 0.5])
+meanineq.check("mg-sigma-upper", cfg, r=1.5)
+tracer.install()
+try:
+    unpatched = [key for key, fn in originals.items()
+                 if getattr(getattr(sys.modules[key[0]], key[1]), "__wrapped__", None) is not fn]
+    meanineq.check("mg-sigma-upper", cfg, r=1.5)
+    meanineq.counterexample_hunt("mg-sigma-upper", r=1.5,
+                                 budget=meanineq.SearchBudget(max_evals=10))
+finally:
+    tracer.uninstall()
+spans, notes = tracer.take()
+print(repr(([(tracer.names[name], parent) for name, _, _, parent in spans], notes, unpatched)))
+"""
+
+
 def test_every_traced_target_resolves():
-    # a renamed public name fails here, not first in a traced benchmark run
-    tracing = _load("tracing")
-    try:
-        init = tracing.meanineq.Configuration.__init__
-        patched = {(owner, key) for owner, key, _, _ in tracing.Tracer()._patches}
-        assert tracing.meanineq.Configuration.__init__ is init  # built, not installed
-        for _, module, attr in tracing.TARGETS:
-            assert (sys.modules[module], attr) in patched, (module, attr)
-    finally:
-        del sys.modules[tracing.__name__]
+    # a renamed public name, or a loader that hides a module or a bound name
+    # from the tracer, fails here, not first in a traced benchmark run
+    proc = run_fresh(["-B", "-c", TRACED_RUN.format(perfbench=str(PERFBENCH))], timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    spans, notes, unpatched = ast.literal_eval(proc.stdout)
+    assert unpatched == []  # every target is patched in its defining module
+    assert spans == [("inequalities.check", -1), ("search.counterexample_hunt", -1),
+                     ("means.Configuration", 1)]
+    assert notes == {0: ("mg-sigma-upper", "Holds", True), 1: 10}

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from meanineq import MeanIneqError, cli, solve_r0
+from meanineq import Configuration, MeanIneqError, check, cli, solve_r0
 from meanineq.cli import RunConfig, run
 from meanineq.inequalities import _CATALOG
 
@@ -901,8 +901,8 @@ def test_numpy_free_start_imports_no_dataclasses_inspect_typing_or_csv():
     assert proc.stdout == "[]\n"
 
 
-# The two records a numpy-free command builds: a maker, and the repr and the
-# JSON form that they had as frozen dataclasses.
+# The records whose __init__ the package writes (errors._Record): a maker, and
+# the repr and the JSON form that they had as frozen dataclasses.
 RECORDS = {
     "ThresholdResult": (
         solve_r0,
@@ -917,6 +917,15 @@ RECORDS = {
         "format='csv')",
         {"command": "mean", "options": {"x": [1.0, 4.0], "r": 0.5}, "output": None,
          "format": "csv"}),
+    "CheckReport": (
+        lambda: check("mg-sigma-upper", Configuration([1.0, 2.0, 4.0], [0.25, 0.25, 0.5]),
+                      r=1.5),
+        "CheckReport(id=<InequalityId.MG_SIGMA_UPPER: 'mg-sigma-upper'>, params={'r': 1.5}, "
+        "lhs=0.5288567691643933, rhs=1.265625, residual=0.7367682308356067, "
+        "residual_rel=0.5821378614009732, status=<CheckStatus.HOLDS: 'Holds'>, q_used=0.25)",
+        {"id": "mg-sigma-upper", "params": {"r": 1.5}, "lhs": 0.5288567691643933,
+         "rhs": 1.265625, "residual": 0.7367682308356067, "residual_rel": 0.5821378614009732,
+         "status": "Holds", "q": 0.25}),
 }
 
 
@@ -932,9 +941,9 @@ class TestRecords:
         assert first is not second
         assert first == second and not first != second
         assert first != tuple(vars(first).values()) and first != text
-        if isinstance(first, RunConfig):
+        if any(isinstance(value, dict) for value in vars(first).values()):
             with pytest.raises(TypeError, match="unhashable type: 'dict'"):
-                hash(first)  # its options are a dict, as they were
+                hash(first)  # RunConfig's options and CheckReport's params, as they were
         else:
             assert hash(first) == hash(second) == hash(tuple(vars(first).values()))
 

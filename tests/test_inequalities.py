@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import gc
 import hashlib
 import inspect
@@ -33,7 +32,7 @@ from meanineq import (
     variance_sigma,
 )
 
-from meanineq import inequalities, log_power_mean, means
+from meanineq import inequalities, log_power_mean, means, search
 from meanineq.inequalities import relative_residuals, resolve_params
 from meanineq.means import ConfigurationBatch
 
@@ -116,7 +115,7 @@ class TestReportContract:
     def test_report_is_a_frozen_value(self):
         cfg = Configuration([1.0, 2.0, 4.0], [0.25, 0.25, 0.5])
         rep = check("mg-sigma-upper", cfg, r=1.5)
-        assert [f.name for f in dataclasses.fields(rep)] == [
+        assert list(vars(rep)) == [
             "id", "params", "lhs", "rhs", "residual", "residual_rel", "status", "q_used"]
         assert rep.id is InequalityId.MG_SIGMA_UPPER and rep.status is CheckStatus.HOLDS
         assert rep == check(InequalityId.MG_SIGMA_UPPER, cfg, r=1.5)
@@ -126,9 +125,9 @@ class TestReportContract:
             f"lhs={rep.lhs!r}, rhs={rep.rhs!r}, residual={rep.residual!r}, "
             f"residual_rel={rep.residual_rel!r}, status=<CheckStatus.HOLDS: 'Holds'>, "
             "q_used=0.25)")
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="^cannot assign to field 'lhs'$"):
             rep.lhs = 0.0
-        assert dataclasses.replace(rep, lhs=0.0) == CheckReport(
+        assert CheckReport(**{**vars(rep), "lhs": 0.0}) == CheckReport(
             rep.id, rep.params, 0.0, rep.rhs, rep.residual, rep.residual_rel, rep.status, 0.25)
 
     def test_unknown_tag_is_the_enum_error(self):
@@ -708,14 +707,21 @@ class TestBatchEvaluation:
 
 @pytest.mark.parametrize("run", [
     lambda: check("mix-variance-upper", Configuration([1, 2], [0.5, 0.5]), r=1e-310, force=True),
+    # before the stated range, as r = 0 is refused as a zero order first
+    lambda: check("mix-variance-lower", Configuration([1, 2], [0.5, 0.5]), r=5e-324),
+    lambda: resolve_params("mix-variance-upper", r=5e-324, force=True),
     lambda: counterexample_hunt("mix-variance-lower", r=-1e-310,
                                 budget=SearchBudget(max_evals=40)),
-], ids=["check", "hunt"])
-def test_mix_variance_refuses_an_overflowing_inverse_order_by_name(run):
+], ids=["check", "check-unforced", "resolve_params", "hunt"])
+def test_mix_variance_refuses_an_overflowing_inverse_order_by_name(run, monkeypatch):
     # M_{1/r} needs a finite 1/r; a subnormal r is a valid order, so the
-    # message names the derived order, on the scalar and the batch path alike
+    # message names the derived order, and the parameters are refused
+    # before a hunt seeds any restart stream
+    streams = []
+    monkeypatch.setattr(search, "_stream", lambda *key: streams.append(key))
     with pytest.raises(DomainError, match=r"^1/r must be a finite real number, got -?inf$"):
         run()
+    assert streams == []
 
 
 # What a catalog formula may read of a formula record; a record for another
